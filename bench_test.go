@@ -136,12 +136,12 @@ func BenchmarkFormPWs(b *testing.B) {
 }
 
 func BenchmarkUopCacheLRU(b *testing.B) {
-	pws := benchTracePWs(b, "kafka", 20000)
+	pt := uopcache.Prepare(uopcache.DefaultConfig(), benchTracePWs(b, "kafka", 20000))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := uopcache.New(uopcache.DefaultConfig(), policy.NewLRU())
-		uopcache.NewBehavior(c, nil).Run(pws)
+		uopcache.NewBehavior(c, nil).Run(pt)
 	}
 }
 
@@ -150,11 +150,12 @@ func BenchmarkUopCacheFURBYS(b *testing.B) {
 	cfg := uopcache.DefaultConfig()
 	prof := profiles.Collect(pws, cfg, profiles.SourceFLACK)
 	w := prof.Weights(cfg, 3)
+	pt := uopcache.Prepare(cfg, pws)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := uopcache.New(cfg, policy.NewFURBYS(policy.DefaultFURBYSConfig(), w))
-		uopcache.NewBehavior(c, nil).Run(pws)
+		uopcache.NewBehavior(c, nil).Run(pt)
 	}
 }
 
@@ -169,6 +170,7 @@ func BenchmarkPolicyLookup(b *testing.B) {
 	cfg := uopcache.DefaultConfig()
 	prof := profiles.Collect(pws, cfg, profiles.SourceFLACK)
 	weights := prof.Weights(cfg, 3)
+	pt := uopcache.Prepare(cfg, pws)
 	cases := []struct {
 		name string
 		mk   func() uopcache.Policy
@@ -189,23 +191,23 @@ func BenchmarkPolicyLookup(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			c := uopcache.New(cfg, tc.mk())
 			beh := uopcache.NewBehavior(c, nil)
-			beh.Run(pws) // warm to steady state before timing
+			beh.Run(pt) // warm to steady state before timing
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				beh.Run(pws)
+				beh.Run(pt)
 			}
 		})
 	}
 }
 
 func BenchmarkFLACKSolve(b *testing.B) {
-	pws := benchTracePWs(b, "kafka", 20000)
 	cfg := uopcache.DefaultConfig()
+	pt := uopcache.Prepare(cfg, benchTracePWs(b, "kafka", 20000))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		offline.ComputeDecisions(nil, pws, cfg, offline.CostVC, true, 0, 1)
+		offline.ComputeDecisionsPrepared(nil, pt, cfg, offline.CostVC, true, 0, 1)
 	}
 }
 
@@ -214,15 +216,17 @@ func BenchmarkFLACKSolve(b *testing.B) {
 // for the solver speedup; on a single-core host the two should be within
 // noise of each other.
 func BenchmarkFLACKSolveParallel(b *testing.B) {
-	pws := benchTracePWs(b, "kafka", 20000)
 	cfg := uopcache.DefaultConfig()
+	pt := uopcache.Prepare(cfg, benchTracePWs(b, "kafka", 20000))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		offline.ComputeDecisions(nil, pws, cfg, offline.CostVC, true, 0, 0)
+		offline.ComputeDecisionsPrepared(nil, pt, cfg, offline.CostVC, true, 0, 0)
 	}
 }
 
+// BenchmarkBeladyReplay passes no prepared trace, so every iteration
+// includes building one.
 func BenchmarkBeladyReplay(b *testing.B) {
 	pws := benchTracePWs(b, "kafka", 20000)
 	cfg := uopcache.DefaultConfig()
@@ -233,10 +237,9 @@ func BenchmarkBeladyReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkBeladyReplayPrepared is the same replay over the columnar
-// prepared trace: per-window set/footprint reads and the shared CSR
-// occurrence index replace the per-replay map-of-slices build, which is
-// where the allocs/op drop against BenchmarkBeladyReplay comes from.
+// BenchmarkBeladyReplayPrepared is the same replay over a prepared trace
+// built outside the timed loop: the difference against
+// BenchmarkBeladyReplay is the cost of Prepare.
 func BenchmarkBeladyReplayPrepared(b *testing.B) {
 	pws := benchTracePWs(b, "kafka", 20000)
 	cfg := uopcache.DefaultConfig()
@@ -255,7 +258,7 @@ func BenchmarkTimingModel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.RunTiming(blocks, cfg, policy.NewLRU())
+		core.RunTiming(blocks, cfg, policy.NewLRU(), core.Telemetry{})
 	}
 }
 

@@ -31,12 +31,12 @@
 // fail-fast behaviour. -faultinject SITE:HITS:MODE (see internal/faultinject)
 // injects deterministic cell failures for testing these paths.
 //
-// -cache-dir DIR enables a content-addressed on-disk cache for generated
-// block traces and solved FLACK keep-plans. Entries are keyed by a SHA-256
-// over every input that determines them (plus a format version), so a warm
-// cache is byte-identical to a cold run — it only skips the workload
-// generation and min-cost-flow solves. Traffic is recorded in the manifest
-// (cache block) and the trace_cache_*/plan_cache_* counters.
+// -cache-dir DIR enables a content-addressed on-disk cache for solved
+// FOO/FLACK keep-plans. Entries are keyed by a SHA-256 over every input that
+// determines them (plus a format version), so a warm cache is
+// byte-identical to a cold run — it only skips the min-cost-flow solves.
+// Traffic is recorded in the manifest (cache block) and the plan_cache_*
+// counters.
 //
 // Introspection: -inspect POLICIES replays each app under the named policies
 // after the experiments finish, classifies every eviction (justified /
@@ -140,7 +140,7 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	fs.IntVar(&o.retries, "retries", 0, "extra attempts for a failed or panicking cell before it counts as failed")
 	fs.BoolVar(&o.strict, "strict", false, "fail an experiment on the first exhausted cell instead of degrading to a marked-missing entry")
 	fs.StringVar(&o.faultSpec, "faultinject", "", "inject cell faults: `SITE:HITS:MODE` (testing; see internal/faultinject)")
-	fs.StringVar(&o.cacheDir, "cache-dir", "", "content-addressed artifact cache `DIR` for generated traces and FLACK keep-plans (default: no cache)")
+	fs.StringVar(&o.cacheDir, "cache-dir", "", "content-addressed artifact cache `DIR` for solved FOO/FLACK keep-plans (default: no cache)")
 	fs.StringVar(&o.inspectPolicies, "inspect", "", "run eviction attribution for the comma-separated `POLICIES` after the experiments (e.g. lru,srrip,furbys)")
 	fs.IntVar(&o.inspectWindow, "inspect-window", 0, "premature-eviction window in lookups for -inspect (0 = default 4096)")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace-event span trace to `FILE` (load in Perfetto or chrome://tracing)")
@@ -301,7 +301,7 @@ func run(o *options, args []string, stdout, stderr io.Writer) (interrupted bool,
 	}
 	// The artifact cache is strictly additive: every entry is content-keyed
 	// over the inputs that determine it, so a warm cache changes only how
-	// fast traces and keep-plans materialize, never what they contain.
+	// fast keep-plans materialize, never what they contain.
 	var store *artifact.Store
 	if o.cacheDir != "" {
 		s, serr := artifact.Open(o.cacheDir)

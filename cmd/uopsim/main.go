@@ -32,6 +32,7 @@ import (
 	"uopsim/internal/profiles"
 	"uopsim/internal/telemetry"
 	"uopsim/internal/trace"
+	"uopsim/internal/uopcache"
 	"uopsim/internal/workload"
 )
 
@@ -177,7 +178,9 @@ func simulate(app, traceFile, pol, mode string, blocks, input int, icache, zen4,
 	case "behavior":
 		phase := time.Now()
 		simSpan := spans.Begin("phase", "simulate").Arg("policy", pol)
-		opts := core.BehaviorOptions{WithICache: icache, Telemetry: tel}
+		// The replay and the attribution's keep-plan share one trace.
+		pt := uopcache.Prepare(cfg.UopCache, pws)
+		opts := core.BehaviorOptions{WithICache: icache, Telemetry: tel, Prepared: pt}
 		res, err := core.RunBehaviorByName(pol, pws, cfg, opts)
 		simSpan.End()
 		if err != nil {
@@ -195,7 +198,7 @@ func simulate(app, traceFile, pol, mode string, blocks, input int, icache, zen4,
 				100*f.VictimCoverage(), 100*float64(f.Bypasses)/float64(max64(f.InsertAttempts, 1)))
 		}
 		if col != nil {
-			if err := reportAttribution(app, pol, pws, cfg, col, intro, s.Evictions, spans, stdout); err != nil {
+			if err := reportAttribution(app, pol, pt, cfg, col, intro, s.Evictions, spans, stdout); err != nil {
 				return err
 			}
 		}
@@ -210,7 +213,7 @@ func simulate(app, traceFile, pol, mode string, blocks, input int, icache, zen4,
 		}
 		phase := time.Now()
 		simSpan := spans.Begin("phase", "simulate").Arg("policy", pol)
-		res, err := core.RunTimingByNameObserved(pol, blks, pws, cfg, prof, tel)
+		res, err := core.RunTimingByNameWith(pol, blks, pws, cfg, prof, core.TimingOptions{Telemetry: tel})
 		simSpan.End()
 		if err != nil {
 			return err
@@ -238,10 +241,10 @@ func simulate(app, traceFile, pol, mode string, blocks, input int, icache, zen4,
 // reportAttribution classifies the collected evictions against the trace
 // (divergence judged against the FLACK keep-plan), reconciles the partition
 // with the run's eviction count, and prints the attribution.
-func reportAttribution(app, pol string, pws []trace.PW, cfg core.Config, col *inspect.Collector, intro introspection, evictions uint64, spans *inspect.SpanLog, stdout io.Writer) error {
+func reportAttribution(app, pol string, pt *trace.PreparedTrace, cfg core.Config, col *inspect.Collector, intro introspection, evictions uint64, spans *inspect.SpanLog, stdout io.Writer) error {
 	sp := spans.Begin("phase", "attribute")
-	dec := offline.ComputeDecisions(nil, pws, cfg.UopCache, offline.CostVC, true, 0, 0)
-	a := inspect.Attribute(col.Records(), pws, inspect.Options{Window: intro.window, Keep: dec.Keep})
+	dec := offline.ComputeDecisionsPrepared(nil, pt, cfg.UopCache, offline.CostVC, true, 0, 0)
+	a := inspect.Attribute(col.Records(), pt.PWs(), inspect.Options{Window: intro.window, Keep: dec.Keep})
 	a.App, a.Policy = app, pol
 	sp.End()
 	if a.Total != evictions {

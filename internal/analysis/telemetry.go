@@ -13,7 +13,7 @@ import (
 // The inspect and trace families belong to the decision-level introspection
 // layer (internal/inspect): attribution roll-ups and span-trace health. The
 // plan family covers the artifact cache's keep-plan traffic
-// (internal/artifact); trace also carries its trace_cache_* counters.
+// (internal/artifact), the only kind the cache stores.
 var metricNamePattern = regexp.MustCompile(`^(uopcache|frontend|policy|offline|flow|parallel|faultinject|inspect|trace|plan)_[a-z0-9_]+$`)
 
 // Telemetry enforces that metric names handed to the telemetry registry

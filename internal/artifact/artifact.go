@@ -1,13 +1,13 @@
 // Package artifact implements a content-addressed on-disk cache for
-// expensive derived artifacts: generated block traces and solved FLACK
-// keep-plans. Entries are addressed by a caller-computed content key (a hex
-// SHA-256 over every input that determines the artifact, plus a format
-// version), so a warm cache can only ever return bytes that would have been
-// recomputed identically — invalidation is by key change, never by mtime.
+// expensive derived artifacts: the solved FOO/FLACK keep-plans. Entries are
+// addressed by a caller-computed content key (a hex SHA-256 over every input
+// that determines the artifact, plus a format version), so a warm cache can
+// only ever return bytes that would have been recomputed identically —
+// invalidation is by key change, never by mtime.
 //
 // The store is deliberately ignorant of what it holds: payloads are opaque
-// byte streams namespaced by a short kind string ("trace", "plan"). Each
-// entry is written atomically (temp + fsync + rename via
+// byte streams namespaced by a short kind string ("plan"). Each entry is
+// written atomically (temp + fsync + rename via
 // telemetry.AtomicWriteFile) with a SHA-256 integrity trailer, and every
 // read verifies the trailer before a single payload byte reaches the
 // caller, so a torn or bit-rotted file surfaces as a descriptive error —
@@ -121,12 +121,6 @@ func (s *Store) count(kind, event string) {
 		return
 	}
 	switch {
-	case kind == "trace" && event == "hit":
-		m.Counter("trace_cache_hit_total").Inc()
-	case kind == "trace" && event == "miss":
-		m.Counter("trace_cache_miss_total").Inc()
-	case kind == "trace":
-		m.Counter("trace_cache_error_total").Inc()
 	case kind == "plan" && event == "hit":
 		m.Counter("plan_cache_hit_total").Inc()
 	case kind == "plan" && event == "miss":

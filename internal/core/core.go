@@ -8,14 +8,8 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"io"
 
-	"uopsim/internal/artifact"
 	"uopsim/internal/backend"
 	"uopsim/internal/branch"
 	"uopsim/internal/cache"
@@ -117,63 +111,11 @@ func NewPolicy(name string, prof *profiles.Profile, ucCfg uopcache.Config, fcfg 
 // TraceFor generates an application's dynamic block trace and its PW lookup
 // sequence (the paper's STEPS 1–2).
 func TraceFor(app string, numBlocks, input int) ([]trace.Block, []trace.PW, error) {
-	return TraceForCached(app, numBlocks, input, nil)
-}
-
-// traceKeyVersion invalidates cached block traces whenever the generator's
-// semantics or the block codec change. Bump on either.
-const traceKeyVersion = 1
-
-// TraceKey content-addresses a generated block trace: SHA-256 over the key
-// version, the application's full generator specification (every parameter
-// that shapes the trace, including the layout seed), the block budget, and
-// the input id. Changing any generator parameter in the workload catalog
-// therefore invalidates stale cache entries automatically.
-func TraceKey(spec workload.Spec, numBlocks, input int) string {
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		// A flat struct of scalars and strings cannot fail to marshal.
-		panic("core: marshal workload spec: " + err.Error())
-	}
-	h := sha256.New()
-	var hdr [20]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], traceKeyVersion)
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(numBlocks))
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(input))
-	h.Write(hdr[:])
-	h.Write(specJSON)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// TraceForCached is TraceFor backed by a content-addressed artifact store:
-// on a hit the block trace is read back instead of regenerated (and PW
-// formation still runs, so the lookup sequence is identical either way). A
-// nil store, a miss, or a corrupt entry all degrade to plain generation —
-// the store can make a run faster, never different or broken.
-func TraceForCached(app string, numBlocks, input int, store *artifact.Store) ([]trace.Block, []trace.PW, error) {
 	spec, err := workload.Get(app)
 	if err != nil {
 		return nil, nil, err
 	}
-	var blocks []trace.Block
-	if store != nil {
-		key := TraceKey(spec, numBlocks, input)
-		hit, _ := store.Get("trace", key, func(r io.Reader) error {
-			var derr error
-			blocks, derr = trace.ReadBlocks(r)
-			return derr
-		})
-		if !hit {
-			blocks = workload.GenerateSpec(spec, numBlocks, input)
-			// Best-effort: a read-only cache directory only costs the
-			// benefit (the store counts the error).
-			_ = store.Put("trace", key, func(w io.Writer) error {
-				return trace.WriteBlocks(w, blocks)
-			})
-		}
-	} else {
-		blocks = workload.GenerateSpec(spec, numBlocks, input)
-	}
+	blocks := workload.GenerateSpec(spec, numBlocks, input)
 	return blocks, trace.FormPWs(blocks, 0), nil
 }
 
@@ -225,11 +167,10 @@ type BehaviorOptions struct {
 	// through the offline machinery (0 = GOMAXPROCS, 1 = serial). Replays
 	// and online policies are inherently serial and unaffected.
 	Workers int
-	// Prepared, when non-nil and built over exactly this lookup sequence
-	// under the run's micro-op cache geometry, supplies shared precomputed
-	// per-window attributes (set index, footprint, occurrence index). A
-	// mismatched Prepared is ignored — results are byte-identical either
-	// way.
+	// Prepared is the shared columnar view of this lookup sequence (set
+	// index, footprint, occurrence index). When it is nil, or was built
+	// over another slice or geometry, the run prepares its own (see
+	// uopcache.PreparedFor); results are byte-identical either way.
 	Prepared *trace.PreparedTrace
 	// Plans, when non-nil, caches solved FOO/FLACK keep-plans by content
 	// key so warm runs skip the min-cost-flow solve. nil disables caching.
@@ -257,27 +198,17 @@ func RunBehavior(pws []trace.PW, cfg Config, pol uopcache.Policy, opts BehaviorO
 		ic = cache.New(cfg.L1I)
 	}
 	b := uopcache.NewBehavior(c, ic)
-	pt := opts.Prepared
-	if pt != nil && (pt.Sig() != cfg.UopCache.Sig() || !pt.SameSequence(pws)) {
-		pt = nil
-	}
+	pt := uopcache.PreparedFor(cfg.UopCache, pws, opts.Prepared)
 	var res BehaviorResult
-	switch {
-	case opts.RecordPerLookup:
-		res.PerLookup = make([]uopcache.ProbeResult, 0, len(pws))
-		for i := range pws {
-			if pt != nil {
-				res.PerLookup = append(res.PerLookup, b.AccessIndexed(pt, i))
-			} else {
-				res.PerLookup = append(res.PerLookup, b.Access(pws[i]))
-			}
+	if opts.RecordPerLookup {
+		res.PerLookup = make([]uopcache.ProbeResult, pt.Len())
+		for i := range res.PerLookup {
+			res.PerLookup[i] = b.Access(pt, i)
 		}
 		b.Flush()
 		res.Stats = c.Stats
-	case pt != nil:
-		res.Stats = b.RunPrepared(pt)
-	default:
-		res.Stats = b.Run(pws)
+	} else {
+		res.Stats = b.Run(pt)
 	}
 	if f, ok := base.(*policy.FURBYS); ok {
 		st := f.Stats
@@ -288,8 +219,10 @@ func RunBehavior(pws []trace.PW, cfg Config, pol uopcache.Policy, opts BehaviorO
 
 // RunBehaviorByName builds the named policy (collecting a FLACK profile for
 // the profile-guided ones from the same trace) and runs behaviour mode.
-// Offline names (belady/foo/flack) run the offline machinery.
+// Offline names (belady/foo/flack) run the offline machinery. The profile
+// and the replay share one prepared trace.
 func RunBehaviorByName(name string, pws []trace.PW, cfg Config, opts BehaviorOptions) (BehaviorResult, error) {
+	opts.Prepared = uopcache.PreparedFor(cfg.UopCache, pws, opts.Prepared)
 	switch name {
 	case "belady":
 		r := offline.RunBelady(pws, cfg.UopCache, offlineOptions(cfg, opts))
@@ -341,16 +274,10 @@ type TimingResult struct {
 // RunTiming drives a dynamic block trace through the full timing model
 // under the given replacement policy and prices it with the energy table.
 // Offline SchedulePolicy instances are bound to the cache's lookup counter
-// so their plans stay aligned with the PW stream.
-func RunTiming(blocks []trace.Block, cfg Config, pol uopcache.Policy) TimingResult {
-	return RunTimingObserved(blocks, cfg, pol, Telemetry{})
-}
-
-// RunTimingObserved is RunTiming with observability attached: the cache's
-// uopcache_* counters and decision events stream into tel during the run,
-// and the frontend_* aggregates are published at the end.
-func RunTimingObserved(blocks []trace.Block, cfg Config, pol uopcache.Policy, tel Telemetry) TimingResult {
-	bp := branch.New(cfg.Branch)
+// so their plans stay aligned with the PW stream. The cache's uopcache_*
+// counters and decision events stream into tel during the run, and the
+// frontend_* aggregates are published at the end (zero tel = off).
+func RunTiming(blocks []trace.Block, cfg Config, pol uopcache.Policy, tel Telemetry) TimingResult {
 	base := policy.Unwrap(pol)
 	pol = tel.instrument(pol)
 	uc := uopcache.New(cfg.UopCache, pol)
@@ -358,16 +285,12 @@ func RunTimingObserved(blocks []trace.Block, cfg Config, pol uopcache.Policy, te
 	if sp, ok := base.(*offline.SchedulePolicy); ok {
 		sp.BindPos(func() int { return int(uc.Stats.Lookups) })
 	}
-	return runTiming(blocks, cfg, bp, uc, tel)
-}
-
-func runTiming(blocks []trace.Block, cfg Config, bp *branch.Predictor, uc *uopcache.Cache, tel Telemetry) TimingResult {
 	var l1i *cache.Cache
 	if !cfg.Frontend.PerfectICache {
 		l1i = cache.New(cfg.L1I)
 	}
 	be := backend.New(cfg.Backend)
-	f := frontend.New(cfg.Frontend, bp, uc, l1i, be)
+	f := frontend.New(cfg.Frontend, branch.New(cfg.Branch), uc, l1i, be)
 	res := f.RunBlocks(blocks)
 	if tel.Metrics != nil {
 		res.PublishMetrics(tel.Metrics)
@@ -383,14 +306,10 @@ func RunTimingByName(name string, blocks []trace.Block, pws []trace.PW, cfg Conf
 	return RunTimingByNameWith(name, blocks, pws, cfg, prof, TimingOptions{})
 }
 
-// RunTimingByNameObserved is RunTimingByName with observability attached.
-func RunTimingByNameObserved(name string, blocks []trace.Block, pws []trace.PW, cfg Config, prof *profiles.Profile, tel Telemetry) (TimingResult, error) {
-	return RunTimingByNameWith(name, blocks, pws, cfg, prof, TimingOptions{Telemetry: tel})
-}
-
 // TimingOptions bundles a by-name timing run's optional attachments:
 // observability plus the shared prepared trace and keep-plan cache consumed
-// by the offline schedule policies (both lossless; both nil-safe).
+// by the offline schedule policies and profile collection (nil Prepared =
+// build one when needed; nil Plans = no plan caching).
 type TimingOptions struct {
 	Telemetry Telemetry
 	Prepared  *trace.PreparedTrace
@@ -401,15 +320,16 @@ type TimingOptions struct {
 
 // RunTimingByNameWith is RunTimingByName with the full attachment set.
 func RunTimingByNameWith(name string, blocks []trace.Block, pws []trace.PW, cfg Config, prof *profiles.Profile, opts TimingOptions) (TimingResult, error) {
-	sched := offline.ScheduleOptions{Workers: opts.Workers, Prepared: opts.Prepared, Plans: opts.Plans}
+	oo := offline.Options{Workers: opts.Workers, Prepared: opts.Prepared, Plans: opts.Plans}
 	var pol uopcache.Policy
 	switch name {
 	case "belady":
-		pol = offline.NewBeladyScheduleWith(pws, opts.Prepared)
+		pol = offline.NewBeladySchedule(pws, cfg.UopCache, oo)
 	case "foo":
-		pol = offline.NewFLACKScheduleWith(pws, cfg.UopCache, offline.Features{}, sched)
+		pol = offline.NewFLACKSchedule(pws, cfg.UopCache, oo)
 	case "flack":
-		pol = offline.NewFLACKScheduleWith(pws, cfg.UopCache, offline.FLACKFeatures(), sched)
+		oo.Features = offline.FLACKFeatures()
+		pol = offline.NewFLACKSchedule(pws, cfg.UopCache, oo)
 	default:
 		if name == "thermometer" || name == "furbys" {
 			if prof == nil {
@@ -424,7 +344,7 @@ func RunTimingByNameWith(name string, blocks []trace.Block, pws []trace.PW, cfg 
 		}
 		pol = p
 	}
-	return RunTimingObserved(blocks, cfg, pol, opts.Telemetry), nil
+	return RunTiming(blocks, cfg, pol, opts.Telemetry), nil
 }
 
 // MissReduction is the paper's headline metric: the relative reduction in

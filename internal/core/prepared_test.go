@@ -11,11 +11,11 @@ import (
 	"uopsim/internal/uopcache"
 )
 
-// TestPreparedBehaviorEquivalence pins the tentpole's lossless contract:
-// attaching a PreparedTrace (and a plan cache) to a behaviour run changes
-// nothing about the result, for every policy name, per-lookup records
-// included. The prepared run is the one all experiments now take, so this
-// is the guard behind the byte-identical-CSV acceptance criterion.
+// TestPreparedBehaviorEquivalence pins the one-trace contract: a nil
+// Prepared (the run builds its own) and a shared one give the identical
+// result for every policy name, per-lookup records included. The shared
+// run is the one all experiments take, so this is the guard behind the
+// byte-identical-CSV acceptance criterion.
 func TestPreparedBehaviorEquivalence(t *testing.T) {
 	cfg := core.DefaultConfig()
 	_, pws, err := core.TraceFor("kafka", 4000, 0)
@@ -28,22 +28,15 @@ func TestPreparedBehaviorEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	plans := offline.NewPlanStore(store)
-	names := append(core.PolicyNames(), core.OfflineNames()...)
-	for _, name := range names {
+	for _, name := range allPolicies() {
 		for _, record := range []bool{false, true} {
-			plain, err := core.RunBehaviorByName(name, pws, cfg, core.BehaviorOptions{RecordPerLookup: record})
-			if err != nil {
-				t.Fatalf("%s (plain): %v", name, err)
-			}
-			prep, err := core.RunBehaviorByName(name, pws, cfg, core.BehaviorOptions{
+			built := runBehavior(t, name, pws, cfg, core.BehaviorOptions{RecordPerLookup: record})
+			shared := runBehavior(t, name, pws, cfg, core.BehaviorOptions{
 				RecordPerLookup: record, Prepared: pt, Plans: plans,
 			})
-			if err != nil {
-				t.Fatalf("%s (prepared): %v", name, err)
-			}
-			if !reflect.DeepEqual(plain, prep) {
-				t.Errorf("%s (record=%v): prepared run diverged:\nplain: %+v\nprep:  %+v",
-					name, record, plain.Stats, prep.Stats)
+			if !reflect.DeepEqual(built, shared) {
+				t.Errorf("%s (record=%v): shared trace diverged:\nnil:    %+v\nshared: %+v",
+					name, record, built.Stats, shared.Stats)
 			}
 		}
 	}
@@ -53,16 +46,13 @@ func TestPreparedBehaviorEquivalence(t *testing.T) {
 	}
 }
 
-// TestMismatchedPreparedIgnored: a PreparedTrace built under a different
-// geometry, or over a different sequence, must be silently ignored — wrong
-// columns must never leak into a run.
+// TestMismatchedPreparedIgnored: a PreparedTrace built under a geometry
+// with a different set count, or over a different slice, must be rebuilt
+// rather than trusted — for every policy, wrong columns must never leak
+// into a run.
 func TestMismatchedPreparedIgnored(t *testing.T) {
 	cfg := core.DefaultConfig()
 	_, pws, err := core.TraceFor("kafka", 3000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := core.RunBehaviorByName("lru", pws, cfg, core.BehaviorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,19 +63,33 @@ func TestMismatchedPreparedIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrongSeq := uopcache.Prepare(cfg.UopCache, otherPWs)
-	for label, pt := range map[string]*trace.PreparedTrace{
-		"geometry": wrongGeom,
-		"sequence": wrongSeq,
-	} {
-		got, err := core.RunBehaviorByName("lru", pws, cfg, core.BehaviorOptions{Prepared: pt})
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if !reflect.DeepEqual(plain, got) {
-			t.Errorf("mismatched prepared trace (%s) changed the result", label)
+	wrongSlice := uopcache.Prepare(cfg.UopCache, otherPWs)
+	for _, name := range allPolicies() {
+		want := runBehavior(t, name, pws, cfg, core.BehaviorOptions{RecordPerLookup: true})
+		for label, pt := range map[string]*trace.PreparedTrace{
+			"geometry": wrongGeom,
+			"slice":    wrongSlice,
+		} {
+			got := runBehavior(t, name, pws, cfg, core.BehaviorOptions{RecordPerLookup: true, Prepared: pt})
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s: mismatched prepared trace (%s) changed the result", name, label)
+			}
 		}
 	}
+}
+
+// allPolicies lists the nine online and three offline policy names.
+func allPolicies() []string {
+	return append(append([]string{}, core.PolicyNames()...), core.OfflineNames()...)
+}
+
+func runBehavior(t *testing.T, name string, pws []trace.PW, cfg core.Config, opts core.BehaviorOptions) core.BehaviorResult {
+	t.Helper()
+	r, err := core.RunBehaviorByName(name, pws, cfg, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return r
 }
 
 // TestPreparedTimingEquivalence: the timing model with prepared/plan
@@ -116,36 +120,5 @@ func TestPreparedTimingEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(plain, prep) {
 			t.Errorf("%s: prepared timing diverged:\nplain: %+v\nprep:  %+v", name, plain, prep)
 		}
-	}
-}
-
-// TestTraceForCachedEquivalence: the cached trace path returns bit-equal
-// blocks and windows, cold and warm, and the warm read is a verified hit.
-func TestTraceForCachedEquivalence(t *testing.T) {
-	store, err := artifact.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainBlocks, plainPWs, err := core.TraceFor("postgres", 3000, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, coldPWs, err := core.TraceForCached("postgres", 3000, 2, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, warmPWs, err := core.TraceForCached("postgres", 3000, 2, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plainBlocks, cold) || !reflect.DeepEqual(plainBlocks, warm) {
-		t.Fatal("cached blocks differ from generated blocks")
-	}
-	if !reflect.DeepEqual(plainPWs, coldPWs) || !reflect.DeepEqual(plainPWs, warmPWs) {
-		t.Fatal("cached windows differ from generated windows")
-	}
-	st := store.Stats()["trace"]
-	if st.Misses != 1 || st.Hits != 1 {
-		t.Fatalf("trace cache stats = %+v, want 1 miss then 1 hit", st)
 	}
 }

@@ -126,7 +126,7 @@ func TestTimingTelemetryPublishes(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	res := core.RunTimingObserved(blocks, core.DefaultConfig(), policy.NewLRU(), core.Telemetry{Metrics: reg})
+	res := core.RunTiming(blocks, core.DefaultConfig(), policy.NewLRU(), core.Telemetry{Metrics: reg})
 	if res.Frontend.Cycles == 0 {
 		t.Fatal("timing run produced no cycles")
 	}

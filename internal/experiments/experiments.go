@@ -148,9 +148,9 @@ type Context struct {
 	// same budget is handed to the offline solver.
 	Workers int
 	// Artifacts, when non-nil, is the content-addressed on-disk cache for
-	// generated block traces and solved FLACK keep-plans (-cache-dir). A
-	// warm store skips workload generation and every min-cost-flow solve;
-	// results are byte-identical with the store cold, warm, or absent.
+	// solved FOO/FLACK keep-plans (-cache-dir). A warm store skips every
+	// min-cost-flow solve; results are byte-identical with the store
+	// cold, warm, or absent.
 	Artifacts *artifact.Store
 
 	// Ctx cancels the campaign cooperatively: cells already executing run
@@ -641,55 +641,24 @@ func (c *Context) plans() offline.PlanCache {
 }
 
 // runOpts returns BehaviorOptions carrying the context's cancellation
-// handle, telemetry, solver worker budget and keep-plan cache.
-func (c *Context) runOpts() core.BehaviorOptions {
-	return core.BehaviorOptions{Ctx: c.Ctx, Telemetry: c.Telemetry, Workers: c.Workers, Plans: c.plans()}
+// handle, telemetry, solver worker budget and keep-plan cache, plus the
+// shared prepared trace of (app, input) under geom. A failed preparation
+// leaves Prepared nil, so the run builds its own.
+func (c *Context) runOpts(app string, input int, geom uopcache.Config) core.BehaviorOptions {
+	pt, _ := c.Prepared(app, input, geom)
+	return core.BehaviorOptions{Ctx: c.Ctx, Telemetry: c.Telemetry, Workers: c.Workers, Plans: c.plans(), Prepared: pt}
 }
 
-// runOptsFor is runOpts with the app's shared prepared trace attached; the
-// attachment is skipped (never fails the run) when preparation errored.
-func (c *Context) runOptsFor(app string, input int) core.BehaviorOptions {
-	opts := c.runOpts()
-	if pt, err := c.Prepared(app, input); err == nil {
-		opts.Prepared = pt
-	}
-	return opts
-}
-
-// runOptsRecord is runOpts with per-lookup outcome recording enabled.
-func (c *Context) runOptsRecord() core.BehaviorOptions {
-	opts := c.runOpts()
-	opts.RecordPerLookup = true
-	return opts
-}
-
-// runOptsRecordFor is runOptsFor with per-lookup outcome recording enabled.
-func (c *Context) runOptsRecordFor(app string, input int) core.BehaviorOptions {
-	opts := c.runOptsFor(app, input)
-	opts.RecordPerLookup = true
-	return opts
-}
-
-// offlineOpts attaches the context's cancellation handle, telemetry, worker
-// budget and keep-plan cache to offline replay options.
-func (c *Context) offlineOpts(o offline.Options) offline.Options {
-	o.Ctx = c.Ctx
-	o.Metrics = c.Telemetry.Metrics
-	o.Events = c.Telemetry.Events
-	o.Workers = c.Workers
-	if o.Plans == nil {
-		o.Plans = c.plans()
-	}
-	return o
-}
-
-// offlineOptsFor is offlineOpts with the app's shared prepared trace
-// attached (skipped when preparation errored).
-func (c *Context) offlineOptsFor(app string, input int, o offline.Options) offline.Options {
-	o = c.offlineOpts(o)
-	if pt, err := c.Prepared(app, input); err == nil {
-		o.Prepared = pt
-	}
+// offlineOpts is runOpts for offline replays: it fills the same
+// attachments into o.
+func (c *Context) offlineOpts(app string, input int, geom uopcache.Config, o offline.Options) offline.Options {
+	r := c.runOpts(app, input, geom)
+	o.Ctx = r.Ctx
+	o.Metrics = r.Telemetry.Metrics
+	o.Events = r.Telemetry.Events
+	o.Workers = r.Workers
+	o.Plans = r.Plans
+	o.Prepared = r.Prepared
 	return o
 }
 
@@ -701,39 +670,34 @@ func (c *Context) AppList() []string {
 	return workload.Names()
 }
 
-// traceFor and collectProfile are indirection seams so the singleflight
-// tests can count how often the underlying computation actually runs.
-var (
-	traceFor       = core.TraceForCached
-	collectProfile = profiles.CollectWith
-)
+// collectProfile is an indirection seam so the singleflight tests can
+// count how often the underlying computation actually runs.
+var collectProfile = profiles.CollectWith
 
 // Trace returns (cached) the block trace and PW sequence for an app/input.
-// Concurrent callers of the same key share one generation. With an artifact
-// store attached, the block trace is read from (or written to) the on-disk
-// cache instead of being regenerated.
+// Concurrent callers of the same key share one generation.
 func (c *Context) Trace(app string, input int) ([]trace.Block, []trace.PW, error) {
 	key := fmt.Sprintf("%s/%d/%d", app, input, c.Blocks)
 	tp, err := once(c, c.caches.traces, key, func() (tracePair, error) {
-		blocks, pws, err := traceFor(app, c.Blocks, input, c.Artifacts)
+		blocks, pws, err := core.TraceFor(app, c.Blocks, input)
 		return tracePair{blocks: blocks, pws: pws}, err
 	})
 	return tp.blocks, tp.pws, err
 }
 
 // Prepared returns (cached) the shared columnar prepared trace for an
-// app/input under the context's micro-op cache geometry: precomputed set
+// app/input under the micro-op cache geometry geom: precomputed set
 // indices, footprints and the occurrence index every replay of the same
-// trace would otherwise rebuild privately. Concurrent callers share one
-// build.
-func (c *Context) Prepared(app string, input int) (*trace.PreparedTrace, error) {
-	key := fmt.Sprintf("%s/%d/%d/%x", app, input, c.Blocks, c.Cfg.UopCache.Sig())
+// trace would otherwise rebuild privately. Geometries with the same Sig
+// share one trace, and concurrent callers share one build.
+func (c *Context) Prepared(app string, input int, geom uopcache.Config) (*trace.PreparedTrace, error) {
+	key := fmt.Sprintf("%s/%d/%d/%x", app, input, c.Blocks, geom.Sig())
 	return once(c, c.caches.preps, key, func() (*trace.PreparedTrace, error) {
 		_, pws, err := c.Trace(app, input)
 		if err != nil {
 			return nil, err
 		}
-		return uopcache.Prepare(c.Cfg.UopCache, pws), nil
+		return uopcache.Prepare(geom, pws), nil
 	})
 }
 
@@ -747,16 +711,14 @@ func (c *Context) Profile(app string, input int, src profiles.Source) (*profiles
 		if err != nil {
 			return nil, err
 		}
-		copts := profiles.CollectOptions{
-			Metrics: c.Telemetry.Metrics,
-			Events:  c.Telemetry.Events,
-			Plans:   c.plans(),
-			Workers: c.Workers,
-		}
-		if pt, perr := c.Prepared(app, input); perr == nil {
-			copts.Prepared = pt
-		}
-		return collectProfile(pws, c.Cfg.UopCache, src, copts), nil
+		r := c.runOpts(app, input, c.Cfg.UopCache)
+		return collectProfile(pws, c.Cfg.UopCache, src, profiles.CollectOptions{
+			Metrics:  r.Telemetry.Metrics,
+			Events:   r.Telemetry.Events,
+			Prepared: r.Prepared,
+			Plans:    r.Plans,
+			Workers:  r.Workers,
+		}), nil
 	})
 }
 

@@ -21,7 +21,7 @@ func (c *Context) lruBaseline(app string) (uopcache.Stats, error) {
 		if err != nil {
 			return uopcache.Stats{}, err
 		}
-		return core.RunBehavior(pws, c.Cfg, policy.NewLRU(), c.runOptsFor(app, 0)).Stats, nil
+		return core.RunBehavior(pws, c.Cfg, policy.NewLRU(), c.runOpts(app, 0, c.Cfg.UopCache)).Stats, nil
 	})
 }
 
@@ -67,7 +67,7 @@ func Table2(ctx *Context) (*Table, error) {
 		if err != nil {
 			return row{}, err
 		}
-		res := core.RunTimingObserved(blocks, ctx.Cfg, policy.NewLRU(), ctx.Telemetry)
+		res := core.RunTiming(blocks, ctx.Cfg, policy.NewLRU(), ctx.Telemetry)
 		an := trace.Analyze(pws, ctx.Cfg.UopCache.UopsPerEntry)
 		return row{Desc: spec.Description, Target: fmt.Sprintf("%.2f", spec.TargetMPKI),
 			MPKI: fmt.Sprintf("%.2f", res.Frontend.Branch.MPKI()), Distinct: an.DistinctStarts,
@@ -89,13 +89,6 @@ func Table2(ctx *Context) (*Table, error) {
 func Sec3BMissClasses(ctx *Context) (*Table, error) {
 	t := &Table{Name: "sec3b", Title: "Miss classification: cold/capacity/conflict (Section III-B)",
 		Columns: []string{"application", "policy", "cold", "capacity", "conflict", "total misses"}}
-	lruCounter := func(pws []trace.PW, cfg uopcache.Config) uint64 {
-		c := uopcache.New(cfg, policy.NewLRU())
-		return uopcache.NewBehavior(c, nil).Run(pws).Misses
-	}
-	flackCounter := func(pws []trace.PW, cfg uopcache.Config) uint64 {
-		return offline.RunFLACK(pws, cfg, offline.Options{}).Stats.Misses
-	}
 	type row struct {
 		LRU, FLACK           [3]float64
 		LRUTotal, FLACKTotal uint64
@@ -104,6 +97,18 @@ func Sec3BMissClasses(ctx *Context) (*Table, error) {
 		_, pws, err := ctx.Trace(app, 0)
 		if err != nil {
 			return row{}, err
+		}
+		// Classify replays the trace under the real and the fully
+		// associative geometry; each gets the shared trace for its
+		// geometry.
+		lruCounter := func(pws []trace.PW, cfg uopcache.Config) uint64 {
+			pt, _ := ctx.Prepared(app, 0, cfg)
+			c := uopcache.New(cfg, policy.NewLRU())
+			return uopcache.NewBehavior(c, nil).Run(uopcache.PreparedFor(cfg, pws, pt)).Misses
+		}
+		flackCounter := func(pws []trace.PW, cfg uopcache.Config) uint64 {
+			pt, _ := ctx.Prepared(app, 0, cfg)
+			return offline.RunFLACK(pws, cfg, offline.Options{Prepared: pt}).Stats.Misses
 		}
 		ml := stats.Classify(pws, ctx.Cfg.UopCache, lruCounter)
 		mf := stats.Classify(pws, ctx.Cfg.UopCache, flackCounter)
@@ -183,9 +188,9 @@ func (c *Context) runPolicyOnApp(name, app string) (core.BehaviorResult, error) 
 		if err != nil {
 			return core.BehaviorResult{}, err
 		}
-		return core.RunBehavior(pws, c.Cfg, pol, c.runOptsFor(app, 0)), nil
+		return core.RunBehavior(pws, c.Cfg, pol, c.runOpts(app, 0, c.Cfg.UopCache)), nil
 	}
-	return core.RunBehaviorByName(name, pws, c.Cfg, c.runOptsFor(app, 0))
+	return core.RunBehaviorByName(name, pws, c.Cfg, c.runOpts(app, 0, c.Cfg.UopCache))
 }
 
 // behaviorReductions computes per-app miss reductions vs LRU for a policy
@@ -288,10 +293,10 @@ func Fig10FLACKAblation(ctx *Context) (*Table, error) {
 			return nil, err
 		}
 		vals := make([]float64, 0, len(variants)+1)
-		bel := offline.RunBelady(pws, ctx.Cfg.UopCache, ctx.offlineOptsFor(app, 0, offline.Options{}))
+		bel := offline.RunBelady(pws, ctx.Cfg.UopCache, ctx.offlineOpts(app, 0, ctx.Cfg.UopCache, offline.Options{}))
 		vals = append(vals, core.MissReduction(base, bel.Stats))
 		for _, v := range variants {
-			res := offline.RunFOO(pws, ctx.Cfg.UopCache, ctx.offlineOptsFor(app, 0, offline.Options{Features: v}))
+			res := offline.RunFOO(pws, ctx.Cfg.UopCache, ctx.offlineOpts(app, 0, ctx.Cfg.UopCache, offline.Options{Features: v}))
 			vals = append(vals, core.MissReduction(base, res.Stats))
 		}
 		return vals, nil
@@ -343,7 +348,7 @@ func Fig15ProfileSources(ctx *Context) (*Table, error) {
 			if err != nil {
 				return [3]float64{}, err
 			}
-			res := core.RunBehavior(pws, ctx.Cfg, pol, ctx.runOptsFor(app, 0))
+			res := core.RunBehavior(pws, ctx.Cfg, pol, ctx.runOpts(app, 0, ctx.Cfg.UopCache))
 			vals[i] = core.MissReduction(base, res.Stats)
 		}
 		return vals, nil
@@ -398,17 +403,18 @@ func Fig16SizeAssocSweep(ctx *Context) (*Table, error) {
 			if err != nil {
 				return point{}, err
 			}
-			base := core.RunBehavior(pws, cfg, policy.NewLRU(), ctx.runOpts())
+			opts := ctx.runOpts(app, 0, cfg.UopCache)
+			base := core.RunBehavior(pws, cfg, policy.NewLRU(), opts)
 			prof := collectProfile(pws, cfg.UopCache, profiles.SourceFLACK, profiles.CollectOptions{
 				Metrics: ctx.Telemetry.Metrics, Events: ctx.Telemetry.Events,
-				Plans: ctx.plans(), Workers: ctx.Workers,
+				Prepared: opts.Prepared, Plans: opts.Plans, Workers: opts.Workers,
 			})
 			pol, err := core.NewPolicy("furbys", prof, cfg.UopCache, policy.FURBYSConfig{})
 			if err != nil {
 				return point{}, err
 			}
-			fu = append(fu, core.MissReduction(base.Stats, core.RunBehavior(pws, cfg, pol, ctx.runOpts()).Stats))
-			gh = append(gh, core.MissReduction(base.Stats, core.RunBehavior(pws, cfg, policy.NewGHRP(), ctx.runOpts()).Stats))
+			fu = append(fu, core.MissReduction(base.Stats, core.RunBehavior(pws, cfg, pol, opts).Stats))
+			gh = append(gh, core.MissReduction(base.Stats, core.RunBehavior(pws, cfg, policy.NewGHRP(), opts).Stats))
 		}
 		return point{Fu: mean(fu), Gh: mean(gh)}, nil
 	})
@@ -458,7 +464,7 @@ func Fig18CrossValidation(ctx *Context) (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			res := core.RunBehavior(testPWs, ctx.Cfg, pol, ctx.runOptsFor(app, 0))
+			res := core.RunBehavior(testPWs, ctx.Cfg, pol, ctx.runOpts(app, 0, ctx.Cfg.UopCache))
 			return core.MissReduction(base, res.Stats), nil
 		}
 		same, err := runWith(sameProf)
@@ -527,7 +533,7 @@ func Fig19WeightBits(ctx *Context) (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			res := core.RunBehavior(pws, ctx.Cfg, pol, ctx.runOptsFor(app, 0))
+			res := core.RunBehavior(pws, ctx.Cfg, pol, ctx.runOpts(app, 0, ctx.Cfg.UopCache))
 			vals = append(vals, core.MissReduction(base, res.Stats))
 		}
 		return mean(vals), nil
@@ -574,7 +580,7 @@ func Fig20DetectorDepth(ctx *Context) (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			res := core.RunBehavior(pws, ctx.Cfg, pol, ctx.runOptsFor(app, 0))
+			res := core.RunBehavior(pws, ctx.Cfg, pol, ctx.runOpts(app, 0, ctx.Cfg.UopCache))
 			vals = append(vals, core.MissReduction(base, res.Stats))
 		}
 		return mean(vals), nil
@@ -613,13 +619,13 @@ func Fig21Bypass(ctx *Context) (*Table, error) {
 		if err != nil {
 			return row{}, err
 		}
-		rOff := core.MissReduction(base, core.RunBehavior(pws, ctx.Cfg, polOff, ctx.runOptsFor(app, 0)).Stats)
+		rOff := core.MissReduction(base, core.RunBehavior(pws, ctx.Cfg, polOff, ctx.runOpts(app, 0, ctx.Cfg.UopCache)).Stats)
 
 		polOn, err := core.NewPolicy("furbys", prof, ctx.Cfg.UopCache, policy.DefaultFURBYSConfig())
 		if err != nil {
 			return row{}, err
 		}
-		resOn := core.RunBehavior(pws, ctx.Cfg, polOn, ctx.runOptsFor(app, 0))
+		resOn := core.RunBehavior(pws, ctx.Cfg, polOn, ctx.runOpts(app, 0, ctx.Cfg.UopCache))
 		rOn := core.MissReduction(base, resOn.Stats)
 		byFrac := 0.0
 		if resOn.FURBYS != nil && resOn.FURBYS.InsertAttempts > 0 {
@@ -655,7 +661,9 @@ func Fig22Hotness(ctx *Context) (*Table, error) {
 		if err != nil {
 			return [10]stats.DecileStat{}, err
 		}
-		res, err := core.RunBehaviorByName(names[i], pws, ctx.Cfg, ctx.runOptsRecordFor(app, 0))
+		opts := ctx.runOpts(app, 0, ctx.Cfg.UopCache)
+		opts.RecordPerLookup = true
+		res, err := core.RunBehaviorByName(names[i], pws, ctx.Cfg, opts)
 		if err != nil {
 			return [10]stats.DecileStat{}, err
 		}
@@ -696,7 +704,7 @@ func CoverageStats(ctx *Context) (*Table, error) {
 		if err != nil {
 			return row{}, err
 		}
-		res := core.RunBehavior(pws, ctx.Cfg, pol, ctx.runOptsFor(app, 0))
+		res := core.RunBehavior(pws, ctx.Cfg, pol, ctx.runOpts(app, 0, ctx.Cfg.UopCache))
 		if res.FURBYS == nil {
 			return row{}, nil
 		}

@@ -32,12 +32,12 @@ func SensInclusion(ctx *Context) (*Table, error) {
 		speedup := func(nonInclusive bool) (float64, uint64, error) {
 			cfg := ctx.Cfg
 			cfg.Frontend.NonInclusive = nonInclusive
-			base := core.RunTimingObserved(blocks, cfg, policy.NewLRU(), ctx.Telemetry)
+			base := core.RunTiming(blocks, cfg, policy.NewLRU(), ctx.Telemetry)
 			pol, err := core.NewPolicy("furbys", prof, cfg.UopCache, policy.FURBYSConfig{})
 			if err != nil {
 				return 0, 0, err
 			}
-			fu := core.RunTimingObserved(blocks, cfg, pol, ctx.Telemetry)
+			fu := core.RunTiming(blocks, cfg, pol, ctx.Telemetry)
 			return fu.Frontend.IPC()/base.Frontend.IPC() - 1, fu.Frontend.UopCache.Invalidations, nil
 		}
 		inc, _, err := speedup(false)
@@ -90,9 +90,9 @@ func SensInsertDelay(ctx *Context) (*Table, error) {
 		// InsertDelay is excluded from the geometry signature (it affects
 		// timing, not per-window attributes), so the context's prepared
 		// trace and cached plans stay valid across the sweep.
-		base := core.RunBehavior(pws, cfg, policy.NewLRU(), ctx.runOptsFor(app, 0))
-		raw := offline.RunFOO(pws, cfg.UopCache, ctx.offlineOptsFor(app, 0, offline.Options{Features: offline.Features{}}))
-		withA := offline.RunFOO(pws, cfg.UopCache, ctx.offlineOptsFor(app, 0, offline.Options{Features: offline.Features{Async: true}}))
+		base := core.RunBehavior(pws, cfg, policy.NewLRU(), ctx.runOpts(app, 0, cfg.UopCache))
+		raw := offline.RunFOO(pws, cfg.UopCache, ctx.offlineOpts(app, 0, cfg.UopCache, offline.Options{Features: offline.Features{}}))
+		withA := offline.RunFOO(pws, cfg.UopCache, ctx.offlineOpts(app, 0, cfg.UopCache, offline.Options{Features: offline.Features{Async: true}}))
 		return point{MissRate: base.Stats.UopMissRate(),
 			RRaw: core.MissReduction(base.Stats, raw.Stats),
 			RA:   core.MissReduction(base.Stats, withA.Stats)}, nil
@@ -128,7 +128,7 @@ func SensSegmentLimit(ctx *Context) (*Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		res := offline.RunFLACK(pws, ctx.Cfg.UopCache, ctx.offlineOptsFor(app, 0, offline.Options{SegmentLimit: limits[i]}))
+		res := offline.RunFLACK(pws, ctx.Cfg.UopCache, ctx.offlineOpts(app, 0, ctx.Cfg.UopCache, offline.Options{SegmentLimit: limits[i]}))
 		return core.MissReduction(base, res.Stats), nil
 	})
 	if err != nil {
@@ -158,10 +158,10 @@ func SensObjective(ctx *Context) (*Table, error) {
 			return [3]float64{}, err
 		}
 		var vals [3]float64
-		pt, _ := ctx.Prepared(app, 0)
+		o := ctx.offlineOpts(app, 0, ctx.Cfg.UopCache, offline.Options{Features: offline.FLACKFeatures()})
 		for i, model := range []offline.CostModel{offline.CostOHR, offline.CostBHR, offline.CostVC} {
-			dec := offline.ComputeDecisionsCached(ctx.Ctx, pws, pt, ctx.Cfg.UopCache, model, true, 0, ctx.Workers, ctx.plans())
-			res := offline.ReplayPlan(pws, ctx.Cfg.UopCache, dec, ctx.offlineOptsFor(app, 0, offline.Options{Features: offline.FLACKFeatures()}))
+			dec := offline.ComputeDecisionsCached(o.Ctx, pws, o.Prepared, ctx.Cfg.UopCache, model, true, 0, o.Workers, o.Plans)
+			res := offline.ReplayPlan(pws, ctx.Cfg.UopCache, dec, o)
 			vals[i] = core.MissReduction(base, res.Stats)
 		}
 		return vals, nil

@@ -46,11 +46,16 @@ func SensFragmentation(ctx *Context) (*Table, error) {
 			pws := trace.FormPWsWith(blocks, former)
 			cfg := ctx.Cfg
 			cfg.UopCache.Compaction = v.compaction
-			res := core.RunBehavior(pws, cfg, policy.NewLRU(), ctx.runOpts())
+			// These windows are formed here rather than by the
+			// context, so the cell prepares and shares its own trace.
+			pt := uopcache.Prepare(cfg.UopCache, pws)
+			res := core.RunBehavior(pws, cfg, policy.NewLRU(), core.BehaviorOptions{
+				Ctx: ctx.Ctx, Telemetry: ctx.Telemetry, Workers: ctx.Workers, Prepared: pt,
+			})
 			// Utilization sampled at end of run via a fresh cache
 			// replay is overkill; re-run and query.
 			c := uopcache.New(cfg.UopCache, policy.NewLRU())
-			uopcache.NewBehavior(c, nil).Run(pws)
+			uopcache.NewBehavior(c, nil).Run(pt)
 			return cell{Rate: res.Stats.UopMissRate(), Util: c.Utilization()}, nil
 		})
 		if err != nil {

@@ -24,11 +24,10 @@ func (c *Context) timingByName(app, name string) (core.TimingResult, error) {
 				return core.TimingResult{}, err
 			}
 		}
-		topts := core.TimingOptions{Telemetry: c.Telemetry, Plans: c.plans(), Workers: c.Workers}
-		if pt, perr := c.Prepared(app, 0); perr == nil {
-			topts.Prepared = pt
-		}
-		return core.RunTimingByNameWith(name, blocks, pws, c.Cfg, prof, topts)
+		r := c.runOpts(app, 0, c.Cfg.UopCache)
+		return core.RunTimingByNameWith(name, blocks, pws, c.Cfg, prof, core.TimingOptions{
+			Telemetry: r.Telemetry, Prepared: r.Prepared, Plans: r.Plans, Workers: r.Workers,
+		})
 	})
 }
 
@@ -52,12 +51,12 @@ func Fig2PerfectStructures(ctx *Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := core.RunTimingObserved(blocks, ctx.Cfg, policy.NewLRU(), ctx.Telemetry)
+		base := core.RunTiming(blocks, ctx.Cfg, policy.NewLRU(), ctx.Telemetry)
 		gains := make([]float64, len(variants))
 		for i, v := range variants {
 			cfg := ctx.Cfg
 			v.apply(&cfg)
-			res := core.RunTimingObserved(blocks, cfg, policy.NewLRU(), ctx.Telemetry)
+			res := core.RunTiming(blocks, cfg, policy.NewLRU(), ctx.Telemetry)
 			gains[i] = res.PPW/base.PPW - 1
 		}
 		return gains, nil
@@ -156,7 +155,7 @@ func Fig11IPC(ctx *Context) (*Table, error) {
 		// Infinite (perfect) micro-op cache bound.
 		cfg := ctx.Cfg
 		cfg.Frontend.PerfectUopCache = true
-		inf := core.RunTimingObserved(blocks, cfg, policy.NewLRU(), ctx.Telemetry)
+		inf := core.RunTiming(blocks, cfg, policy.NewLRU(), ctx.Telemetry)
 		speedups = append(speedups, inf.Frontend.IPC()/base.Frontend.IPC()-1)
 		return speedups, nil
 	})
@@ -241,7 +240,7 @@ func Fig12ISOPerformance(ctx *Context) (*Table, error) {
 			if err != nil {
 				return point{}, err
 			}
-			beh := core.RunBehavior(pws, cfg, pol, ctx.runOpts())
+			beh := core.RunBehavior(pws, cfg, pol, ctx.runOpts(app, 0, cfg.UopCache))
 			missRates = append(missRates, beh.Stats.UopMissRate())
 			reds = append(reds, core.MissReduction(base, beh.Stats))
 
@@ -249,7 +248,7 @@ func Fig12ISOPerformance(ctx *Context) (*Table, error) {
 			if err != nil {
 				return point{}, err
 			}
-			tim := core.RunTimingObserved(blocks, cfg, pol2, ctx.Telemetry)
+			tim := core.RunTiming(blocks, cfg, pol2, ctx.Telemetry)
 			ipcs = append(ipcs, tim.Frontend.IPC())
 		}
 		return point{MissRate: mean(missRates), IPC: mean(ipcs), Red: mean(reds)}, nil
@@ -280,9 +279,9 @@ func Fig13EnergyBreakdownClang(ctx *Context) (*Table, error) {
 		case 0:
 			noCfg := ctx.Cfg
 			noCfg.Frontend.DisableUopCache = true
-			return core.RunTimingObserved(blocks, noCfg, policy.NewLRU(), ctx.Telemetry), nil
+			return core.RunTiming(blocks, noCfg, policy.NewLRU(), ctx.Telemetry), nil
 		case 1:
-			return core.RunTimingObserved(blocks, ctx.Cfg, policy.NewLRU(), ctx.Telemetry), nil
+			return core.RunTiming(blocks, ctx.Cfg, policy.NewLRU(), ctx.Telemetry), nil
 		default:
 			prof, err := ctx.Profile(app, 0, profiles.SourceFLACK)
 			if err != nil {
@@ -292,7 +291,7 @@ func Fig13EnergyBreakdownClang(ctx *Context) (*Table, error) {
 			if err != nil {
 				return core.TimingResult{}, err
 			}
-			return core.RunTimingObserved(blocks, ctx.Cfg, fpol, ctx.Telemetry), nil
+			return core.RunTiming(blocks, ctx.Cfg, fpol, ctx.Telemetry), nil
 		}
 	})
 	if err != nil {
@@ -326,7 +325,7 @@ func Fig14EnergyReductionBreakdown(ctx *Context) (*Table, error) {
 		if err != nil {
 			return row{}, err
 		}
-		lru := core.RunTimingObserved(blocks, ctx.Cfg, policy.NewLRU(), ctx.Telemetry)
+		lru := core.RunTiming(blocks, ctx.Cfg, policy.NewLRU(), ctx.Telemetry)
 		prof, err := ctx.Profile(app, 0, profiles.SourceFLACK)
 		if err != nil {
 			return row{}, err
@@ -335,7 +334,7 @@ func Fig14EnergyReductionBreakdown(ctx *Context) (*Table, error) {
 		if err != nil {
 			return row{}, err
 		}
-		fu := core.RunTimingObserved(blocks, ctx.Cfg, fpol, ctx.Telemetry)
+		fu := core.RunTiming(blocks, ctx.Cfg, fpol, ctx.Telemetry)
 		dIc := lru.Power.ICache - fu.Power.ICache
 		dUop := lru.Power.UopCache - fu.Power.UopCache
 		dDec := lru.Power.Decoder - fu.Power.Decoder

@@ -71,9 +71,9 @@ func RunAttribution(c *Context, opts AttributionOptions) ([]inspect.Attribution,
 		}
 		// One FLACK keep-plan per app, shared by every policy's divergence
 		// check: the plan depends only on the trace and the geometry.
+		pt, _ := c.Prepared(app, opts.Input, c.Cfg.UopCache)
 		var keep []bool
 		if !opts.SkipDivergence {
-			pt, _ := c.Prepared(app, opts.Input)
 			dec := offline.ComputeDecisionsCached(c.ctx(), pws, pt, c.Cfg.UopCache, offline.CostVC, true, 0, c.Workers, c.plans())
 			if err := c.ctx().Err(); err != nil {
 				appSp.End()
@@ -86,7 +86,7 @@ func RunAttribution(c *Context, opts AttributionOptions) ([]inspect.Attribution,
 				appSp.End()
 				return rows, err
 			}
-			row, err := attributeOne(c, app, pol, pws, keep, window)
+			row, err := attributeOne(c, app, pol, pws, pt, keep, window)
 			if err != nil {
 				appSp.End()
 				return rows, err
@@ -101,7 +101,7 @@ func RunAttribution(c *Context, opts AttributionOptions) ([]inspect.Attribution,
 
 // attributeOne replays one (app, policy) pair with introspection attached
 // and reconciles the classification against the run's eviction counters.
-func attributeOne(c *Context, app, pol string, pws []trace.PW, keep []bool, window int) (inspect.Attribution, error) {
+func attributeOne(c *Context, app, pol string, pws []trace.PW, pt *trace.PreparedTrace, keep []bool, window int) (inspect.Attribution, error) {
 	// A fresh registry scoped to this single run makes the reconciliation
 	// exact: uopcache_evictions_total here counts THIS replay's evictions
 	// and nothing else.
@@ -112,6 +112,7 @@ func attributeOne(c *Context, app, pol string, pws []trace.PW, keep []bool, wind
 		Ctx:       c.ctx(),
 		Telemetry: core.Telemetry{Metrics: reg, Events: col},
 		Workers:   c.Workers,
+		Prepared:  pt,
 	})
 	if err != nil {
 		return inspect.Attribution{}, fmt.Errorf("attribution: %s/%s: %w", app, pol, err)

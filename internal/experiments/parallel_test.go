@@ -2,10 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"sync/atomic"
 	"testing"
 
-	"uopsim/internal/artifact"
+	"uopsim/internal/inspect"
 	"uopsim/internal/parallel"
 	"uopsim/internal/profiles"
 	"uopsim/internal/trace"
@@ -107,17 +108,11 @@ func TestProfileSingleflight(t *testing.T) {
 	}
 }
 
-// TestTraceSingleflight: same exactly-once contract for trace generation.
+// TestTraceSingleflight: same exactly-once contract for trace generation,
+// counted through the span log's singleflight compute spans.
 func TestTraceSingleflight(t *testing.T) {
-	old := traceFor
-	var calls atomic.Int64
-	traceFor = func(app string, numBlocks, input int, store *artifact.Store) ([]trace.Block, []trace.PW, error) {
-		calls.Add(1)
-		return old(app, numBlocks, input, store)
-	}
-	defer func() { traceFor = old }()
-
 	ctx := NewContext(2000)
+	ctx.Spans = inspect.NewSpanLog()
 	const n = 8
 	pws := make([][]trace.PW, n)
 	errs := make([]error, n)
@@ -132,8 +127,27 @@ func TestTraceSingleflight(t *testing.T) {
 			t.Errorf("caller %d got a different PW slice", i)
 		}
 	}
-	if got := calls.Load(); got != 1 {
-		t.Errorf("TraceFor ran %d times, want exactly 1", got)
+	var buf bytes.Buffer
+	if err := ctx.Spans.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var log struct {
+		TraceEvents []struct {
+			Cat, Name string
+			Args      map[string]string
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &log); err != nil {
+		t.Fatal(err)
+	}
+	computes := 0
+	for _, ev := range log.TraceEvents {
+		if ev.Cat == "singleflight" && ev.Name == "kafka/0/2000" && ev.Args["state"] == "compute" {
+			computes++
+		}
+	}
+	if computes != 1 {
+		t.Errorf("trace generated %d times, want exactly 1", computes)
 	}
 }
 

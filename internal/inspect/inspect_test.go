@@ -169,7 +169,7 @@ func TestReconciliationWithLiveCache(t *testing.T) {
 	c := uopcache.New(cfg, policy.NewLRU())
 	c.AttachMetrics(reg)
 	c.SetEventSink(col)
-	stats := uopcache.NewBehavior(c, nil).Run(pws)
+	stats := uopcache.NewBehavior(c, nil).Run(uopcache.Prepare(cfg, pws))
 	if stats.Evictions == 0 {
 		t.Fatal("test trace produced no evictions; widen it")
 	}

@@ -82,12 +82,13 @@ type fooRequest struct {
 	cost int32 // micro-ops
 }
 
-// ComputeDecisions solves the FOO/FLACK interval-caching problem for the
-// whole lookup sequence. The cache's set-associativity decomposes the
-// problem: each set is an independent capacity-constrained timeline solved
-// with min-cost flow. foldVariants enables FLACK's treatment of overlapping
-// same-start windows as one object sized by its largest variant. segLimit
-// bounds the per-set flow instance (0 selects DefaultSegmentLimit).
+// ComputeDecisionsPrepared solves the FOO/FLACK interval-caching problem
+// for the whole lookup sequence of a prepared trace built under cfg's
+// geometry. The cache's set-associativity decomposes the problem: each set
+// is an independent capacity-constrained timeline solved with min-cost
+// flow. foldVariants enables FLACK's treatment of overlapping same-start
+// windows as one object sized by its largest variant. segLimit bounds the
+// per-set flow instance (0 selects DefaultSegmentLimit).
 //
 // workers bounds the solver's parallelism (0 = GOMAXPROCS, 1 = serial).
 // Every (set, segment) flow instance is independent — each builds its own
@@ -101,29 +102,12 @@ type fooRequest struct {
 // discarded — callers that hold a cancellable context are responsible for
 // checking ctx.Err() before using the plan (the experiment scheduler does
 // this centrally before merging or journaling any cell result).
-func ComputeDecisions(ctx context.Context, pws []trace.PW, cfg uopcache.Config, model CostModel, foldVariants bool, segLimit, workers int) *Decisions {
-	return computeDecisions(ctx, pws, nil, cfg, model, foldVariants, segLimit, workers)
-}
-
-// ComputeDecisionsPrepared is ComputeDecisions over a prepared trace: the
-// per-window set indices come from the shared columns and the fold-mode
-// prefix maxima use the dense key ids instead of a map. The produced plan
-// is byte-identical to the unprepared solve.
 func ComputeDecisionsPrepared(ctx context.Context, pt *trace.PreparedTrace, cfg uopcache.Config, model CostModel, foldVariants bool, segLimit, workers int) *Decisions {
-	return computeDecisions(ctx, pt.PWs(), pt, cfg, model, foldVariants, segLimit, workers)
-}
-
-// computeDecisions is the shared solve body; pt may be nil (unprepared).
-func computeDecisions(ctx context.Context, pws []trace.PW, pt *trace.PreparedTrace, cfg uopcache.Config, model CostModel, foldVariants bool, segLimit, workers int) *Decisions {
 	if segLimit <= 0 {
 		segLimit = DefaultSegmentLimit
 	}
-	if pt != nil && (pt.Sig() != cfg.Sig() || !pt.SameSequence(pws)) {
-		// Stale or mismatched columns: fall back to recomputing rather
-		// than trusting them (lossless by construction).
-		pt = nil
-	}
-	dec := &Decisions{Keep: make([]bool, len(pws)), Model: model, FoldVariants: foldVariants}
+	n := pt.Len()
+	dec := &Decisions{Keep: make([]bool, n), Model: model, FoldVariants: foldVariants}
 
 	// Identity and (size, cost) per object. With folding, an object is
 	// the start address and its footprint is that of its largest
@@ -138,64 +122,45 @@ func computeDecisions(ctx context.Context, pws []trace.PW, pt *trace.PreparedTra
 	// With folding, a request's footprint is the PREFIX max of its
 	// variants: the cache stores the largest window seen so far (growth
 	// happens on partial hits), so planning against the global max would
-	// overstate early intervals' size and cost. The prepared path keeps
-	// the maxima in a flat array indexed by dense key id.
-	var prefixMax map[uint64]int32
-	var prefixMaxA []int32
+	// overstate early intervals' size and cost. The maxima live in a flat
+	// array indexed by dense key id.
+	var prefixMax []int32
 	if foldVariants {
-		if pt != nil {
-			prefixMaxA = make([]int32, pt.NumKeys())
-		} else {
-			prefixMax = make(map[uint64]int32)
-		}
+		prefixMax = make([]int32, pt.NumKeys())
 	}
 
-	// Partition requests per set. With a prepared trace the per-set counts
-	// are known up front, so the request lists are carved out of one arena
-	// instead of growing by repeated append.
+	// Partition requests per set. The per-set counts are known up front,
+	// so the request lists are carved out of one arena instead of growing
+	// by repeated append.
 	perSet := make([][]fooRequest, cfg.Sets())
-	if pt != nil {
-		counts := make([]int32, cfg.Sets())
-		for i := 0; i < pt.Len(); i++ {
-			counts[pt.Set(i)]++
-		}
-		arena := make([]fooRequest, len(pws))
-		off := 0
-		for s := range perSet {
-			n := int(counts[s])
-			perSet[s] = arena[off:off : off+n]
-			off += n
-		}
+	counts := make([]int32, cfg.Sets())
+	for i := 0; i < n; i++ {
+		counts[pt.Set(i)]++
 	}
-	for i := range pws {
-		p := &pws[i]
-		var set int
-		if pt != nil {
-			set = pt.Set(i)
-		} else {
-			set = cfg.SetIndex(p.Start)
-		}
+	arena := make([]fooRequest, n)
+	off := 0
+	for s := range perSet {
+		c := int(counts[s])
+		perSet[s] = arena[off : off : off+c]
+		off += c
+	}
+	for i := 0; i < n; i++ {
+		p := pt.At(i)
+		set := pt.Set(i)
 		cost := int32(p.NumUops)
 		if foldVariants {
-			if pt != nil {
-				id := pt.KeyID(i)
-				if cost > prefixMaxA[id] {
-					prefixMaxA[id] = cost
-				}
-				cost = prefixMaxA[id]
-			} else {
-				if cost > prefixMax[p.Start] {
-					prefixMax[p.Start] = cost
-				}
-				cost = prefixMax[p.Start]
+			id := pt.KeyID(i)
+			if cost > prefixMax[id] {
+				prefixMax[id] = cost
 			}
+			cost = prefixMax[id]
 		}
 		size := (cost + int32(cfg.UopsPerEntry) - 1) / int32(cfg.UopsPerEntry)
 		if size < 1 {
 			size = 1
 		}
 		perSet[set] = append(perSet[set], fooRequest{
-			pos: int32(i), id: identity(*p), size: size, cost: cost,
+			pos: int32(i), id: identity(p), size: size, cost: cost,
 		})
 	}
 

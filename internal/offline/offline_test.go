@@ -28,7 +28,7 @@ func tinyCfg() uopcache.Config {
 
 func TestOracleNextUse(t *testing.T) {
 	s := seq([2]uint64{10, 1}, [2]uint64{20, 1}, [2]uint64{10, 1}, [2]uint64{30, 1}, [2]uint64{10, 1})
-	o := NewOracle(s)
+	o := NewOracle(uopcache.Prepare(tinyCfg(), s))
 	o.Advance(1)
 	if got := o.NextUse(10); got != 2 {
 		t.Errorf("NextUse(10)@1 = %d, want 2", got)
@@ -69,7 +69,7 @@ func TestOracleAgainstBruteForce(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		s = append(s, pw(uint64(rng.Intn(50)*16+0x1000), 4))
 	}
-	o := NewOracle(s)
+	o := NewOracle(uopcache.Prepare(tinyCfg(), s))
 	for i := 0; i < len(s); i++ {
 		o.Advance(i)
 		// Check a handful of keys at each position.
@@ -130,7 +130,7 @@ func TestDecisionsRespectCapacity(t *testing.T) {
 		s = append(s, pw(uint64(0x1000+rng.Intn(120)*16), 1+rng.Intn(24)))
 	}
 	for _, fold := range []bool{false, true} {
-		dec := ComputeDecisions(nil, s, cfg, CostVC, fold, 0, 1)
+		dec := ComputeDecisionsPrepared(nil, uopcache.Prepare(cfg, s), cfg, CostVC, fold, 0, 1)
 		// Recompute per-set residency over time.
 		type iv struct{ from, to, size int }
 		perSet := map[int][]iv{}
@@ -199,7 +199,7 @@ func TestDecisionsKeepHotLoop(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s = append(s, pw(0x1000, 4))
 	}
-	dec := ComputeDecisions(nil, s, cfg, CostOHR, false, 0, 1)
+	dec := ComputeDecisionsPrepared(nil, uopcache.Prepare(cfg, s), cfg, CostOHR, false, 0, 1)
 	for i := 0; i < len(s)-1; i++ {
 		if !dec.Keep[i] {
 			t.Errorf("position %d of a fitting loop not kept", i)

@@ -21,34 +21,18 @@ const NoNextUse = math.MaxInt64
 // lookup sequence. Positions are 0-based indices into the sequence. The
 // oracle tracks a current position that callers advance monotonically.
 //
-// Two backings exist: the map backing (NewOracle) builds a private
-// occurrence index per replay, while the prepared backing
-// (NewOraclePrepared) shares the trace's immutable occurrence columns
-// across replays and keeps only a flat per-key cursor array private — the
-// allocation the columnar pipeline exists to eliminate. Semantics are
-// identical.
+// The occurrence index is the prepared trace's shared CSR columns; each
+// oracle keeps only a flat per-key cursor array private.
 type Oracle struct {
-	occ map[uint64][]int32
-	ptr map[uint64]int
+	pt  *trace.PreparedTrace
+	ptr []int32
 	pos int
-
-	pt   *trace.PreparedTrace
-	ptrA []int32
 }
 
-// NewOracle indexes the lookup sequence by window start address.
-func NewOracle(pws []trace.PW) *Oracle {
-	occ := make(map[uint64][]int32, len(pws)/4+1)
-	for i, p := range pws {
-		occ[p.Start] = append(occ[p.Start], int32(i))
-	}
-	return &Oracle{occ: occ, ptr: make(map[uint64]int, len(occ)), pos: -1}
-}
-
-// NewOraclePrepared builds an oracle over a prepared trace's shared
-// occurrence index. Only the per-key cursors are allocated per oracle.
-func NewOraclePrepared(pt *trace.PreparedTrace) *Oracle {
-	return &Oracle{pt: pt, ptrA: make([]int32, pt.NumKeys()), pos: -1}
+// NewOracle builds an oracle over a prepared trace's shared occurrence
+// index. Only the per-key cursors are allocated per oracle.
+func NewOracle(pt *trace.PreparedTrace) *Oracle {
+	return &Oracle{pt: pt, ptr: make([]int32, pt.NumKeys()), pos: -1}
 }
 
 // Advance sets the current position; it must not decrease.
@@ -65,29 +49,17 @@ func (o *Oracle) Pos() int { return o.pos }
 //
 //simlint:hotpath
 func (o *Oracle) NextUse(start uint64) int {
-	if o.pt != nil {
-		id, ok := o.pt.IDOf(start)
-		if !ok {
-			return NoNextUse
-		}
-		occ := o.pt.Occurrences(id)
-		i := o.ptrA[id]
-		for int(i) < len(occ) && int(occ[i]) < o.pos {
-			i++
-		}
-		o.ptrA[id] = i
-		if int(i) == len(occ) {
-			return NoNextUse
-		}
-		return int(occ[i])
+	id, ok := o.pt.IDOf(start)
+	if !ok {
+		return NoNextUse
 	}
-	occ := o.occ[start]
-	i := o.ptr[start]
-	for i < len(occ) && int(occ[i]) < o.pos {
+	occ := o.pt.Occurrences(id)
+	i := o.ptr[id]
+	for int(i) < len(occ) && int(occ[i]) < o.pos {
 		i++
 	}
-	o.ptr[start] = i
-	if i == len(occ) {
+	o.ptr[id] = i
+	if int(i) == len(occ) {
 		return NoNextUse
 	}
 	return int(occ[i])
@@ -95,12 +67,9 @@ func (o *Oracle) NextUse(start uint64) int {
 
 // Lookups returns the number of occurrences of a window in the sequence.
 func (o *Oracle) Lookups(start uint64) int {
-	if o.pt != nil {
-		id, ok := o.pt.IDOf(start)
-		if !ok {
-			return 0
-		}
-		return len(o.pt.Occurrences(id))
+	id, ok := o.pt.IDOf(start)
+	if !ok {
+		return 0
 	}
-	return len(o.occ[start])
+	return len(o.pt.Occurrences(id))
 }

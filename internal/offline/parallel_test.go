@@ -22,9 +22,9 @@ func TestComputeDecisionsWorkerInvariance(t *testing.T) {
 	}
 	for _, model := range []CostModel{CostOHR, CostBHR, CostVC} {
 		for _, fold := range []bool{false, true} {
-			ref := ComputeDecisions(nil, s, cfg, model, fold, 256, 1)
+			ref := ComputeDecisionsPrepared(nil, uopcache.Prepare(cfg, s), cfg, model, fold, 256, 1)
 			for _, workers := range []int{2, 4, 0} {
-				got := ComputeDecisions(nil, s, cfg, model, fold, 256, workers)
+				got := ComputeDecisionsPrepared(nil, uopcache.Prepare(cfg, s), cfg, model, fold, 256, workers)
 				if len(got.Keep) != len(ref.Keep) {
 					t.Fatalf("model=%v fold=%v workers=%d: plan length %d != %d", model, fold, workers, len(got.Keep), len(ref.Keep))
 				}

@@ -138,26 +138,26 @@ func PlanKey(pws []trace.PW, cfg uopcache.Config, model CostModel, foldVariants 
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// ComputeDecisionsCached is ComputeDecisions with the prepared-trace and
-// plan-cache attachments (either may be nil): a valid pt supplies the
-// columnar per-window attributes, and a plans hit skips the solve.
+// ComputeDecisionsCached is ComputeDecisionsPrepared over pws with the
+// plan-cache attachment: a plans hit skips the solve, and pt (nil = build
+// one, see uopcache.PreparedFor) supplies the columns for a miss.
 func ComputeDecisionsCached(ctx context.Context, pws []trace.PW, pt *trace.PreparedTrace, cfg uopcache.Config, model CostModel, foldVariants bool, segLimit, workers int, plans PlanCache) *Decisions {
-	return computePlan(ctx, pws, pt, cfg, model, foldVariants, segLimit, workers, plans)
+	return computePlan(ctx, uopcache.PreparedFor(cfg, pws, pt), cfg, model, foldVariants, segLimit, workers, plans)
 }
 
-// computePlan is the caching wrapper around computeDecisions: with a plan
-// cache attached it loads a previously solved plan by content key, and
+// computePlan is the caching wrapper around ComputeDecisionsPrepared: with a
+// plan cache attached it loads a previously solved plan by content key, and
 // stores freshly solved plans for future runs. A plan solved under a
 // cancelled context is incomplete and is never stored.
-func computePlan(ctx context.Context, pws []trace.PW, pt *trace.PreparedTrace, cfg uopcache.Config, model CostModel, foldVariants bool, segLimit, workers int, plans PlanCache) *Decisions {
+func computePlan(ctx context.Context, pt *trace.PreparedTrace, cfg uopcache.Config, model CostModel, foldVariants bool, segLimit, workers int, plans PlanCache) *Decisions {
 	if plans == nil {
-		return computeDecisions(ctx, pws, pt, cfg, model, foldVariants, segLimit, workers)
+		return ComputeDecisionsPrepared(ctx, pt, cfg, model, foldVariants, segLimit, workers)
 	}
-	key := PlanKey(pws, cfg, model, foldVariants, segLimit)
-	if d, ok := plans.Load(key); ok && len(d.Keep) == len(pws) && d.Model == model && d.FoldVariants == foldVariants {
+	key := PlanKey(pt.PWs(), cfg, model, foldVariants, segLimit)
+	if d, ok := plans.Load(key); ok && len(d.Keep) == pt.Len() && d.Model == model && d.FoldVariants == foldVariants {
 		return d
 	}
-	d := computeDecisions(ctx, pws, pt, cfg, model, foldVariants, segLimit, workers)
+	d := ComputeDecisionsPrepared(ctx, pt, cfg, model, foldVariants, segLimit, workers)
 	if ctx == nil || ctx.Err() == nil {
 		plans.Store(key, d)
 	}

@@ -14,12 +14,6 @@ import (
 	"uopsim/internal/uopcache"
 )
 
-// preparedFor builds the columnar view the way every consumer does: with
-// the geometry's own attribute functions.
-func preparedFor(pws []trace.PW, cfg uopcache.Config) *trace.PreparedTrace {
-	return uopcache.Prepare(cfg, pws)
-}
-
 // planSeq builds a lookup sequence long enough for a non-trivial solve.
 func planSeq(n int) []trace.PW {
 	rng := rand.New(rand.NewSource(7))
@@ -34,7 +28,7 @@ func TestPlanCodecRoundTrip(t *testing.T) {
 	s := planSeq(500)
 	for _, model := range []CostModel{CostOHR, CostBHR, CostVC} {
 		for _, fold := range []bool{false, true} {
-			d := ComputeDecisions(nil, s, tinyCfg(), model, fold, 0, 1)
+			d := ComputeDecisionsPrepared(nil, uopcache.Prepare(tinyCfg(), s), tinyCfg(), model, fold, 0, 1)
 			var buf bytes.Buffer
 			if err := EncodePlan(&buf, d); err != nil {
 				t.Fatalf("EncodePlan(%s, fold=%v): %v", model, fold, err)
@@ -185,20 +179,5 @@ func TestComputePlanSkipsStoreWhenCancelled(t *testing.T) {
 	ComputeDecisionsCached(ctx, s, nil, cfg, CostVC, true, 0, 1, plans)
 	if _, ok := plans.Load(PlanKey(s, cfg, CostVC, true, 0)); ok {
 		t.Fatal("cancelled solve was stored")
-	}
-}
-
-// TestPreparedSolveMatchesUnprepared pins the columnar solver path to the
-// plain one: same plan, bit for bit, fold on and off.
-func TestPreparedSolveMatchesUnprepared(t *testing.T) {
-	s := planSeq(2000)
-	cfg := tinyCfg()
-	pt := preparedFor(s, cfg)
-	for _, fold := range []bool{false, true} {
-		plain := ComputeDecisions(nil, s, cfg, CostVC, fold, 0, 1)
-		cols := ComputeDecisionsPrepared(nil, pt, cfg, CostVC, fold, 0, 1)
-		if !reflect.DeepEqual(plain, cols) {
-			t.Fatalf("prepared solve diverged (fold=%v)", fold)
-		}
 	}
 }

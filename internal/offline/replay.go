@@ -63,25 +63,19 @@ func (f Features) Label() string {
 // pressure (this method only runs when the set is full), which is exactly
 // FLACK's bypass throttling.
 type replayPolicy struct {
-	o *Oracle
-	// curKeep tracks, per window, whether the plan keeps its current
-	// interval (updated by the driver at each lookup). With a prepared
-	// trace the bits live in curKeepA, indexed by dense key id, and the
-	// map stays nil.
-	curKeep  map[uint64]bool
-	pt       *trace.PreparedTrace
-	curKeepA []bool
+	o  *Oracle
+	pt *trace.PreparedTrace
+	// curKeep tracks, per dense key id, whether the plan keeps the
+	// window's current interval (updated by the driver at each lookup).
+	curKeep []bool
 }
 
 // kept reads the plan's current decision for a window.
 //
 //simlint:hotpath
 func (p *replayPolicy) kept(key uint64) bool {
-	if p.pt != nil {
-		id, ok := p.pt.IDOf(key)
-		return ok && p.curKeepA[id]
-	}
-	return p.curKeep[key]
+	id, ok := p.pt.IDOf(key)
+	return ok && p.curKeep[id]
 }
 
 // Name implements uopcache.Policy.
@@ -159,11 +153,10 @@ type Options struct {
 	// trace. Both are optional observability attachments.
 	Metrics *telemetry.Registry
 	Events  telemetry.EventSink
-	// Prepared, when non-nil and built over exactly the pws slice under
-	// the run's geometry, supplies the shared columnar attributes (set
-	// index, footprint, occurrence index) so the replay allocates no
-	// per-run oracle maps. A mismatched Prepared is ignored and the
-	// unprepared path runs — results are byte-identical either way.
+	// Prepared is the shared columnar view of the pws slice (set index,
+	// footprint, occurrence index). When it is nil, or was built over
+	// another slice or geometry, the run prepares its own (see
+	// uopcache.PreparedFor); results are byte-identical either way.
 	Prepared *trace.PreparedTrace
 	// Plans, when non-nil, caches solved keep-plans by content key: a hit
 	// skips the min-cost-flow solve entirely, a miss stores the fresh
@@ -171,42 +164,45 @@ type Options struct {
 	Plans PlanCache
 }
 
-// prepared validates the Prepared attachment against the run's sequence
-// and geometry, returning nil (the unprepared path) on any mismatch.
-func (o Options) prepared(pws []trace.PW, cfg uopcache.Config) *trace.PreparedTrace {
-	if o.Prepared == nil || o.Prepared.Sig() != cfg.Sig() || !o.Prepared.SameSequence(pws) {
-		return nil
+// model returns the flow objective the features select.
+func (o Options) model() CostModel {
+	if o.Features.VarCost {
+		return CostVC
 	}
-	return o.Prepared
+	return CostOHR
 }
 
-// attach wires the optional observability attachments into a replay cache.
-func (o Options) attach(c *uopcache.Cache) {
+// newBehavior builds the replay's cache under pol and wires in the
+// optional L1i and observability attachments.
+func (o Options) newBehavior(cfg uopcache.Config, pol uopcache.Policy) *uopcache.Behavior {
+	c := uopcache.New(cfg, pol)
 	if o.Metrics != nil {
 		c.AttachMetrics(o.Metrics)
 	}
 	if o.Events != nil {
 		c.SetEventSink(o.Events)
 	}
+	var ic *cache.Cache
+	if o.ICache != nil {
+		ic = cache.New(*o.ICache)
+	}
+	return uopcache.NewBehavior(c, ic)
 }
 
 // RunFOO replays the lookup sequence under a FOO/FLACK plan with the given
 // feature set and returns the measured statistics. This is the paper's
 // STEP(3): the offline behaviour simulator producing hit/miss decisions.
 func RunFOO(pws []trace.PW, cfg uopcache.Config, opts Options) Result {
-	model := CostOHR
-	if opts.Features.VarCost {
-		model = CostVC
-	}
-	dec := computePlan(opts.Ctx, pws, opts.prepared(pws, cfg), cfg, model, opts.Features.SelBypass, opts.SegmentLimit, opts.Workers, opts.Plans)
-	return replayDecisions(pws, cfg, dec, opts)
+	pt := uopcache.PreparedFor(cfg, pws, opts.Prepared)
+	dec := computePlan(opts.Ctx, pt, cfg, opts.model(), opts.Features.SelBypass, opts.SegmentLimit, opts.Workers, opts.Plans)
+	return replayDecisions(pt, cfg, dec, opts)
 }
 
 // ReplayPlan drives the behaviour simulator under an externally computed
 // plan — used by objective-comparison studies that want to vary the flow
 // objective independently of the replay features.
 func ReplayPlan(pws []trace.PW, cfg uopcache.Config, dec *Decisions, opts Options) Result {
-	return replayDecisions(pws, cfg, dec, opts)
+	return replayDecisions(uopcache.PreparedFor(cfg, pws, opts.Prepared), cfg, dec, opts)
 }
 
 // replayDecisions drives the behaviour simulator under a plan.
@@ -218,57 +214,37 @@ func ReplayPlan(pws []trace.PW, cfg uopcache.Config, dec *Decisions, opts Option
 // replay per set would change those interleavings and therefore the
 // results, so parallel speedup for replays comes from running independent
 // (experiment, app) cells concurrently at the harness layer instead.
-func replayDecisions(pws []trace.PW, cfg uopcache.Config, dec *Decisions, opts Options) Result {
-	pt := opts.prepared(pws, cfg)
-	var o *Oracle
-	rp := &replayPolicy{}
-	if pt != nil {
-		o = NewOraclePrepared(pt)
-		rp.pt, rp.curKeepA = pt, make([]bool, pt.NumKeys())
-	} else {
-		o = NewOracle(pws)
-		rp.curKeep = make(map[uint64]bool)
-	}
-	rp.o = o
-	c := uopcache.New(cfg, rp)
-	opts.attach(c)
-	var ic *cache.Cache
-	if opts.ICache != nil {
-		ic = cache.New(*opts.ICache)
-	}
-	b := uopcache.NewBehavior(c, ic)
+func replayDecisions(pt *trace.PreparedTrace, cfg uopcache.Config, dec *Decisions, opts Options) Result {
+	o := NewOracle(pt)
+	rp := &replayPolicy{o: o, pt: pt, curKeep: make([]bool, pt.NumKeys())}
+	b := opts.newBehavior(cfg, rp)
+	c := b.C
 	var res Result
 	if opts.RecordPerLookup {
-		res.PerLookup = make([]uopcache.ProbeResult, 0, len(pws))
+		res.PerLookup = make([]uopcache.ProbeResult, 0, pt.Len())
 	}
-	for i := range pws {
-		pw := pws[i]
+	for i, n := 0, pt.Len(); i < n; i++ {
 		o.Advance(i)
 		kept := dec.Keep[i]
-		var r uopcache.ProbeResult
-		if pt != nil {
-			rp.curKeepA[pt.KeyID(i)] = kept
-			r = b.AccessIndexed(pt, i)
-		} else {
-			rp.curKeep[pw.Start] = kept
-			r = b.Access(pw)
-		}
+		rp.curKeep[pt.KeyID(i)] = kept
+		r := b.Access(pt, i)
 		if opts.RecordPerLookup {
 			res.PerLookup = append(res.PerLookup, r)
 		}
 		if !kept {
+			start := pt.At(i).Start
 			if !opts.Features.Async {
 				// Raw FOO applies its decision at lookup time:
 				// evict the resident now and cancel the pending
 				// insertion, oblivious to asynchrony.
-				c.EvictKey(pw.Start)
-				b.CancelInFlight(pw.Start)
+				c.EvictKey(start)
+				b.CancelInFlight(start)
 			} else if !opts.Features.SelBypass {
 				// A without SB: late insertions of unkept
 				// windows are bypassed on arrival (the queue
 				// safeguard), and residents linger until
 				// pressure (lazy eviction via the policy).
-				b.CancelInFlight(pw.Start)
+				b.CancelInFlight(start)
 			}
 			// With SelBypass the window may still be inserted when
 			// space allows; the policy bypasses it under pressure.
@@ -281,39 +257,22 @@ func replayDecisions(pws []trace.PW, cfg uopcache.Config, dec *Decisions, opts O
 
 // RunBelady replays the lookup sequence under Belady's algorithm.
 func RunBelady(pws []trace.PW, cfg uopcache.Config, opts Options) Result {
-	pt := opts.prepared(pws, cfg)
-	var o *Oracle
-	if pt != nil {
-		o = NewOraclePrepared(pt)
-	} else {
-		o = NewOracle(pws)
-	}
-	bp := NewBelady(o)
-	c := uopcache.New(cfg, bp)
-	opts.attach(c)
-	var ic *cache.Cache
-	if opts.ICache != nil {
-		ic = cache.New(*opts.ICache)
-	}
-	b := uopcache.NewBehavior(c, ic)
+	pt := uopcache.PreparedFor(cfg, pws, opts.Prepared)
+	o := NewOracle(pt)
+	b := opts.newBehavior(cfg, NewBelady(o))
 	var res Result
 	if opts.RecordPerLookup {
-		res.PerLookup = make([]uopcache.ProbeResult, 0, len(pws))
+		res.PerLookup = make([]uopcache.ProbeResult, 0, pt.Len())
 	}
-	for i := range pws {
+	for i, n := 0, pt.Len(); i < n; i++ {
 		o.Advance(i)
-		var r uopcache.ProbeResult
-		if pt != nil {
-			r = b.AccessIndexed(pt, i)
-		} else {
-			r = b.Access(pws[i])
-		}
+		r := b.Access(pt, i)
 		if opts.RecordPerLookup {
 			res.PerLookup = append(res.PerLookup, r)
 		}
 	}
 	b.Flush()
-	res.Stats = c.Stats
+	res.Stats = b.C.Stats
 	return res
 }
 

@@ -1,7 +1,6 @@
 package offline
 
 import (
-	"context"
 	"sort"
 
 	"uopsim/internal/trace"
@@ -17,77 +16,32 @@ import (
 type SchedulePolicy struct {
 	name string
 	o    *Oracle
-	// keepOcc maps a window to the positions of its lookups and the
-	// plan's keep decision at each (nil for Belady: pure oracle). With a
-	// prepared trace the occurrence index is the trace's shared CSR (pt)
-	// and the map stays nil.
-	occ  map[uint64][]int32
+	// pt's occurrence index maps a window to the positions of its
+	// lookups; keep holds the plan's decision at each (nil for Belady:
+	// pure oracle).
 	pt   *trace.PreparedTrace
 	keep []bool
 	pos  func() int
 }
 
 // NewBeladySchedule builds a timing-compatible Belady policy for the lookup
-// sequence.
-func NewBeladySchedule(pws []trace.PW) *SchedulePolicy {
-	return &SchedulePolicy{name: "belady", o: NewOracle(pws)}
-}
-
-// NewBeladyScheduleWith is NewBeladySchedule over a prepared trace's shared
-// occurrence index (the oracle is geometry-independent, so only sequence
-// identity is validated; a mismatch falls back to the map-backed oracle).
-func NewBeladyScheduleWith(pws []trace.PW, pt *trace.PreparedTrace) *SchedulePolicy {
-	if pt != nil && pt.SameSequence(pws) {
-		return &SchedulePolicy{name: "belady", o: NewOraclePrepared(pt), pt: pt}
-	}
-	return NewBeladySchedule(pws)
-}
-
-// ScheduleOptions configures NewFLACKScheduleWith: the solve's
-// cancellation handle and worker budget, plus the optional prepared-trace
-// and plan-cache attachments (both nil-safe, both lossless).
-type ScheduleOptions struct {
-	Ctx      context.Context
-	Workers  int
-	Prepared *trace.PreparedTrace
-	Plans    PlanCache
+// sequence. Of opts only Prepared is read (nil = build one).
+func NewBeladySchedule(pws []trace.PW, cfg uopcache.Config, opts Options) *SchedulePolicy {
+	pt := uopcache.PreparedFor(cfg, pws, opts.Prepared)
+	return &SchedulePolicy{name: "belady", o: NewOracle(pt), pt: pt}
 }
 
 // NewFLACKSchedule builds a timing-compatible FOO/FLACK policy: decisions
-// are precomputed from the lookup sequence with the given features.
-// workers bounds the solver fan-out (0 = GOMAXPROCS, 1 = serial). ctx
-// (nil = never cancelled) cancels the solve; callers must discard the
-// policy when ctx was cancelled, since its plan is then incomplete.
-func NewFLACKSchedule(ctx context.Context, pws []trace.PW, cfg uopcache.Config, feats Features, workers int) *SchedulePolicy {
-	return NewFLACKScheduleWith(pws, cfg, feats, ScheduleOptions{Ctx: ctx, Workers: workers})
-}
-
-// NewFLACKScheduleWith is NewFLACKSchedule with the prepared-trace and
-// plan-cache attachments: a valid Prepared supplies the shared occurrence
-// index (no per-policy map build), and a Plans hit skips the flow solve.
-func NewFLACKScheduleWith(pws []trace.PW, cfg uopcache.Config, feats Features, opts ScheduleOptions) *SchedulePolicy {
-	model := CostOHR
-	if feats.VarCost {
-		model = CostVC
-	}
-	pt := opts.Prepared
-	if pt != nil && (pt.Sig() != cfg.Sig() || !pt.SameSequence(pws)) {
-		pt = nil
-	}
-	dec := computePlan(opts.Ctx, pws, pt, cfg, model, feats.SelBypass, 0, opts.Workers, opts.Plans)
-	sp := &SchedulePolicy{name: feats.Label(), keep: dec.Keep}
-	if pt != nil {
-		sp.o = NewOraclePrepared(pt)
-		sp.pt = pt
-		return sp
-	}
-	sp.o = NewOracle(pws)
-	occ := make(map[uint64][]int32, len(pws)/4+1)
-	for i, p := range pws {
-		occ[p.Start] = append(occ[p.Start], int32(i))
-	}
-	sp.occ = occ
-	return sp
+// are precomputed from the lookup sequence with opts.Features, reusing
+// opts.Prepared (nil = build one) and opts.Plans (a hit skips the flow
+// solve). opts.Workers bounds the solver fan-out (0 = GOMAXPROCS, 1 =
+// serial). opts.Ctx (nil = never cancelled) cancels the solve; callers must
+// discard the policy when it was cancelled, since its plan is then
+// incomplete.
+func NewFLACKSchedule(pws []trace.PW, cfg uopcache.Config, opts Options) *SchedulePolicy {
+	pt := uopcache.PreparedFor(cfg, pws, opts.Prepared)
+	dec := computePlan(opts.Ctx, pt, cfg, opts.model(), opts.Features.SelBypass, opts.SegmentLimit, opts.Workers, opts.Plans)
+	return &SchedulePolicy{name: opts.Features.Label(), o: NewOracle(pt), pt: pt, keep: dec.Keep}
 }
 
 // BindPos supplies the current-lookup-position callback; it must be called
@@ -115,16 +69,11 @@ func (p *SchedulePolicy) keptNow(key uint64, pos int) bool {
 	if p.keep == nil {
 		return true // Belady: no plan, victims by oracle only
 	}
-	var occ []int32
-	if p.pt != nil {
-		id, ok := p.pt.IDOf(key)
-		if !ok {
-			return false
-		}
-		occ = p.pt.Occurrences(id)
-	} else {
-		occ = p.occ[key]
+	id, ok := p.pt.IDOf(key)
+	if !ok {
+		return false
 	}
+	occ := p.pt.Occurrences(id)
 	// Last occurrence <= pos.
 	i := sort.Search(len(occ), func(i int) bool { return int(occ[i]) > pos }) - 1
 	if i < 0 {

@@ -13,7 +13,7 @@ func TestBeladyScheduleMatchesVictimChoice(t *testing.T) {
 	// timing-compatible SchedulePolicy.
 	a, b, c := uint64(0x1000), uint64(0x2000), uint64(0x3000)
 	s := seq([2]uint64{a, 4}, [2]uint64{b, 4}, [2]uint64{c, 4}, [2]uint64{a, 4}, [2]uint64{a, 4})
-	sp := NewBeladySchedule(s)
+	sp := NewBeladySchedule(s, tinyCfg(), Options{})
 	if sp.Name() != "belady" {
 		t.Error("name")
 	}
@@ -42,7 +42,7 @@ func TestFLACKScheduleBypassesUnkept(t *testing.T) {
 		s = append(s, pw(uint64(0x1000+rng.Intn(60)*16), 1+rng.Intn(16)))
 	}
 	cfg := uopcache.Config{Entries: 8, Ways: 8, UopsPerEntry: 8, InsertDelay: 0}
-	sp := NewFLACKSchedule(nil, s, cfg, FLACKFeatures(), 1)
+	sp := NewFLACKSchedule(s, cfg, Options{Features: FLACKFeatures(), Workers: 1})
 	if sp.Name() != "flack" {
 		t.Errorf("name = %s", sp.Name())
 	}
@@ -84,8 +84,8 @@ type testLRU struct {
 
 func newLRUForTest() *testLRU { return &testLRU{stamp: make(map[[2]uint64]uint64)} }
 
-func (p *testLRU) Name() string              { return "test-lru" }
-func (p *testLRU) Bind(uopcache.Geometry)    {}
+func (p *testLRU) Name() string           { return "test-lru" }
+func (p *testLRU) Bind(uopcache.Geometry) {}
 func (p *testLRU) OnHit(set int, _ int32, pc uint64) {
 	p.clock++
 	p.stamp[[2]uint64{uint64(set), pc}] = p.clock
@@ -112,7 +112,7 @@ func (p *testLRU) Victim(set int, residents []uopcache.Resident, _ trace.PW) uop
 func TestKeptNowLastDecisionWins(t *testing.T) {
 	// Window at positions 0 and 2; Keep[0]=true, Keep[2]=false.
 	s := seq([2]uint64{0x1000, 4}, [2]uint64{0x2000, 4}, [2]uint64{0x1000, 4})
-	sp := NewFLACKSchedule(nil, s, tinyCfg(), FLACKFeatures(), 1)
+	sp := NewFLACKSchedule(s, tinyCfg(), Options{Features: FLACKFeatures(), Workers: 1})
 	sp.keep = []bool{true, false, false}
 	if !sp.keptNow(0x1000, 0) {
 		t.Error("pos 0 should be kept")

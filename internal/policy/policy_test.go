@@ -418,15 +418,15 @@ func TestAllPoliciesSurviveStress(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := uopcache.Config{Entries: 64, Ways: 8, UopsPerEntry: 8, InsertDelay: 2}
 			c := uopcache.New(cfg, tc.p())
-			b := uopcache.NewBehavior(c, nil)
+			seq := make([]trace.PW, 0, 30000)
 			state := uint64(99)
 			for i := 0; i < 30000; i++ {
 				state = state*6364136223846793005 + 1442695040888963407
 				a := uint64(0x1000 + (state>>33)%900*16)
 				u := 1 + int((state>>13)%24)
-				b.Access(pw(a, u))
+				seq = append(seq, pw(a, u))
 			}
-			b.Flush()
+			uopcache.NewBehavior(c, nil).Run(uopcache.Prepare(cfg, seq))
 			for s := 0; s < cfg.Sets(); s++ {
 				if u := c.UsedEntries(s); u > cfg.Ways {
 					t.Fatalf("set %d over capacity: %d", s, u)

@@ -79,10 +79,10 @@ func Collect(pws []trace.PW, cfg uopcache.Config, src Source) *Profile {
 }
 
 // CollectOptions bundles a profiling replay's optional attachments: live
-// metrics and event observability, the shared prepared trace (allocation
-// savings; ignored on geometry or sequence mismatch), the keep-plan cache
-// (skips the flow solve on a hit), and the solver worker bound. The zero
-// value disables everything.
+// metrics and event observability, the shared prepared trace (nil, or one
+// built over another slice or geometry, means the replay prepares its own),
+// the keep-plan cache (skips the flow solve on a hit), and the solver worker
+// bound. The zero value disables everything.
 type CollectOptions struct {
 	Metrics  *telemetry.Registry
 	Events   telemetry.EventSink

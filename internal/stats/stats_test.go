@@ -18,9 +18,7 @@ func pw(start uint64, uops int) trace.PW {
 // lruMisses is the canonical MissCounter.
 func lruMisses(pws []trace.PW, cfg uopcache.Config) uint64 {
 	c := uopcache.New(cfg, policy.NewLRU())
-	b := uopcache.NewBehavior(c, nil)
-	st := b.Run(pws)
-	return st.Misses
+	return uopcache.NewBehavior(c, nil).Run(uopcache.Prepare(cfg, pws)).Misses
 }
 
 func TestClassifyColdOnly(t *testing.T) {

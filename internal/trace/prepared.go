@@ -5,7 +5,7 @@ package trace
 // walks the same sequence: policy replays, offline plan solves, figure
 // cells and parallel workers. It precomputes the per-window attributes the
 // hot paths would otherwise rederive on every lookup of every replay —
-// the set index, the storage footprint, the entry count — plus a CSR
+// the set index and the storage footprint — plus a CSR
 // occurrence index (all positions of each distinct start address) that
 // replaces the per-replay map-of-slices the offline oracle used to build.
 //
@@ -16,11 +16,9 @@ type PreparedTrace struct {
 	pws  []PW
 	set  []int32
 	foot []int32
-	ents []int32
 	// sig fingerprints the geometry the columns were computed under;
-	// consumers compare it against their own configuration and fall back
-	// to the uncolumnar path on mismatch rather than trusting stale
-	// attributes.
+	// internal/uopcache compares it against a caller's configuration and
+	// rebuilds the trace on mismatch rather than trusting stale columns.
 	sig uint64
 
 	// Occurrence index: keyID[i] is the dense id of pws[i].Start (ids
@@ -35,16 +33,15 @@ type PreparedTrace struct {
 }
 
 // Prepare builds the columnar view of pws. sig identifies the geometry;
-// setIndex, footprint and entries are the geometry owner's per-window
-// attribute functions (internal/uopcache supplies them from its Config so
-// the formulas stay defined in one place).
-func Prepare(pws []PW, sig uint64, setIndex func(uint64) int, footprint, entries func(PW) int) *PreparedTrace {
+// setIndex and footprint are the geometry owner's per-window attribute
+// functions (internal/uopcache supplies them from its Config so the
+// formulas stay defined in one place).
+func Prepare(pws []PW, sig uint64, setIndex func(uint64) int, footprint func(PW) int) *PreparedTrace {
 	n := len(pws)
 	pt := &PreparedTrace{
 		pws:  pws,
 		set:  make([]int32, n),
 		foot: make([]int32, n),
-		ents: make([]int32, n),
 		sig:  sig,
 		// One allocation for both int32 columns of the CSR build.
 		keyID: make([]int32, n),
@@ -54,7 +51,6 @@ func Prepare(pws []PW, sig uint64, setIndex func(uint64) int, footprint, entries
 		p := &pws[i]
 		pt.set[i] = int32(setIndex(p.Start))
 		pt.foot[i] = int32(footprint(*p))
-		pt.ents[i] = int32(entries(*p))
 		id, ok := pt.idOf[p.Start]
 		if !ok {
 			id = int32(len(pt.keys))
@@ -110,12 +106,6 @@ func (pt *PreparedTrace) Set(i int) int { return int(pt.set[i]) }
 //simlint:hotpath
 func (pt *PreparedTrace) Footprint(i int) int { return int(pt.foot[i]) }
 
-// Entries returns the window's precomputed entry count (PW.Entries under
-// the geometry's UopsPerEntry).
-//
-//simlint:hotpath
-func (pt *PreparedTrace) Entries(i int) int { return int(pt.ents[i]) }
-
 // Sig returns the geometry fingerprint the columns were computed under.
 //
 //simlint:hotpath
@@ -149,8 +139,8 @@ func (pt *PreparedTrace) Occurrences(id int32) []int32 {
 }
 
 // SameSequence reports whether pt was built over exactly this slice: same
-// length and same backing array. Consumers use it as a cheap guard before
-// trusting positional columns for a caller-supplied sequence.
+// length and same backing array. internal/uopcache uses it as a cheap guard
+// before trusting positional columns for a caller-supplied sequence.
 //
 //simlint:hotpath
 func (pt *PreparedTrace) SameSequence(pws []PW) bool {

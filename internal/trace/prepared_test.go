@@ -15,12 +15,11 @@ func prepSeq() []PW {
 }
 
 // testPrepare builds a PreparedTrace with simple, checkable attribute
-// functions (set = start>>6 & 3, footprint = uops, entries = uops/8+1).
+// functions (set = start>>6 & 3, footprint = uops).
 func testPrepare(pws []PW, sig uint64) *PreparedTrace {
 	return Prepare(pws, sig,
 		func(start uint64) int { return int(start>>6) & 3 },
-		func(p PW) int { return int(p.NumUops) },
-		func(p PW) int { return int(p.NumUops)/8 + 1 })
+		func(p PW) int { return int(p.NumUops) })
 }
 
 func TestPreparedColumns(t *testing.T) {
@@ -38,9 +37,6 @@ func TestPreparedColumns(t *testing.T) {
 		}
 		if got, want := pt.Footprint(i), int(p.NumUops); got != want {
 			t.Errorf("Footprint(%d) = %d, want %d", i, got, want)
-		}
-		if got, want := pt.Entries(i), int(p.NumUops)/8+1; got != want {
-			t.Errorf("Entries(%d) = %d, want %d", i, got, want)
 		}
 	}
 }

@@ -27,12 +27,9 @@ type Behavior struct {
 type pending struct {
 	pw  trace.PW
 	due uint64
-	// set is the window's set index, computed once at scheduling so the
-	// completing insertion does not rederive it.
-	set int
-	// foot is the window's storage footprint when the scheduling lookup
-	// came from a prepared trace; -1 means "compute at insertion" (the
-	// unprepared path).
+	// set and foot are the window's set index and storage footprint,
+	// read from the prepared trace at scheduling.
+	set  int
 	foot int
 	// cancelled marks in-flight windows whose insertion an offline
 	// policy decided to skip (FLACK's late-insertion safeguard).
@@ -54,27 +51,16 @@ func NewBehavior(c *Cache, icache *cache.Cache) *Behavior {
 	return b
 }
 
-// Access performs one PW lookup, draining any insertions that became due.
-// On a miss or partial hit it schedules the (merged) window's insertion,
-// coalescing with an already in-flight window for the same start address.
-func (b *Behavior) Access(pw trace.PW) ProbeResult {
-	return b.accessAt(pw, b.C.SetIndex(pw.Start), -1)
-}
-
-// AccessIndexed is Access for position i of a prepared trace: the set index
-// and storage footprint come from the shared columns instead of being
-// recomputed per lookup per replay.
+// Access performs the lookup at position i of a prepared trace, draining
+// any insertions that became due. On a miss or partial hit it schedules the
+// (merged) window's insertion, coalescing with an already in-flight window
+// for the same start address. The set index and storage footprint come from
+// the trace's shared columns, so pt must be built under the cache's
+// geometry (see PreparedFor).
 //
 //simlint:hotpath
-func (b *Behavior) AccessIndexed(pt *trace.PreparedTrace, i int) ProbeResult {
-	return b.accessAt(pt.At(i), pt.Set(i), pt.Footprint(i))
-}
-
-// accessAt is the shared lookup body; foot is the window's precomputed
-// footprint, or -1 to compute it at insertion time.
-//
-//simlint:hotpath
-func (b *Behavior) accessAt(pw trace.PW, set, foot int) ProbeResult {
+func (b *Behavior) Access(pt *trace.PreparedTrace, i int) ProbeResult {
+	pw, set := pt.At(i), pt.Set(i)
 	b.lookups++
 	b.drain()
 	if b.ICache != nil {
@@ -84,7 +70,7 @@ func (b *Behavior) accessAt(pw trace.PW, set, foot int) ProbeResult {
 	}
 	res := b.C.lookupAt(pw, set)
 	if res.MissUops > 0 {
-		b.schedule(pw, set, foot)
+		b.schedule(pw, set, pt.Footprint(i))
 	}
 	return res
 }
@@ -150,52 +136,16 @@ func (b *Behavior) complete(p *pending) {
 		b.C.noteBypass(p.set, p.pw)
 		return
 	}
-	need := p.foot
-	if need < 0 {
-		need = b.C.footprint(int(p.pw.NumUops))
-	}
-	b.C.insertAt(p.pw, p.set, need)
+	b.C.insertAt(p.pw, p.set, p.foot)
 }
 
-// Run drives a whole PW sequence through the simulator and returns the final
-// statistics. The caller's policy state is shared with the cache.
-func (b *Behavior) Run(pws []trace.PW) Stats {
-	for _, pw := range pws {
-		b.Access(pw)
-	}
-	b.Flush()
-	return b.C.Stats
-}
-
-// RunPrepared drives a prepared trace through the simulator, reading the
-// per-window set and footprint columns instead of recomputing them. It is
-// behaviourally identical to Run over pt.PWs().
+// Run drives a whole prepared trace through the simulator and returns the
+// final statistics. The caller's policy state is shared with the cache.
 //
 //simlint:hotpath
-func (b *Behavior) RunPrepared(pt *trace.PreparedTrace) Stats {
+func (b *Behavior) Run(pt *trace.PreparedTrace) Stats {
 	for i, n := 0, pt.Len(); i < n; i++ {
-		b.AccessIndexed(pt, i)
-	}
-	b.Flush()
-	return b.C.Stats
-}
-
-// RunWithWarmup drives the sequence like Run but discards statistics
-// accumulated over the first warmupFrac of lookups, following the paper's
-// practice of measuring after warmup.
-func (b *Behavior) RunWithWarmup(pws []trace.PW, warmupFrac float64) Stats {
-	if warmupFrac < 0 {
-		warmupFrac = 0
-	}
-	if warmupFrac > 0.9 {
-		warmupFrac = 0.9
-	}
-	cut := int(float64(len(pws)) * warmupFrac)
-	for i, pw := range pws {
-		if i == cut {
-			b.C.ResetStats()
-		}
-		b.Access(pw)
+		b.Access(pt, i)
 	}
 	b.Flush()
 	return b.C.Stats

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"uopsim/internal/policy"
+	"uopsim/internal/trace"
 	"uopsim/internal/uopcache"
 )
 
@@ -74,11 +75,11 @@ func TestCompactionReducesMisses(t *testing.T) {
 	run := func(compaction bool) float64 {
 		cfg := uopcache.Config{Entries: 64, Ways: 8, UopsPerEntry: 8, InsertDelay: 0, Compaction: compaction}
 		c := uopcache.New(cfg, policy.NewLRU())
-		b := uopcache.NewBehavior(c, nil)
+		var seq []trace.PW
 		for _, a := range mkTrace() {
-			b.Access(pw(a, 3)) // small windows: heavy fragmentation
+			seq = append(seq, pw(a, 3)) // small windows: heavy fragmentation
 		}
-		b.Flush()
+		uopcache.NewBehavior(c, nil).Run(uopcache.Prepare(cfg, seq))
 		return c.Stats.UopMissRate()
 	}
 	base, comp := run(false), run(true)

@@ -41,49 +41,21 @@ func TestResetStatsKeepsContents(t *testing.T) {
 	}
 }
 
-func TestRunWithWarmup(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.InsertDelay = 0
-	seq := make([]trace.PW, 0, 100)
-	for i := 0; i < 100; i++ {
-		seq = append(seq, pw(0x1000, 4))
-	}
-	// With 50% warmup, the cold miss at position 0 is discarded: zero
-	// misses measured.
-	c := uopcache.New(cfg, policy.NewLRU())
-	st := uopcache.NewBehavior(c, nil).RunWithWarmup(seq, 0.5)
-	if st.Misses != 0 {
-		t.Errorf("warmed-up misses = %d, want 0", st.Misses)
-	}
-	if st.Lookups != 50 {
-		t.Errorf("measured lookups = %d, want 50", st.Lookups)
-	}
-	// Clamping: negative and >0.9 fractions are tolerated.
-	c2 := uopcache.New(cfg, policy.NewLRU())
-	if st := uopcache.NewBehavior(c2, nil).RunWithWarmup(seq, -1); st.Lookups != 100 {
-		t.Errorf("clamped-low lookups = %d", st.Lookups)
-	}
-	c3 := uopcache.New(cfg, policy.NewLRU())
-	if st := uopcache.NewBehavior(c3, nil).RunWithWarmup(seq, 5); st.Lookups != 10 {
-		t.Errorf("clamped-high lookups = %d", st.Lookups)
-	}
-}
-
 // TestQuickAccountingInvariants drives random operation sequences (derived
 // from a quick-checked seed) and verifies the cache's accounting invariants.
 func TestQuickAccountingInvariants(t *testing.T) {
 	f := func(seed uint64, delayRaw uint8) bool {
 		cfg := uopcache.Config{Entries: 32, Ways: 8, UopsPerEntry: 8, InsertDelay: int(delayRaw % 6)}
 		c := uopcache.New(cfg, policy.NewLRU())
-		b := uopcache.NewBehavior(c, nil)
+		seq := make([]trace.PW, 0, 3000)
 		state := seed | 1
 		for i := 0; i < 3000; i++ {
 			state = state*6364136223846793005 + 1442695040888963407
 			start := uint64(0x1000 + (state>>33)%300*16)
 			uops := 1 + int((state>>17)%24)
-			b.Access(pw(start, uops))
+			seq = append(seq, pw(start, uops))
 		}
-		b.Flush()
+		uopcache.NewBehavior(c, nil).Run(uopcache.Prepare(cfg, seq))
 		st := c.Stats
 		if st.UopsHit+st.UopsMissed != st.UopsRequested {
 			return false
@@ -123,5 +95,50 @@ func TestQuickGrowNeverShrinks(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSigCoversColumnsOnly: Sig hashes only what the prepared columns
+// depend on, so geometries with the same set count share a trace.
+func TestSigCoversColumnsOnly(t *testing.T) {
+	base := uopcache.Config{Entries: 512, Ways: 8, UopsPerEntry: 8}
+	same := uopcache.Config{Entries: 1024, Ways: 16, UopsPerEntry: 8, InsertDelay: 7}
+	if base.Sig() != same.Sig() {
+		t.Error("512/8 and 1024/16 (both 64 sets) have different Sigs")
+	}
+	fewerSets := uopcache.Config{Entries: 512, Ways: 16, UopsPerEntry: 8}
+	if base.Sig() == fewerSets.Sig() {
+		t.Error("512/8 and 512/16 (64 vs 32 sets) share a Sig")
+	}
+	compact := base
+	compact.Compaction = true
+	if base.Sig() == compact.Sig() {
+		t.Error("toggling compaction leaves Sig unchanged")
+	}
+}
+
+// TestPreparedForReuse: PreparedFor hands back the caller's trace only when
+// it matches the geometry and the exact slice, and builds one otherwise.
+func TestPreparedForReuse(t *testing.T) {
+	cfg := uopcache.Config{Entries: 512, Ways: 8, UopsPerEntry: 8}
+	seq := []trace.PW{pw(0x1000, 4), pw(0x2000, 9), pw(0x1000, 4)}
+	pt := uopcache.Prepare(cfg, seq)
+	if got := uopcache.PreparedFor(cfg, seq, pt); got != pt {
+		t.Error("matching trace was not reused")
+	}
+	wide := uopcache.Config{Entries: 1024, Ways: 16, UopsPerEntry: 8}
+	if got := uopcache.PreparedFor(wide, seq, pt); got != pt {
+		t.Error("trace with an equal Sig was not reused")
+	}
+	narrow := uopcache.Config{Entries: 512, Ways: 16, UopsPerEntry: 8}
+	if got := uopcache.PreparedFor(narrow, seq, pt); got == pt || got.Sig() != narrow.Sig() {
+		t.Error("wrong-geometry trace was reused")
+	}
+	clone := append([]trace.PW(nil), seq...)
+	if got := uopcache.PreparedFor(cfg, clone, pt); got == pt || !got.SameSequence(clone) {
+		t.Error("trace over a different slice was reused")
+	}
+	if got := uopcache.PreparedFor(cfg, seq, nil); got == nil || !got.SameSequence(seq) {
+		t.Error("nil trace was not built")
 	}
 }

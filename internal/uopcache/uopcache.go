@@ -493,13 +493,14 @@ func (c Config) Footprint(uops int) int {
 	return n
 }
 
-// Sig fingerprints the parts of the configuration that determine per-window
-// attributes (set index, footprint, entry count). PreparedTrace carries it
-// so consumers can detect a geometry mismatch and fall back to recomputing
-// attributes instead of trusting stale columns. InsertDelay is deliberately
-// excluded: it affects replay timing, not per-window attributes.
+// Sig fingerprints the parts of the configuration the prepared-trace
+// columns depend on: the set count (set index), and the micro-ops per entry
+// and compaction mode (footprint). Geometries that differ only in how the
+// same sets are split into entries and ways — 512/8 and 1024/16 — share a
+// prepared trace. InsertDelay is excluded too: it affects replay timing,
+// not per-window attributes.
 func (c Config) Sig() uint64 {
-	s := uint64(c.Entries)<<32 | uint64(c.Ways)<<16 | uint64(c.UopsPerEntry)<<1
+	s := uint64(c.Sets())<<32 | uint64(c.UopsPerEntry)<<1
 	if c.Compaction {
 		s |= 1
 	}
@@ -507,15 +508,25 @@ func (c Config) Sig() uint64 {
 }
 
 // Prepare builds the shared columnar view of a PW lookup sequence for this
-// geometry: precomputed set indices, storage footprints, entry counts and
-// the occurrence index every offline replay needs. Build it once per
-// (trace, geometry) and hand it to every replay of the same sequence.
+// geometry: precomputed set indices, storage footprints and the occurrence
+// index every offline replay needs. Build it once per (trace, geometry) and
+// hand it to every replay of the same sequence.
 func Prepare(cfg Config, pws []trace.PW) *trace.PreparedTrace {
 	return trace.Prepare(pws, cfg.Sig(),
 		cfg.SetIndex,
 		func(p trace.PW) int { return cfg.Footprint(int(p.NumUops)) },
-		func(p trace.PW) int { return p.Entries(cfg.UopsPerEntry) },
 	)
+}
+
+// PreparedFor returns pt when it was built over exactly pws under a
+// geometry with cfg's Sig, and otherwise prepares pws afresh. It is the one
+// place a caller-supplied trace is checked before its columns are trusted;
+// a nil pt means "build one".
+func PreparedFor(cfg Config, pws []trace.PW, pt *trace.PreparedTrace) *trace.PreparedTrace {
+	if pt != nil && pt.Sig() == cfg.Sig() && pt.SameSequence(pws) {
+		return pt
+	}
+	return Prepare(cfg, pws)
 }
 
 // EvictKey force-evicts the window with the given start address, if

@@ -254,19 +254,20 @@ func TestBehaviorInsertDelay(t *testing.T) {
 	b := uopcache.NewBehavior(c, nil)
 	w := pw(0x1000, 4)
 	other := pw(0x7000, 4)
-	b.Access(w) // miss, schedules insertion due at lookup 4
+	pt := uopcache.Prepare(cfg, []trace.PW{w, w, other, w})
+	b.Access(pt, 0) // miss, schedules insertion due at lookup 4
 	if !b.InFlight(w.Start) {
 		t.Fatal("insertion not in flight")
 	}
 	// Lookups 2 and 3: w is still absent (asynchrony) — these miss.
-	if r := b.Access(w); r.Kind != uopcache.ProbeMiss {
+	if r := b.Access(pt, 1); r.Kind != uopcache.ProbeMiss {
 		t.Errorf("lookup 2 = %+v, want miss (still in decode pipe)", r)
 	}
-	if r := b.Access(other); r.Kind != uopcache.ProbeMiss {
+	if r := b.Access(pt, 2); r.Kind != uopcache.ProbeMiss {
 		t.Errorf("lookup 3 = %+v", r)
 	}
 	// Lookup 4: the insertion drains before the probe — now a hit.
-	if r := b.Access(w); r.Kind != uopcache.ProbeFull {
+	if r := b.Access(pt, 3); r.Kind != uopcache.ProbeFull {
 		t.Errorf("lookup 4 = %+v, want full hit after drain", r)
 	}
 	if b.InFlight(w.Start) {
@@ -281,10 +282,9 @@ func TestBehaviorCoalescing(t *testing.T) {
 	cfg.InsertDelay = 5
 	c := uopcache.New(cfg, policy.NewLRU())
 	b := uopcache.NewBehavior(c, nil)
-	b.Access(pw(0x1000, 4))
-	b.Access(pw(0x1000, 12)) // larger overlapping window while in flight
-	b.Access(pw(0x1000, 6))
-	b.Flush()
+	// The 12-uop window is a larger overlapping re-request while the
+	// 4-uop one is in flight.
+	b.Run(uopcache.Prepare(cfg, []trace.PW{pw(0x1000, 4), pw(0x1000, 12), pw(0x1000, 6)}))
 	if c.Stats.Insertions != 1 {
 		t.Errorf("insertions = %d, want 1 (coalesced)", c.Stats.Insertions)
 	}
@@ -299,7 +299,7 @@ func TestBehaviorCancelInFlight(t *testing.T) {
 	cfg.InsertDelay = 4
 	c := uopcache.New(cfg, policy.NewLRU())
 	b := uopcache.NewBehavior(c, nil)
-	b.Access(pw(0x1000, 4))
+	b.Access(uopcache.Prepare(cfg, []trace.PW{pw(0x1000, 4)}), 0)
 	if !b.CancelInFlight(0x1000) {
 		t.Fatal("cancel failed")
 	}
@@ -328,13 +328,14 @@ func TestBehaviorInclusion(t *testing.T) {
 	ic := cache.New(cache.Config{SizeBytes: 128, LineBytes: 64, Ways: 1})
 	b := uopcache.NewBehavior(c, ic)
 	w := pw(0x0000, 4) // line 0x0000, icache set 0
-	b.Access(w)
-	b.Access(w) // inserted by now; hit
+	// The third window touches a conflicting icache line (same set 0).
+	pt := uopcache.Prepare(cfg, []trace.PW{w, w, pw(0x0080, 4)})
+	b.Access(pt, 0)
+	b.Access(pt, 1) // inserted by now; hit
 	if _, ok := c.ResidentFor(w.Start); !ok {
 		t.Fatal("window not resident")
 	}
-	// Touch a conflicting icache line (same set 0): 0x0080.
-	b.Access(pw(0x0080, 4))
+	b.Access(pt, 2)
 	if _, ok := c.ResidentFor(w.Start); ok {
 		t.Error("window survived L1i eviction of its line (inclusion violated)")
 	}
@@ -352,7 +353,7 @@ func TestBehaviorRun(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		seq = append(seq, pw(0x1000, 4), pw(0x2000, 6))
 	}
-	st := b.Run(seq)
+	st := b.Run(uopcache.Prepare(cfg, seq))
 	if st.Lookups != 200 {
 		t.Errorf("lookups = %d", st.Lookups)
 	}
