@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -91,6 +92,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *mode != "behavior" && *mode != "timing" {
 		return usageError{fmt.Errorf("unknown mode %q (want behavior or timing)", *mode)}
+	}
+	if names := append(core.PolicyNames(), core.OfflineNames()...); !slices.Contains(names, *pol) {
+		return usageError{fmt.Errorf("unknown policy %q (want one of %s)", *pol, strings.Join(names, ", "))}
 	}
 	if *blocks <= 0 {
 		return usageError{fmt.Errorf("-blocks must be positive (got %d)", *blocks)}

@@ -4,13 +4,16 @@
 // either by the micro-op cache path (up to 8 micro-ops per cycle, one PW per
 // cycle) or by the legacy decode path (icache fetch + 4-wide decoder with a
 // 5-cycle pipeline), with a 1-cycle penalty on every path switch. Micro-op
-// cache insertions complete decode-latency cycles after their triggering
-// miss (the asynchronous lookup/insertion the paper studies). The frontend
+// cache insertions land decode-latency cycles after their triggering miss,
+// through the cache's in-flight queue on the cycle clock (the asynchronous
+// lookup/insertion the paper studies). The frontend
 // feeds the backend drain model to produce IPC, and counts every event the
 // power model charges for.
 package frontend
 
 import (
+	"math"
+
 	"uopsim/internal/backend"
 	"uopsim/internal/branch"
 	"uopsim/internal/cache"
@@ -144,44 +147,30 @@ type Frontend struct {
 	cycle     uint64
 	events    Events
 
-	// pendingInserts are micro-op cache insertions in the decode pipe,
-	// keyed by start address, due at a cycle.
-	pending    map[uint64]trace.PW
-	pendingDue []pendingInsert
-
 	// carried misprediction/BTB penalties to charge to the next window.
 	pendingPenalty int
-}
-
-type pendingInsert struct {
-	start uint64
-	due   uint64
 }
 
 // New builds a frontend wired to its prediction, cache and backend
 // substrate. l1i may be nil only when cfg.PerfectICache is set.
 func New(cfg Config, bp *branch.Predictor, uc *uopcache.Cache, l1i *cache.Cache, be *backend.Backend) *Frontend {
-	f := &Frontend{
-		cfg: cfg, bp: bp, uc: uc, l1i: l1i, be: be,
-		former:  trace.NewFormer(0),
-		pending: make(map[uint64]trace.PW),
-		// Bounded by windows in decode flight; preallocated so the serve
-		// path's append never grows it in steady state.
-		pendingDue: make([]pendingInsert, 0, 64),
-	}
 	if l1i != nil && !cfg.NonInclusive {
-		l1i.OnEvict = func(lineAddr uint64) { uc.InvalidateLine(lineAddr) }
+		uc.MakeInclusive(l1i)
 	}
-	return f
+	return &Frontend{cfg: cfg, bp: bp, uc: uc, l1i: l1i, be: be, former: trace.NewFormer(0)}
 }
 
 // RunBlocks drives the whole dynamic block stream and returns the result.
 func (f *Frontend) RunBlocks(blocks []trace.Block) Result {
+	written := f.uc.Stats.EntriesWritten
 	for _, b := range blocks {
 		f.step(b)
 	}
 	f.former.Flush(func(p trace.PW) { f.servePW(p) })
-	f.drainInserts(^uint64(0))
+	f.uc.Complete(math.MaxUint64)
+	// Every entry the cache wrote during the run came from this
+	// frontend's insertions.
+	f.events.UopCacheWrites += f.uc.Stats.EntriesWritten - written
 	f.cycle += uint64(f.be.Flush())
 
 	var res Result
@@ -220,7 +209,7 @@ func (f *Frontend) step(b trace.Block) {
 //
 //simlint:hotpath
 func (f *Frontend) servePW(p trace.PW) {
-	f.drainInserts(f.cycle)
+	f.uc.Complete(f.cycle)
 	cycles := f.pendingPenalty
 	f.pendingPenalty = 0
 
@@ -277,7 +266,7 @@ func (f *Frontend) servePW(p trace.PW) {
 		f.events.DecoderActiveCycles += uint64(decode)
 
 		if !f.cfg.PerfectUopCache && !f.cfg.DisableUopCache {
-			f.scheduleInsert(p)
+			f.uc.Schedule(p, f.cycle+uint64(f.cfg.DecodeLatency))
 		}
 	}
 	if cycles < 1 {
@@ -297,43 +286,4 @@ func (f *Frontend) probeUopCache(p trace.PW) uopcache.ProbeResult {
 		return uopcache.ProbeResult{Kind: uopcache.ProbeFull, HitUops: int(p.NumUops)}
 	}
 	return f.uc.Lookup(p)
-}
-
-// scheduleInsert queues the window's insertion decode-latency cycles ahead,
-// coalescing with an in-flight window of the same start (keeping the
-// larger).
-func (f *Frontend) scheduleInsert(p trace.PW) {
-	if cur, ok := f.pending[p.Start]; ok {
-		f.uc.NoteCoalescedMiss(p)
-		if p.NumUops > cur.NumUops {
-			f.pending[p.Start] = p
-		}
-		return
-	}
-	f.pending[p.Start] = p
-	//simlint:ignore hotpath pendingDue is preallocated in New and drained with copy-down, so steady-state appends reuse capacity
-	f.pendingDue = append(f.pendingDue, pendingInsert{start: p.Start, due: f.cycle + uint64(f.cfg.DecodeLatency)})
-}
-
-// drainInserts completes insertions due by the given cycle.
-func (f *Frontend) drainInserts(now uint64) {
-	n := 0
-	for n < len(f.pendingDue) && f.pendingDue[n].due <= now {
-		pi := f.pendingDue[n]
-		n++
-		p, ok := f.pending[pi.start]
-		if !ok {
-			continue
-		}
-		delete(f.pending, pi.start)
-		before := f.uc.Stats.EntriesWritten
-		f.uc.Insert(p)
-		f.events.UopCacheWrites += f.uc.Stats.EntriesWritten - before
-	}
-	if n > 0 {
-		// Copy down instead of re-slicing so the backing array's front
-		// capacity is reused and scheduleInsert's append stops allocating.
-		m := copy(f.pendingDue, f.pendingDue[n:])
-		f.pendingDue = f.pendingDue[:m]
-	}
 }

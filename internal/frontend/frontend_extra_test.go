@@ -8,6 +8,7 @@ import (
 	"uopsim/internal/cache"
 	"uopsim/internal/frontend"
 	"uopsim/internal/policy"
+	"uopsim/internal/telemetry"
 	"uopsim/internal/trace"
 	"uopsim/internal/uopcache"
 	"uopsim/internal/workload"
@@ -128,5 +129,71 @@ func TestMispredictPenaltyMatters(t *testing.T) {
 	resD := fD.RunBlocks(blocks)
 	if resD.IPC() >= resC.IPC() {
 		t.Errorf("30-cycle penalty IPC %.3f >= 2-cycle %.3f", resD.IPC(), resC.IPC())
+	}
+}
+
+// TestRepeatedMissGrowsWindow: a window re-requested with more micro-ops
+// ends up resident as the larger window, and the frontend's write events
+// equal the cache's entries written. A miss charges at least
+// DecodeLatency+1 cycles, so on the cycle clock its insertion always lands
+// before the next lookup: the repeat is a partial hit whose grown window
+// replaces the first, and nothing coalesces.
+func TestRepeatedMissGrowsWindow(t *testing.T) {
+	blocks := []trace.Block{
+		// PW 0x1000, 4 uops: the taken branch ends it.
+		{Addr: 0x1000, Bytes: 16, NumInst: 4, NumUops: 4, Kind: trace.BranchCond, Taken: true, Target: 0x1000, BranchPC: 0x100c},
+		// PW 0x1000 again, 12 uops: the not-taken branch does not end it.
+		{Addr: 0x1000, Bytes: 16, NumInst: 4, NumUops: 4, Kind: trace.BranchCond, Target: 0x1000, BranchPC: 0x100c},
+		{Addr: 0x1010, Bytes: 16, NumInst: 4, NumUops: 8, Kind: trace.BranchUncond, Taken: true, Target: 0x2000, BranchPC: 0x101c},
+	}
+	f, uc := buildWith(frontend.DefaultConfig())
+	reg := telemetry.NewRegistry()
+	uc.AttachMetrics(reg)
+	res := f.RunBlocks(blocks)
+	if r, ok := uc.ResidentFor(0x1000); !ok || r.Uops != 12 {
+		t.Fatalf("resident = %+v, %v; want the grown 12-uop window", r, ok)
+	}
+	if res.UopCache.Misses != 1 || res.UopCache.PartialHits != 1 {
+		t.Errorf("lookups = %+v; want one miss then one partial hit", res.UopCache)
+	}
+	if got := reg.Counter("uopcache_coalesced_misses_total").Value(); got != 0 {
+		t.Errorf("coalesced misses = %d, want 0 on the cycle clock", got)
+	}
+	if res.Events.UopCacheWrites != res.UopCache.EntriesWritten || res.UopCache.EntriesWritten != 3 {
+		t.Errorf("writes = %d, entries written = %d; want both 3",
+			res.Events.UopCacheWrites, res.UopCache.EntriesWritten)
+	}
+}
+
+// boundSink checks the cache's in-flight count at every cache event.
+type boundSink struct {
+	uc  *uopcache.Cache
+	max int
+}
+
+func (s *boundSink) Emit(telemetry.Event) { s.max = max(s.max, s.uc.InFlightCount()) }
+
+// TestInFlightBoundTiming: over a real trace, timing mode never holds more
+// than max(DecodeLatency, 1) insertions in flight at any cache event, and
+// the end-of-run flush empties the queue.
+func TestInFlightBoundTiming(t *testing.T) {
+	spec, _ := workload.Get("kafka")
+	blocks := workload.GenerateSpec(spec, 20000, 0)
+	cfg := frontend.DefaultConfig()
+	f, uc := buildWith(cfg)
+	sink := &boundSink{uc: uc}
+	uc.SetEventSink(sink)
+	res := f.RunBlocks(blocks)
+	if res.UopCache.Insertions == 0 {
+		t.Fatal("no insertions: the queue was never exercised")
+	}
+	if sink.max > max(cfg.DecodeLatency, 1) {
+		t.Errorf("peak in flight = %d, bound %d", sink.max, max(cfg.DecodeLatency, 1))
+	}
+	if uc.InFlightCount() != 0 {
+		t.Errorf("%d insertions left in flight after the run", uc.InFlightCount())
+	}
+	if res.Events.UopCacheWrites != res.UopCache.EntriesWritten {
+		t.Errorf("writes = %d, entries written = %d", res.Events.UopCacheWrites, res.UopCache.EntriesWritten)
 	}
 }

@@ -238,13 +238,13 @@ func replayDecisions(pt *trace.PreparedTrace, cfg uopcache.Config, dec *Decision
 				// evict the resident now and cancel the pending
 				// insertion, oblivious to asynchrony.
 				c.EvictKey(start)
-				b.CancelInFlight(start)
+				c.CancelInFlight(start)
 			} else if !opts.Features.SelBypass {
 				// A without SB: late insertions of unkept
 				// windows are bypassed on arrival (the queue
 				// safeguard), and residents linger until
 				// pressure (lazy eviction via the policy).
-				b.CancelInFlight(start)
+				c.CancelInFlight(start)
 			}
 			// With SelBypass the window may still be inserted when
 			// space allows; the policy bypasses it under pressure.

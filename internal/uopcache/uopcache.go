@@ -10,9 +10,10 @@
 //     address and fewer micro-ops (intermediate exit points); a lookup for
 //     MORE micro-ops than stored is served partially, with the remainder
 //     decoded and the merged larger window re-inserted;
-//   - asynchronous lookup and insertion: insertions complete a configurable
-//     number of lookups after the triggering miss, with in-flight windows
-//     coalescing subsequent misses.
+//   - asynchronous lookup and insertion: insertions land a mode-chosen
+//     delay after the triggering miss (lookups in behaviour mode, cycles in
+//     timing mode) through the cache's one in-flight queue, with in-flight
+//     windows coalescing subsequent misses.
 //
 // Replacement is delegated to a Policy; every policy the paper evaluates
 // (online and offline) implements that interface.
@@ -30,6 +31,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"uopsim/internal/cache"
 	"uopsim/internal/telemetry"
 	"uopsim/internal/trace"
 )
@@ -223,6 +225,11 @@ type Cache struct {
 	invSets    []int32
 	invVictims []uint64
 
+	// inflight[:qLen] are the insertions still in the decode pipe,
+	// oldest first (see inflight.go).
+	inflight []inflightInsert
+	qLen     int
+
 	// sink receives the structured decision trace; m holds the live
 	// uopcache_* metrics. Both are nil unless attached, and every
 	// emission site guards with a nil check so the hot path pays nothing
@@ -359,6 +366,7 @@ func New(cfg Config, policy Policy) *Cache {
 		}
 	}
 	c.viewBuf = make([]Resident, 0, c.capSlots)
+	c.inflight = make([]inflightInsert, max(cfg.InsertDelay, 1))
 	policy.Bind(Geometry{Sets: numSets, SlotsPerSet: c.capSlots})
 	return c
 }
@@ -589,16 +597,15 @@ func (c *Cache) noteBypass(set int, pw trace.PW) {
 	}
 }
 
-// NoteCoalescedMiss records a miss merging into an in-flight insertion (no
-// Stats field aggregates these; the behaviour driver and the timing
-// frontend own insertion scheduling, so they report coalescing here).
-func (c *Cache) NoteCoalescedMiss(pw trace.PW) {
+// noteCoalesce records a miss merging into an in-flight insertion (no Stats
+// field aggregates these).
+func (c *Cache) noteCoalesce(set int, pw trace.PW) {
 	if c.m != nil {
 		c.m.coalesced.Inc()
 	}
 	if c.sink != nil {
 		c.sink.Emit(telemetry.Event{
-			Seq: c.clock, Kind: telemetry.EventCoalesce, Set: c.SetIndex(pw.Start),
+			Seq: c.clock, Kind: telemetry.EventCoalesce, Set: set,
 			Key: pw.Start, Uops: int(pw.NumUops), Policy: c.polName,
 		})
 	}
@@ -630,9 +637,8 @@ func (c *Cache) NotePerfectHit(pw trace.PW) {
 }
 
 // Lookup probes the cache for pw, updating hit statistics and policy
-// recency. It does NOT trigger an insertion; callers (the behaviour wrapper
-// or the timing frontend) own insertion scheduling, because that is where
-// the asynchrony lives.
+// recency. It does NOT trigger an insertion: the caller schedules one on its
+// own clock (Schedule), because that is where the asynchrony lives.
 //
 //simlint:hotpath
 func (c *Cache) Lookup(pw trace.PW) ProbeResult {
@@ -915,9 +921,14 @@ func (c *Cache) removeResident(set int, slot int32) {
 	c.policy.OnEvict(set, slot, key)
 }
 
+// MakeInclusive makes the cache inclusive in l1i (Section II-A): every L1i
+// eviction invalidates the windows whose code lives in the evicted line.
+func (c *Cache) MakeInclusive(l1i *cache.Cache) {
+	l1i.OnEvict = func(lineAddr uint64) { c.InvalidateLine(lineAddr) }
+}
+
 // InvalidateLine evicts every window whose code lives in the given icache
-// line; the micro-op cache is inclusive in the L1i (Section II-A), so the
-// L1i eviction path calls this.
+// line (the L1i eviction path MakeInclusive wires up).
 func (c *Cache) InvalidateLine(lineAddr uint64) int {
 	refs := c.lineIndex[lineAddr]
 	if len(refs) == 0 {

@@ -1,12 +1,15 @@
 package uopcache_test
 
 import (
+	"math"
 	"testing"
 
 	"uopsim/internal/cache"
 	"uopsim/internal/policy"
+	"uopsim/internal/telemetry"
 	"uopsim/internal/trace"
 	"uopsim/internal/uopcache"
+	"uopsim/internal/workload"
 )
 
 // pw builds a test window with explicit start and micro-op count.
@@ -245,7 +248,7 @@ func TestProbeDoesNotMutate(t *testing.T) {
 	}
 }
 
-// --- Behaviour-mode (asynchrony) tests ---
+// --- Asynchronous-insertion (in-flight queue) tests ---
 
 func TestBehaviorInsertDelay(t *testing.T) {
 	cfg := tinyConfig()
@@ -256,7 +259,7 @@ func TestBehaviorInsertDelay(t *testing.T) {
 	other := pw(0x7000, 4)
 	pt := uopcache.Prepare(cfg, []trace.PW{w, w, other, w})
 	b.Access(pt, 0) // miss, schedules insertion due at lookup 4
-	if !b.InFlight(w.Start) {
+	if c.InFlightCount() != 1 {
 		t.Fatal("insertion not in flight")
 	}
 	// Lookups 2 and 3: w is still absent (asynchrony) — these miss.
@@ -266,12 +269,12 @@ func TestBehaviorInsertDelay(t *testing.T) {
 	if r := b.Access(pt, 2); r.Kind != uopcache.ProbeMiss {
 		t.Errorf("lookup 3 = %+v", r)
 	}
-	// Lookup 4: the insertion drains before the probe — now a hit.
+	// Lookup 4: the insertion lands before the probe — now a hit.
 	if r := b.Access(pt, 3); r.Kind != uopcache.ProbeFull {
-		t.Errorf("lookup 4 = %+v, want full hit after drain", r)
+		t.Errorf("lookup 4 = %+v, want full hit after completion", r)
 	}
-	if b.InFlight(w.Start) {
-		t.Error("still in flight after drain")
+	if c.InFlightCount() != 1 {
+		t.Errorf("%d in flight after completion, want only the other window's", c.InFlightCount())
 	}
 }
 
@@ -281,6 +284,8 @@ func TestBehaviorCoalescing(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.InsertDelay = 5
 	c := uopcache.New(cfg, policy.NewLRU())
+	reg := telemetry.NewRegistry()
+	c.AttachMetrics(reg)
 	b := uopcache.NewBehavior(c, nil)
 	// The 12-uop window is a larger overlapping re-request while the
 	// 4-uop one is in flight.
@@ -288,11 +293,71 @@ func TestBehaviorCoalescing(t *testing.T) {
 	if c.Stats.Insertions != 1 {
 		t.Errorf("insertions = %d, want 1 (coalesced)", c.Stats.Insertions)
 	}
+	if got := reg.Counter("uopcache_coalesced_misses_total").Value(); got != 2 {
+		t.Errorf("coalesced misses = %d, want 2", got)
+	}
 	r, ok := c.ResidentFor(0x1000)
 	if !ok || r.Uops != 12 {
 		t.Errorf("resident = %+v, %v; want grown to 12 uops", r, ok)
 	}
+	if r.EntriesUsed != 2 {
+		t.Errorf("resident occupies %d entries, want the grown window's 2", r.EntriesUsed)
+	}
 }
+
+// TestScheduleCycleClock drives the queue the way the timing frontend does:
+// due times in cycles, set and footprint derived by Schedule, and a repeat
+// inside the delay coalescing into one grown insertion.
+func TestScheduleCycleClock(t *testing.T) {
+	c := newTiny()
+	c.Schedule(pw(0x1000, 4), 5)
+	c.Schedule(pw(0x1000, 12), 7) // coalesces: due stays 5
+	c.Schedule(pw(0x2000, 4), 9)
+	c.Complete(4)
+	if c.Stats.Insertions != 0 || c.InFlightCount() != 2 {
+		t.Fatalf("early completion: %d insertions, %d in flight", c.Stats.Insertions, c.InFlightCount())
+	}
+	c.Complete(5)
+	if r, ok := c.ResidentFor(0x1000); !ok || r.Uops != 12 {
+		t.Errorf("resident = %+v, %v; want the grown 12-uop window", r, ok)
+	}
+	if _, ok := c.ResidentFor(0x2000); ok || c.InFlightCount() != 1 {
+		t.Error("completion order wrong: only the due window should land")
+	}
+	c.Complete(math.MaxUint64)
+	if c.Stats.Insertions != 2 || c.Stats.EntriesWritten != 3 || c.InFlightCount() != 0 {
+		t.Errorf("after flush: %+v, %d in flight", c.Stats, c.InFlightCount())
+	}
+}
+
+// TestScheduleGrowsQueue: more windows in flight than the queue was sized
+// for (a delay longer than InsertDelay) must all land, oldest first.
+func TestScheduleGrowsQueue(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Entries, cfg.Ways = 64, 8 // 8 sets: every window fits
+	c := uopcache.New(cfg, policy.NewLRU())
+	sink := &recordSink{}
+	c.SetEventSink(sink)
+	for i := uint64(0); i < 6; i++ {
+		c.Schedule(pw(0x1000+i*0x40, 4), 10+i)
+	}
+	if c.InFlightCount() != 6 {
+		t.Fatalf("in flight = %d, want 6", c.InFlightCount())
+	}
+	c.Complete(math.MaxUint64)
+	if len(sink.events) != 6 {
+		t.Fatalf("events = %d, want 6 inserts", len(sink.events))
+	}
+	for i, e := range sink.events {
+		if e.Kind != telemetry.EventInsert || e.Key != 0x1000+uint64(i)*0x40 {
+			t.Errorf("event %d = %v %#x, want insert of %#x", i, e.Kind, e.Key, 0x1000+i*0x40)
+		}
+	}
+}
+
+type recordSink struct{ events []telemetry.Event }
+
+func (s *recordSink) Emit(e telemetry.Event) { s.events = append(s.events, e) }
 
 func TestBehaviorCancelInFlight(t *testing.T) {
 	cfg := tinyConfig()
@@ -300,10 +365,10 @@ func TestBehaviorCancelInFlight(t *testing.T) {
 	c := uopcache.New(cfg, policy.NewLRU())
 	b := uopcache.NewBehavior(c, nil)
 	b.Access(uopcache.Prepare(cfg, []trace.PW{pw(0x1000, 4)}), 0)
-	if !b.CancelInFlight(0x1000) {
+	if !c.CancelInFlight(0x1000) {
 		t.Fatal("cancel failed")
 	}
-	if b.CancelInFlight(0x1000) {
+	if c.CancelInFlight(0x1000) {
 		t.Error("double cancel should fail")
 	}
 	b.Flush()
@@ -313,8 +378,59 @@ func TestBehaviorCancelInFlight(t *testing.T) {
 	if c.Stats.Bypasses != 1 {
 		t.Errorf("bypasses = %d, want 1", c.Stats.Bypasses)
 	}
-	if b.CancelInFlight(0x9999) {
+	if c.CancelInFlight(0x9999) {
 		t.Error("cancel of unknown window should fail")
+	}
+}
+
+// TestMissOnCancelledStaysCancelled: a miss that coalesces into a
+// cancelled in-flight window does not revive it — the (grown) window is
+// still bypassed on arrival, once.
+func TestMissOnCancelledStaysCancelled(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.InsertDelay = 4
+	c := uopcache.New(cfg, policy.NewLRU())
+	b := uopcache.NewBehavior(c, nil)
+	pt := uopcache.Prepare(cfg, []trace.PW{pw(0x1000, 4), pw(0x1000, 12)})
+	b.Access(pt, 0)
+	c.CancelInFlight(0x1000)
+	if r := b.Access(pt, 1); r.Kind != uopcache.ProbeMiss {
+		t.Fatalf("repeat lookup = %+v, want miss", r)
+	}
+	if c.CancelInFlight(0x1000) || c.InFlightCount() != 1 {
+		t.Errorf("repeat miss revived or duplicated the cancelled window (%d in flight)", c.InFlightCount())
+	}
+	b.Flush()
+	if c.Stats.Insertions != 0 || c.Stats.Bypasses != 1 {
+		t.Errorf("insertions = %d, bypasses = %d; want 0 and 1", c.Stats.Insertions, c.Stats.Bypasses)
+	}
+}
+
+// TestInFlightBoundKafka: over a real trace, behaviour mode never holds
+// more than max(InsertDelay, 1) insertions in flight.
+func TestInFlightBoundKafka(t *testing.T) {
+	spec, err := workload.Get("kafka")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pws := trace.FormPWs(workload.GenerateSpec(spec, 20000, 0), 0)
+	for _, delay := range []int{0, 1, 3, 8} {
+		cfg := uopcache.DefaultConfig()
+		cfg.InsertDelay = delay
+		c := uopcache.New(cfg, policy.NewLRU())
+		b := uopcache.NewBehavior(c, nil)
+		pt := uopcache.Prepare(cfg, pws)
+		peak := 0
+		for i := 0; i < pt.Len(); i++ {
+			b.Access(pt, i)
+			peak = max(peak, c.InFlightCount())
+		}
+		if peak > max(delay, 1) {
+			t.Errorf("delay %d: %d insertions in flight, bound %d", delay, peak, max(delay, 1))
+		}
+		if delay > 0 && peak != delay {
+			t.Errorf("delay %d: peak in flight %d; the trace should fill the pipe", delay, peak)
+		}
 	}
 }
 
@@ -360,8 +476,8 @@ func TestBehaviorRun(t *testing.T) {
 	if st.UopMissRate() >= 0.5 {
 		t.Errorf("loopy trace should mostly hit, miss rate %.2f", st.UopMissRate())
 	}
-	if b.Lookups() != 200 {
-		t.Errorf("Lookups() = %d", b.Lookups())
+	if c.Clock() != 200 {
+		t.Errorf("Clock() = %d", c.Clock())
 	}
 }
 
