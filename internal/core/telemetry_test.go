@@ -121,12 +121,12 @@ func TestBehaviorTelemetryReconciles(t *testing.T) {
 // TestTimingTelemetryPublishes checks that a timing-mode run publishes the
 // frontend_* aggregates alongside live uopcache_* counters.
 func TestTimingTelemetryPublishes(t *testing.T) {
-	blocks, _, err := core.TraceFor("kafka", 4000, 0)
+	blocks, pws, err := core.TraceFor("kafka", 4000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	res := core.RunTiming(blocks, core.DefaultConfig(), policy.NewLRU(), core.Telemetry{Metrics: reg})
+	res := core.RunTiming(blocks, pws, core.DefaultConfig(), policy.NewLRU(), core.Telemetry{Metrics: reg})
 	if res.Frontend.Cycles == 0 {
 		t.Fatal("timing run produced no cycles")
 	}

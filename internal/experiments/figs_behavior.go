@@ -67,7 +67,7 @@ func Table2(ctx *Context) (*Table, error) {
 		if err != nil {
 			return row{}, err
 		}
-		res := core.RunTiming(blocks, ctx.Cfg, policy.NewLRU(), ctx.Telemetry)
+		res := core.RunTiming(blocks, pws, ctx.Cfg, policy.NewLRU(), ctx.Telemetry)
 		an := trace.Analyze(pws, ctx.Cfg.UopCache.UopsPerEntry)
 		return row{Desc: spec.Description, Target: fmt.Sprintf("%.2f", spec.TargetMPKI),
 			MPKI: fmt.Sprintf("%.2f", res.Frontend.Branch.MPKI()), Distinct: an.DistinctStarts,

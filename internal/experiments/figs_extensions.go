@@ -21,7 +21,7 @@ func SensInclusion(ctx *Context) (*Table, error) {
 		Inval    uint64
 	}
 	rows, err := appRows(ctx, func(app string) (row, error) {
-		blocks, _, err := ctx.Trace(app, 0)
+		blocks, pws, err := ctx.Trace(app, 0)
 		if err != nil {
 			return row{}, err
 		}
@@ -32,12 +32,12 @@ func SensInclusion(ctx *Context) (*Table, error) {
 		speedup := func(nonInclusive bool) (float64, uint64, error) {
 			cfg := ctx.Cfg
 			cfg.Frontend.NonInclusive = nonInclusive
-			base := core.RunTiming(blocks, cfg, policy.NewLRU(), ctx.Telemetry)
+			base := core.RunTiming(blocks, pws, cfg, policy.NewLRU(), ctx.Telemetry)
 			pol, err := core.NewPolicy("furbys", prof, cfg.UopCache, policy.FURBYSConfig{})
 			if err != nil {
 				return 0, 0, err
 			}
-			fu := core.RunTiming(blocks, cfg, pol, ctx.Telemetry)
+			fu := core.RunTiming(blocks, pws, cfg, pol, ctx.Telemetry)
 			return fu.Frontend.IPC()/base.Frontend.IPC() - 1, fu.Frontend.UopCache.Invalidations, nil
 		}
 		inc, _, err := speedup(false)

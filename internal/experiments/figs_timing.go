@@ -47,16 +47,16 @@ func Fig2PerfectStructures(ctx *Context) (*Table, error) {
 		{"btb", func(c *core.Config) { c.Frontend.PerfectBTB = true }},
 	}
 	rows, err := appRows(ctx, func(app string) ([]float64, error) {
-		blocks, _, err := ctx.Trace(app, 0)
+		blocks, pws, err := ctx.Trace(app, 0)
 		if err != nil {
 			return nil, err
 		}
-		base := core.RunTiming(blocks, ctx.Cfg, policy.NewLRU(), ctx.Telemetry)
+		base := core.RunTiming(blocks, pws, ctx.Cfg, policy.NewLRU(), ctx.Telemetry)
 		gains := make([]float64, len(variants))
 		for i, v := range variants {
 			cfg := ctx.Cfg
 			v.apply(&cfg)
-			res := core.RunTiming(blocks, cfg, policy.NewLRU(), ctx.Telemetry)
+			res := core.RunTiming(blocks, pws, cfg, policy.NewLRU(), ctx.Telemetry)
 			gains[i] = res.PPW/base.PPW - 1
 		}
 		return gains, nil
@@ -136,7 +136,7 @@ func Fig11IPC(ctx *Context) (*Table, error) {
 	t := &Table{Name: "fig11", Title: "IPC speedup over LRU (Fig. 11)",
 		Columns: append(append([]string{"application"}, names...), "infinite uop cache")}
 	rows, err := appRows(ctx, func(app string) ([]float64, error) {
-		blocks, _, err := ctx.Trace(app, 0)
+		blocks, pws, err := ctx.Trace(app, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -155,7 +155,7 @@ func Fig11IPC(ctx *Context) (*Table, error) {
 		// Infinite (perfect) micro-op cache bound.
 		cfg := ctx.Cfg
 		cfg.Frontend.PerfectUopCache = true
-		inf := core.RunTiming(blocks, cfg, policy.NewLRU(), ctx.Telemetry)
+		inf := core.RunTiming(blocks, pws, cfg, policy.NewLRU(), ctx.Telemetry)
 		speedups = append(speedups, inf.Frontend.IPC()/base.Frontend.IPC()-1)
 		return speedups, nil
 	})
@@ -248,7 +248,7 @@ func Fig12ISOPerformance(ctx *Context) (*Table, error) {
 			if err != nil {
 				return point{}, err
 			}
-			tim := core.RunTiming(blocks, cfg, pol2, ctx.Telemetry)
+			tim := core.RunTiming(blocks, pws, cfg, pol2, ctx.Telemetry)
 			ipcs = append(ipcs, tim.Frontend.IPC())
 		}
 		return point{MissRate: mean(missRates), IPC: mean(ipcs), Red: mean(reds)}, nil
@@ -271,7 +271,7 @@ func Fig13EnergyBreakdownClang(ctx *Context) (*Table, error) {
 		Columns: []string{"configuration", "decoder", "icache", "uop cache", "others", "total vs no-uop-cache"}}
 	labels := []string{"no uop cache", "lru", "furbys"}
 	results, err := cells(ctx, labels, func(i int) (core.TimingResult, error) {
-		blocks, _, err := ctx.Trace(app, 0)
+		blocks, pws, err := ctx.Trace(app, 0)
 		if err != nil {
 			return core.TimingResult{}, err
 		}
@@ -279,9 +279,9 @@ func Fig13EnergyBreakdownClang(ctx *Context) (*Table, error) {
 		case 0:
 			noCfg := ctx.Cfg
 			noCfg.Frontend.DisableUopCache = true
-			return core.RunTiming(blocks, noCfg, policy.NewLRU(), ctx.Telemetry), nil
+			return core.RunTiming(blocks, pws, noCfg, policy.NewLRU(), ctx.Telemetry), nil
 		case 1:
-			return core.RunTiming(blocks, ctx.Cfg, policy.NewLRU(), ctx.Telemetry), nil
+			return core.RunTiming(blocks, pws, ctx.Cfg, policy.NewLRU(), ctx.Telemetry), nil
 		default:
 			prof, err := ctx.Profile(app, 0, profiles.SourceFLACK)
 			if err != nil {
@@ -291,7 +291,7 @@ func Fig13EnergyBreakdownClang(ctx *Context) (*Table, error) {
 			if err != nil {
 				return core.TimingResult{}, err
 			}
-			return core.RunTiming(blocks, ctx.Cfg, fpol, ctx.Telemetry), nil
+			return core.RunTiming(blocks, pws, ctx.Cfg, fpol, ctx.Telemetry), nil
 		}
 	})
 	if err != nil {
@@ -321,11 +321,11 @@ func Fig14EnergyReductionBreakdown(ctx *Context) (*Table, error) {
 		TotFrac float64
 	}
 	rows, err := appRows(ctx, func(app string) (row, error) {
-		blocks, _, err := ctx.Trace(app, 0)
+		blocks, pws, err := ctx.Trace(app, 0)
 		if err != nil {
 			return row{}, err
 		}
-		lru := core.RunTiming(blocks, ctx.Cfg, policy.NewLRU(), ctx.Telemetry)
+		lru := core.RunTiming(blocks, pws, ctx.Cfg, policy.NewLRU(), ctx.Telemetry)
 		prof, err := ctx.Profile(app, 0, profiles.SourceFLACK)
 		if err != nil {
 			return row{}, err
@@ -334,7 +334,7 @@ func Fig14EnergyReductionBreakdown(ctx *Context) (*Table, error) {
 		if err != nil {
 			return row{}, err
 		}
-		fu := core.RunTiming(blocks, ctx.Cfg, fpol, ctx.Telemetry)
+		fu := core.RunTiming(blocks, pws, ctx.Cfg, fpol, ctx.Telemetry)
 		dIc := lru.Power.ICache - fu.Power.ICache
 		dUop := lru.Power.UopCache - fu.Power.UopCache
 		dDec := lru.Power.Decoder - fu.Power.Decoder

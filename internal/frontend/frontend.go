@@ -1,12 +1,14 @@
 // Package frontend is the cycle-approximate timing model of the x86-style
-// decoupled frontend in the paper's Fig. 1: blocks flow through the branch
-// predictor, are formed into prediction windows, and each window is served
-// either by the micro-op cache path (up to 8 micro-ops per cycle, one PW per
-// cycle) or by the legacy decode path (icache fetch + 4-wide decoder with a
-// 5-cycle pipeline), with a 1-cycle penalty on every path switch. Micro-op
-// cache insertions land decode-latency cycles after their triggering miss,
-// through the cache's in-flight queue on the cycle clock (the asynchronous
-// lookup/insertion the paper studies). The frontend
+// decoupled frontend in the paper's Fig. 1. It does not form prediction
+// windows: it walks the trace's shared PW sequence (trace.FormPWs, the
+// paper's STEP 2 lookup sequence) next to its block stream. Blocks flow
+// through the branch predictor, and each window is served at the block
+// that emits it, either by the micro-op cache path (up to 8 micro-ops per
+// cycle, one PW per cycle) or by the legacy decode path (icache fetch +
+// 4-wide decoder with a 5-cycle pipeline), with a 1-cycle penalty on every
+// path switch. Micro-op cache insertions land decode-latency cycles after
+// their triggering miss, through the cache's in-flight queue on the cycle
+// clock (the asynchronous lookup/insertion the paper studies). The frontend
 // feeds the backend drain model to produce IPC, and counts every event the
 // power model charges for.
 package frontend
@@ -133,8 +135,7 @@ func (r Result) PublishMetrics(reg *telemetry.Registry) {
 	reg.Gauge("frontend_uop_miss_rate").Set(r.UopCache.UopMissRate())
 }
 
-// Frontend is the timing simulator. Construct with New and drive with
-// RunBlocks.
+// Frontend is the timing simulator. Construct with New and drive with Run.
 type Frontend struct {
 	cfg Config
 	bp  *branch.Predictor
@@ -142,7 +143,6 @@ type Frontend struct {
 	l1i *cache.Cache
 	be  *backend.Backend
 
-	former    *trace.Former
 	inUopPath bool
 	cycle     uint64
 	events    Events
@@ -157,16 +157,15 @@ func New(cfg Config, bp *branch.Predictor, uc *uopcache.Cache, l1i *cache.Cache,
 	if l1i != nil && !cfg.NonInclusive {
 		uc.MakeInclusive(l1i)
 	}
-	return &Frontend{cfg: cfg, bp: bp, uc: uc, l1i: l1i, be: be, former: trace.NewFormer(0)}
+	return &Frontend{cfg: cfg, bp: bp, uc: uc, l1i: l1i, be: be}
 }
 
-// RunBlocks drives the whole dynamic block stream and returns the result.
-func (f *Frontend) RunBlocks(blocks []trace.Block) Result {
+// Run drives the whole dynamic block stream and its PW sequence, which
+// must be trace.FormPWs(blocks, 0) — Run panics if it is not — and returns
+// the result.
+func (f *Frontend) Run(blocks []trace.Block, pws []trace.PW) Result {
 	written := f.uc.Stats.EntriesWritten
-	for _, b := range blocks {
-		f.step(b)
-	}
-	f.former.Flush(func(p trace.PW) { f.servePW(p) })
+	f.walk(blocks, pws)
 	f.uc.Complete(math.MaxUint64)
 	// Every entry the cache wrote during the run came from this
 	// frontend's insertions.
@@ -188,19 +187,35 @@ func (f *Frontend) RunBlocks(blocks []trace.Block) Result {
 
 func (f *Frontend) backendStats() backend.Stats { return f.be.StatsCopy() }
 
-// step processes one dynamic block: prediction, PW formation, delivery.
-func (f *Frontend) step(b trace.Block) {
-	f.events.BPLookups++
-	if b.Kind.IsBranch() {
-		f.events.BTBLookups++
+// walk steps every block through prediction and serves each window at the
+// block that emits it, so a block's misprediction or BTB-miss penalty lands
+// on the first window emitted after it.
+//
+//simlint:hotpath
+func (f *Frontend) walk(blocks []trace.Block, pws []trace.PW) {
+	w := windowWalk{blocks: blocks, pws: pws}
+	k, at := 0, w.emission(0)
+	for i := range blocks {
+		b := &blocks[i]
+		f.events.BPLookups++
+		if b.Kind.IsBranch() {
+			f.events.BTBLookups++
+		}
+		out := f.bp.Process(*b)
+		for ; at == i; k++ {
+			f.servePW(pws[k])
+			at = w.emission(k + 1)
+		}
+		if out.Mispredicted && !f.cfg.PerfectBP {
+			f.pendingPenalty += f.cfg.MispredictPenalty
+			f.events.MispredictFlushes++
+		} else if out.BTBMiss && !f.cfg.PerfectBTB {
+			f.pendingPenalty += f.cfg.BTBMissPenalty
+		}
 	}
-	out := f.bp.Process(b)
-	f.former.Add(b, func(p trace.PW) { f.servePW(p) })
-	if out.Mispredicted && !f.cfg.PerfectBP {
-		f.pendingPenalty += f.cfg.MispredictPenalty
-		f.events.MispredictFlushes++
-	} else if out.BTBMiss && !f.cfg.PerfectBTB {
-		f.pendingPenalty += f.cfg.BTBMissPenalty
+	for ; at == len(blocks); k++ {
+		f.servePW(pws[k])
+		at = w.emission(k + 1)
 	}
 }
 

@@ -28,7 +28,7 @@ func TestDisableUopCacheDecodesEverything(t *testing.T) {
 	cfg := frontend.DefaultConfig()
 	cfg.DisableUopCache = true
 	f, uc := buildWith(cfg)
-	res := f.RunBlocks(blocks)
+	res := run(f, blocks)
 	if res.Events.UopCacheHitUops != 0 {
 		t.Error("disabled uop cache served uops")
 	}
@@ -47,11 +47,11 @@ func TestDisableSlowerThanEnable(t *testing.T) {
 	spec, _ := workload.Get("kafka")
 	blocks := workload.GenerateSpec(spec, 20000, 0)
 	on, _ := buildWith(frontend.DefaultConfig())
-	resOn := on.RunBlocks(blocks)
+	resOn := run(on, blocks)
 	cfg := frontend.DefaultConfig()
 	cfg.DisableUopCache = true
 	off, _ := buildWith(cfg)
-	resOff := off.RunBlocks(blocks)
+	resOff := run(off, blocks)
 	if resOff.IPC() >= resOn.IPC() {
 		t.Errorf("no-uop-cache IPC %.3f >= with-cache %.3f", resOff.IPC(), resOn.IPC())
 	}
@@ -63,7 +63,7 @@ func TestNonInclusiveNoInvalidations(t *testing.T) {
 	cfg := frontend.DefaultConfig()
 	cfg.NonInclusive = true
 	f, uc := buildWith(cfg)
-	f.RunBlocks(blocks)
+	run(f, blocks)
 	if uc.Stats.Invalidations != 0 {
 		t.Errorf("non-inclusive frontend invalidated %d windows", uc.Stats.Invalidations)
 	}
@@ -71,7 +71,7 @@ func TestNonInclusiveNoInvalidations(t *testing.T) {
 
 func TestEmptyTrace(t *testing.T) {
 	f, _ := buildWith(frontend.DefaultConfig())
-	res := f.RunBlocks(nil)
+	res := run(f, nil)
 	if res.Instructions != 0 || res.Uops != 0 {
 		t.Errorf("empty trace produced work: %+v", res)
 	}
@@ -82,7 +82,7 @@ func TestEmptyTrace(t *testing.T) {
 
 func TestSingleBlock(t *testing.T) {
 	f, _ := buildWith(frontend.DefaultConfig())
-	res := f.RunBlocks([]trace.Block{{Addr: 0x1000, Bytes: 16, NumInst: 4, NumUops: 6}})
+	res := run(f, []trace.Block{{Addr: 0x1000, Bytes: 16, NumInst: 4, NumUops: 6}})
 	if res.Instructions != 4 || res.Uops != 6 {
 		t.Errorf("result = instructions %d uops %d", res.Instructions, res.Uops)
 	}
@@ -104,11 +104,11 @@ func TestUopBandwidthMatters(t *testing.T) {
 	narrow := frontend.DefaultConfig()
 	narrow.UopDeliver = 4
 	fN, _ := buildWith(narrow)
-	resN := fN.RunBlocks(blocks)
+	resN := run(fN, blocks)
 	wide := frontend.DefaultConfig()
 	wide.UopDeliver = 16
 	fW, _ := buildWith(wide)
-	resW := fW.RunBlocks(blocks)
+	resW := run(fW, blocks)
 	if resW.IPC() <= resN.IPC() {
 		t.Errorf("wide delivery IPC %.3f <= narrow %.3f", resW.IPC(), resN.IPC())
 	}
@@ -122,11 +122,11 @@ func TestMispredictPenaltyMatters(t *testing.T) {
 	cheap := frontend.DefaultConfig()
 	cheap.MispredictPenalty = 2
 	fC, _ := buildWith(cheap)
-	resC := fC.RunBlocks(blocks)
+	resC := run(fC, blocks)
 	dear := frontend.DefaultConfig()
 	dear.MispredictPenalty = 30
 	fD, _ := buildWith(dear)
-	resD := fD.RunBlocks(blocks)
+	resD := run(fD, blocks)
 	if resD.IPC() >= resC.IPC() {
 		t.Errorf("30-cycle penalty IPC %.3f >= 2-cycle %.3f", resD.IPC(), resC.IPC())
 	}
@@ -149,7 +149,7 @@ func TestRepeatedMissGrowsWindow(t *testing.T) {
 	f, uc := buildWith(frontend.DefaultConfig())
 	reg := telemetry.NewRegistry()
 	uc.AttachMetrics(reg)
-	res := f.RunBlocks(blocks)
+	res := run(f, blocks)
 	if r, ok := uc.ResidentFor(0x1000); !ok || r.Uops != 12 {
 		t.Fatalf("resident = %+v, %v; want the grown 12-uop window", r, ok)
 	}
@@ -183,7 +183,7 @@ func TestInFlightBoundTiming(t *testing.T) {
 	f, uc := buildWith(cfg)
 	sink := &boundSink{uc: uc}
 	uc.SetEventSink(sink)
-	res := f.RunBlocks(blocks)
+	res := run(f, blocks)
 	if res.UopCache.Insertions == 0 {
 		t.Fatal("no insertions: the queue was never exercised")
 	}

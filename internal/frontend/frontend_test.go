@@ -1,6 +1,8 @@
 package frontend_test
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"uopsim/internal/backend"
@@ -19,6 +21,11 @@ func build(cfg frontend.Config) *frontend.Frontend {
 	l1i := cache.New(cache.Config{SizeBytes: 32 << 10, LineBytes: 64, Ways: 8, LatencyCycles: 1})
 	be := backend.New(backend.DefaultConfig())
 	return frontend.New(cfg, bp, uc, l1i, be)
+}
+
+// run drives f over blocks and their FormPWs windows.
+func run(f *frontend.Frontend, blocks []trace.Block) frontend.Result {
+	return f.Run(blocks, trace.FormPWs(blocks, 0))
 }
 
 // loopTrace builds a tight loop of nBlocks repeated iters times.
@@ -42,7 +49,7 @@ func loopTrace(nBlocks, iters int) []trace.Block {
 
 func TestLoopIPCPositive(t *testing.T) {
 	f := build(frontend.DefaultConfig())
-	res := f.RunBlocks(loopTrace(4, 500))
+	res := run(f, loopTrace(4, 500))
 	if res.Cycles == 0 || res.Instructions == 0 {
 		t.Fatalf("empty result: %+v", res)
 	}
@@ -63,12 +70,12 @@ func TestPerfectUopCacheFasterAndColder(t *testing.T) {
 	blocks := workload.GenerateSpec(spec, 30000, 0)
 
 	real := build(frontend.DefaultConfig())
-	resReal := real.RunBlocks(blocks)
+	resReal := run(real, blocks)
 
 	pcfg := frontend.DefaultConfig()
 	pcfg.PerfectUopCache = true
 	perfect := build(pcfg)
-	resPerfect := perfect.RunBlocks(blocks)
+	resPerfect := run(perfect, blocks)
 
 	if resPerfect.Events.DecodedUops != 0 {
 		t.Errorf("perfect uop cache decoded %d uops", resPerfect.Events.DecodedUops)
@@ -87,11 +94,11 @@ func TestPerfectBPRemovesFlushes(t *testing.T) {
 	cfg := frontend.DefaultConfig()
 	cfg.PerfectBP = true
 	f := build(cfg)
-	res := f.RunBlocks(blocks)
+	res := run(f, blocks)
 	if res.Events.MispredictFlushes != 0 {
 		t.Errorf("perfect BP flushed %d times", res.Events.MispredictFlushes)
 	}
-	base := build(frontend.DefaultConfig()).RunBlocks(blocks)
+	base := run(build(frontend.DefaultConfig()), blocks)
 	if base.Events.MispredictFlushes == 0 {
 		t.Error("real BP never mispredicted wordpress — implausible")
 	}
@@ -105,7 +112,7 @@ func TestPerfectICacheNoMisses(t *testing.T) {
 	blocks := workload.GenerateSpec(spec, 20000, 0)
 	cfg := frontend.DefaultConfig()
 	cfg.PerfectICache = true
-	res := build(cfg).RunBlocks(blocks)
+	res := run(build(cfg), blocks)
 	if res.Events.ICacheMisses != 0 {
 		t.Errorf("perfect icache missed %d times", res.Events.ICacheMisses)
 	}
@@ -114,7 +121,7 @@ func TestPerfectICacheNoMisses(t *testing.T) {
 func TestEventAccounting(t *testing.T) {
 	spec, _ := workload.Get("kafka")
 	blocks := workload.GenerateSpec(spec, 20000, 0)
-	res := build(frontend.DefaultConfig()).RunBlocks(blocks)
+	res := run(build(frontend.DefaultConfig()), blocks)
 	e := res.Events
 	if e.UopCacheLookups == 0 || e.BPLookups == 0 || e.BTBLookups == 0 {
 		t.Fatalf("missing events: %+v", e)
@@ -138,7 +145,7 @@ func TestEventAccounting(t *testing.T) {
 func TestInclusionInTimingPath(t *testing.T) {
 	spec, _ := workload.Get("clang") // big footprint: L1i will evict
 	blocks := workload.GenerateSpec(spec, 40000, 0)
-	res := build(frontend.DefaultConfig()).RunBlocks(blocks)
+	res := run(build(frontend.DefaultConfig()), blocks)
 	if res.UopCache.Invalidations == 0 {
 		t.Error("no inclusive invalidations despite icache pressure")
 	}
@@ -147,8 +154,8 @@ func TestInclusionInTimingPath(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	spec, _ := workload.Get("python")
 	blocks := workload.GenerateSpec(spec, 10000, 0)
-	r1 := build(frontend.DefaultConfig()).RunBlocks(blocks)
-	r2 := build(frontend.DefaultConfig()).RunBlocks(blocks)
+	r1 := run(build(frontend.DefaultConfig()), blocks)
+	r2 := run(build(frontend.DefaultConfig()), blocks)
 	if r1.Cycles != r2.Cycles || r1.Events != r2.Events {
 		t.Error("timing model not deterministic")
 	}
@@ -159,10 +166,55 @@ func TestMPKIOrdering(t *testing.T) {
 	// timing model (monotonicity over a wide gap).
 	lo, _ := workload.Get("postgres")  // 0.41
 	hi, _ := workload.Get("wordpress") // 5.64
-	resLo := build(frontend.DefaultConfig()).RunBlocks(workload.GenerateSpec(lo, 40000, 0))
-	resHi := build(frontend.DefaultConfig()).RunBlocks(workload.GenerateSpec(hi, 40000, 0))
+	resLo := run(build(frontend.DefaultConfig()), workload.GenerateSpec(lo, 40000, 0))
+	resHi := run(build(frontend.DefaultConfig()), workload.GenerateSpec(hi, 40000, 0))
 	if resLo.Branch.MPKI() >= resHi.Branch.MPKI() {
 		t.Errorf("MPKI ordering violated: postgres %.2f >= wordpress %.2f",
 			resLo.Branch.MPKI(), resHi.Branch.MPKI())
+	}
+}
+
+// TestRunRejectsForeignWindows: Run walks only trace.FormPWs(blocks, 0)'s
+// windows and panics on any other sequence for the same blocks.
+func TestRunRejectsForeignWindows(t *testing.T) {
+	spec, _ := workload.Get("kafka")
+	blocks := workload.GenerateSpec(spec, 4000, 0)
+	pws := trace.FormPWs(blocks, 0)
+	cases := []struct {
+		name string
+		pws  []trace.PW
+	}{
+		{"clasp", trace.FormPWsWith(blocks, &trace.Former{MaxUops: trace.DefaultMaxUops, CrossLine: true, MaxLines: 2})},
+		{"maxUops16", trace.FormPWs(blocks, 16)},
+		{"truncated", pws[:len(pws)-1]},
+		{"nil", nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				err, ok := recover().(error)
+				if !ok || !strings.Contains(err.Error(), "not trace.FormPWs(blocks, 0)") {
+					t.Errorf("Run panicked with %v, want a FormPWs mismatch", err)
+				}
+			}()
+			build(frontend.DefaultConfig()).Run(blocks, tc.pws)
+		})
+	}
+}
+
+// TestRunAllocsPerBlock bounds the walk's allocations on a pre-formed
+// trace, not counting New and its substrate: forming windows is the
+// caller's one-time cost, so Run itself only allocates for cache state.
+func TestRunAllocsPerBlock(t *testing.T) {
+	spec, _ := workload.Get("kafka")
+	blocks := workload.GenerateSpec(spec, 20000, 0)
+	pws := trace.FormPWs(blocks, 0)
+	f := build(frontend.DefaultConfig())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f.Run(blocks, pws)
+	runtime.ReadMemStats(&after)
+	if perBlock := float64(after.Mallocs-before.Mallocs) / float64(len(blocks)); perBlock >= 0.1 {
+		t.Errorf("Run allocates %.3f objects per block, want < 0.1", perBlock)
 	}
 }

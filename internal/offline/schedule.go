@@ -10,8 +10,7 @@ import (
 // SchedulePolicy packages an offline plan (Belady's oracle or a FOO/FLACK
 // keep schedule) as a plain uopcache.Policy so the TIMING simulator can run
 // offline policies too (the paper's Fig. 11 reports FLACK IPC). Because the
-// timing frontend performs the same PW lookup sequence as FormPWs produces,
-// the policy only needs to know the current lookup position — supplied by
+// timing frontend walks the very PW sequence FormPWs produces, the policy only needs to know the current lookup position — supplied by
 // Bind, typically reading the cache's lookup counter.
 type SchedulePolicy struct {
 	name string

@@ -9,6 +9,7 @@ import (
 	"uopsim/internal/frontend"
 	"uopsim/internal/policy"
 	"uopsim/internal/power"
+	"uopsim/internal/trace"
 	"uopsim/internal/uopcache"
 	"uopsim/internal/workload"
 )
@@ -80,7 +81,7 @@ func runClang(t *testing.T, mutate func(*frontend.Config)) frontend.Result {
 	uc := uopcache.New(uopcache.DefaultConfig(), policy.NewLRU())
 	l1i := cache.New(cache.Config{SizeBytes: 32 << 10, LineBytes: 64, Ways: 8, LatencyCycles: 1})
 	be := backend.New(backend.DefaultConfig())
-	return frontend.New(fcfg, bp, uc, l1i, be).RunBlocks(blocks)
+	return frontend.New(fcfg, bp, uc, l1i, be).Run(blocks, trace.FormPWs(blocks, 0))
 }
 
 // TestFig13Calibration: in the no-uop-cache baseline the decoder and icache

@@ -50,47 +50,12 @@ func NewFormer(maxUops int) *Former {
 	return &Former{MaxUops: maxUops}
 }
 
-// instSlice describes one instruction carved out of a block.
-type instSlice struct {
-	addr  uint64
-	bytes uint16
-	uops  uint16
-}
-
-// splitInsts deterministically apportions a block's bytes and micro-ops
-// across its instructions: the first remainder instructions receive one extra
-// unit. This approximates instruction boundaries without modelling real x86
-// encodings; all that matters downstream is where line boundaries fall and
-// how many micro-ops each side of a cut carries.
-func splitInsts(b Block) []instSlice {
-	n := int(b.NumInst)
-	if n == 0 {
-		return nil
-	}
-	insts := make([]instSlice, n)
-	bb, br := int(b.Bytes)/n, int(b.Bytes)%n
-	ub, ur := int(b.NumUops)/n, int(b.NumUops)%n
-	addr := b.Addr
-	for i := 0; i < n; i++ {
-		by := bb
-		if i < br {
-			by++
-		}
-		uo := ub
-		if i < ur {
-			uo++
-		}
-		insts[i] = instSlice{addr: addr, bytes: uint16(by), uops: uint16(uo)}
-		addr += uint64(by)
-	}
-	return insts
-}
-
 // Add consumes one dynamic block, emitting any completed windows.
 func (f *Former) Add(b Block, emit func(PW)) {
-	for _, in := range splitInsts(b) {
+	for i := 0; i < int(b.NumInst); i++ {
+		addr := b.InstAddr(i)
 		if !f.curActive {
-			f.begin(in.addr)
+			f.begin(addr)
 		}
 		// A window never spans more lines than allowed: cut before
 		// adding an instruction that starts in a line beyond the
@@ -99,22 +64,23 @@ func (f *Former) Add(b Block, emit func(PW)) {
 		// the current one ends exactly on the boundary) keeps the
 		// taken-branch terminator attributable to the window it
 		// belongs to.
-		if f.lineBudgetExceeded(in.addr) {
+		if f.lineBudgetExceeded(addr) {
 			f.finish(false, emit)
-			f.begin(in.addr)
+			f.begin(addr)
 		}
 		// Cut before exceeding the micro-op cap, unless the window is
 		// empty (a single instruction larger than the cap still forms
 		// a window on its own).
-		if f.cur.NumInst > 0 && int(f.cur.NumUops)+int(in.uops) > f.MaxUops {
+		uops := b.UopsBefore(i+1) - b.UopsBefore(i)
+		if f.cur.NumInst > 0 && int(f.cur.NumUops)+uops > f.MaxUops {
 			f.finish(false, emit)
-			f.begin(in.addr)
+			f.begin(addr)
 		}
-		f.cur.Bytes += in.bytes
+		f.cur.Bytes += uint16(b.InstAddr(i+1) - addr)
 		f.cur.NumInst++
-		f.cur.NumUops += in.uops
+		f.cur.NumUops += uint16(uops)
 	}
-	if b.Kind.IsBranch() && b.Taken && f.curActive {
+	if b.EndsTaken() && f.curActive {
 		f.finish(true, emit)
 	}
 }

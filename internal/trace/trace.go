@@ -101,6 +101,31 @@ func (b Block) NextPC() uint64 {
 	return b.FallThrough()
 }
 
+// EndsTaken reports whether the block ends in a taken branch, which ends
+// its prediction window.
+func (b Block) EndsTaken() bool { return b.Kind.IsBranch() && b.Taken }
+
+// InstAddr returns the address of instruction i of the block; i == NumInst
+// gives the fall-through address. Together with UopsBefore it is the one
+// definition of instruction boundaries inside a block.
+func (b Block) InstAddr(i int) uint64 { return b.Addr + uint64(share(b.Bytes, b.NumInst, i)) }
+
+// UopsBefore returns the micro-ops of the block's first i instructions.
+func (b Block) UopsBefore(i int) int { return share(b.NumUops, b.NumInst, i) }
+
+// share apportions total units (bytes or micro-ops) across n instructions
+// and returns the units of the first i: each instruction gets total/n and
+// the first total%n get one extra. This approximates instruction boundaries
+// without modelling real x86 encodings; all that matters downstream is
+// where line boundaries fall and how many micro-ops each side of a cut
+// carries.
+func share(total, n uint16, i int) int {
+	if n == 0 {
+		return 0
+	}
+	return i*int(total/n) + min(i, int(total%n))
+}
+
 // LineSize is the instruction-cache line size in bytes; PW formation cuts
 // windows at these boundaries, matching the paper's 64-byte L1i lines.
 const LineSize = 64

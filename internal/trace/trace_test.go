@@ -165,36 +165,43 @@ func TestReadBlocksTruncated(t *testing.T) {
 	}
 }
 
-func TestSplitInstsConserves(t *testing.T) {
+func TestInstBoundariesConserve(t *testing.T) {
 	f := func(addr uint64, bytes, ninst, nuops uint16) bool {
 		ninst = ninst%20 + 1
 		bytes = bytes%300 + ninst // at least 1 byte per instruction on average is not required, just consistency
 		nuops = nuops % 64
 		b := Block{Addr: addr, Bytes: bytes, NumInst: ninst, NumUops: nuops}
-		insts := splitInsts(b)
-		if len(insts) != int(ninst) {
+		if b.InstAddr(0) != addr || b.InstAddr(int(ninst)) != b.FallThrough() {
 			return false
 		}
-		var tb, tu int
-		a := addr
-		for _, in := range insts {
-			if in.addr != a {
+		if b.UopsBefore(0) != 0 || b.UopsBefore(int(ninst)) != int(nuops) {
+			return false
+		}
+		// Every instruction gets the even share, the first remainder ones
+		// one unit more, so sizes never grow along the block.
+		prevBytes, prevUops := int(bytes)+1, int(nuops)+1
+		for i := 0; i < int(ninst); i++ {
+			by := int(b.InstAddr(i+1) - b.InstAddr(i))
+			uo := b.UopsBefore(i+1) - b.UopsBefore(i)
+			if by > prevBytes || uo > prevUops || by-int(bytes)/int(ninst) > 1 || uo-int(nuops)/int(ninst) > 1 {
 				return false
 			}
-			a += uint64(in.bytes)
-			tb += int(in.bytes)
-			tu += int(in.uops)
+			prevBytes, prevUops = by, uo
 		}
-		return tb == int(bytes) && tu == int(nuops)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestSplitInstsEmpty(t *testing.T) {
-	if got := splitInsts(Block{NumInst: 0, Bytes: 10}); got != nil {
-		t.Errorf("splitInsts of 0-inst block = %v, want nil", got)
+func TestInstBoundariesEmpty(t *testing.T) {
+	b := Block{Addr: 0x1000, NumInst: 0, Bytes: 10, NumUops: 3}
+	if b.InstAddr(0) != b.Addr || b.UopsBefore(0) != 0 {
+		t.Errorf("0-inst block: InstAddr(0) = %#x, UopsBefore(0) = %d", b.InstAddr(0), b.UopsBefore(0))
+	}
+	if pws := FormPWs([]Block{b}, 0); len(pws) != 0 {
+		t.Errorf("0-inst block formed windows: %+v", pws)
 	}
 }
 
