@@ -7,7 +7,8 @@ import (
 )
 
 // TestRunModes drives the CLI end to end in both modes on a short kafka
-// run and checks the exit status and the key report lines.
+// run, under an online policy and under the offline FLACK plan, and checks
+// the exit status and the key report lines.
 func TestRunModes(t *testing.T) {
 	for _, tc := range []struct {
 		mode string
@@ -17,15 +18,19 @@ func TestRunModes(t *testing.T) {
 		{"timing", []string{"mode=timing", "IPC=", "uop-miss-rate=", "energy (pJ):", "performance-per-watt="}},
 	} {
 		t.Run(tc.mode, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			args := []string{"-app", "kafka", "-policy", "lru", "-mode", tc.mode, "-blocks", "3000"}
-			if code := runMain(args, &stdout, &stderr); code != 0 {
-				t.Fatalf("exit %d: %s", code, stderr.String())
-			}
-			for _, w := range tc.want {
-				if !strings.Contains(stdout.String(), w) {
-					t.Errorf("output lacks %q:\n%s", w, stdout.String())
-				}
+			for _, pol := range []string{"lru", "flack"} {
+				t.Run(pol, func(t *testing.T) {
+					var stdout, stderr bytes.Buffer
+					args := []string{"-app", "kafka", "-policy", pol, "-mode", tc.mode, "-blocks", "3000"}
+					if code := runMain(args, &stdout, &stderr); code != 0 {
+						t.Fatalf("exit %d: %s", code, stderr.String())
+					}
+					for _, w := range tc.want {
+						if !strings.Contains(stdout.String(), w) {
+							t.Errorf("output lacks %q:\n%s", w, stdout.String())
+						}
+					}
+				})
 			}
 		})
 	}

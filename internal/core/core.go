@@ -274,22 +274,17 @@ type TimingResult struct {
 // RunTiming drives a dynamic block trace and its PW sequence through the
 // full timing model under the given replacement policy and prices it with
 // the energy table. pws must be trace.FormPWs(blocks, 0), the sequence
-// TraceFor returns; nil pws means "form them". Offline SchedulePolicy
-// instances are bound to the cache's lookup counter so their plans stay
-// aligned with the PW stream. The cache's uopcache_* counters and decision
-// events stream into tel during the run, and the frontend_* aggregates are
-// published at the end (zero tel = off).
+// TraceFor returns; nil pws means "form them". Offline plan policies follow
+// the cache's lookup clock, so their plans stay aligned with the PW stream.
+// The cache's uopcache_* counters and decision events stream into tel
+// during the run, and the frontend_* aggregates are published at the end
+// (zero tel = off).
 func RunTiming(blocks []trace.Block, pws []trace.PW, cfg Config, pol uopcache.Policy, tel Telemetry) TimingResult {
 	if pws == nil {
 		pws = trace.FormPWs(blocks, 0)
 	}
-	base := policy.Unwrap(pol)
-	pol = tel.instrument(pol)
-	uc := uopcache.New(cfg.UopCache, pol)
+	uc := uopcache.New(cfg.UopCache, tel.instrument(pol))
 	tel.attach(uc)
-	if sp, ok := base.(*offline.SchedulePolicy); ok {
-		sp.BindPos(func() int { return int(uc.Stats.Lookups) })
-	}
 	var l1i *cache.Cache
 	if !cfg.Frontend.PerfectICache {
 		l1i = cache.New(cfg.L1I)

@@ -67,7 +67,7 @@ func collectGolden(t *testing.T) goldenFile {
 		t.Fatalf("TraceFor(kafka): %v", err)
 	}
 	_ = pws
-	for _, name := range []string{"lru", "furbys", "flack"} {
+	for _, name := range []string{"lru", "furbys", "belady", "foo", "flack"} {
 		tr, err := core.RunTimingByName(name, blocks, pws, cfg, nil)
 		if err != nil {
 			t.Fatalf("RunTimingByName(%s): %v", name, err)

@@ -308,16 +308,6 @@ func (s *Solver) SolveSupplies(g *Graph, supply []int64) (Result, error) {
 	return res, nil
 }
 
-// MinCostFlow is the arena-free convenience form (a throwaway Solver).
-func (g *Graph) MinCostFlow(s, t int, maxFlow int64) Result {
-	return NewSolver().MinCostFlow(g, s, t, maxFlow)
-}
-
-// SolveSupplies is the arena-free convenience form (a throwaway Solver).
-func (g *Graph) SolveSupplies(supply []int64) (Result, error) {
-	return NewSolver().SolveSupplies(g, supply)
-}
-
 // ---------------------------------------------------------------------------
 // Solver pool and reuse telemetry
 

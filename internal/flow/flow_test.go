@@ -10,7 +10,7 @@ func TestSimplePath(t *testing.T) {
 	g := NewGraph(3)
 	g.AddEdge(0, 1, 5, 2)
 	g.AddEdge(1, 2, 3, 1)
-	res := g.MinCostFlow(0, 2, math.MaxInt64)
+	res := NewSolver().MinCostFlow(g, 0, 2, math.MaxInt64)
 	if res.Flow != 3 || res.Cost != 9 {
 		t.Errorf("res = %+v, want flow 3 cost 9", res)
 	}
@@ -22,7 +22,7 @@ func TestChoosesCheaperPath(t *testing.T) {
 	g.AddEdge(1, 3, 2, 1)
 	exp := g.AddEdge(0, 2, 2, 10)
 	g.AddEdge(2, 3, 2, 10)
-	res := g.MinCostFlow(0, 3, 2)
+	res := NewSolver().MinCostFlow(g, 0, 3, 2)
 	if res.Flow != 2 || res.Cost != 4 {
 		t.Errorf("res = %+v, want flow 2 cost 4", res)
 	}
@@ -37,7 +37,7 @@ func TestSpillsToExpensivePath(t *testing.T) {
 	g.AddEdge(1, 3, 2, 1)
 	g.AddEdge(0, 2, 2, 10)
 	g.AddEdge(2, 3, 2, 10)
-	res := g.MinCostFlow(0, 3, 4)
+	res := NewSolver().MinCostFlow(g, 0, 3, 4)
 	if res.Flow != 4 || res.Cost != 2*2+2*20 {
 		t.Errorf("res = %+v, want flow 4 cost 44", res)
 	}
@@ -46,7 +46,7 @@ func TestSpillsToExpensivePath(t *testing.T) {
 func TestMaxFlowLimit(t *testing.T) {
 	g := NewGraph(2)
 	g.AddEdge(0, 1, 100, 1)
-	res := g.MinCostFlow(0, 1, 7)
+	res := NewSolver().MinCostFlow(g, 0, 1, 7)
 	if res.Flow != 7 || res.Cost != 7 {
 		t.Errorf("res = %+v", res)
 	}
@@ -55,7 +55,7 @@ func TestMaxFlowLimit(t *testing.T) {
 func TestNoPath(t *testing.T) {
 	g := NewGraph(3)
 	g.AddEdge(0, 1, 5, 1)
-	res := g.MinCostFlow(0, 2, math.MaxInt64)
+	res := NewSolver().MinCostFlow(g, 0, 2, math.MaxInt64)
 	if res.Flow != 0 || res.Cost != 0 {
 		t.Errorf("res = %+v, want zero", res)
 	}
@@ -63,7 +63,7 @@ func TestNoPath(t *testing.T) {
 
 func TestSameSourceSink(t *testing.T) {
 	g := NewGraph(1)
-	if res := g.MinCostFlow(0, 0, 10); res.Flow != 0 {
+	if res := NewSolver().MinCostFlow(g, 0, 0, 10); res.Flow != 0 {
 		t.Errorf("res = %+v", res)
 	}
 }
@@ -90,7 +90,7 @@ func TestSolveSupplies(t *testing.T) {
 	g := NewGraph(3)
 	g.AddEdge(0, 1, 10, 1)
 	g.AddEdge(1, 2, 10, 1)
-	res, err := g.SolveSupplies([]int64{4, 0, -4})
+	res, err := NewSolver().SolveSupplies(g, []int64{4, 0, -4})
 	if err != nil {
 		t.Fatalf("err = %v", err)
 	}
@@ -102,21 +102,21 @@ func TestSolveSupplies(t *testing.T) {
 func TestSolveSuppliesInfeasible(t *testing.T) {
 	g := NewGraph(2)
 	g.AddEdge(0, 1, 2, 1)
-	if _, err := g.SolveSupplies([]int64{5, -5}); err == nil {
+	if _, err := NewSolver().SolveSupplies(g, []int64{5, -5}); err == nil {
 		t.Error("want infeasibility error")
 	}
 }
 
 func TestSolveSuppliesUnbalanced(t *testing.T) {
 	g := NewGraph(2)
-	if _, err := g.SolveSupplies([]int64{1, 0}); err == nil {
+	if _, err := NewSolver().SolveSupplies(g, []int64{1, 0}); err == nil {
 		t.Error("want balance error")
 	}
 }
 
 func TestSolveSuppliesWrongLength(t *testing.T) {
 	g := NewGraph(2)
-	if _, err := g.SolveSupplies([]int64{1}); err == nil {
+	if _, err := NewSolver().SolveSupplies(g, []int64{1}); err == nil {
 		t.Error("want length error")
 	}
 }
@@ -177,6 +177,7 @@ func bruteMinCost(n int, edges []bruteEdge, s, t int, want int64) int64 {
 // enumeration on random tiny graphs.
 func TestAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	sv := NewSolver() // one arena across every graph size: reuse must not leak state
 	for iter := 0; iter < 300; iter++ {
 		n := 3 + rng.Intn(3) // 3..5 nodes
 		ne := 3 + rng.Intn(4)
@@ -195,13 +196,13 @@ func TestAgainstBruteForce(t *testing.T) {
 		}
 		// First find max flow via the solver, then check min-cost at a
 		// smaller target against brute force.
-		maxRes := g.MinCostFlow(s, tt, math.MaxInt64)
+		maxRes := sv.MinCostFlow(g, s, tt, math.MaxInt64)
 		for want := int64(0); want <= maxRes.Flow; want++ {
 			g2 := NewGraph(n)
 			for _, e := range edges {
 				g2.AddEdge(e.u, e.v, e.cap, e.cost)
 			}
-			got := g2.MinCostFlow(s, tt, want)
+			got := sv.MinCostFlow(g2, s, tt, want)
 			if got.Flow != want {
 				t.Fatalf("iter %d: solver routed %d of %d (max %d)", iter, got.Flow, want, maxRes.Flow)
 			}
@@ -227,7 +228,7 @@ func TestFlowAccounting(t *testing.T) {
 		g.AddEdge(1, 3, 2, 1),
 		g.AddEdge(2, 3, 4, 1),
 	}
-	res := g.MinCostFlow(0, 3, math.MaxInt64)
+	res := NewSolver().MinCostFlow(g, 0, 3, math.MaxInt64)
 	out := g.Flow(ids[0]) + g.Flow(ids[1])
 	in := g.Flow(ids[2]) + g.Flow(ids[3])
 	if out != res.Flow || in != res.Flow {
@@ -249,6 +250,6 @@ func BenchmarkMinCostFlowChain(b *testing.B) {
 		for v := 0; v+10 < n; v += 3 {
 			g.AddEdge(v, v+10, 2, 3)
 		}
-		g.MinCostFlow(0, n-1, 64)
+		NewSolver().MinCostFlow(g, 0, n-1, 64)
 	}
 }

@@ -56,69 +56,6 @@ func (f Features) Label() string {
 	return s
 }
 
-// replayPolicy enforces a Decisions plan inside the cache: victims are
-// residents whose current interval the plan does not keep (furthest next
-// use among them); when every resident is kept, the furthest-next-use
-// resident goes. Under SelBypass, unkept arrivals are bypassed only under
-// pressure (this method only runs when the set is full), which is exactly
-// FLACK's bypass throttling.
-type replayPolicy struct {
-	o  *Oracle
-	pt *trace.PreparedTrace
-	// curKeep tracks, per dense key id, whether the plan keeps the
-	// window's current interval (updated by the driver at each lookup).
-	curKeep []bool
-}
-
-// kept reads the plan's current decision for a window.
-//
-//simlint:hotpath
-func (p *replayPolicy) kept(key uint64) bool {
-	id, ok := p.pt.IDOf(key)
-	return ok && p.curKeep[id]
-}
-
-// Name implements uopcache.Policy.
-func (p *replayPolicy) Name() string { return "offline-replay" }
-
-// Bind implements uopcache.Policy (plan-driven; no per-slot state).
-func (p *replayPolicy) Bind(uopcache.Geometry) {}
-
-// OnHit implements uopcache.Policy.
-func (p *replayPolicy) OnHit(int, int32, uint64) {}
-
-// OnInsert implements uopcache.Policy.
-func (p *replayPolicy) OnInsert(int, int32, trace.PW) {}
-
-// OnEvict implements uopcache.Policy.
-func (p *replayPolicy) OnEvict(int, int32, uint64) {}
-
-// Victim implements uopcache.Policy.
-func (p *replayPolicy) Victim(_ int, residents []uopcache.Resident, incoming trace.PW) uopcache.Decision {
-	// Under pressure, an unkept arrival is bypassed rather than evicting
-	// anything.
-	if !p.kept(incoming.Start) {
-		return uopcache.Decision{Bypass: true, Reason: ReasonUnkeptArrival}
-	}
-	var bestUnkept, bestAny uint64
-	unkeptNext, anyNext := -1, -1
-	for _, r := range residents {
-		n := p.o.NextUse(r.Key)
-		if n > anyNext || (n == anyNext && r.Key < bestAny) {
-			bestAny, anyNext = r.Key, n
-		}
-		if !p.kept(r.Key) {
-			if n > unkeptNext || (n == unkeptNext && r.Key < bestUnkept) {
-				bestUnkept, unkeptNext = r.Key, n
-			}
-		}
-	}
-	if unkeptNext >= 0 {
-		return uopcache.Decision{VictimKey: bestUnkept, Reason: ReasonUnkeptFurthest, Score: float64(unkeptNext)}
-	}
-	return uopcache.Decision{VictimKey: bestAny, Reason: ReasonKeptFurthest, Score: float64(anyNext)}
-}
-
 // Result bundles replay statistics with the per-lookup outcomes FURBYS's
 // profiling pipeline consumes.
 type Result struct {
@@ -205,7 +142,8 @@ func ReplayPlan(pws []trace.PW, cfg uopcache.Config, dec *Decisions, opts Option
 	return replayDecisions(uopcache.PreparedFor(cfg, pws, opts.Prepared), cfg, dec, opts)
 }
 
-// replayDecisions drives the behaviour simulator under a plan.
+// replayDecisions drives the behaviour simulator under a plan (nil dec =
+// Belady).
 //
 // Unlike the solve, the replay does NOT decompose per set: the behaviour
 // simulator's asynchronous-insertion due times count GLOBAL lookups (an
@@ -215,23 +153,23 @@ func ReplayPlan(pws []trace.PW, cfg uopcache.Config, dec *Decisions, opts Option
 // results, so parallel speedup for replays comes from running independent
 // (experiment, app) cells concurrently at the harness layer instead.
 func replayDecisions(pt *trace.PreparedTrace, cfg uopcache.Config, dec *Decisions, opts Options) Result {
-	o := NewOracle(pt)
-	rp := &replayPolicy{o: o, pt: pt, curKeep: make([]bool, pt.NumKeys())}
-	b := opts.newBehavior(cfg, rp)
+	var keep []bool
+	name := "belady"
+	if dec != nil {
+		keep, name = dec.Keep, opts.Features.Label()
+	}
+	b := opts.newBehavior(cfg, newPlanPolicy(pt, keep, name))
 	c := b.C
 	var res Result
 	if opts.RecordPerLookup {
 		res.PerLookup = make([]uopcache.ProbeResult, 0, pt.Len())
 	}
 	for i, n := 0, pt.Len(); i < n; i++ {
-		o.Advance(i)
-		kept := dec.Keep[i]
-		rp.curKeep[pt.KeyID(i)] = kept
 		r := b.Access(pt, i)
 		if opts.RecordPerLookup {
 			res.PerLookup = append(res.PerLookup, r)
 		}
-		if !kept {
+		if keep != nil && !keep[i] {
 			start := pt.At(i).Start
 			if !opts.Features.Async {
 				// Raw FOO applies its decision at lookup time:
@@ -257,23 +195,7 @@ func replayDecisions(pt *trace.PreparedTrace, cfg uopcache.Config, dec *Decision
 
 // RunBelady replays the lookup sequence under Belady's algorithm.
 func RunBelady(pws []trace.PW, cfg uopcache.Config, opts Options) Result {
-	pt := uopcache.PreparedFor(cfg, pws, opts.Prepared)
-	o := NewOracle(pt)
-	b := opts.newBehavior(cfg, NewBelady(o))
-	var res Result
-	if opts.RecordPerLookup {
-		res.PerLookup = make([]uopcache.ProbeResult, 0, pt.Len())
-	}
-	for i, n := 0, pt.Len(); i < n; i++ {
-		o.Advance(i)
-		r := b.Access(pt, i)
-		if opts.RecordPerLookup {
-			res.PerLookup = append(res.PerLookup, r)
-		}
-	}
-	b.Flush()
-	res.Stats = b.C.Stats
-	return res
+	return replayDecisions(uopcache.PreparedFor(cfg, pws, opts.Prepared), cfg, nil, opts)
 }
 
 // RunFLACK replays under the full FLACK policy (all features).

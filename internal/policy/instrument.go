@@ -22,8 +22,10 @@ func metricSafe(name string) string {
 
 // Instrumented decorates a replacement policy with per-policy decision
 // counters (policy_<name>_*_total) in a telemetry registry. It preserves the
-// wrapped policy's Name so reports and event traces are unchanged; callers
-// needing the concrete policy (e.g. FURBYS stats) use Unwrap.
+// wrapped policy's Name so reports and event traces are unchanged, and
+// forwards Bind so the wrapped policy sees the cache's geometry and clock;
+// callers needing the concrete policy (e.g. FURBYS stats) keep their own
+// reference to it.
 //
 //simlint:ignore registry decorator applied by core.attach around factory-built policies, not a standalone registry entry
 type Instrumented struct {
@@ -48,9 +50,6 @@ func Instrument(p uopcache.Policy, reg *telemetry.Registry) *Instrumented {
 		bypasses:    reg.Counter(prefix + "bypasses_total"),     //simlint:ignore telemetry per-policy family policy_<name>_*, name mangled to [a-z0-9_] by metricSafe
 	}
 }
-
-// Unwrap returns the decorated policy.
-func (p *Instrumented) Unwrap() uopcache.Policy { return p.base }
 
 // Name implements uopcache.Policy.
 func (p *Instrumented) Name() string { return p.base.Name() }
@@ -92,16 +91,4 @@ func (p *Instrumented) Victim(set int, residents []uopcache.Resident, incoming t
 		p.bypasses.Inc()
 	}
 	return d
-}
-
-// Unwrap peels Instrumented decorations off a policy, returning the
-// underlying implementation for concrete-type inspection.
-func Unwrap(p uopcache.Policy) uopcache.Policy {
-	for {
-		w, ok := p.(*Instrumented)
-		if !ok {
-			return p
-		}
-		p = w.base
-	}
 }

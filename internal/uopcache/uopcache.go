@@ -130,14 +130,20 @@ const (
 	ReasonForced = "forced"
 )
 
-// Geometry is the dense slot layout a Policy binds its metadata to: the
-// cache has Sets x SlotsPerSet slots, and every resident's (set, slot) pair
-// is stable for its lifetime. SlotsPerSet equals Ways normally and
-// Ways x UopsPerEntry under compaction (one slot per micro-op of capacity,
-// the maximum number of co-resident windows).
+// Geometry is what a Policy binds to: the dense slot layout for its
+// metadata and the cache's lookup clock. The cache has Sets x SlotsPerSet
+// slots, and every resident's (set, slot) pair is stable for its lifetime.
+// SlotsPerSet equals Ways normally and Ways x UopsPerEntry under compaction
+// (one slot per micro-op of capacity, the maximum number of co-resident
+// windows).
 type Geometry struct {
 	Sets        int
 	SlotsPerSet int
+	// Clock reads the cache's lookup clock (Cache.Clock). It ticks once
+	// per lookup in both simulation modes and ResetStats leaves it alone,
+	// so a plan-driven policy uses it as its position in the lookup
+	// sequence.
+	Clock func() uint64
 }
 
 // Slots returns the total slot count; policies size per-slot arrays with it.
@@ -152,7 +158,8 @@ func (g Geometry) Slots() int { return g.Sets * g.SlotsPerSet }
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
-	// Bind sizes per-slot metadata; called once by New before any event.
+	// Bind sizes per-slot metadata and may keep g.Clock; called once by
+	// New before any event.
 	Bind(g Geometry)
 	// OnHit fires when a lookup hits resident window key in set.
 	OnHit(set int, slot int32, key uint64)
@@ -367,13 +374,8 @@ func New(cfg Config, policy Policy) *Cache {
 	}
 	c.viewBuf = make([]Resident, 0, c.capSlots)
 	c.inflight = make([]inflightInsert, max(cfg.InsertDelay, 1))
-	policy.Bind(Geometry{Sets: numSets, SlotsPerSet: c.capSlots})
+	policy.Bind(Geometry{Sets: numSets, SlotsPerSet: c.capSlots, Clock: c.Clock})
 	return c
-}
-
-// Geometry returns the dense slot layout (what New passed to Policy.Bind).
-func (c *Cache) Geometry() Geometry {
-	return Geometry{Sets: c.cfg.Sets(), SlotsPerSet: c.capSlots}
 }
 
 // findSlot returns the slot holding key in set s, or -1.
@@ -1059,7 +1061,8 @@ func (c *Cache) TotalUsedEntries() int {
 // the uopcache_slot_occupancy gauge exposes).
 func (c *Cache) ResidentCount() int { return c.totalResidents }
 
-// Clock returns the lookup sequence number (monotonic).
+// Clock returns the lookup sequence number: the number of lookups so far,
+// monotonic and untouched by ResetStats.
 func (c *Cache) Clock() uint64 { return c.clock }
 
 // Utilization reports how full the occupied entries are: stored micro-ops
@@ -1099,6 +1102,6 @@ func (c *Cache) Occupancy() float64 {
 	return float64(c.TotalUsedEntries()) / float64(total)
 }
 
-// ResetStats clears the statistics without disturbing contents; behaviour
-// runs use it to discard warmup effects.
+// ResetStats clears the statistics without disturbing contents or the
+// lookup clock; runs use it to discard warmup effects.
 func (c *Cache) ResetStats() { c.Stats = Stats{} }
