@@ -4,12 +4,19 @@
 // formulation (Berger et al., "Practical Bounds on Optimal Caching with
 // Variable Object Sizes").
 //
+// Each augmenting path's Dijkstra stops as soon as the sink is settled. The
+// potentials stay valid for the next path because a settled node v takes
+// pot += dist[v] and every other node takes pot += dist[t]: an unsettled
+// node's true distance is at least dist[t], so every residual arc keeps a
+// non-negative reduced cost.
+//
 // The Dijkstra scratch state (potentials, distances, parent arcs, visited
 // marks, and the binary heap) lives in a reusable Solver arena: allocated
 // once, grown to the largest graph seen, and invalidated by epoch stamping
 // instead of O(n) clears between augmenting paths. FOO solves thousands of
 // per-(set, segment) instances per experiment, so the arena turns the
-// solver's allocation profile from per-instance to per-worker.
+// solver's allocation profile from per-instance to per-worker. A Graph can
+// likewise be reshaped in place with Reset, keeping its arc storage.
 package flow
 
 import (
@@ -42,18 +49,32 @@ func NewGraph(n int) *Graph { return NewGraphCap(n, 0) }
 // edge count never grow a slice mid-build. The node index keeps two spare
 // head slots for SolveSupplies' super source and sink.
 func NewGraphCap(n, edgeCap int) *Graph {
-	head := make([]int32, n, n+2)
-	for i := range head {
-		head[i] = -1
+	g := &Graph{}
+	g.Reset(n, edgeCap)
+	return g
+}
+
+// Reset empties g and reshapes it to n nodes with room for edgeCap logical
+// edges, as NewGraphCap would, but keeps the node index and arc storage
+// whenever they are already large enough: a builder that solves many graphs
+// in turn reuses one Graph without allocating.
+func (g *Graph) Reset(n, edgeCap int) {
+	g.n = n
+	if cap(g.headA) < n+2 {
+		g.headA = make([]int32, n, n+2)
 	}
-	g := &Graph{n: n, headA: head}
-	if edgeCap > 0 {
+	g.headA = g.headA[:n]
+	for i := range g.headA {
+		g.headA[i] = -1
+	}
+	if cap(g.to) < 2*edgeCap {
 		g.to = make([]int32, 0, 2*edgeCap)
 		g.next = make([]int32, 0, 2*edgeCap)
 		g.cap = make([]int64, 0, 2*edgeCap)
 		g.cost = make([]int64, 0, 2*edgeCap)
 	}
-	return g
+	g.to, g.next = g.to[:0], g.next[:0]
+	g.cap, g.cost = g.cap[:0], g.cost[:0]
 }
 
 // NumNodes returns the node count.
@@ -207,10 +228,12 @@ func (s *Solver) MinCostFlow(g *Graph, src, t int, maxFlow int64) Result {
 	dist, prevArc := s.dist, s.prevArc
 	distE, visE := s.distE, s.visE
 	var res Result
+	// Work counters stay in locals and are published once per call.
+	var augmentations, settled uint64
 
 	for res.Flow < maxFlow {
-		// Dijkstra on reduced costs; stamps replace the per-iteration
-		// O(n) dist/visited reset.
+		// Dijkstra on reduced costs, stopped when the sink is settled;
+		// stamps replace the per-iteration O(n) dist/visited reset.
 		s.bump()
 		ep := s.epoch
 		dist[src] = 0
@@ -224,6 +247,10 @@ func (s *Solver) MinCostFlow(g *Graph, src, t int, maxFlow int64) Result {
 				continue
 			}
 			visE[u] = ep
+			settled++
+			if u == t {
+				break
+			}
 			for a := g.headA[u]; a != -1; a = g.next[a] {
 				if g.cap[a] <= 0 {
 					continue
@@ -245,9 +272,13 @@ func (s *Solver) MinCostFlow(g *Graph, src, t int, maxFlow int64) Result {
 		if visE[t] != ep {
 			break
 		}
+		augmentations++
+		dt := dist[t]
 		for i := 0; i < g.n; i++ {
-			if distE[i] == ep {
+			if visE[i] == ep {
 				pot[i] += dist[i]
+			} else {
+				pot[i] += dt
 			}
 		}
 		// Bottleneck along the path.
@@ -268,6 +299,8 @@ func (s *Solver) MinCostFlow(g *Graph, src, t int, maxFlow int64) Result {
 		}
 		res.Flow += push
 	}
+	augmentationsTotal.Add(augmentations)
+	settledTotal.Add(settled)
 	return res
 }
 
@@ -277,10 +310,25 @@ func (s *Solver) MinCostFlow(g *Graph, src, t int, maxFlow int64) Result {
 // supply) and its cost; err is non-nil when the network cannot absorb the
 // supplies.
 func (s *Solver) SolveSupplies(g *Graph, supply []int64) (Result, error) {
-	if len(supply) != g.n {
-		return Result{}, fmt.Errorf("flow: supply vector length %d != %d nodes", len(supply), g.n)
+	src, t, total, err := g.attachSupplies(supply)
+	if err != nil {
+		return Result{}, err
 	}
-	var total, balance int64
+	res := s.MinCostFlow(g, src, t, math.MaxInt64)
+	if res.Flow != total {
+		return res, fmt.Errorf("flow: infeasible, routed %d of %d", res.Flow, total)
+	}
+	return res, nil
+}
+
+// attachSupplies validates supply against g and extends g with a super
+// source feeding every supply node and a super sink draining every demand
+// node. It returns the two new nodes and the total supply to route.
+func (g *Graph) attachSupplies(supply []int64) (src, t int, total int64, err error) {
+	if len(supply) != g.n {
+		return 0, 0, 0, fmt.Errorf("flow: supply vector length %d != %d nodes", len(supply), g.n)
+	}
+	var balance int64
 	for _, v := range supply {
 		balance += v
 		if v > 0 {
@@ -288,10 +336,9 @@ func (s *Solver) SolveSupplies(g *Graph, supply []int64) (Result, error) {
 		}
 	}
 	if balance != 0 {
-		return Result{}, fmt.Errorf("flow: supplies sum to %d, want 0", balance)
+		return 0, 0, 0, fmt.Errorf("flow: supplies sum to %d, want 0", balance)
 	}
-	// Extend the graph with super source and sink.
-	src, t := g.n, g.n+1
+	src, t = g.n, g.n+1
 	g.n += 2
 	g.headA = append(g.headA, -1, -1)
 	for i, sup := range supply {
@@ -301,11 +348,7 @@ func (s *Solver) SolveSupplies(g *Graph, supply []int64) (Result, error) {
 			g.AddEdge(i, t, -sup, 0)
 		}
 	}
-	res := s.MinCostFlow(g, src, t, math.MaxInt64)
-	if res.Flow != total {
-		return res, fmt.Errorf("flow: infeasible, routed %d of %d", res.Flow, total)
-	}
-	return res, nil
+	return src, t, total, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -320,6 +363,11 @@ var (
 	// exposed as flow_solver_reuse_total / flow_solver_fresh_total.
 	solverReuse atomic.Uint64
 	solverFresh atomic.Uint64
+	// augmentationsTotal / settledTotal count augmenting paths and the
+	// Dijkstra nodes settled to find them; exposed as
+	// flow_augmentations_total / flow_settled_total.
+	augmentationsTotal atomic.Uint64
+	settledTotal       atomic.Uint64
 )
 
 // AcquireSolver returns a pooled solver arena (allocating one only when the
@@ -341,15 +389,21 @@ func SolverReuseStats() (reuse, fresh uint64) {
 	return a - f, f
 }
 
-// RegisterMetrics exposes the solver-pool counters in reg as
-// flow_solver_reuse_total and flow_solver_fresh_total, refreshed at each
-// collection.
+// RegisterMetrics exposes the solver counters in reg, refreshed at each
+// collection: the pool's flow_solver_reuse_total and
+// flow_solver_fresh_total, and the work counters flow_augmentations_total
+// and flow_settled_total, whose ratio is the Dijkstra nodes settled per
+// augmenting path.
 func RegisterMetrics(reg *telemetry.Registry) {
 	reuse := reg.Counter("flow_solver_reuse_total")
 	fresh := reg.Counter("flow_solver_fresh_total")
+	augs := reg.Counter("flow_augmentations_total")
+	settled := reg.Counter("flow_settled_total")
 	reg.OnCollect(func() {
 		r, f := SolverReuseStats()
 		reuse.Store(r)
 		fresh.Store(f)
+		augs.Store(augmentationsTotal.Load())
+		settled.Store(settledTotal.Load())
 	})
 }

@@ -2,6 +2,7 @@ package offline
 
 import (
 	"context"
+	"sync"
 
 	"uopsim/internal/flow"
 	"uopsim/internal/parallel"
@@ -91,10 +92,10 @@ type fooRequest struct {
 // per-set flow instance (0 selects DefaultSegmentLimit).
 //
 // workers bounds the solver's parallelism (0 = GOMAXPROCS, 1 = serial).
-// Every (set, segment) flow instance is independent — each builds its own
-// flow.Graph and writes keep decisions at the disjoint trace positions of
-// its own requests — so the fan-out needs no locking and the resulting plan
-// is byte-identical at any worker count.
+// Every (set, segment) flow instance is independent — each builds its
+// flow.Graph in scratch its worker holds alone and writes keep decisions at
+// the disjoint trace positions of its own requests — so the fan-out needs
+// no locking and the resulting plan is byte-identical at any worker count.
 //
 // ctx (nil = never cancelled) makes a long solve abandonable: when it is
 // cancelled, segments that have not started solving are skipped so the call
@@ -103,11 +104,23 @@ type fooRequest struct {
 // checking ctx.Err() before using the plan (the experiment scheduler does
 // this centrally before merging or journaling any cell result).
 func ComputeDecisionsPrepared(ctx context.Context, pt *trace.PreparedTrace, cfg uopcache.Config, model CostModel, foldVariants bool, segLimit, workers int) *Decisions {
+	dec := &Decisions{Keep: make([]bool, pt.Len()), Model: model, FoldVariants: foldVariants}
+	segs := segmentRequests(pt, cfg, foldVariants, segLimit)
+	parallel.ForEach(ctx, workers, len(segs), func(i int) {
+		solveSegment(segs[i], cfg.Ways, model, dec)
+	})
+	return dec
+}
+
+// segmentRequests partitions the prepared trace's lookups per set and cuts
+// each set's requests into segments of at most segLimit (0 selects
+// DefaultSegmentLimit): the independent min-cost-flow instances, in set
+// order.
+func segmentRequests(pt *trace.PreparedTrace, cfg uopcache.Config, foldVariants bool, segLimit int) [][]fooRequest {
 	if segLimit <= 0 {
 		segLimit = DefaultSegmentLimit
 	}
 	n := pt.Len()
-	dec := &Decisions{Keep: make([]bool, n), Model: model, FoldVariants: foldVariants}
 
 	// Identity and (size, cost) per object. With folding, an object is
 	// the start address and its footprint is that of its largest
@@ -166,7 +179,11 @@ func ComputeDecisionsPrepared(ctx context.Context, pt *trace.PreparedTrace, cfg 
 
 	// Flatten the (set, segment) instances into one work list so a few
 	// long sets cannot serialize the tail of the fan-out.
-	var segs [][]fooRequest
+	nSegs := 0
+	for _, reqs := range perSet {
+		nSegs += (len(reqs) + segLimit - 1) / segLimit
+	}
+	segs := make([][]fooRequest, 0, nSegs)
 	for _, reqs := range perSet {
 		for off := 0; off < len(reqs); off += segLimit {
 			end := off + segLimit
@@ -176,24 +193,47 @@ func ComputeDecisionsPrepared(ctx context.Context, pt *trace.PreparedTrace, cfg 
 			segs = append(segs, reqs[off:end])
 		}
 	}
-	parallel.ForEach(ctx, workers, len(segs), func(i int) {
-		solveSegment(segs[i], cfg.Ways, model, dec)
-	})
-	return dec
+	return segs
 }
 
-// solveSegment runs the min-cost-flow formulation on one per-set segment and
-// writes keep decisions into dec.
-func solveSegment(reqs []fooRequest, ways int, model CostModel, dec *Decisions) {
+// segScratch is one worker's reusable segment-build state: the
+// next-occurrence map and slices, the supply vector, the interval list and
+// the flow graph itself. Each segment resets it instead of allocating, so a
+// warm pool makes the per-segment build allocation-free.
+type segScratch struct {
+	next      map[uint64]int // id -> most recent earlier index
+	nextOcc   []int
+	supply    []int64
+	intervals []interval
+	g         flow.Graph
+}
+
+// interval is one outer edge: the request it starts at and its edge id.
+type interval struct {
+	edge int
+	from int
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &segScratch{next: make(map[uint64]int)}
+}}
+
+// solveSegment runs the min-cost-flow formulation on one per-set segment,
+// writes keep decisions into dec and returns the flow cost.
+func solveSegment(reqs []fooRequest, ways int, model CostModel, dec *Decisions) int64 {
 	m := len(reqs)
 	if m < 2 {
-		return
+		return 0
 	}
+	sc := scratchPool.Get().(*segScratch)
+	defer scratchPool.Put(sc)
 	// Walk backward so "next occurrence" is known, counting intervals as we
 	// go: together with the m-1 inner edges and at most m supply edges this
 	// gives the exact arc budget, so the graph build never grows a slice.
-	next := make(map[uint64]int, m) // id -> most recent earlier index
-	nextOcc := make([]int, m)
+	next := sc.next
+	clear(next)
+	sc.nextOcc = grow(sc.nextOcc, m)
+	nextOcc := sc.nextOcc
 	nIntervals := 0
 	for i := m - 1; i >= 0; i-- {
 		if j, ok := next[reqs[i].id]; ok {
@@ -204,19 +244,18 @@ func solveSegment(reqs []fooRequest, ways int, model CostModel, dec *Decisions) 
 		}
 		next[reqs[i].id] = i
 	}
-	g := flow.NewGraphCap(m, (m-1)+nIntervals+m)
+	g := &sc.g
+	g.Reset(m, (m-1)+nIntervals+m)
 	// Inner edges: consecutive requests share the set's entry capacity.
 	for i := 0; i+1 < m; i++ {
 		g.AddEdge(i, i+1, int64(ways), 0)
 	}
 	// Outer edges: one per interval (request -> next request of the same
 	// object within the segment).
-	type interval struct {
-		edge int
-		from int
-	}
-	intervals := make([]interval, 0, nIntervals)
-	supply := make([]int64, m)
+	intervals := grow(sc.intervals, nIntervals)[:0]
+	sc.supply = grow(sc.supply, m)
+	supply := sc.supply
+	clear(supply)
 	for i := 0; i < m; i++ {
 		j := nextOcc[i]
 		if j < 0 {
@@ -240,13 +279,14 @@ func solveSegment(reqs []fooRequest, ways int, model CostModel, dec *Decisions) 
 		supply[i] += size
 		supply[j] -= size
 	}
+	sc.intervals = intervals
 	if len(intervals) == 0 {
-		return
+		return 0
 	}
 	// The network is always feasible: every outer edge can carry its own
 	// supply. An error here is a programming bug.
 	sv := flow.AcquireSolver()
-	_, err := sv.SolveSupplies(g, supply)
+	res, err := sv.SolveSupplies(g, supply)
 	flow.ReleaseSolver(sv)
 	if err != nil {
 		panic("offline: infeasible FOO instance: " + err.Error())
@@ -258,4 +298,14 @@ func solveSegment(reqs []fooRequest, ways int, model CostModel, dec *Decisions) 
 			dec.Keep[reqs[iv.from].pos] = true
 		}
 	}
+	return res.Cost
+}
+
+// grow returns s resized to n elements, reallocating only when its capacity
+// is too small. The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

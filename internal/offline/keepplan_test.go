@@ -1,0 +1,393 @@
+package offline
+
+import (
+	"container/heap"
+	"fmt"
+	"math"
+	"math/bits"
+	"math/rand"
+	"testing"
+
+	"uopsim/internal/trace"
+	"uopsim/internal/uopcache"
+	"uopsim/internal/workload"
+)
+
+// refGraph is the test reference's own flow network. It stores arcs
+// exactly as flow.Graph does (arc 2i forward, 2i+1 residual, per-node
+// singly linked lists with the newest arc first), so its adjacency order,
+// and therefore its Dijkstra tie-breaking, matches the production graph.
+type refGraph struct {
+	head, next, to []int
+	cap, cost      []int64
+}
+
+func newRefGraph(n int) *refGraph {
+	g := &refGraph{head: make([]int, n)}
+	for i := range g.head {
+		g.head[i] = -1
+	}
+	return g
+}
+
+func (g *refGraph) addEdge(u, v int, capacity, cost int64) int {
+	id := len(g.to) / 2
+	for _, a := range [2]struct {
+		u, v int
+		c, w int64
+	}{{u, v, capacity, cost}, {v, u, 0, -cost}} {
+		g.to = append(g.to, a.v)
+		g.next = append(g.next, g.head[a.u])
+		g.head[a.u] = len(g.to) - 1
+		g.cap = append(g.cap, a.c)
+		g.cost = append(g.cost, a.w)
+	}
+	return id
+}
+
+type refItem struct {
+	node int
+	dist int64
+}
+
+// refHeap is container/heap's binary heap; flow.Solver's hand-written heap
+// must pop equal-distance entries in the same order.
+type refHeap []refItem
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i].dist < h[j].dist }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(refItem)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
+
+// minCostFlow is successive shortest paths with a Dijkstra run to
+// exhaustion for every augmenting path, updating the potentials of the
+// reached nodes only: the solver before its early exit.
+func (g *refGraph) minCostFlow(src, t int) (cost int64) {
+	n := len(g.head)
+	pot, dist, prev := make([]int64, n), make([]int64, n), make([]int, n)
+	reached, done := make([]bool, n), make([]bool, n)
+	for {
+		clear(reached)
+		clear(done)
+		dist[src] = 0
+		reached[src] = true
+		h := &refHeap{{src, 0}}
+		for h.Len() > 0 {
+			u := heap.Pop(h).(refItem).node
+			if done[u] {
+				continue
+			}
+			done[u] = true
+			for a := g.head[u]; a != -1; a = g.next[a] {
+				v := g.to[a]
+				if g.cap[a] <= 0 || done[v] {
+					continue
+				}
+				if nd := dist[u] + g.cost[a] + pot[u] - pot[v]; !reached[v] || nd < dist[v] {
+					dist[v], reached[v], prev[v] = nd, true, a
+					heap.Push(h, refItem{v, nd})
+				}
+			}
+		}
+		if !done[t] {
+			return cost
+		}
+		for i := range pot {
+			if reached[i] {
+				pot[i] += dist[i]
+			}
+		}
+		push := int64(math.MaxInt64)
+		for v := t; v != src; v = g.to[prev[v]^1] {
+			push = min(push, g.cap[prev[v]])
+		}
+		for v := t; v != src; v = g.to[prev[v]^1] {
+			g.cap[prev[v]] -= push
+			g.cap[prev[v]^1] += push
+			cost += push * g.cost[prev[v]]
+		}
+	}
+}
+
+// refSolveSegment is the reference for solveSegment: the same FOO network,
+// built edge for edge in the same order (inner edges, outer edges, then the
+// super source and sink edges), solved by refGraph.minCostFlow. It returns
+// the trace positions the plan keeps and the flow cost.
+func refSolveSegment(reqs []fooRequest, ways int, model CostModel) (keep []int32, cost int64) {
+	m := len(reqs)
+	if m < 2 {
+		return nil, 0
+	}
+	nextOcc := make([]int, m)
+	last := map[uint64]int{}
+	for i := m - 1; i >= 0; i-- {
+		nextOcc[i] = -1
+		if j, ok := last[reqs[i].id]; ok {
+			nextOcc[i] = j
+		}
+		last[reqs[i].id] = i
+	}
+	g := newRefGraph(m + 2)
+	for i := 0; i+1 < m; i++ {
+		g.addEdge(i, i+1, int64(ways), 0)
+	}
+	supply := make([]int64, m)
+	type outer struct{ edge, from int }
+	var outers []outer
+	for i, j := range nextOcc {
+		if j < 0 {
+			continue
+		}
+		size := int64(reqs[i].size)
+		miss := [...]int64{CostOHR: 1, CostBHR: size, CostVC: int64(reqs[i].cost)}[model]
+		outers = append(outers, outer{g.addEdge(i, j, size, costScale*miss/size), i})
+		supply[i] += size
+		supply[j] -= size
+	}
+	if len(outers) == 0 {
+		return nil, 0
+	}
+	src, t := m, m+1
+	for i, s := range supply {
+		if s > 0 {
+			g.addEdge(src, i, s, 0)
+		} else if s < 0 {
+			g.addEdge(i, t, -s, 0)
+		}
+	}
+	cost = g.minCostFlow(src, t)
+	for _, o := range outers {
+		if g.cap[2*o.edge+1] == 0 {
+			keep = append(keep, reqs[o.from].pos)
+		}
+	}
+	return keep, cost
+}
+
+// TestKeepPlansMatchReferenceOnWorkloadTraces solves the workload traces of
+// every application with the production solver and with the full-Dijkstra
+// reference, under the three cost models, with and without variant folding,
+// at 4, 8 and 16 ways. Every segment's keep-set and flow cost must match.
+//
+// Real traces matter here: their loops produce many equal-cost shortest
+// paths, so they exercise the tie-breaking that decides a keep plan. A
+// heap that orders equal distances differently passes a differential over
+// uniformly random instances but fails this test.
+func TestKeepPlansMatchReferenceOnWorkloadTraces(t *testing.T) {
+	// The test is serial, so a race-detector run gains nothing from the
+	// full trace length.
+	blocks := 5000
+	if testing.Short() || raceEnabled {
+		blocks = 1500
+	}
+	for _, app := range workload.Names() {
+		spec, err := workload.Get(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pws := trace.FormPWs(workload.GenerateSpec(spec, blocks, 0), 0)
+		for _, ways := range []int{4, 8, 16} {
+			cfg := uopcache.Config{Entries: 512, Ways: ways, UopsPerEntry: 8}
+			pt := uopcache.Prepare(cfg, pws)
+			for _, model := range []CostModel{CostOHR, CostBHR, CostVC} {
+				for _, fold := range []bool{false, true} {
+					name := fmt.Sprintf("%s/ways=%d/%v/fold=%v", app, ways, model, fold)
+					dec := &Decisions{Keep: make([]bool, pt.Len())}
+					for k, seg := range segmentRequests(pt, cfg, fold, 0) {
+						cost := solveSegment(seg, ways, model, dec)
+						keep, refCost := refSolveSegment(seg, ways, model)
+						if cost != refCost {
+							t.Fatalf("%s segment %d: cost %d, reference %d", name, k, cost, refCost)
+						}
+						want := map[int32]bool{}
+						for _, p := range keep {
+							want[p] = true
+						}
+						for _, r := range seg {
+							if dec.Keep[r.pos] != want[r.pos] {
+								t.Fatalf("%s segment %d: Keep[%d] = %v, reference %v",
+									name, k, r.pos, dec.Keep[r.pos], want[r.pos])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// tinyInterval is one interval of a tiny segment: the requests it spans,
+// its size and the cost of missing it.
+type tinyInterval struct {
+	from, to int
+	size     int
+	missCost int64
+}
+
+// tinyIntervals lists a segment's intervals with their miss costs as the
+// flow formulation prices them.
+func tinyIntervals(reqs []fooRequest, model CostModel) []tinyInterval {
+	var out []tinyInterval
+	for i := range reqs {
+		for j := i + 1; j < len(reqs); j++ {
+			if reqs[j].id != reqs[i].id {
+				continue
+			}
+			size := int64(reqs[i].size)
+			miss := [...]int64{CostOHR: 1, CostBHR: size, CostVC: int64(reqs[i].cost)}[model]
+			out = append(out, tinyInterval{i, j, int(size), costScale * miss / size * size})
+			break
+		}
+	}
+	return out
+}
+
+// keepSetCost checks a keep-set (bit k keeps interval k) against the set's
+// capacity — at every gap between consecutive requests the kept intervals
+// spanning it fit in ways entries — and returns the cost of the intervals
+// it misses.
+func keepSetCost(ivs []tinyInterval, m, ways int, mask uint) (cost int64, feasible bool) {
+	for gap := 0; gap+1 < m; gap++ {
+		load := 0
+		for k, iv := range ivs {
+			if mask&(1<<k) != 0 && iv.from <= gap && gap < iv.to {
+				load += iv.size
+			}
+		}
+		if load > ways {
+			return 0, false
+		}
+	}
+	for k, iv := range ivs {
+		if mask&(1<<k) == 0 {
+			cost += iv.missCost
+		}
+	}
+	return cost, true
+}
+
+// TestSolveSegmentOptimalOnTinySegments enumerates every capacity-feasible
+// keep-set of random segments of at most 12 requests. With unit sizes the
+// flow is integral, so the solver's keep-set must reach the optimum exactly.
+// With sizes up to 8 the flow may split an interval: its keep-set must still
+// fit the set, and its flow cost is a lower bound on the optimum.
+func TestSolveSegmentOptimalOnTinySegments(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for iter := 0; iter < 3000; iter++ {
+		unit := iter%2 == 0
+		m := 2 + rng.Intn(11)
+		ways := 1 + rng.Intn(4)
+		loop := 1 + rng.Intn(5)
+		model := CostModel(rng.Intn(3))
+		if unit {
+			model = CostOHR
+		}
+		reqs := make([]fooRequest, m)
+		for i := range reqs {
+			id := uint64(i % loop)
+			if rng.Intn(4) == 0 {
+				id = uint64(10 + rng.Intn(3))
+			}
+			size := int32(1)
+			if !unit {
+				size = 1 + int32(rng.Intn(8))
+			}
+			reqs[i] = fooRequest{pos: int32(i), id: id, size: size, cost: size*8 - int32(rng.Intn(8))}
+		}
+		ivs := tinyIntervals(reqs, model)
+		best := int64(-1)
+		for mask := uint(0); mask < 1<<len(ivs); mask++ {
+			if c, ok := keepSetCost(ivs, m, ways, mask); ok && (best < 0 || c < best) {
+				best = c
+			}
+		}
+		dec := &Decisions{Keep: make([]bool, m)}
+		flowCost := solveSegment(reqs, ways, model, dec)
+		var kept uint
+		for k, iv := range ivs {
+			if dec.Keep[iv.from] {
+				kept |= 1 << k
+			}
+		}
+		keptCost, feasible := keepSetCost(ivs, m, ways, kept)
+		switch {
+		case !feasible:
+			t.Fatalf("iter %d (%d ways, reqs %+v): keep-set %b (%d intervals) exceeds capacity",
+				iter, ways, reqs, kept, bits.OnesCount(kept))
+		case unit && (keptCost != best || flowCost != best):
+			t.Fatalf("iter %d (%d ways, reqs %+v): keep-set cost %d, flow cost %d, optimum %d",
+				iter, ways, reqs, keptCost, flowCost, best)
+		case flowCost > best:
+			t.Fatalf("iter %d (%v, %d ways, reqs %+v): flow cost %d above the optimum %d",
+				iter, model, ways, reqs, flowCost, best)
+		}
+	}
+}
+
+// raceEnabled is set when the tests run under the race detector.
+var raceEnabled bool
+
+// TestComputeDecisionsAllocsFixed: with a warm scratch and solver pool a
+// solve allocates its plan and request partition and nothing per segment,
+// so doubling the segment count leaves the allocation count unchanged.
+func TestComputeDecisionsAllocsFixed(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	// maxAllocs is the measured 11 fixed allocations (the plan and its
+	// Keep slice, the fold prefix maxima, the per-set partition, the
+	// segment list, the fan-out closures) plus headroom for the pools'
+	// re-pinning after a garbage collection.
+	const maxAllocs = 16
+	cfg := uopcache.Config{Entries: 256, Ways: 4, UopsPerEntry: 8}
+	rng := rand.New(rand.NewSource(3))
+	var s []trace.PW
+	for i := 0; i < 16000; i++ {
+		s = append(s, pw(uint64(0x1000+(i%300+rng.Intn(3))*16), 1+rng.Intn(24)))
+	}
+	pt := uopcache.Prepare(cfg, s)
+	for _, segLimit := range []int{64, 32} {
+		if n := len(segmentRequests(pt, cfg, true, segLimit)); n < 200 {
+			t.Fatalf("segLimit %d: only %d segments", segLimit, n)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			ComputeDecisionsPrepared(nil, pt, cfg, CostVC, true, segLimit, 1)
+		})
+		if allocs > maxAllocs {
+			t.Errorf("segLimit %d: %.0f allocations per solve, want at most %d", segLimit, allocs, maxAllocs)
+		}
+	}
+}
+
+// BenchmarkSolveWorkloads solves the FOO and FLACK plans of every
+// application's 5,000-block workload trace serially; ns/op over the
+// lookups solved gives the solve cost per lookup.
+func BenchmarkSolveWorkloads(b *testing.B) {
+	cfg := uopcache.DefaultConfig()
+	var pts []*trace.PreparedTrace
+	lookups := 0
+	for _, app := range workload.Names() {
+		spec, err := workload.Get(app)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pt := uopcache.Prepare(cfg, trace.FormPWs(workload.GenerateSpec(spec, 5000, 0), 0))
+		pts = append(pts, pt)
+		lookups += 2 * pt.Len()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, pt := range pts {
+			ComputeDecisionsPrepared(nil, pt, cfg, CostOHR, false, 0, 1)
+			ComputeDecisionsPrepared(nil, pt, cfg, CostVC, true, 0, 1)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lookups), "ns/lookup")
+}
