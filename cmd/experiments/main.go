@@ -5,8 +5,8 @@
 //	experiments -list
 //	experiments [-blocks N] [-apps a,b,c] [-csv dir] [-md file] fig8 fig10 ...
 //	experiments [-parallel N] [-quiet] [-manifest run.json] [-telemetry FILE]
-//	            [-events FILE] [-pprof ADDR] all
-//	experiments [-resume dir] [-retries N] [-strict] [-faultinject SPEC] all
+//	            [-events FILE] all
+//	experiments [-resume dir] all
 //	experiments [-cache-dir dir] all
 //	experiments [-inspect lru,furbys] [-inspect-window N] [-trace-out t.json]
 //	            [-serve ADDR] fig8
@@ -20,16 +20,15 @@
 // -manifest. Any failed experiment or write makes the exit status non-zero,
 // but later experiments still run.
 //
-// Resilience: SIGINT/SIGTERM drains the run gracefully — cells in flight
-// finish, queued work is abandoned, completed results are flushed, and the
-// manifest is written with status "interrupted" (exit status 130). Every
-// completed cell is journaled to checkpoint.jsonl in the -csv (or -svg)
-// directory; -resume DIR reloads that journal and skips the journaled
-// cells, producing byte-identical output to an uninterrupted run. A cell
-// that fails or panics is retried -retries times and then degrades to a
-// marked-missing table entry recorded in the manifest; -strict restores
-// fail-fast behaviour. -faultinject SITE:HITS:MODE (see internal/faultinject)
-// injects deterministic cell failures for testing these paths.
+// Resilience: a cell that errors or panics fails its experiment — no
+// table, no CSV or SVG for it, the cell (and a panic's stack) listed under
+// failed_cells in the manifest, and a non-zero exit status; the other
+// experiments still run. SIGINT/SIGTERM drains the run gracefully — cells in
+// flight finish, queued work is abandoned, completed results are flushed,
+// and the manifest is written with status "interrupted" (exit status 130).
+// Every completed cell is journaled to checkpoint.jsonl in the -csv (or
+// -svg) directory; -resume DIR reloads that journal and skips the journaled
+// cells, producing byte-identical output to an uninterrupted run.
 //
 // -cache-dir DIR enables a content-addressed on-disk cache for solved
 // FOO/FLACK keep-plans. Entries are keyed by a SHA-256 over every input that
@@ -63,7 +62,6 @@ import (
 
 	"uopsim/internal/artifact"
 	"uopsim/internal/experiments"
-	"uopsim/internal/faultinject"
 	"uopsim/internal/flow"
 	"uopsim/internal/inspect"
 	"uopsim/internal/parallel"
@@ -77,29 +75,25 @@ func main() {
 
 // options is the parsed and validated command line.
 type options struct {
-	list      bool
-	blocks    int
-	apps      string
-	csvDir    string
-	svgDir    string
-	check     bool
-	mdFile    string
-	report    string
-	par       int
-	quiet     bool
-	manifest  string
-	resume    string
-	retries   int
-	strict    bool
-	faultSpec string
-	cacheDir  string
+	list     bool
+	blocks   int
+	apps     string
+	csvDir   string
+	svgDir   string
+	check    bool
+	mdFile   string
+	report   string
+	par      int
+	quiet    bool
+	manifest string
+	resume   string
+	cacheDir string
 
 	inspectPolicies string
 	inspectWindow   int
 	traceOut        string
 
 	obs      telemetry.CLI
-	fault    *faultinject.Injector
 	ids      []string
 	policies []string
 }
@@ -118,9 +112,9 @@ type usageError struct{ err error }
 func (u usageError) Error() string { return u.err.Error() }
 
 // parseArgs parses and validates the command line up front, before any
-// simulation work: flag types, worker/retry/sample ranges, experiment ids,
-// fault-injection spec syntax, and output-directory writability all fail
-// fast with a usage error instead of wasting a run.
+// simulation work: flag types, worker/sample ranges, experiment ids, and
+// output-directory writability all fail fast with a usage error instead of
+// wasting a run.
 func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	o := &options{}
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
@@ -137,9 +131,6 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	fs.BoolVar(&o.quiet, "quiet", false, "suppress per-app progress lines on stderr")
 	fs.StringVar(&o.manifest, "manifest", "", "write the run manifest to `FILE` (default: run.json in -csv or -svg dir)")
 	fs.StringVar(&o.resume, "resume", "", "resume from the checkpoint journal in `DIR` (written by a previous -csv/-svg run)")
-	fs.IntVar(&o.retries, "retries", 0, "extra attempts for a failed or panicking cell before it counts as failed")
-	fs.BoolVar(&o.strict, "strict", false, "fail an experiment on the first exhausted cell instead of degrading to a marked-missing entry")
-	fs.StringVar(&o.faultSpec, "faultinject", "", "inject cell faults: `SITE:HITS:MODE` (testing; see internal/faultinject)")
 	fs.StringVar(&o.cacheDir, "cache-dir", "", "content-addressed artifact cache `DIR` for solved FOO/FLACK keep-plans (default: no cache)")
 	fs.StringVar(&o.inspectPolicies, "inspect", "", "run eviction attribution for the comma-separated `POLICIES` after the experiments (e.g. lru,srrip,furbys)")
 	fs.IntVar(&o.inspectWindow, "inspect-window", 0, "premature-eviction window in lookups for -inspect (0 = default 4096)")
@@ -172,18 +163,8 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	if o.par < 0 {
 		return nil, usageError{fmt.Errorf("-parallel must be >= 0 (got %d; 0 selects GOMAXPROCS)", o.par)}
 	}
-	if o.retries < 0 {
-		return nil, usageError{fmt.Errorf("-retries must be >= 0 (got %d)", o.retries)}
-	}
 	if o.obs.Sample <= 0 {
 		return nil, usageError{fmt.Errorf("-sample must be positive (got %d)", o.obs.Sample)}
-	}
-	if o.faultSpec != "" {
-		inj, err := faultinject.New(o.faultSpec)
-		if err != nil {
-			return nil, usageError{err}
-		}
-		o.fault = inj
 	}
 	if o.inspectWindow < 0 {
 		return nil, usageError{fmt.Errorf("-inspect-window must be >= 0 (got %d)", o.inspectWindow)}
@@ -286,18 +267,12 @@ func run(o *options, args []string, stdout, stderr io.Writer) (interrupted bool,
 	}
 	ectx.Workers = o.par
 	ectx.Ctx = sigCtx
-	ectx.Retries = o.retries
-	ectx.Degrade = !o.strict
-	ectx.Fault = o.fault
 	ectx.Telemetry.Metrics = o.obs.Registry
 	if o.obs.Sink != nil {
 		ectx.Telemetry.Events = o.obs.Sink
 	}
 	if !o.quiet {
 		ectx.Progress = telemetry.NewProgress(stderr)
-	}
-	if o.fault != nil {
-		o.fault.Arm(o.obs.Registry)
 	}
 	// The artifact cache is strictly additive: every entry is content-keyed
 	// over the inputs that determine it, so a warm cache changes only how
@@ -330,8 +305,7 @@ func run(o *options, args []string, stdout, stderr io.Writer) (interrupted bool,
 	man.Config = map[string]any{
 		"blocks": o.blocks, "apps": strings.Join(ectx.AppList(), ","),
 		"csv": o.csvDir, "svg": o.svgDir, "check": o.check, "parallel": workers,
-		"retries": o.retries, "strict": o.strict, "resume": o.resume,
-		"cache_dir": o.cacheDir,
+		"resume": o.resume, "cache_dir": o.cacheDir,
 	}
 	fail := func(format string, a ...any) {
 		msg := fmt.Sprintf(format, a...)
@@ -398,9 +372,6 @@ func run(o *options, args []string, stdout, stderr io.Writer) (interrupted bool,
 		fig.Title = tbl.Title
 		fig.Rows = len(tbl.Rows)
 		man.Figures = append(man.Figures, fig)
-		if len(r.Failed) > 0 {
-			fail("%s: %d cell(s) failed after retries (rendered with missing entries)", id, len(r.Failed))
-		}
 		wall := time.Duration(r.WallSeconds * float64(time.Second))
 		fmt.Fprintf(stdout, "== %s (%s) ==\n", id, wall.Round(time.Millisecond))
 		if werr := tbl.Markdown(stdout); werr != nil {

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"uopsim/internal/telemetry"
 )
 
 // TestParseArgsValidation is the up-front CLI contract: every malformed
@@ -24,18 +26,21 @@ func TestParseArgsValidation(t *testing.T) {
 		{"unknown id", []string{"fig999"}, `unknown experiment "fig999"`},
 		{"unknown flag", []string{"-nope", "fig8"}, "flag provided but not defined"},
 		{"negative parallel", []string{"-parallel", "-2", "fig8"}, "-parallel must be >= 0"},
-		{"negative retries", []string{"-retries", "-1", "fig8"}, "-retries must be >= 0"},
 		{"zero blocks", []string{"-blocks", "0", "fig8"}, "-blocks must be positive"},
 		{"zero sample", []string{"-events", filepath.Join(tmp, "e.jsonl"), "-sample", "0", "fig8"}, "-sample must be positive"},
-		{"bad fault spec", []string{"-faultinject", "nonsense", "fig8"}, "not SITE:HITS:MODE"},
-		{"bad fault mode", []string{"-faultinject", "a:1:kaboom", "fig8"}, "unknown mode"},
+		// Failed cells fail their experiment; there is no retry budget,
+		// degrade switch, fault injector or separate pprof listener.
+		{"removed retries", []string{"-retries", "2", "fig8"}, "flag provided but not defined: -retries"},
+		{"removed strict", []string{"-strict", "fig8"}, "flag provided but not defined: -strict"},
+		{"removed faultinject", []string{"-faultinject", "*:3:panic", "fig8"}, "flag provided but not defined: -faultinject"},
+		{"removed pprof", []string{"-pprof", "localhost:6060", "fig8"}, "flag provided but not defined: -pprof"},
 		{"unwritable output dir", []string{"-csv", filepath.Join(tmp, "f.csv", "sub"), "fig8"}, "output dir"},
 		{"resume missing dir", []string{"-resume", filepath.Join(tmp, "absent"), "fig8"}, "-resume"},
 		{"resume not a dir", []string{"-resume", filepath.Join(tmp, "f.csv"), "fig8"}, "not a directory"},
 
 		{"ok single", []string{"fig8"}, ""},
 		{"ok all", []string{"all"}, ""},
-		{"ok flags", []string{"-parallel", "4", "-retries", "2", "-strict", "-faultinject", "*:3:panic", "fig8", "tab2"}, ""},
+		{"ok flags", []string{"-parallel", "4", "-quiet", "fig8", "tab2"}, ""},
 		{"ok list without ids", []string{"-list"}, ""},
 	}
 	// The "not a directory" case needs the file to exist.
@@ -66,18 +71,15 @@ func TestParseArgsValidation(t *testing.T) {
 }
 
 func TestParseArgsValues(t *testing.T) {
-	o, err := parseArgs([]string{"-parallel", "3", "-retries", "2", "-strict", "-blocks", "5000", "fig8", "tab2"}, io.Discard)
+	o, err := parseArgs([]string{"-parallel", "3", "-quiet", "-blocks", "5000", "fig8", "tab2"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.par != 3 || o.retries != 2 || !o.strict || o.blocks != 5000 {
+	if o.par != 3 || !o.quiet || o.blocks != 5000 {
 		t.Errorf("options = %+v", o)
 	}
 	if len(o.ids) != 2 || o.ids[0] != "fig8" || o.ids[1] != "tab2" {
 		t.Errorf("ids = %v", o.ids)
-	}
-	if o.fault != nil {
-		t.Error("fault injector built without -faultinject")
 	}
 }
 
@@ -108,4 +110,36 @@ func TestParseArgsHelp(t *testing.T) {
 
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
+}
+
+// TestFailedCellFailsFigure is the end-to-end failure contract: a cell that
+// errors (here tab2's cell for an application that does not exist) fails its
+// figure. The binary writes no CSV for that figure, lists the cell under
+// failed_cells in run.json, and exits 1, while the figures that did not
+// fail are still written.
+func TestFailedCellFailsFigure(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-blocks", "2000", "-apps", "kafka,nosuch", "-quiet", "-csv", dir, "tab1", "tab2"}
+	if code := runMain(args, io.Discard, io.Discard); code != 1 {
+		t.Fatalf("runMain = %d, want 1", code)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "tab1.csv")); err != nil {
+		t.Errorf("tab1.csv not written: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "tab2.csv")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("tab2.csv written for a failed figure (stat err %v)", err)
+	}
+	man := readManifest(t, filepath.Join(dir, "run.json"))
+	if man.Status != "failed" {
+		t.Errorf("manifest status = %q, want failed", man.Status)
+	}
+	var tab2 *telemetry.FigureRun
+	for i := range man.Figures {
+		if man.Figures[i].ID == "tab2" {
+			tab2 = &man.Figures[i]
+		}
+	}
+	if tab2 == nil || tab2.Error == "" || len(tab2.FailedCells) != 1 || tab2.FailedCells[0].Cell != "tab2/nosuch" {
+		t.Errorf("tab2 manifest entry = %+v, want an error and one failed cell tab2/nosuch", tab2)
+	}
 }

@@ -7,7 +7,7 @@
 //
 //	profilegen -app kafka -blocks 100000 -o kafka.prof
 //	profilegen -trace kafka.trace -o kafka.prof -source belady
-//	           [-telemetry FILE] [-events FILE -sample N] [-pprof ADDR] [-progress]
+//	           [-telemetry FILE] [-events FILE -sample N] [-serve ADDR] [-progress]
 package main
 
 import (

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	tracegen -app postgres -blocks 200000 -input 0 -o postgres.trace
-//	         [-telemetry FILE] [-pprof ADDR] [-progress]
+//	         [-telemetry FILE] [-serve ADDR] [-progress]
 package main
 
 import (

@@ -6,9 +6,8 @@
 //
 //	uopsim -app kafka -policy furbys [-mode behavior|timing] [-blocks N]
 //	       [-input N] [-icache] [-zen4]
-//	       [-telemetry FILE] [-events FILE -sample N] [-pprof ADDR] [-progress]
+//	       [-telemetry FILE] [-events FILE -sample N] [-serve ADDR] [-progress]
 //	       [-inspect] [-inspect-window N] [-inspect-csv FILE] [-trace-out FILE]
-//	       [-serve ADDR]
 //
 // -inspect (behaviour mode) classifies every eviction as justified,
 // premature, or FLACK-divergent and prints the attribution summary with a

@@ -14,7 +14,7 @@ import (
 // layer (internal/inspect): attribution roll-ups and span-trace health. The
 // plan family covers the artifact cache's keep-plan traffic
 // (internal/artifact), the only kind the cache stores.
-var metricNamePattern = regexp.MustCompile(`^(uopcache|frontend|policy|offline|flow|parallel|faultinject|inspect|trace|plan)_[a-z0-9_]+$`)
+var metricNamePattern = regexp.MustCompile(`^(uopcache|frontend|policy|offline|flow|parallel|inspect|trace|plan)_[a-z0-9_]+$`)
 
 // Telemetry enforces that metric names handed to the telemetry registry
 // (Registry.Counter / Gauge / Histogram methods of a package named
@@ -24,7 +24,7 @@ var metricNamePattern = regexp.MustCompile(`^(uopcache|frontend|policy|offline|f
 // Stats-reconciliation tests assert against.
 var Telemetry = &Analyzer{
 	Name: "telemetry",
-	Doc:  "metric names must be compile-time constants matching ^(uopcache|frontend|policy|offline|flow|parallel|faultinject|inspect|trace|plan)_[a-z0-9_]+$",
+	Doc:  "metric names must be compile-time constants matching ^(uopcache|frontend|policy|offline|flow|parallel|inspect|trace|plan)_[a-z0-9_]+$",
 	Run:  runTelemetry,
 }
 

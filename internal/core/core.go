@@ -2,8 +2,8 @@
 // configuration (the paper's Table I, plus the Zen4 variant of Fig. 17),
 // builds replacement policies by name, and runs the two simulation modes the
 // paper's methodology uses — behaviour mode for miss-rate studies and timing
-// mode for IPC and power. Everything in cmd/, examples/ and the benchmark
-// harness goes through this package.
+// mode for IPC and power. Everything in cmd/, the examples in this
+// package's tests and the benchmark harness goes through this package.
 package core
 
 import (

@@ -13,14 +13,13 @@
 // schedule. All goroutines live in internal/parallel — simlint forbids raw
 // `go` statements in this package.
 //
-// Resilience model: Context.Ctx cancels a campaign cooperatively (cells in
-// flight finish, queued cells are abandoned), Context.Journal checkpoints
-// every completed cell so an interrupted campaign resumes without redoing
-// work, and each cell body runs under panic containment with a bounded
-// retry budget (Context.Retries) — a cell that exhausts its budget either
-// fails the experiment (strict mode) or degrades to a marked-missing table
-// entry recorded in the manifest (Context.Degrade). Context.Fault hooks a
-// deterministic fault injector into every cell for testing these paths.
+// Resilience model: every cell is a deterministic function of its inputs,
+// so a cell that errors or panics fails its experiment — there is no retry
+// and no partial table. A panic is contained to its cell and becomes the
+// cell's error, with the stack kept in the experiment's failed-cell log.
+// Context.Ctx cancels a campaign cooperatively (cells in flight finish,
+// queued cells are abandoned), and Context.Journal checkpoints every
+// completed cell so an interrupted campaign resumes without redoing work.
 package experiments
 
 import (
@@ -38,7 +37,6 @@ import (
 
 	"uopsim/internal/artifact"
 	"uopsim/internal/core"
-	"uopsim/internal/faultinject"
 	"uopsim/internal/inspect"
 	"uopsim/internal/offline"
 	"uopsim/internal/parallel"
@@ -158,24 +156,11 @@ type Context struct {
 	// Ctx.Err() for every experiment that did not finish. nil = never
 	// cancelled.
 	Ctx context.Context
-	// Retries is the number of EXTRA attempts a failed or panicking cell
-	// gets before it counts as failed (0 = one attempt, no retry).
-	Retries int
-	// Degrade selects what a cell failure (after retries) does: false
-	// (the zero value, library default) fails the experiment fast; true
-	// lets the experiment render with that cell zero-valued and marked
-	// missing in the table notes and the manifest's failed-cell log.
-	Degrade bool
 	// Journal, when non-nil, records every completed cell's typed result
 	// so an interrupted campaign can resume without recomputing: on the
 	// next run, journaled cells are restored byte-identically instead of
 	// re-simulated. See Checkpoint.
 	Journal *Checkpoint
-	// Fault, when non-nil, is consulted at the start of every cell
-	// attempt — the deterministic fault-injection hook the resilience
-	// tests (and -faultinject) use to make the Nth cell fail, panic, or
-	// stall. nil = no injection.
-	Fault *faultinject.Injector
 	// Spans, when non-nil, records experiment/cell/singleflight wall-clock
 	// spans for the Chrome-trace export (-trace-out). A nil log is inert,
 	// so the harness threads it unconditionally.
@@ -215,7 +200,7 @@ type ctxSched struct {
 	mu      sync.Mutex
 	cells   *parallel.Limiter
 	timings map[string][]telemetry.AppRun
-	// failures logs cells that exhausted their retry budget, tagged with
+	// failures logs cells that errored or panicked, tagged with
 	// (sweep, index) so the log sorts deterministically regardless of
 	// completion order.
 	failures map[string][]cellFailureRec
@@ -232,10 +217,10 @@ type ctxSched struct {
 // statusCounters is the mutable part of a StatusSnapshot (guarded by
 // ctxSched.mu).
 type statusCounters struct {
-	expTotal, expDone                                 int
-	running                                           map[string]bool
-	cellsDone, cellsFailed, cellsRetried, cellsRestored int
-	attribution                                       *AttributionStatus
+	expTotal, expDone                     int
+	running                               map[string]bool
+	cellsDone, cellsFailed, cellsRestored int
+	attribution                           *AttributionStatus
 }
 
 // AttributionStatus is the attribution roll-up shown on the live dashboard
@@ -254,7 +239,6 @@ type StatusSnapshot struct {
 	Running          []string `json:"running,omitempty"`
 	CellsDone        int      `json:"cells_done"`
 	CellsFailed      int      `json:"cells_failed"`
-	CellsRetried     int      `json:"cells_retried"`
 	CellsRestored    int      `json:"cells_restored"`
 	// WorkersActive and QueueDepth mirror the shared cell limiter.
 	WorkersActive int `json:"workers_active"`
@@ -288,7 +272,6 @@ func (c *Context) StatusSnapshot() StatusSnapshot {
 		Running:          running,
 		CellsDone:        st.cellsDone,
 		CellsFailed:      st.cellsFailed,
-		CellsRetried:     st.cellsRetried,
 		CellsRestored:    st.cellsRestored,
 		Attribution:      attr,
 	}
@@ -360,6 +343,15 @@ func once[T any](c *Context, m map[string]*flight[T], key string, compute func()
 	m[key] = f
 	cc.mu.Unlock()
 	defer close(f.done)
+	// A panicking computation stays a panic for its own cell, but the
+	// flight caches it as an error: a later caller of the same key must
+	// fail too, not read a zero value as if it were the result.
+	defer func() {
+		if p := recover(); p != nil {
+			f.err = fmt.Errorf("%s: panic: %v", key, p)
+			panic(p)
+		}
+	}()
 	sp := c.Spans.Begin("singleflight", key).Arg("state", "compute")
 	f.val, f.err = compute()
 	sp.End()
@@ -458,7 +450,7 @@ func (c *Context) Failures(id string) []telemetry.CellFailure {
 	return out
 }
 
-// recordFailure logs a cell that exhausted its retry budget.
+// recordFailure logs a cell that errored or panicked.
 func (c *Context) recordFailure(seq, idx int, f telemetry.CellFailure) {
 	c.sched.mu.Lock()
 	defer c.sched.mu.Unlock()
@@ -504,9 +496,8 @@ func (c *Context) recordCell(label string, elapsed time.Duration, done, total in
 // budget is held for the body's whole duration, and nesting could deadlock
 // at -parallel 1.
 //
-// Each cell runs through the resilience pipeline (runCell): checkpoint
-// restore, fault injection, panic containment, bounded retry, and —
-// depending on Context.Degrade — fail-fast or degrade-to-missing.
+// Each cell runs through runCell: checkpoint restore, panic containment,
+// and fail-fast — a failed cell fails the sweep and so its experiment.
 func cells[T any](c *Context, labels []string, fn func(i int) (T, error)) ([]T, error) {
 	seq := c.sched.nextSeq(c.id)
 	geo := ""
@@ -518,98 +509,70 @@ func cells[T any](c *Context, labels []string, fn func(i int) (T, error)) ([]T, 
 	return parallel.MapLimited(c.ctx(), c.limiter(), len(labels), func(i int) (T, error) {
 		//simlint:ignore determinism wall-clock progress reporting only; never feeds simulation state
 		start := time.Now()
-		v, err, report := runCell(c, seq, i, labels[i], geo, fn)
+		v, err := runCell(c, seq, i, labels[i], geo, fn)
 		mu.Lock()
 		done++
 		n := done
 		mu.Unlock()
-		c.recordCell(labels[i], time.Since(start), n, len(labels), report)
+		c.recordCell(labels[i], time.Since(start), n, len(labels), err)
 		return v, err
 	})
 }
 
-// runCell executes one cell through the resilience pipeline. It returns the
-// cell value, the error to propagate to the sweep (nil when the failure was
-// degraded away), and the error to report in the timing record (the real
-// failure even under degradation).
-func runCell[T any](c *Context, seq, i int, label, geo string, fn func(i int) (T, error)) (v T, runErr, report error) {
+// runCell executes one cell. A journaled cell is restored instead of run;
+// otherwise the body runs under panic containment, a success is journaled,
+// and a failure is logged (with the panic stack, if any) and returned.
+func runCell[T any](c *Context, seq, i int, label, geo string, fn func(i int) (T, error)) (T, error) {
 	site := c.id + "/" + label
 	sp := c.Spans.Begin("cell", site)
+	var zero T
 	var key string
 	if c.Journal != nil {
 		key = fmt.Sprintf("%s|%d|%d|%s|%s", c.id, seq, i, label, geo)
 		if raw, ok := c.Journal.Lookup(key); ok {
+			// A corrupt or shape-mismatched entry is not fatal — the
+			// cell just recomputes (and overwrites the entry).
+			var v T
 			if err := json.Unmarshal(raw, &v); err == nil {
 				c.statusUpdate(func(s *statusCounters) { s.cellsDone++; s.cellsRestored++ })
 				sp.Arg("restored", "true").End()
-				return v, nil, nil
+				return v, nil
 			}
-			// A corrupt or shape-mismatched entry is not fatal — the
-			// cell just recomputes (and overwrites the entry).
-			var zero T
-			v = zero
 		}
 	}
-	attempts := 1 + c.Retries
-	if attempts < 1 {
-		attempts = 1
+	if err := c.ctx().Err(); err != nil {
+		sp.Arg("cancelled", "true").End()
+		return zero, err
 	}
-	var lastErr error
-	var lastStack string
-	tried := 0
-	for a := 0; a < attempts; a++ {
-		if err := c.ctx().Err(); err != nil {
-			sp.Arg("cancelled", "true").End()
-			return v, err, err
-		}
-		tried++
-		if tried > 1 {
-			c.statusUpdate(func(s *statusCounters) { s.cellsRetried++ })
-		}
-		var stack string
-		v, lastErr, stack = attemptCell(c, site, i, fn)
-		if stack != "" {
-			lastStack = stack
-		}
-		if err := c.ctx().Err(); err != nil {
-			// The campaign was cancelled while this cell ran; the
-			// offline solve inside it may have been abandoned, so the
-			// result could be incomplete. Discard it, never journal
-			// it, and surface the cancellation.
-			var zero T
-			sp.Arg("cancelled", "true").Arg("attempts", itoa(tried)).End()
-			return zero, err, err
-		}
-		if lastErr == nil {
-			if c.Journal != nil {
-				if raw, err := json.Marshal(v); err == nil {
-					c.Journal.Append(key, raw)
-				}
-			}
-			c.statusUpdate(func(s *statusCounters) { s.cellsDone++ })
-			sp.Arg("attempts", itoa(tried)).End()
-			return v, nil, nil
+	v, err, stack := containCell(fn, i)
+	if cerr := c.ctx().Err(); cerr != nil {
+		// The campaign was cancelled while this cell ran; the offline
+		// solve inside it may have been abandoned, so the result could be
+		// incomplete. Discard it, never journal it, and surface the
+		// cancellation.
+		sp.Arg("cancelled", "true").End()
+		return zero, cerr
+	}
+	if err != nil {
+		c.recordFailure(seq, i, telemetry.CellFailure{Cell: site, Error: err.Error(), Stack: stack})
+		c.statusUpdate(func(s *statusCounters) { s.cellsFailed++ })
+		sp.Arg("failed", "true").End()
+		return zero, err
+	}
+	if c.Journal != nil {
+		if raw, err := json.Marshal(v); err == nil {
+			c.Journal.Append(key, raw)
 		}
 	}
-	fail := telemetry.CellFailure{Cell: site, Attempts: tried, Error: lastErr.Error(), Stack: lastStack}
-	c.recordFailure(seq, i, fail)
-	c.statusUpdate(func(s *statusCounters) { s.cellsFailed++ })
-	sp.Arg("failed", "true").Arg("attempts", itoa(tried)).End()
-	if c.Degrade {
-		var zero T
-		return zero, nil, lastErr
-	}
-	return v, lastErr, lastErr
+	c.statusUpdate(func(s *statusCounters) { s.cellsDone++ })
+	sp.End()
+	return v, nil
 }
 
-// itoa is a strconv.Itoa stand-in for the small counters in span args.
-func itoa(n int) string { return fmt.Sprintf("%d", n) }
-
-// attemptCell runs one attempt of a cell body with the fault-injection hook
-// applied and any panic converted into an error carrying the goroutine
-// stack, so a crashing cell fails like any other cell instead of tearing
-// down the whole campaign.
-func attemptCell[T any](c *Context, site string, i int, fn func(i int) (T, error)) (v T, err error, stack string) {
+// containCell runs a cell body with any panic converted into an error and
+// the goroutine stack, so a crashing cell fails like any other cell instead
+// of tearing down the whole campaign.
+func containCell[T any](fn func(i int) (T, error), i int) (v T, err error, stack string) {
 	defer func() {
 		if p := recover(); p != nil {
 			var zero T
@@ -618,9 +581,6 @@ func attemptCell[T any](c *Context, site string, i int, fn func(i int) (T, error
 			stack = string(debug.Stack())
 		}
 	}()
-	if ferr := c.Fault.Hit(c.ctx(), site); ferr != nil {
-		return v, ferr, ""
-	}
 	v, err = fn(i)
 	return v, err, ""
 }
@@ -733,10 +693,9 @@ type RunResult struct {
 	WallSeconds float64
 	// Apps holds the per-cell wall-clock records (manifest material).
 	Apps []telemetry.AppRun
-	// Failed lists the cells that exhausted their retry budget, in
-	// deterministic (sweep, index) order. Under Context.Degrade the
-	// experiment still produced a Table with these cells marked missing;
-	// in strict mode Err is also set.
+	// Failed lists the cells that errored or panicked, in deterministic
+	// (sweep, index) order. A failed cell fails its experiment, so when
+	// Failed is non-empty Err is set and Table is nil.
 	Failed []telemetry.CellFailure
 }
 
@@ -815,19 +774,12 @@ func (c *Context) runOne(id string) RunResult {
 	c.statusUpdate(func(s *statusCounters) { delete(s.running, id); s.expDone++ })
 	r.Apps = c.Timings(id)
 	r.Failed = c.Failures(id)
-	if r.Table != nil {
-		for _, f := range r.Failed {
-			r.Table.Notes = append(r.Table.Notes,
-				fmt.Sprintf("MISSING cell %s: failed after %d attempt(s): %s", f.Cell, f.Attempts, f.Error))
-		}
-	}
 	return r
 }
 
 // runContained invokes an experiment body with panics converted to errors,
-// so one crashing experiment (e.g. row-merge code tripping over a degraded
-// cell's zero value) fails its own RunResult instead of tearing down the
-// whole campaign.
+// so a panic outside any cell (table assembly, row merging) fails its own
+// RunResult instead of tearing down the whole campaign.
 func runContained(run Runner, c *Context) (t *Table, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -836,18 +788,6 @@ func runContained(run Runner, c *Context) (t *Table, err error) {
 		}
 	}()
 	return run(c)
-}
-
-// padded extends a cell's row group with zeros to length n: a degraded
-// (failed, zero-valued) cell renders as zero entries in its table row — the
-// MISSING note marks it — instead of panicking or skewing the column count.
-func padded(row []float64, n int) []float64 {
-	if len(row) >= n {
-		return row
-	}
-	out := make([]float64, n)
-	copy(out, row)
-	return out
 }
 
 // Registry maps experiment ids (tab1, fig8, ...) to runners, in paper

@@ -220,9 +220,8 @@ func (c *Context) behaviorReductions(policyNames []string) (map[string]map[strin
 		out[name] = make(map[string]float64, len(apps))
 	}
 	for i, app := range apps {
-		row := padded(rows[i], len(policyNames))
 		for j, name := range policyNames {
-			out[name][app] = row[j]
+			out[name][app] = rows[i][j]
 		}
 	}
 	return out, nil
@@ -307,7 +306,7 @@ func Fig10FLACKAblation(ctx *Context) (*Table, error) {
 	sums := make([]float64, len(variants)+1)
 	for i, app := range ctx.AppList() {
 		row := []any{app}
-		for j, r := range padded(rows[i], len(variants)+1) {
+		for j, r := range rows[i] {
 			sums[j] += r
 			row = append(row, pct(r))
 		}

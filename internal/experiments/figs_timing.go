@@ -67,7 +67,7 @@ func Fig2PerfectStructures(ctx *Context) (*Table, error) {
 	sums := make([]float64, len(variants))
 	for i, app := range ctx.AppList() {
 		row := []any{app}
-		for j, g := range padded(rows[i], len(variants)) {
+		for j, g := range rows[i] {
 			sums[j] += g
 			row = append(row, pct(g))
 		}
@@ -108,7 +108,7 @@ func (c *Context) ppwTable(name, title string, policyNames []string, notes ...st
 	sums := make([]float64, len(policyNames))
 	for i, app := range c.AppList() {
 		row := []any{app}
-		for j, g := range padded(rows[i], len(policyNames)) {
+		for j, g := range rows[i] {
 			sums[j] += g
 			row = append(row, pct(g))
 		}
@@ -165,7 +165,7 @@ func Fig11IPC(ctx *Context) (*Table, error) {
 	sums := make([]float64, len(names)+1)
 	for i, app := range ctx.AppList() {
 		row := []any{app}
-		for j, sp := range padded(rows[i], len(names)+1) {
+		for j, sp := range rows[i] {
 			sums[j] += sp
 			row = append(row, pct(sp))
 		}

@@ -6,14 +6,18 @@ import (
 	"errors"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
-	"uopsim/internal/faultinject"
+	"uopsim/internal/profiles"
 	"uopsim/internal/telemetry"
+	"uopsim/internal/trace"
+	"uopsim/internal/uopcache"
 )
 
 // renderCtx runs ids through RunMany on the given context and returns the
-// concatenated CSV+Markdown of every table. Strict failures fail the test.
+// concatenated CSV+Markdown of every table. Any failed experiment fails the
+// test.
 func renderCtx(t *testing.T, ctx *Context, ids []string) string {
 	t.Helper()
 	var buf bytes.Buffer
@@ -40,27 +44,49 @@ func resumeHeader(ctx *Context) CheckpointHeader {
 	}
 }
 
+// onCollection swaps the collectProfile seam for the rest of the test: hook
+// runs just before the nth (1-based) profile collection, which then goes
+// ahead unchanged unless hook panics. At one worker the collection order is
+// the serial schedule's, so n picks a cell deterministically.
+func onCollection(t *testing.T, n int64, hook func()) {
+	t.Helper()
+	old := collectProfile
+	var calls atomic.Int64
+	collectProfile = func(pws []trace.PW, cfg uopcache.Config, src profiles.Source, opts profiles.CollectOptions) *profiles.Profile {
+		if calls.Add(1) == n {
+			hook()
+		}
+		return old(pws, cfg, src, opts)
+	}
+	t.Cleanup(func() { collectProfile = old })
+}
+
 // TestResumeByteIdentity is the acceptance contract of checkpoint/resume: a
-// run that dies at an arbitrary cell (here: a deterministic injected failure
-// in strict mode), restarted against the same journal, must render output
-// byte-identical to an uninterrupted run — at every worker count. tab2
-// exercises the timing path, fig8 FLACK profiling, sens-fragmentation the
-// multi-sweep journal keys (four sweeps reusing the same cell labels).
+// run interrupted partway (here: the campaign context cancelled from inside
+// a cell, the path SIGINT takes in cmd/experiments), restarted against the
+// same journal, must render output byte-identical to an uninterrupted run —
+// at every worker count. tab2 exercises the timing path,
+// sens-fragmentation the multi-sweep journal keys (four sweeps reusing the
+// same cell labels), and fig8 FLACK profiling, where the interrupt lands.
 func TestResumeByteIdentity(t *testing.T) {
-	ids := []string{"tab2", "fig8", "sens-fragmentation"}
+	ids := []string{"tab2", "sens-fragmentation", "fig8"}
 
 	// The uninterrupted reference, no journal involved.
 	ref := smallCtx()
 	ref.Workers = 1
 	want := renderCtx(t, ref, ids)
 
-	// Run 1: journaled, strict, with the fourth cell attempt failing by
-	// injection — the campaign dies partway with some cells checkpointed.
+	// Run 1: journaled, cancelled while fig8's second cell collects its
+	// profile. That cell's result is discarded; everything before it is
+	// checkpointed.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "checkpoint.jsonl")
+	sigCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	ctx1 := smallCtx()
 	ctx1.Workers = 1
-	ctx1.Fault = faultinject.MustNew("*:4:error")
+	ctx1.Ctx = sigCtx
+	onCollection(t, 2, cancel)
 	j1, err := OpenCheckpoint(path, resumeHeader(ctx1))
 	if err != nil {
 		t.Fatal(err)
@@ -68,22 +94,18 @@ func TestResumeByteIdentity(t *testing.T) {
 	ctx1.Journal = j1
 	results := RunMany(ctx1, ids, nil)
 	j1.Close()
-	failed := 0
+	if results[2].Err == nil {
+		t.Fatal("the cancellation did not interrupt fig8")
+	}
 	for _, r := range results {
-		if r.Err != nil {
-			failed++
-			var ierr *faultinject.Error
-			if !errors.As(r.Err, &ierr) {
-				t.Fatalf("%s failed with %v, want the injected fault", r.ID, r.Err)
-			}
+		if r.Err != nil && !errors.Is(r.Err, context.Canceled) {
+			t.Fatalf("%s failed with %v, want context.Canceled", r.ID, r.Err)
 		}
 	}
-	if failed == 0 {
-		t.Fatal("the injected fault did not interrupt the run")
-	}
 
-	// Resume: same journal, fault gone, at several worker counts. Restored
-	// cells replay from the journal; only the missing ones recompute.
+	// Resume: same journal, no interrupt, at several worker counts.
+	// Restored cells replay from the journal; only the missing ones
+	// recompute.
 	for _, workers := range []int{1, 4, 0} {
 		j, err := OpenCheckpoint(path, resumeHeader(ctx1))
 		if err != nil {
@@ -103,84 +125,51 @@ func TestResumeByteIdentity(t *testing.T) {
 	}
 }
 
-// TestRetryRecoversTransientFault: with a retry budget, a cell that fails on
-// its first two attempts and then succeeds must leave no trace — no failure
-// records, output identical to a clean run.
-func TestRetryRecoversTransientFault(t *testing.T) {
-	ids := []string{"tab2"}
-	ref := smallCtx()
-	ref.Workers = 1
-	want := renderCtx(t, ref, ids)
-
+// TestCellErrorFailsExperiment: a cell that returns an error fails its
+// experiment — no table, the error in Err, and exactly one failed-cell
+// record naming the cell, with no stack because nothing panicked.
+func TestCellErrorFailsExperiment(t *testing.T) {
 	ctx := smallCtx()
 	ctx.Workers = 1
-	ctx.Retries = 2
-	ctx.Fault = faultinject.MustNew("*:1-2:error")
-	got := renderCtx(t, ctx, ids)
-	if got != want {
-		t.Error("retried run differs from the clean run")
-	}
-	if f := ctx.Failures("tab2"); len(f) != 0 {
-		t.Errorf("recovered cell still logged failures: %+v", f)
-	}
-}
-
-// TestDegradeRecordsFailure: in degrade mode an always-failing cell must not
-// fail the experiment — it renders with the cell marked missing, and the
-// failure (with its attempt count) lands in the failed-cell log.
-func TestDegradeRecordsFailure(t *testing.T) {
-	ctx := smallCtx()
-	ctx.Workers = 1
-	ctx.Retries = 1
-	ctx.Degrade = true
-	ctx.Fault = faultinject.MustNew("fig8/kafka:1+:error")
-	results := RunMany(ctx, []string{"fig8"}, nil)
-	r := results[0]
-	if r.Err != nil {
-		t.Fatalf("degrade mode still failed the experiment: %v", r.Err)
-	}
-	if r.Table == nil {
-		t.Fatal("no table rendered")
+	ctx.Apps = []string{"kafka", "nosuch"}
+	r := RunMany(ctx, []string{"fig8"}, nil)[0]
+	if r.Err == nil || r.Table != nil {
+		t.Fatalf("err=%v table=%v, want a failed experiment with no table", r.Err, r.Table)
 	}
 	if len(r.Failed) != 1 {
 		t.Fatalf("Failed = %+v, want exactly one record", r.Failed)
 	}
 	f := r.Failed[0]
-	if f.Cell != "fig8/kafka" || f.Attempts != 2 || !strings.Contains(f.Error, "faultinject") {
+	if f.Cell != "fig8/nosuch" || f.Error != r.Err.Error() || f.Stack != "" {
+		t.Errorf("failure record = %+v, err = %v", f, r.Err)
+	}
+}
+
+// TestPanicContainment: a panicking cell must be caught and converted into
+// the cell's error, failing its experiment with the stack in the failed-cell
+// record instead of tearing down the campaign. The panic happens inside a
+// shared profile collection, so a later caller of the same profile must get
+// an error too, not a zero value.
+func TestPanicContainment(t *testing.T) {
+	onCollection(t, 1, func() { panic("collection exploded") })
+	ctx := smallCtx()
+	ctx.Workers = 1
+	r := RunMany(ctx, []string{"fig8"}, nil)[0]
+	if r.Err == nil || r.Table != nil {
+		t.Fatalf("err=%v table=%v, want a failed experiment with no table", r.Err, r.Table)
+	}
+	if len(r.Failed) != 1 {
+		t.Fatalf("Failed = %+v, want exactly one record", r.Failed)
+	}
+	f := r.Failed[0]
+	if f.Cell != "fig8/kafka" || !strings.Contains(f.Error, "cell panic: collection exploded") {
 		t.Errorf("failure record = %+v", f)
 	}
-	found := false
-	for _, n := range r.Table.Notes {
-		if strings.Contains(n, "MISSING cell fig8/kafka") {
-			found = true
-		}
+	if !strings.Contains(f.Stack, "onCollection") {
+		t.Errorf("panic failure record carries no stack through the panic site:\n%s", f.Stack)
 	}
-	if !found {
-		t.Errorf("table notes missing the degraded-cell marker: %v", r.Table.Notes)
-	}
-}
-
-// TestPanicContainment: a panicking cell must be caught, converted to a
-// failure record carrying the stack, and degraded like any other failure
-// instead of tearing down the campaign.
-func TestPanicContainment(t *testing.T) {
-	ctx := smallCtx()
-	ctx.Workers = 1
-	ctx.Degrade = true
-	ctx.Fault = faultinject.MustNew("fig8/kafka:1+:panic")
-	r := RunMany(ctx, []string{"fig8"}, nil)[0]
-	if r.Err != nil {
-		t.Fatalf("contained panic still failed the experiment: %v", r.Err)
-	}
-	if len(r.Failed) != 1 {
-		t.Fatalf("Failed = %+v, want exactly one record", r.Failed)
-	}
-	f := r.Failed[0]
-	if !strings.Contains(f.Error, "cell panic") {
-		t.Errorf("failure error = %q, want a cell panic", f.Error)
-	}
-	if f.Stack == "" {
-		t.Error("panic failure record carries no stack")
+	if p, err := ctx.Profile("kafka", 0, profiles.SourceFLACK); err == nil {
+		t.Errorf("Profile after a panicked collection = %v, nil; want an error", p)
 	}
 }
 
@@ -226,8 +215,7 @@ func TestInterruptFlushesFailedCells(t *testing.T) {
 	ctx := smallCtx()
 	ctx.Workers = 1
 	ctx.Ctx = sigCtx
-	ctx.Degrade = true
-	ctx.Fault = faultinject.MustNew("fig8/kafka:1+:error")
+	onCollection(t, 1, func() { panic("collection exploded") })
 
 	man := telemetry.NewRunManifest("experiments", nil)
 	ids := []string{"fig8", "tab2"}
@@ -247,7 +235,7 @@ func TestInterruptFlushesFailedCells(t *testing.T) {
 	out := RunMany(ctx, ids, emit)
 
 	if len(out[0].Failed) == 0 {
-		t.Fatal("fig8 recorded no failed cells despite the injected fault")
+		t.Fatal("fig8 recorded no failed cells despite the panicking collection")
 	}
 	if out[0].Failed[0].Cell != "fig8/kafka" {
 		t.Errorf("failed cell = %q, want fig8/kafka", out[0].Failed[0].Cell)

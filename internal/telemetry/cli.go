@@ -9,19 +9,17 @@ import (
 )
 
 // CLI bundles the standard observability flags every binary exposes
-// (-telemetry, -events, -sample, -pprof, -serve) and owns the resources
-// they resolve to: a metrics registry, a JSONL event sink, and the
+// (-telemetry, -events, -sample, -serve) and owns the resources they
+// resolve to: a metrics registry, a JSONL event sink, and the
 // pprof/metrics/status HTTP server. Mains call RegisterFlags before
 // flag.Parse, Start after, and Close on the way out.
 type CLI struct {
 	MetricsPath string
 	EventsPath  string
 	Sample      int
-	PprofAddr   string
 	ServeAddr   string
 
-	// Registry is non-nil after Start when -telemetry, -pprof or -serve
-	// was given.
+	// Registry is non-nil after Start when -telemetry or -serve was given.
 	Registry *Registry
 	// Sink is non-nil after Start when -events was given.
 	Sink *JSONLSink
@@ -43,8 +41,7 @@ func (c *CLI) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.MetricsPath, "telemetry", "", "write metrics to `FILE` at exit (Prometheus text; .json switches to JSON)")
 	fs.StringVar(&c.EventsPath, "events", "", "write a JSONL trace of cache decisions to `FILE`")
 	fs.IntVar(&c.Sample, "sample", 1, "emit every `N`th event to -events")
-	fs.StringVar(&c.PprofAddr, "pprof", "", "serve net/http/pprof, /metrics and /healthz on `ADDR` (e.g. localhost:6060)")
-	fs.StringVar(&c.ServeAddr, "serve", "", "serve the live run dashboard (/debug/status, plus pprof and /metrics) on `ADDR`")
+	fs.StringVar(&c.ServeAddr, "serve", "", "serve the live run dashboard (/debug/status), net/http/pprof, /metrics and /healthz on `ADDR` (e.g. localhost:6060)")
 }
 
 // SetStatus installs (or replaces) the /debug/status document source. Safe
@@ -77,7 +74,7 @@ func (c *CLI) ServerAddr() string {
 
 // Start opens the sinks and the HTTP server the parsed flags ask for.
 func (c *CLI) Start() error {
-	if c.MetricsPath != "" || c.PprofAddr != "" || c.ServeAddr != "" {
+	if c.MetricsPath != "" || c.ServeAddr != "" {
 		c.Registry = NewRegistry()
 	}
 	if c.MetricsPath != "" {
@@ -100,12 +97,8 @@ func (c *CLI) Start() error {
 		c.eventsFile = f
 		c.Sink = NewJSONLSink(f, c.Sample)
 	}
-	addr := c.ServeAddr
-	if addr == "" {
-		addr = c.PprofAddr
-	}
-	if addr != "" {
-		srv, err := ServeStatus(addr, c.Registry, c.statusDoc)
+	if c.ServeAddr != "" {
+		srv, err := ServeStatus(c.ServeAddr, c.Registry, c.statusDoc)
 		if err != nil {
 			return fmt.Errorf("serve: %w", err)
 		}
@@ -116,7 +109,7 @@ func (c *CLI) Start() error {
 }
 
 // Close flushes the event sink, publishes the completed event trace at its
-// final path, and writes the metrics file. The pprof server is left running
+// final path, and writes the metrics file. The HTTP server is left running
 // until process exit (it serves no state of its own beyond the registry,
 // which stays valid).
 func (c *CLI) Close() error {

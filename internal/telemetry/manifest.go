@@ -47,15 +47,14 @@ type AppRun struct {
 	Error       string  `json:"error,omitempty"`
 }
 
-// CellFailure records one experiment cell that exhausted its retry budget:
-// which cell, how many attempts ran, the final error, and — when the
-// failure was a panic — the goroutine stack, so a crashed campaign's
-// manifest points at the unit of work instead of at the scheduler.
+// CellFailure records one experiment cell that errored or panicked: which
+// cell, its error, and — when the failure was a panic — the goroutine
+// stack, so a crashed campaign's manifest points at the unit of work
+// instead of at the scheduler.
 type CellFailure struct {
-	Cell     string `json:"cell"`
-	Attempts int    `json:"attempts"`
-	Error    string `json:"error"`
-	Stack    string `json:"stack,omitempty"`
+	Cell  string `json:"cell"`
+	Error string `json:"error"`
+	Stack string `json:"stack,omitempty"`
 }
 
 // FigureRun records one experiment (figure/table) of a sweep.
@@ -66,9 +65,8 @@ type FigureRun struct {
 	Rows        int      `json:"rows,omitempty"`
 	Apps        []AppRun `json:"apps,omitempty"`
 	Error       string   `json:"error,omitempty"`
-	// FailedCells lists the cells that failed after every retry; with
-	// graceful degradation enabled the figure still renders, with these
-	// cells marked missing.
+	// FailedCells lists the cells that errored or panicked. A failed cell
+	// fails its figure, so Error is set whenever this is non-empty.
 	FailedCells []CellFailure `json:"failed_cells,omitempty"`
 }
 

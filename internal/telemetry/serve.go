@@ -10,31 +10,25 @@ import (
 
 // StatusFunc supplies the live run-status document served at /debug/status.
 // It is called on every request, so implementations return a fresh snapshot
-// (cells done/failed/retried, per-worker occupancy, attribution counters,
+// (cells done/failed/restored, per-worker occupancy, attribution counters,
 // ...) and must be safe for concurrent use. A nil StatusFunc serves an
 // empty object.
 type StatusFunc func() any
 
-// Serve starts the operational HTTP endpoint on addr in a background
+// ServeStatus starts the operational HTTP endpoint on addr in a background
 // goroutine and returns the listening server. It exposes:
 //
-//	/debug/pprof/*  net/http/pprof profiles (cpu, heap, goroutine, ...)
-//	/metrics        the registry in Prometheus text format (collect hooks
-//	                run on every scrape, so values are scrape-fresh)
-//	/healthz        liveness ("ok")
-//
-// reg may be nil, in which case /metrics serves an empty exposition.
-func Serve(addr string, reg *Registry) (*http.Server, error) {
-	return ServeStatus(addr, reg, nil)
-}
-
-// ServeStatus is Serve plus the live run dashboard:
-//
-//	/debug/status       the status document as JSON
+//	/debug/pprof/*      net/http/pprof profiles (cpu, heap, goroutine, ...)
+//	/metrics            the registry in Prometheus text format (collect
+//	                    hooks run on every scrape, so values are
+//	                    scrape-fresh)
+//	/healthz            liveness ("ok")
+//	/debug/status       the live run-status document as JSON
 //	/debug/status/html  a minimal self-refreshing HTML view of the same
 //
-// The returned server's Addr field holds the actual bound address (so
-// addr may use port 0 in tests). Shut it down with Close or Shutdown.
+// reg may be nil, in which case /metrics serves an empty exposition. The
+// returned server's Addr field holds the actual bound address (so addr may
+// use port 0 in tests). Shut it down with Close or Shutdown.
 func ServeStatus(addr string, reg *Registry, status StatusFunc) (*http.Server, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
