@@ -35,7 +35,9 @@
 // determines them (plus a format version), so a warm cache is
 // byte-identical to a cold run — it only skips the min-cost-flow solves.
 // Traffic is recorded in the manifest (cache block) and the plan_cache_*
-// counters.
+// counters. With or without the cache, a run solves or loads each distinct
+// plan once and then serves it from memory; plan_memo_{hit,miss}_total
+// count that reuse.
 //
 // Introspection: -inspect POLICIES replays each app under the named policies
 // after the experiments finish, classifies every eviction (justified /

@@ -12,8 +12,9 @@ import (
 // Stats-reconciliation tests can enumerate what they expect.
 // The inspect and trace families belong to the decision-level introspection
 // layer (internal/inspect): attribution roll-ups and span-trace health. The
-// plan family covers the artifact cache's keep-plan traffic
-// (internal/artifact), the only kind the cache stores.
+// plan family covers keep-plan traffic: the artifact cache's
+// (internal/artifact, the only kind the cache stores) and the experiment
+// Context's in-memory plan memo (internal/experiments).
 var metricNamePattern = regexp.MustCompile(`^(uopcache|frontend|policy|offline|flow|parallel|inspect|trace|plan)_[a-z0-9_]+$`)
 
 // Telemetry enforces that metric names handed to the telemetry registry

@@ -3,7 +3,8 @@
 // registry drives cmd/experiments and the root benchmark harness. A Context
 // caches generated traces, collected profiles and baseline runs behind
 // per-key singleflight so multi-figure runs — serial or parallel — do not
-// repeat the expensive FLACK profiling step.
+// repeat the expensive FLACK profiling step, and it memoizes every solved
+// FOO/FLACK keep-plan so figures that share a plan solve it once.
 //
 // Concurrency model: RunMany fans experiments out, and each experiment
 // splits into heavy cells (one per app, config point, or policy variant)
@@ -180,9 +181,10 @@ func (c *Context) ctx() context.Context {
 	return context.Background() //simlint:ignore ctxflow the documented nil-means-never-cancelled normalization seam for Context.Ctx
 }
 
-// ctxCaches holds the per-geometry singleflight result caches. The mutex
-// only guards map access; computations run with it released, and concurrent
-// callers of the same key block on the flight's done channel.
+// ctxCaches holds the per-geometry singleflight result caches and the
+// keep-plan memo. The mutex only guards map access; computations run with it
+// released, and concurrent callers of the same key block on the flight's
+// done channel. The plan memo has no flights (see memoPlans).
 type ctxCaches struct {
 	mu     sync.Mutex
 	traces map[string]*flight[tracePair]
@@ -190,6 +192,7 @@ type ctxCaches struct {
 	profs  map[string]*flight[*profiles.Profile]
 	bases  map[string]*flight[uopcache.Stats]
 	times  map[string]*flight[core.TimingResult]
+	plans  map[string]*offline.Decisions
 }
 
 // ctxSched is the cross-experiment scheduler state: the shared cell limiter,
@@ -365,6 +368,7 @@ func newCaches() *ctxCaches {
 		profs:  make(map[string]*flight[*profiles.Profile]),
 		bases:  make(map[string]*flight[uopcache.Stats]),
 		times:  make(map[string]*flight[core.TimingResult]),
+		plans:  make(map[string]*offline.Decisions),
 	}
 }
 
@@ -592,12 +596,6 @@ func containCell[T any](fn func(i int) (T, error), i int) (v T, err error, stack
 func appRows[T any](c *Context, fn func(app string) (T, error)) ([]T, error) {
 	apps := c.AppList()
 	return cells(c, apps, func(i int) (T, error) { return fn(apps[i]) })
-}
-
-// plans adapts the context's artifact store into the offline layer's
-// keep-plan cache (nil when no store is attached).
-func (c *Context) plans() offline.PlanCache {
-	return offline.NewPlanStore(c.Artifacts)
 }
 
 // runOpts returns BehaviorOptions carrying the context's cancellation

@@ -108,7 +108,7 @@ func Sec3BMissClasses(ctx *Context) (*Table, error) {
 		}
 		flackCounter := func(pws []trace.PW, cfg uopcache.Config) uint64 {
 			pt, _ := ctx.Prepared(app, 0, cfg)
-			return offline.RunFLACK(pws, cfg, offline.Options{Prepared: pt}).Stats.Misses
+			return offline.RunFLACK(pws, cfg, offline.Options{Prepared: pt, Plans: ctx.plans()}).Stats.Misses
 		}
 		ml := stats.Classify(pws, ctx.Cfg.UopCache, lruCounter)
 		mf := stats.Classify(pws, ctx.Cfg.UopCache, flackCounter)
