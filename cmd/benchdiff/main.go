@@ -5,8 +5,8 @@
 //
 // Usage:
 //
-//	go test -bench=. -benchmem -run='^$' . | benchdiff -write BENCH_2026-08-08.json
-//	benchdiff -baseline testdata/bench_baseline.json -current BENCH_2026-08-08.json \
+//	go test -bench=. -benchmem -run='^$' . | benchdiff -write benchdiff_2026-08-08.json
+//	benchdiff -baseline testdata/bench_baseline.json -current benchdiff_2026-08-08.json \
 //	          -threshold 30 [-allocs-threshold 0]
 //	go test -bench=. -benchmem -run='^$' . | benchdiff -baseline testdata/bench_baseline.json
 //

@@ -1,10 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation. Each experiment is a named function producing a Table; the
 // registry drives cmd/experiments and the root benchmark harness. A Context
-// caches generated traces, collected profiles and baseline runs behind
-// per-key singleflight so multi-figure runs — serial or parallel — do not
-// repeat the expensive FLACK profiling step, and it memoizes every solved
-// FOO/FLACK keep-plan so figures that share a plan solve it once.
+// caches generated traces, collected profiles, baseline runs and every
+// timing run behind per-key singleflight so multi-figure runs — serial or
+// parallel — do not repeat the expensive FLACK profiling step or an
+// identical frontend simulation, and it memoizes every solved FOO/FLACK
+// keep-plan so figures that share a plan solve it once.
 //
 // Concurrency model: RunMany fans experiments out, and each experiment
 // splits into heavy cells (one per app, config point, or policy variant)
@@ -184,7 +185,10 @@ func (c *Context) ctx() context.Context {
 // ctxCaches holds the per-geometry singleflight result caches and the
 // keep-plan memo. The mutex only guards map access; computations run with it
 // released, and concurrent callers of the same key block on the flight's
-// done channel. The plan memo has no flights (see memoPlans).
+// done channel. times is the timing memo (Context.timing): its key carries
+// the full core.Config, not just the geometry, and a hit streams no
+// uopcache_* events for its cell. The plan memo has no flights (see
+// memoPlans).
 type ctxCaches struct {
 	mu     sync.Mutex
 	traces map[string]*flight[tracePair]

@@ -63,11 +63,14 @@ func Table2(ctx *Context) (*Table, error) {
 		if err != nil {
 			return row{}, err
 		}
-		blocks, pws, err := ctx.Trace(app, 0)
+		_, pws, err := ctx.Trace(app, 0)
 		if err != nil {
 			return row{}, err
 		}
-		res := core.RunTiming(blocks, pws, ctx.Cfg, policy.NewLRU(), ctx.Telemetry)
+		res, err := ctx.timing(app, ctx.Cfg, "lru")
+		if err != nil {
+			return row{}, err
+		}
 		an := trace.Analyze(pws, ctx.Cfg.UopCache.UopsPerEntry)
 		return row{Desc: spec.Description, Target: fmt.Sprintf("%.2f", spec.TargetMPKI),
 			MPKI: fmt.Sprintf("%.2f", res.Frontend.Branch.MPKI()), Distinct: an.DistinctStarts,

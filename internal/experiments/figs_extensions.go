@@ -6,7 +6,6 @@ import (
 	"uopsim/internal/core"
 	"uopsim/internal/offline"
 	"uopsim/internal/policy"
-	"uopsim/internal/profiles"
 )
 
 // SensInclusion reproduces the paper's Section VII discussion: with a
@@ -21,23 +20,17 @@ func SensInclusion(ctx *Context) (*Table, error) {
 		Inval    uint64
 	}
 	rows, err := appRows(ctx, func(app string) (row, error) {
-		blocks, pws, err := ctx.Trace(app, 0)
-		if err != nil {
-			return row{}, err
-		}
-		prof, err := ctx.Profile(app, 0, profiles.SourceFLACK)
-		if err != nil {
-			return row{}, err
-		}
 		speedup := func(nonInclusive bool) (float64, uint64, error) {
 			cfg := ctx.Cfg
 			cfg.Frontend.NonInclusive = nonInclusive
-			base := core.RunTiming(blocks, pws, cfg, policy.NewLRU(), ctx.Telemetry)
-			pol, err := core.NewPolicy("furbys", prof, cfg.UopCache, policy.FURBYSConfig{})
+			base, err := ctx.timing(app, cfg, "lru")
 			if err != nil {
 				return 0, 0, err
 			}
-			fu := core.RunTiming(blocks, pws, cfg, pol, ctx.Telemetry)
+			fu, err := ctx.timing(app, cfg, "furbys")
+			if err != nil {
+				return 0, 0, err
+			}
 			return fu.Frontend.IPC()/base.Frontend.IPC() - 1, fu.Frontend.UopCache.Invalidations, nil
 		}
 		inc, _, err := speedup(false)

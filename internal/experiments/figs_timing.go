@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 
 	"uopsim/internal/core"
@@ -8,11 +10,24 @@ import (
 	"uopsim/internal/profiles"
 )
 
-// timingByName runs (cached) the timing model for a named policy on an app,
-// sharing the context's cached profile for profile-guided policies.
-// Concurrent cells needing the same (app, policy) timing share one run.
-func (c *Context) timingByName(app, name string) (core.TimingResult, error) {
-	return once(c, c.caches.times, app+"/"+name, func() (core.TimingResult, error) {
+// timing runs (memoized) the timing model for a named policy on an app
+// under cfg. It is the package's one timing entry: every figure that needs a
+// frontend simulation asks here, so runs that several figures share — the
+// Table-I LRU baseline behind tab2, fig2, fig12, fig13 and fig14, FURBYS at
+// the context geometry behind fig9, fig12, fig13 and fig14 — simulate once
+// per Context. Concurrent cells needing the same run share one flight.
+//
+// The key covers the app, the Context's block count and input, the policy
+// name and the whole cfg (configKey), so two configs that differ in any
+// field never share an entry. Profile-guided policies use the context's
+// FLACK profile. A memo hit simulates nothing, so it streams no uopcache_*
+// events and moves no uopcache_* or frontend_* metrics; it counts one
+// timing_memo_hit_total, a simulation one timing_memo_miss_total.
+func (c *Context) timing(app string, cfg core.Config, name string) (core.TimingResult, error) {
+	key := fmt.Sprintf("%s/0/%d/%s/%s", app, c.Blocks, name, configKey(cfg))
+	simulated := false
+	res, err := once(c, c.caches.times, key, func() (core.TimingResult, error) {
+		simulated = true
 		blocks, pws, err := c.Trace(app, 0)
 		if err != nil {
 			return core.TimingResult{}, err
@@ -24,11 +39,28 @@ func (c *Context) timingByName(app, name string) (core.TimingResult, error) {
 				return core.TimingResult{}, err
 			}
 		}
-		r := c.runOpts(app, 0, c.Cfg.UopCache)
-		return core.RunTimingByNameWith(name, blocks, pws, c.Cfg, prof, core.TimingOptions{
+		r := c.runOpts(app, 0, cfg.UopCache)
+		return core.RunTimingByNameWith(name, blocks, pws, cfg, prof, core.TimingOptions{
 			Telemetry: r.Telemetry, Prepared: r.Prepared, Plans: r.Plans, Workers: r.Workers,
 		})
 	})
+	if m := c.Telemetry.Metrics; m != nil {
+		if simulated {
+			m.Counter("timing_memo_miss_total").Inc()
+		} else {
+			m.Counter("timing_memo_hit_total").Inc()
+		}
+	}
+	return res, err
+}
+
+// configKey digests cfg's full printed form. core.Config is not comparable
+// (branch.Config.HistLens is a slice), and a hand-picked subset of fields
+// would let two configs that differ elsewhere share a memo entry; %+v
+// prints every field, floats in their shortest exact form.
+func configKey(cfg core.Config) string {
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", cfg)))
+	return hex.EncodeToString(sum[:8])
 }
 
 // Fig2PerfectStructures reproduces Fig. 2: per-core performance-per-watt
@@ -47,16 +79,18 @@ func Fig2PerfectStructures(ctx *Context) (*Table, error) {
 		{"btb", func(c *core.Config) { c.Frontend.PerfectBTB = true }},
 	}
 	rows, err := appRows(ctx, func(app string) ([]float64, error) {
-		blocks, pws, err := ctx.Trace(app, 0)
+		base, err := ctx.timing(app, ctx.Cfg, "lru")
 		if err != nil {
 			return nil, err
 		}
-		base := core.RunTiming(blocks, pws, ctx.Cfg, policy.NewLRU(), ctx.Telemetry)
 		gains := make([]float64, len(variants))
 		for i, v := range variants {
 			cfg := ctx.Cfg
 			v.apply(&cfg)
-			res := core.RunTiming(blocks, pws, cfg, policy.NewLRU(), ctx.Telemetry)
+			res, err := ctx.timing(app, cfg, "lru")
+			if err != nil {
+				return nil, err
+			}
 			gains[i] = res.PPW/base.PPW - 1
 		}
 		return gains, nil
@@ -88,13 +122,13 @@ func Fig2PerfectStructures(ctx *Context) (*Table, error) {
 func (c *Context) ppwTable(name, title string, policyNames []string, notes ...string) (*Table, error) {
 	t := &Table{Name: name, Title: title, Columns: append([]string{"application"}, policyNames...), Notes: notes}
 	rows, err := appRows(c, func(app string) ([]float64, error) {
-		base, err := c.timingByName(app, "lru")
+		base, err := c.timing(app, c.Cfg, "lru")
 		if err != nil {
 			return nil, err
 		}
 		row := make([]float64, len(policyNames))
 		for i, p := range policyNames {
-			res, err := c.timingByName(app, p)
+			res, err := c.timing(app, c.Cfg, p)
 			if err != nil {
 				return nil, err
 			}
@@ -136,26 +170,25 @@ func Fig11IPC(ctx *Context) (*Table, error) {
 	t := &Table{Name: "fig11", Title: "IPC speedup over LRU (Fig. 11)",
 		Columns: append(append([]string{"application"}, names...), "infinite uop cache")}
 	rows, err := appRows(ctx, func(app string) ([]float64, error) {
-		blocks, pws, err := ctx.Trace(app, 0)
-		if err != nil {
-			return nil, err
-		}
-		base, err := ctx.timingByName(app, "lru")
+		base, err := ctx.timing(app, ctx.Cfg, "lru")
 		if err != nil {
 			return nil, err
 		}
 		speedups := make([]float64, 0, len(names)+1)
 		for _, p := range names {
-			res, err := ctx.timingByName(app, p)
+			res, err := ctx.timing(app, ctx.Cfg, p)
 			if err != nil {
 				return nil, err
 			}
 			speedups = append(speedups, res.Frontend.IPC()/base.Frontend.IPC()-1)
 		}
-		// Infinite (perfect) micro-op cache bound.
+		// Infinite (perfect) micro-op cache bound: fig2's "uop" variant.
 		cfg := ctx.Cfg
 		cfg.Frontend.PerfectUopCache = true
-		inf := core.RunTiming(blocks, pws, cfg, policy.NewLRU(), ctx.Telemetry)
+		inf, err := ctx.timing(app, cfg, "lru")
+		if err != nil {
+			return nil, err
+		}
 		speedups = append(speedups, inf.Frontend.IPC()/base.Frontend.IPC()-1)
 		return speedups, nil
 	})
@@ -214,41 +247,43 @@ func Fig12ISOPerformance(ctx *Context) (*Table, error) {
 		if err := cfg.UopCache.Validate(); err != nil {
 			return point{}, fmt.Errorf("fig12 config %s: %w", rc.label, err)
 		}
+		polName := "lru"
+		if rc.furbys {
+			polName = "furbys"
+		}
 		var missRates, ipcs, reds []float64
 		for _, app := range ctx.AppList() {
-			blocks, pws, err := ctx.Trace(app, 0)
-			if err != nil {
-				return point{}, err
-			}
 			base, err := ctx.lruBaseline(app)
 			if err != nil {
 				return point{}, err
 			}
-
-			var polName string
-			var prof *profiles.Profile
-			if rc.furbys {
-				polName = "furbys"
-				prof, err = ctx.Profile(app, 0, profiles.SourceFLACK)
+			// The LRU row at the context geometry is the baseline itself.
+			beh := base
+			if rc.furbys || cfg.UopCache != ctx.Cfg.UopCache {
+				_, pws, err := ctx.Trace(app, 0)
 				if err != nil {
 					return point{}, err
 				}
-			} else {
-				polName = "lru"
+				var prof *profiles.Profile
+				if rc.furbys {
+					prof, err = ctx.Profile(app, 0, profiles.SourceFLACK)
+					if err != nil {
+						return point{}, err
+					}
+				}
+				pol, err := core.NewPolicy(polName, prof, cfg.UopCache, policy.FURBYSConfig{})
+				if err != nil {
+					return point{}, err
+				}
+				beh = core.RunBehavior(pws, cfg, pol, ctx.runOpts(app, 0, cfg.UopCache)).Stats
 			}
-			pol, err := core.NewPolicy(polName, prof, cfg.UopCache, policy.FURBYSConfig{})
-			if err != nil {
-				return point{}, err
-			}
-			beh := core.RunBehavior(pws, cfg, pol, ctx.runOpts(app, 0, cfg.UopCache))
-			missRates = append(missRates, beh.Stats.UopMissRate())
-			reds = append(reds, core.MissReduction(base, beh.Stats))
+			missRates = append(missRates, beh.UopMissRate())
+			reds = append(reds, core.MissReduction(base, beh))
 
-			pol2, err := core.NewPolicy(polName, prof, cfg.UopCache, policy.FURBYSConfig{})
+			tim, err := ctx.timing(app, cfg, polName)
 			if err != nil {
 				return point{}, err
 			}
-			tim := core.RunTiming(blocks, pws, cfg, pol2, ctx.Telemetry)
 			ipcs = append(ipcs, tim.Frontend.IPC())
 		}
 		return point{MissRate: mean(missRates), IPC: mean(ipcs), Red: mean(reds)}, nil
@@ -271,27 +306,15 @@ func Fig13EnergyBreakdownClang(ctx *Context) (*Table, error) {
 		Columns: []string{"configuration", "decoder", "icache", "uop cache", "others", "total vs no-uop-cache"}}
 	labels := []string{"no uop cache", "lru", "furbys"}
 	results, err := cells(ctx, labels, func(i int) (core.TimingResult, error) {
-		blocks, pws, err := ctx.Trace(app, 0)
-		if err != nil {
-			return core.TimingResult{}, err
-		}
 		switch i {
 		case 0:
 			noCfg := ctx.Cfg
 			noCfg.Frontend.DisableUopCache = true
-			return core.RunTiming(blocks, pws, noCfg, policy.NewLRU(), ctx.Telemetry), nil
+			return ctx.timing(app, noCfg, "lru")
 		case 1:
-			return core.RunTiming(blocks, pws, ctx.Cfg, policy.NewLRU(), ctx.Telemetry), nil
+			return ctx.timing(app, ctx.Cfg, "lru")
 		default:
-			prof, err := ctx.Profile(app, 0, profiles.SourceFLACK)
-			if err != nil {
-				return core.TimingResult{}, err
-			}
-			fpol, err := core.NewPolicy("furbys", prof, ctx.Cfg.UopCache, policy.FURBYSConfig{})
-			if err != nil {
-				return core.TimingResult{}, err
-			}
-			return core.RunTiming(blocks, pws, ctx.Cfg, fpol, ctx.Telemetry), nil
+			return ctx.timing(app, ctx.Cfg, "furbys")
 		}
 	})
 	if err != nil {
@@ -321,20 +344,14 @@ func Fig14EnergyReductionBreakdown(ctx *Context) (*Table, error) {
 		TotFrac float64
 	}
 	rows, err := appRows(ctx, func(app string) (row, error) {
-		blocks, pws, err := ctx.Trace(app, 0)
+		lru, err := ctx.timing(app, ctx.Cfg, "lru")
 		if err != nil {
 			return row{}, err
 		}
-		lru := core.RunTiming(blocks, pws, ctx.Cfg, policy.NewLRU(), ctx.Telemetry)
-		prof, err := ctx.Profile(app, 0, profiles.SourceFLACK)
+		fu, err := ctx.timing(app, ctx.Cfg, "furbys")
 		if err != nil {
 			return row{}, err
 		}
-		fpol, err := core.NewPolicy("furbys", prof, ctx.Cfg.UopCache, policy.FURBYSConfig{})
-		if err != nil {
-			return row{}, err
-		}
-		fu := core.RunTiming(blocks, pws, ctx.Cfg, fpol, ctx.Telemetry)
 		dIc := lru.Power.ICache - fu.Power.ICache
 		dUop := lru.Power.UopCache - fu.Power.UopCache
 		dDec := lru.Power.Decoder - fu.Power.Decoder

@@ -15,9 +15,17 @@ import (
 // With no artifact store attached, every memo miss is one flow solve.
 func planTraffic(t *testing.T, ctx *Context, ids []string) (hits, misses uint64, csv map[string]string) {
 	t.Helper()
+	reg, csv := runMetered(t, ctx, ids)
+	return reg.Counter("plan_memo_hit_total").Value(), reg.Counter("plan_memo_miss_total").Value(), csv
+}
+
+// runMetered runs ids on ctx with a fresh metrics registry attached and
+// returns the registry plus each experiment's CSV.
+func runMetered(t *testing.T, ctx *Context, ids []string) (*telemetry.Registry, map[string]string) {
+	t.Helper()
 	reg := telemetry.NewRegistry()
 	ctx.Telemetry.Metrics = reg
-	csv = make(map[string]string)
+	csv := make(map[string]string)
 	for _, r := range RunMany(ctx, ids, nil) {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.ID, r.Err)
@@ -28,7 +36,7 @@ func planTraffic(t *testing.T, ctx *Context, ids []string) (hits, misses uint64,
 		}
 		csv[r.ID] = buf.String()
 	}
-	return reg.Counter("plan_memo_hit_total").Value(), reg.Counter("plan_memo_miss_total").Value(), csv
+	return reg, csv
 }
 
 // TestPlanMemoSolvesEachPlanOnce: fig8 and fig10 ask for six keep-plans per
@@ -78,6 +86,29 @@ func TestCampaignSolveCount(t *testing.T) {
 	hits, misses, _ := planTraffic(t, ctx, []string{"tab1", "tab2", "fig2", "fig8", "fig10", "fig12", "fig14", "fig18", "fig21"})
 	if misses != 55 || hits+misses != 88 {
 		t.Errorf("campaign solved %d of %d requested plans, want 55 of 88", misses, hits+misses)
+	}
+}
+
+// TestCampaignTimingRunCount pins the timing simulations of one pass of
+// the nine-CSV campaign at Workers = 1: 14 requests per app, of which 10 are
+// distinct and simulated. tab2, fig2's base, fig12's lru@512 and fig14 all
+// ask for LRU at the context config, and fig12's furbys@512 and fig14 for
+// FURBYS there; fig2's four perfect-structure variants and fig12's four
+// larger LRU geometries are each asked for once. The other five experiments
+// run no timing model.
+func TestCampaignTimingRunCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the nine-CSV campaign over 11 apps")
+	}
+	ctx := NewContext(1000)
+	ctx.Workers = 1
+	reg, _ := runMetered(t, ctx, []string{"tab1", "tab2", "fig2", "fig8", "fig10", "fig12", "fig14", "fig18", "fig21"})
+	hits, misses := reg.Counter("timing_memo_hit_total").Value(), reg.Counter("timing_memo_miss_total").Value()
+	if misses != 110 || hits+misses != 154 {
+		t.Errorf("campaign simulated %d of %d requested timing runs, want 110 of 154", misses, hits+misses)
+	}
+	if n := len(ctx.caches.times); uint64(n) != misses {
+		t.Errorf("timing memo holds %d runs after %d simulations", n, misses)
 	}
 }
 
