@@ -6,7 +6,6 @@
 //	experiments [-blocks N] [-apps a,b,c] [-csv dir] [-md file] fig8 fig10 ...
 //	experiments [-parallel N] [-quiet] [-manifest run.json] [-telemetry FILE]
 //	            [-events FILE] all
-//	experiments [-resume dir] all
 //	experiments [-cache-dir dir] all
 //	experiments [-inspect lru,furbys] [-inspect-window N] [-trace-out t.json]
 //	            [-serve ADDR] fig8
@@ -26,9 +25,8 @@
 // experiments still run. SIGINT/SIGTERM drains the run gracefully — cells in
 // flight finish, queued work is abandoned, completed results are flushed,
 // and the manifest is written with status "interrupted" (exit status 130).
-// Every completed cell is journaled to checkpoint.jsonl in the -csv (or
-// -svg) directory; -resume DIR reloads that journal and skips the journaled
-// cells, producing byte-identical output to an uninterrupted run.
+// To recover, rerun the same command; with -cache-dir the rerun loads every
+// keep-plan the interrupted run solved instead of solving it again.
 //
 // -cache-dir DIR enables a content-addressed on-disk cache for solved
 // FOO/FLACK keep-plans. Entries are keyed by a SHA-256 over every input that
@@ -88,7 +86,6 @@ type options struct {
 	par      int
 	quiet    bool
 	manifest string
-	resume   string
 	cacheDir string
 
 	inspectPolicies string
@@ -132,7 +129,6 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	fs.IntVar(&o.par, "parallel", 0, "max concurrent (experiment, app) cells; 0 = GOMAXPROCS, 1 = serial schedule")
 	fs.BoolVar(&o.quiet, "quiet", false, "suppress per-app progress lines on stderr")
 	fs.StringVar(&o.manifest, "manifest", "", "write the run manifest to `FILE` (default: run.json in -csv or -svg dir)")
-	fs.StringVar(&o.resume, "resume", "", "resume from the checkpoint journal in `DIR` (written by a previous -csv/-svg run)")
 	fs.StringVar(&o.cacheDir, "cache-dir", "", "content-addressed artifact cache `DIR` for solved FOO/FLACK keep-plans (default: no cache)")
 	fs.StringVar(&o.inspectPolicies, "inspect", "", "run eviction attribution for the comma-separated `POLICIES` after the experiments (e.g. lru,srrip,furbys)")
 	fs.IntVar(&o.inspectWindow, "inspect-window", 0, "premature-eviction window in lookups for -inspect (0 = default 4096)")
@@ -196,15 +192,6 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 		}
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, usageError{fmt.Errorf("output dir: %w", err)}
-		}
-	}
-	if o.resume != "" {
-		st, err := os.Stat(o.resume)
-		if err != nil {
-			return nil, usageError{fmt.Errorf("-resume: %w", err)}
-		}
-		if !st.IsDir() {
-			return nil, usageError{fmt.Errorf("-resume %s: not a directory", o.resume)}
 		}
 	}
 	return o, nil
@@ -307,43 +294,12 @@ func run(o *options, args []string, stdout, stderr io.Writer) (interrupted bool,
 	man.Config = map[string]any{
 		"blocks": o.blocks, "apps": strings.Join(ectx.AppList(), ","),
 		"csv": o.csvDir, "svg": o.svgDir, "check": o.check, "parallel": workers,
-		"resume": o.resume, "cache_dir": o.cacheDir,
+		"cache_dir": o.cacheDir,
 	}
 	fail := func(format string, a ...any) {
 		msg := fmt.Sprintf(format, a...)
 		fmt.Fprintln(stderr, "experiments: "+msg)
 		man.Failures = append(man.Failures, msg)
-	}
-
-	// The checkpoint journal lives with the run's artifacts: the -resume
-	// directory when resuming, else the CSV (or SVG) output directory.
-	// Every completed cell is journaled; a later run pointed at the same
-	// directory restores those cells instead of re-simulating them.
-	journalDir := o.resume
-	if journalDir == "" {
-		journalDir = o.csvDir
-	}
-	if journalDir == "" {
-		journalDir = o.svgDir
-	}
-	if journalDir != "" {
-		hdr := experiments.CheckpointHeader{
-			Version: experiments.CheckpointVersion,
-			Tool:    "experiments",
-			Blocks:  o.blocks,
-			Apps:    ectx.AppList(),
-			Build:   man.Build.Revision,
-		}
-		journal, jerr := experiments.OpenCheckpoint(filepath.Join(journalDir, "checkpoint.jsonl"), hdr)
-		if jerr != nil {
-			fail("checkpoint: %v", jerr)
-		} else {
-			ectx.Journal = journal
-			if !o.quiet && journal.Restored() > 0 {
-				fmt.Fprintf(stderr, "experiments: resuming — %d cell(s) restored from %s\n",
-					journal.Restored(), filepath.Join(journalDir, "checkpoint.jsonl"))
-			}
-		}
 	}
 
 	var md *os.File
@@ -440,15 +396,6 @@ func run(o *options, args []string, stdout, stderr io.Writer) (interrupted bool,
 	}
 	if checkFailures > 0 {
 		fail("%d claim(s) failed", checkFailures)
-	}
-	if ectx.Journal != nil {
-		if jerr := ectx.Journal.Err(); jerr != nil {
-			fail("checkpoint: %v", jerr)
-		}
-		if cerr := ectx.Journal.Close(); cerr != nil {
-			fail("checkpoint close: %v", cerr)
-		}
-		ectx.Journal = nil
 	}
 	// Close the markdown file before the manifest is finalized: the close
 	// error is the last chance to notice a failed flush, and it belongs in

@@ -35,15 +35,18 @@ func TestParseArgsValidation(t *testing.T) {
 		{"removed faultinject", []string{"-faultinject", "*:3:panic", "fig8"}, "flag provided but not defined: -faultinject"},
 		{"removed pprof", []string{"-pprof", "localhost:6060", "fig8"}, "flag provided but not defined: -pprof"},
 		{"unwritable output dir", []string{"-csv", filepath.Join(tmp, "f.csv", "sub"), "fig8"}, "output dir"},
-		{"resume missing dir", []string{"-resume", filepath.Join(tmp, "absent"), "fig8"}, "-resume"},
-		{"resume not a dir", []string{"-resume", filepath.Join(tmp, "f.csv"), "fig8"}, "not a directory"},
+		// An interrupted campaign is rerun (with -cache-dir for speed);
+		// there is no checkpoint resume, so -resume is rejected whatever
+		// path it names.
+		{"resume missing dir", []string{"-resume", filepath.Join(tmp, "absent"), "fig8"}, "flag provided but not defined: -resume"},
+		{"resume not a dir", []string{"-resume", filepath.Join(tmp, "f.csv"), "fig8"}, "flag provided but not defined: -resume"},
 
 		{"ok single", []string{"fig8"}, ""},
 		{"ok all", []string{"all"}, ""},
 		{"ok flags", []string{"-parallel", "4", "-quiet", "fig8", "tab2"}, ""},
 		{"ok list without ids", []string{"-list"}, ""},
 	}
-	// The "not a directory" case needs the file to exist.
+	// The unwritable-output-dir case needs f.csv to exist as a file.
 	if err := writeFile(filepath.Join(tmp, "f.csv"), "x"); err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 //  1. The named durability surface must be checked: AtomicWriteFile, the
 //     report/CSV/manifest/trace writers (WriteReport, WriteCSV, WriteRDCSV,
 //     WriteFile, WriteJSON, WritePrometheus, Markdown, CSV, Flush) and
-//     checkpoint journal appends (Append) — any module function or method
+//     append-only log writes (Append) — any module function or method
 //     with one of those names that returns an error.
 //  2. (*os.File).Close on a write path — a file this function created for
 //     writing, wrote to, or handed to a writer — buffers the last chance to
@@ -35,7 +35,7 @@ import (
 //     named writers, which rules 1 and 2 cover everywhere.
 var Errsink = &Analyzer{
 	Name: "errsink",
-	Doc:  "durability-surface errors (AtomicWriteFile, report/CSV/trace writers, checkpoint appends, Close on write paths) must not be discarded",
+	Doc:  "durability-surface errors (AtomicWriteFile, report/CSV/trace writers, log appends, Close on write paths) must not be discarded",
 	Run:  runErrsink,
 }
 

@@ -32,8 +32,7 @@ import (
 // The analysis is a path-sensitive abstract interpretation per function:
 // branches fork the held-set, a branch that terminates (return, panic,
 // os.Exit) drops out of the merge, and loops must leave the held-set
-// unchanged. Holding a lock across a blocking call that is the documented
-// design — the checkpoint journal serializing fsynced appends — carries a
+// unchanged. A lock deliberately held across a blocking call carries a
 // suppression with its reason.
 var Lockcheck = &Analyzer{
 	Name: "lockcheck",

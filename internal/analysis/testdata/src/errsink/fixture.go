@@ -28,19 +28,19 @@ func persist(path string) {
 	AtomicWriteFile(path, func(w io.Writer) error { return nil }) // want "error from errfix.AtomicWriteFile discarded; the durability surface must be checked"
 }
 
-type journal struct{ f *os.File }
+type appendLog struct{ f *os.File }
 
-func (j *journal) Append(line string) error {
-	_, err := j.f.WriteString(line)
+func (l *appendLog) Append(line string) error {
+	_, err := l.f.WriteString(line)
 	return err
 }
 
-func (j *journal) Flush() error { return j.f.Sync() }
+func (l *appendLog) Flush() error { return l.f.Sync() }
 
-func useJournal(j *journal) {
-	j.Append("x") // want "error from \\*journal.Append discarded; the durability surface must be checked"
-	_ = j.Flush() // want "error from \\*journal.Flush discarded; the durability surface must be checked"
-	if err := j.Append("y"); err != nil {
+func useAppendLog(l *appendLog) {
+	l.Append("x") // want "error from \\*appendLog.Append discarded; the durability surface must be checked"
+	_ = l.Flush() // want "error from \\*appendLog.Flush discarded; the durability surface must be checked"
+	if err := l.Append("y"); err != nil {
 		_ = err
 	}
 }

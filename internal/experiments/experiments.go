@@ -20,15 +20,12 @@
 // and no partial table. A panic is contained to its cell and becomes the
 // cell's error, with the stack kept in the experiment's failed-cell log.
 // Context.Ctx cancels a campaign cooperatively (cells in flight finish,
-// queued cells are abandoned), and Context.Journal checkpoints every
-// completed cell so an interrupted campaign resumes without redoing work.
+// queued cells are abandoned). An interrupted campaign is rerun; with
+// Context.Artifacts set, the rerun skips every keep-plan already solved.
 package experiments
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime/debug"
@@ -158,11 +155,6 @@ type Context struct {
 	// Ctx.Err() for every experiment that did not finish. nil = never
 	// cancelled.
 	Ctx context.Context
-	// Journal, when non-nil, records every completed cell's typed result
-	// so an interrupted campaign can resume without recomputing: on the
-	// next run, journaled cells are restored byte-identically instead of
-	// re-simulated. See Checkpoint.
-	Journal *Checkpoint
 	// Spans, when non-nil, records experiment/cell/singleflight wall-clock
 	// spans for the Chrome-trace export (-trace-out). A nil log is inert,
 	// so the harness threads it unconditionally.
@@ -202,7 +194,7 @@ type ctxCaches struct {
 // ctxSched is the cross-experiment scheduler state: the shared cell limiter,
 // the per-experiment timing records feeding the run manifest, the
 // per-experiment failed-cell log, and the per-experiment sweep sequence
-// numbers that key the checkpoint journal.
+// numbers that order it.
 type ctxSched struct {
 	mu      sync.Mutex
 	cells   *parallel.Limiter
@@ -211,11 +203,10 @@ type ctxSched struct {
 	// (sweep, index) so the log sorts deterministically regardless of
 	// completion order.
 	failures map[string][]cellFailureRec
-	// seqs numbers each experiment's cell sweeps in call order. Sweeps
-	// within one experiment run serially (cell bodies may not nest), so
-	// the numbering is reproducible at any worker count — which is what
-	// lets journal keys written by an interrupted parallel run match a
-	// serial resume.
+	// seqs numbers each experiment's cell sweeps in call order, and seq
+	// orders the failed-cell log. Sweeps within one experiment run
+	// serially (cell bodies may not nest), so the numbering, and with it
+	// the log order, is the same at any worker count.
 	seqs map[string]int
 	// status is the live campaign state the /debug/status dashboard polls.
 	status statusCounters
@@ -224,10 +215,10 @@ type ctxSched struct {
 // statusCounters is the mutable part of a StatusSnapshot (guarded by
 // ctxSched.mu).
 type statusCounters struct {
-	expTotal, expDone                     int
-	running                               map[string]bool
-	cellsDone, cellsFailed, cellsRestored int
-	attribution                           *AttributionStatus
+	expTotal, expDone      int
+	running                map[string]bool
+	cellsDone, cellsFailed int
+	attribution            *AttributionStatus
 }
 
 // AttributionStatus is the attribution roll-up shown on the live dashboard
@@ -246,7 +237,6 @@ type StatusSnapshot struct {
 	Running          []string `json:"running,omitempty"`
 	CellsDone        int      `json:"cells_done"`
 	CellsFailed      int      `json:"cells_failed"`
-	CellsRestored    int      `json:"cells_restored"`
 	// WorkersActive and QueueDepth mirror the shared cell limiter.
 	WorkersActive int `json:"workers_active"`
 	WorkersCap    int `json:"workers_cap"`
@@ -279,7 +269,6 @@ func (c *Context) StatusSnapshot() StatusSnapshot {
 		Running:          running,
 		CellsDone:        st.cellsDone,
 		CellsFailed:      st.cellsFailed,
-		CellsRestored:    st.cellsRestored,
 		Attribution:      attr,
 	}
 	if lim != nil {
@@ -465,18 +454,6 @@ func (c *Context) recordFailure(seq, idx int, f telemetry.CellFailure) {
 	c.sched.failures[c.id] = append(c.sched.failures[c.id], cellFailureRec{seq: seq, idx: idx, f: f})
 }
 
-// geometry fingerprints everything a cell result depends on besides its
-// (experiment, sweep, index, label) coordinates: the full system
-// configuration and the trace length. Journal entries carry it so a resumed
-// run never replays a checkpoint computed under different geometry.
-func (c *Context) geometry() string {
-	h := sha256.New()
-	b, _ := json.Marshal(c.Cfg)
-	h.Write(b)
-	fmt.Fprintf(h, "|%d", c.Blocks)
-	return hex.EncodeToString(h.Sum(nil))[:16]
-}
-
 // recordCell notes one completed (experiment, cell) unit and emits a
 // progress line; done is the completion count within the cell sweep.
 func (c *Context) recordCell(label string, elapsed time.Duration, done, total int, err error) {
@@ -504,20 +481,16 @@ func (c *Context) recordCell(label string, elapsed time.Duration, done, total in
 // budget is held for the body's whole duration, and nesting could deadlock
 // at -parallel 1.
 //
-// Each cell runs through runCell: checkpoint restore, panic containment,
-// and fail-fast — a failed cell fails the sweep and so its experiment.
+// Each cell runs through runCell: panic containment and fail-fast — a
+// failed cell fails the sweep and so its experiment.
 func cells[T any](c *Context, labels []string, fn func(i int) (T, error)) ([]T, error) {
 	seq := c.sched.nextSeq(c.id)
-	geo := ""
-	if c.Journal != nil {
-		geo = c.geometry()
-	}
 	var mu sync.Mutex
 	done := 0
 	return parallel.MapLimited(c.ctx(), c.limiter(), len(labels), func(i int) (T, error) {
 		//simlint:ignore determinism wall-clock progress reporting only; never feeds simulation state
 		start := time.Now()
-		v, err := runCell(c, seq, i, labels[i], geo, fn)
+		v, err := runCell(c, seq, i, labels[i], fn)
 		mu.Lock()
 		done++
 		n := done
@@ -527,27 +500,12 @@ func cells[T any](c *Context, labels []string, fn func(i int) (T, error)) ([]T, 
 	})
 }
 
-// runCell executes one cell. A journaled cell is restored instead of run;
-// otherwise the body runs under panic containment, a success is journaled,
-// and a failure is logged (with the panic stack, if any) and returned.
-func runCell[T any](c *Context, seq, i int, label, geo string, fn func(i int) (T, error)) (T, error) {
+// runCell executes one cell. The body runs under panic containment, and a
+// failure is logged (with the panic stack, if any) and returned.
+func runCell[T any](c *Context, seq, i int, label string, fn func(i int) (T, error)) (T, error) {
 	site := c.id + "/" + label
 	sp := c.Spans.Begin("cell", site)
 	var zero T
-	var key string
-	if c.Journal != nil {
-		key = fmt.Sprintf("%s|%d|%d|%s|%s", c.id, seq, i, label, geo)
-		if raw, ok := c.Journal.Lookup(key); ok {
-			// A corrupt or shape-mismatched entry is not fatal — the
-			// cell just recomputes (and overwrites the entry).
-			var v T
-			if err := json.Unmarshal(raw, &v); err == nil {
-				c.statusUpdate(func(s *statusCounters) { s.cellsDone++; s.cellsRestored++ })
-				sp.Arg("restored", "true").End()
-				return v, nil
-			}
-		}
-	}
 	if err := c.ctx().Err(); err != nil {
 		sp.Arg("cancelled", "true").End()
 		return zero, err
@@ -556,8 +514,7 @@ func runCell[T any](c *Context, seq, i int, label, geo string, fn func(i int) (T
 	if cerr := c.ctx().Err(); cerr != nil {
 		// The campaign was cancelled while this cell ran; the offline
 		// solve inside it may have been abandoned, so the result could be
-		// incomplete. Discard it, never journal it, and surface the
-		// cancellation.
+		// incomplete. Discard it and surface the cancellation.
 		sp.Arg("cancelled", "true").End()
 		return zero, cerr
 	}
@@ -566,11 +523,6 @@ func runCell[T any](c *Context, seq, i int, label, geo string, fn func(i int) (T
 		c.statusUpdate(func(s *statusCounters) { s.cellsFailed++ })
 		sp.Arg("failed", "true").End()
 		return zero, err
-	}
-	if c.Journal != nil {
-		if raw, err := json.Marshal(v); err == nil {
-			c.Journal.Append(key, raw)
-		}
 	}
 	c.statusUpdate(func(s *statusCounters) { s.cellsDone++ })
 	sp.End()

@@ -49,10 +49,6 @@ func Table1(ctx *Context) (*Table, error) {
 func Table2(ctx *Context) (*Table, error) {
 	t := &Table{Name: "tab2", Title: "Data center applications (Table II)",
 		Columns: []string{"application", "description", "paper MPKI", "measured MPKI", "static PWs", "overlapping PWs", "avg uops/PW"}}
-	// Exported, concretely-typed fields: cell row groups round-trip
-	// through the JSON checkpoint journal, and unexported or `any`-typed
-	// fields would be dropped or re-typed on restore, breaking the
-	// byte-identical-resume guarantee.
 	type row struct {
 		Desc, Target, MPKI string
 		Distinct           int

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -21,17 +22,12 @@ func renderAll(t *testing.T, workers int, ids []string) (string, []string) {
 	ctx.Workers = workers
 	var order []string
 	results := RunMany(ctx, ids, func(r RunResult) { order = append(order, r.ID) })
-	var buf bytes.Buffer
+	var buf strings.Builder
 	for _, r := range results {
 		if r.Err != nil {
 			t.Fatalf("workers=%d %s: %v", workers, r.ID, r.Err)
 		}
-		if err := r.Table.CSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Table.Markdown(&buf); err != nil {
-			t.Fatal(err)
-		}
+		buf.WriteString(renderTable(t, r.Table))
 	}
 	return buf.String(), order
 }
@@ -39,10 +35,11 @@ func renderAll(t *testing.T, workers int, ids []string) (string, []string) {
 // TestRunManyWorkerInvariance is the determinism contract of the parallel
 // harness: rendered output must be byte-identical at any worker count, and
 // emit must deliver results in input order regardless of completion order.
-// tab2 covers the timing path, fig8 FLACK profiling and the profile cache,
-// fig10 the offline solver fan-out.
+// tab2 covers the timing path, sens-fragmentation four sweeps reusing the
+// same cell labels, fig8 FLACK profiling and the profile cache, fig10 the
+// offline solver fan-out.
 func TestRunManyWorkerInvariance(t *testing.T) {
-	ids := []string{"tab2", "fig8", "fig10"}
+	ids := []string{"tab2", "sens-fragmentation", "fig8", "fig10"}
 	ref, refOrder := renderAll(t, 1, ids)
 	for i, id := range ids {
 		if refOrder[i] != id {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,33 +14,18 @@ import (
 	"uopsim/internal/uopcache"
 )
 
-// renderCtx runs ids through RunMany on the given context and returns the
-// concatenated CSV+Markdown of every table. Any failed experiment fails the
-// test.
-func renderCtx(t *testing.T, ctx *Context, ids []string) string {
+// renderTable returns a table's CSV followed by its Markdown, the bytes the
+// determinism tests compare.
+func renderTable(t *testing.T, tbl *Table) string {
 	t.Helper()
 	var buf bytes.Buffer
-	for _, r := range RunMany(ctx, ids, nil) {
-		if r.Err != nil {
-			t.Fatalf("%s: %v", r.ID, r.Err)
-		}
-		if err := r.Table.CSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Table.Markdown(&buf); err != nil {
-			t.Fatal(err)
-		}
+	if err := tbl.CSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Markdown(&buf); err != nil {
+		t.Fatal(err)
 	}
 	return buf.String()
-}
-
-func resumeHeader(ctx *Context) CheckpointHeader {
-	return CheckpointHeader{
-		Version: CheckpointVersion,
-		Tool:    "experiments",
-		Blocks:  ctx.Blocks,
-		Apps:    ctx.AppList(),
-	}
 }
 
 // onCollection swaps the collectProfile seam for the rest of the test: hook
@@ -61,66 +45,44 @@ func onCollection(t *testing.T, n int64, hook func()) {
 	t.Cleanup(func() { collectProfile = old })
 }
 
-// TestResumeByteIdentity is the acceptance contract of checkpoint/resume: a
-// run interrupted partway (here: the campaign context cancelled from inside
-// a cell, the path SIGINT takes in cmd/experiments), restarted against the
-// same journal, must render output byte-identical to an uninterrupted run —
-// at every worker count. tab2 exercises the timing path,
-// sens-fragmentation the multi-sweep journal keys (four sweeps reusing the
-// same cell labels), and fig8 FLACK profiling, where the interrupt lands.
-func TestResumeByteIdentity(t *testing.T) {
+// TestCancelInsideCellFailsExperiment: cancelling the campaign context from
+// inside a cell (the path SIGINT takes in cmd/experiments) fails the
+// experiment that was running with context.Canceled and no table, and
+// leaves the experiments that finished before it byte-identical to an
+// uninterrupted run. tab2 exercises the timing path, sens-fragmentation four
+// sweeps reusing the same cell labels, and fig8 FLACK profiling, where the
+// cancellation lands.
+func TestCancelInsideCellFailsExperiment(t *testing.T) {
 	ids := []string{"tab2", "sens-fragmentation", "fig8"}
 
-	// The uninterrupted reference, no journal involved.
 	ref := smallCtx()
 	ref.Workers = 1
-	want := renderCtx(t, ref, ids)
+	var want []string
+	for _, r := range RunMany(ref, ids[:2], nil) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.ID, r.Err)
+		}
+		want = append(want, renderTable(t, r.Table))
+	}
 
-	// Run 1: journaled, cancelled while fig8's second cell collects its
-	// profile. That cell's result is discarded; everything before it is
-	// checkpointed.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "checkpoint.jsonl")
+	// Cancel while fig8's second cell collects its profile. That cell's
+	// result is discarded, so fig8 fails.
 	sigCtx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ctx1 := smallCtx()
-	ctx1.Workers = 1
-	ctx1.Ctx = sigCtx
+	ctx := smallCtx()
+	ctx.Workers = 1
+	ctx.Ctx = sigCtx
 	onCollection(t, 2, cancel)
-	j1, err := OpenCheckpoint(path, resumeHeader(ctx1))
-	if err != nil {
-		t.Fatal(err)
+	results := RunMany(ctx, ids, nil)
+	if r := results[2]; !errors.Is(r.Err, context.Canceled) || r.Table != nil {
+		t.Fatalf("fig8: err=%v table=%v, want context.Canceled and no table", r.Err, r.Table)
 	}
-	ctx1.Journal = j1
-	results := RunMany(ctx1, ids, nil)
-	j1.Close()
-	if results[2].Err == nil {
-		t.Fatal("the cancellation did not interrupt fig8")
-	}
-	for _, r := range results {
-		if r.Err != nil && !errors.Is(r.Err, context.Canceled) {
-			t.Fatalf("%s failed with %v, want context.Canceled", r.ID, r.Err)
+	for i, r := range results[:2] {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.ID, r.Err)
 		}
-	}
-
-	// Resume: same journal, no interrupt, at several worker counts.
-	// Restored cells replay from the journal; only the missing ones
-	// recompute.
-	for _, workers := range []int{1, 4, 0} {
-		j, err := OpenCheckpoint(path, resumeHeader(ctx1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j.Restored() == 0 {
-			t.Fatal("nothing restored — the interrupted run journaled no cells")
-		}
-		ctx2 := smallCtx()
-		ctx2.Workers = workers
-		ctx2.Journal = j
-		got := renderCtx(t, ctx2, ids)
-		j.Close()
-		if got != want {
-			t.Errorf("workers=%d: resumed output differs from the uninterrupted run", workers)
+		if got := renderTable(t, r.Table); got != want[i] {
+			t.Errorf("%s differs from the uninterrupted run", r.ID)
 		}
 	}
 }

@@ -94,7 +94,7 @@ func TestSpanLaneAssignment(t *testing.T) {
 
 func TestSpanArgsAndInstant(t *testing.T) {
 	l := NewSpanLog()
-	l.Begin("cell", "c").Arg("attempts", "2").Arg("restored", "true").End()
+	l.Begin("cell", "c").Arg("failed", "true").Arg("cancelled", "true").End()
 	l.Instant("marker", "interrupted")
 	if l.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", l.Len())
@@ -118,7 +118,7 @@ func TestSpanArgsAndInstant(t *testing.T) {
 		switch {
 		case ev.Ph == "X" && ev.Name == "c":
 			sawSpan = true
-			if ev.Args["attempts"] != "2" || ev.Args["restored"] != "true" {
+			if ev.Args["failed"] != "true" || ev.Args["cancelled"] != "true" {
 				t.Errorf("span args = %v", ev.Args)
 			}
 		case ev.Ph == "i" && ev.Name == "interrupted":

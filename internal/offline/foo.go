@@ -102,7 +102,7 @@ type fooRequest struct {
 // returns quickly. The returned plan is then INCOMPLETE and must be
 // discarded — callers that hold a cancellable context are responsible for
 // checking ctx.Err() before using the plan (the experiment scheduler does
-// this centrally before merging or journaling any cell result).
+// this centrally before merging any cell result).
 func ComputeDecisionsPrepared(ctx context.Context, pt *trace.PreparedTrace, cfg uopcache.Config, model CostModel, foldVariants bool, segLimit, workers int) *Decisions {
 	dec := &Decisions{Keep: make([]bool, pt.Len()), Model: model, FoldVariants: foldVariants}
 	segs := segmentRequests(pt, cfg, foldVariants, segLimit)

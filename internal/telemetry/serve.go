@@ -10,7 +10,7 @@ import (
 
 // StatusFunc supplies the live run-status document served at /debug/status.
 // It is called on every request, so implementations return a fresh snapshot
-// (cells done/failed/restored, per-worker occupancy, attribution counters,
+// (cells done/failed, per-worker occupancy, attribution counters,
 // ...) and must be safe for concurrent use. A nil StatusFunc serves an
 // empty object.
 type StatusFunc func() any
