@@ -35,7 +35,9 @@
 // Traffic is recorded in the manifest (cache block) and the plan_cache_*
 // counters. With or without the cache, a run solves or loads each distinct
 // plan once and then serves it from memory; plan_memo_{hit,miss}_total
-// count that reuse.
+// count that reuse. Timing runs and their shared per-trace timing paths are
+// memoized the same way (timing_memo_*, timing_path_memo_*), and run.json's
+// memo block records all three memos' hits and misses.
 //
 // Introspection: -inspect POLICIES replays each app under the named policies
 // after the experiments finish, classifies every eviction (justified /
@@ -407,6 +409,7 @@ func run(o *options, args []string, stdout, stderr io.Writer) (interrupted bool,
 		md = nil
 	}
 
+	man.Memo = ectx.MemoTraffic()
 	switch {
 	case interrupted:
 		man.Status = telemetry.StatusInterrupted

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -144,5 +145,26 @@ func TestFailedCellFailsFigure(t *testing.T) {
 	}
 	if tab2 == nil || tab2.Error == "" || len(tab2.FailedCells) != 1 || tab2.FailedCells[0].Cell != "tab2/nosuch" {
 		t.Errorf("tab2 manifest entry = %+v, want an error and one failed cell tab2/nosuch", tab2)
+	}
+}
+
+// TestManifestRecordsMemoTraffic: run.json's memo block shows how much work
+// the figures shared, without -telemetry. Per app, tab2 simulates LRU and
+// fig2 asks for it again plus four perfect-structure variants: five timing
+// simulations and one hit, all walking one timing path.
+func TestManifestRecordsMemoTraffic(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-blocks", "1000", "-apps", "kafka,postgres", "-quiet", "-csv", dir, "tab2", "fig2"}
+	if code := runMain(args, io.Discard, io.Discard); code != 0 {
+		t.Fatalf("runMain = %d, want 0", code)
+	}
+	man := readManifest(t, filepath.Join(dir, "run.json"))
+	want := map[string]telemetry.MemoTraffic{
+		"plans":        {},
+		"timing_runs":  {Hits: 2, Misses: 10},
+		"timing_paths": {Hits: 8, Misses: 2},
+	}
+	if !reflect.DeepEqual(man.Memo, want) {
+		t.Errorf("manifest memo = %+v, want %+v", man.Memo, want)
 	}
 }

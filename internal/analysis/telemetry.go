@@ -15,7 +15,7 @@ import (
 // plan family covers keep-plan traffic: the artifact cache's
 // (internal/artifact, the only kind the cache stores) and the experiment
 // Context's in-memory plan memo (internal/experiments). The timing family
-// counts the same Context's timing-run memo.
+// counts the same Context's timing-run and timing-path memos.
 var metricNamePattern = regexp.MustCompile(`^(uopcache|frontend|policy|offline|flow|parallel|inspect|trace|plan|timing)_[a-z0-9_]+$`)
 
 // Telemetry enforces that metric names handed to the telemetry registry

@@ -1,6 +1,7 @@
-// Package backend models a simplified out-of-order core backend: a 6-wide
-// retire drain fed by the frontend's micro-op queue, plus a lightweight data
-// memory model (L1d/L2/DRAM) that injects deterministic stall cycles. The
+// Package backend models a simplified out-of-order core backend in two
+// halves: a lightweight data memory model (Data: L1d/L2/DRAM) that turns
+// each frontend delivery into deterministic stall cycles, and a 6-wide
+// retire drain (Drain) fed by the frontend's micro-op queue. The
 // paper's evaluation needs the backend only to translate frontend delivery
 // rates into IPC (its Section VII notes backend detail is out of scope), so
 // the model is an accounting drain, not a scheduled pipeline.
@@ -57,22 +58,23 @@ type Stats struct {
 	L2Misses     uint64
 }
 
-// Backend is the drain model. It is driven by the frontend: Supply delivers
-// micro-ops that took a known number of frontend cycles to produce, and the
-// backend reports how many extra stall cycles the data side added.
-type Backend struct {
-	cfg   Config
-	l1d   *cache.Cache
-	l2    *cache.Cache
-	queue int
+// Data is the backend's data side: a deterministic fraction of each
+// delivery's micro-ops are memory operations that run through the L1d/L2
+// hierarchy and add stall cycles. It is keyed by each delivery's code
+// address and micro-op count, not by the cycle, so a trace's stall stream
+// is the same under every frontend configuration.
+type Data struct {
+	cfg Config
+	l1d *cache.Cache
+	l2  *cache.Cache
 	// stallCarry accumulates fractional stall cycles.
 	stallCarry float64
 	Stats      Stats
 }
 
-// New builds a backend.
-func New(cfg Config) *Backend {
-	return &Backend{cfg: cfg, l1d: cache.New(cfg.L1D), l2: cache.New(cfg.L2)}
+// NewData builds a backend data side.
+func NewData(cfg Config) *Data {
+	return &Data{cfg: cfg, l1d: cache.New(cfg.L1D), l2: cache.New(cfg.L2)}
 }
 
 func mix64(x uint64) uint64 {
@@ -84,13 +86,60 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Supply hands the backend `uops` micro-ops (decoding `insts` instructions,
-// fetched from around code address `addr`) that the frontend produced over
-// `cycles` cycles. It returns the number of ADDITIONAL cycles the backend
-// needs beyond the frontend's (data stalls plus queue-overflow drain).
-func (b *Backend) Supply(uops, insts int, addr uint64, cycles int) int {
-	b.Stats.RetiredUops += uint64(uops)
-	b.Stats.RetiredInsts += uint64(insts)
+// Stall retires one frontend delivery of `uops` micro-ops (decoding `insts`
+// instructions, fetched from around code address `addr`) through the data
+// side and returns the whole stall cycles it adds; the fractional rest
+// carries over to the next delivery.
+func (d *Data) Stall(uops, insts int, addr uint64) int {
+	d.Stats.RetiredUops += uint64(uops)
+	d.Stats.RetiredInsts += uint64(insts)
+
+	// A deterministic fraction of micro-ops are memory operations touching
+	// a synthetic working set derived from the code address (hot code
+	// tends to touch hot data).
+	memOps := int(float64(uops)*d.cfg.MemFrac + 0.5)
+	stall := 0.0
+	for i := 0; i < memOps; i++ {
+		da := mix64(addr+uint64(i)*0x9E3779B9) % d.cfg.DataFootprint
+		d.Stats.L1DAccesses++
+		if d.l1d.Access(da) {
+			continue
+		}
+		d.Stats.L1DMisses++
+		d.Stats.L2Accesses++
+		if d.l2.Access(da) {
+			stall += float64(d.cfg.L2Latency) * d.cfg.Overlap
+		} else {
+			d.Stats.L2Misses++
+			stall += float64(d.cfg.DRAMLatency) * d.cfg.Overlap
+		}
+	}
+	d.stallCarry += stall
+	if d.stallCarry < 1 {
+		return 0
+	}
+	whole := int(d.stallCarry)
+	d.stallCarry -= float64(whole)
+	d.Stats.StallCycles += uint64(whole)
+	return whole
+}
+
+// Drain is the backend's retire queue: the frontend supplies micro-ops
+// together with the cycles it took to produce them and the data side's
+// stall cycles for them, and the drain charges the cycles the queue adds.
+type Drain struct {
+	cfg   Config
+	queue int
+}
+
+// NewDrain builds an empty retire queue.
+func NewDrain(cfg Config) Drain { return Drain{cfg: cfg} }
+
+// Supply hands the queue `uops` micro-ops that the frontend produced over
+// `cycles` cycles and that stall the data side for `stall` whole cycles
+// (Data.Stall). It returns the number of ADDITIONAL cycles the backend
+// needs beyond the frontend's (queue-overflow drain plus the stall).
+func (b *Drain) Supply(uops, cycles, stall int) int {
 	b.queue += uops
 
 	// Retire what the width allows during the frontend cycles.
@@ -113,51 +162,24 @@ func (b *Backend) Supply(uops, insts int, addr uint64, cycles int) int {
 		extra += drain
 	}
 
-	// Data-side stalls: a deterministic fraction of micro-ops are memory
-	// operations touching a synthetic working set derived from the code
-	// address (hot code tends to touch hot data).
-	memOps := int(float64(uops)*b.cfg.MemFrac + 0.5)
-	stall := 0.0
-	for i := 0; i < memOps; i++ {
-		da := mix64(addr+uint64(i)*0x9E3779B9) % b.cfg.DataFootprint
-		b.Stats.L1DAccesses++
-		if b.l1d.Access(da) {
-			continue
-		}
-		b.Stats.L1DMisses++
-		b.Stats.L2Accesses++
-		if b.l2.Access(da) {
-			stall += float64(b.cfg.L2Latency) * b.cfg.Overlap
-		} else {
-			b.Stats.L2Misses++
-			stall += float64(b.cfg.DRAMLatency) * b.cfg.Overlap
-		}
-	}
-	b.stallCarry += stall
-	if b.stallCarry >= 1 {
-		whole := int(b.stallCarry)
-		b.stallCarry -= float64(whole)
-		// Stall cycles also retire from the queue.
-		r := b.cfg.Width * whole
+	// Stall cycles also retire from the queue.
+	if stall > 0 {
+		r := b.cfg.Width * stall
 		if r > b.queue {
 			r = b.queue
 		}
 		b.queue -= r
-		b.Stats.StallCycles += uint64(whole)
-		extra += whole
+		extra += stall
 	}
 	return extra
 }
 
 // Flush drains the remaining queue, returning the cycles needed.
-func (b *Backend) Flush() int {
+func (b *Drain) Flush() int {
 	c := (b.queue + b.cfg.Width - 1) / b.cfg.Width
 	b.queue = 0
 	return c
 }
 
 // QueueDepth returns the current micro-op queue occupancy.
-func (b *Backend) QueueDepth() int { return b.queue }
-
-// StatsCopy returns a snapshot of the backend statistics.
-func (b *Backend) StatsCopy() Stats { return b.Stats }
+func (b *Drain) QueueDepth() int { return b.queue }

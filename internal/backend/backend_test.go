@@ -2,6 +2,23 @@ package backend
 
 import "testing"
 
+// pair is a data side feeding a drain, delivery by delivery, as a timing
+// run composes them.
+type pair struct {
+	*Data
+	q Drain
+}
+
+func newPair(cfg Config) *pair { return &pair{Data: NewData(cfg), q: NewDrain(cfg)} }
+
+// Supply runs one delivery through the data side and the drain.
+func (p *pair) Supply(uops, insts int, addr uint64, cycles int) int {
+	return p.q.Supply(uops, cycles, p.Stall(uops, insts, addr))
+}
+
+func (p *pair) QueueDepth() int { return p.q.QueueDepth() }
+func (p *pair) Flush() int      { return p.q.Flush() }
+
 func TestDefaultConfig(t *testing.T) {
 	c := DefaultConfig()
 	if c.Width != 6 || c.ROB != 256 {
@@ -15,7 +32,7 @@ func TestDefaultConfig(t *testing.T) {
 func TestSupplyRetiresWithinWidth(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MemFrac = 0 // isolate the drain
-	b := New(cfg)
+	b := newPair(cfg)
 	// 12 uops over 2 cycles: width 6 -> all retired, queue empty.
 	extra := b.Supply(12, 4, 0x1000, 2)
 	if extra != 0 {
@@ -38,7 +55,7 @@ func TestROBBackpressure(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MemFrac = 0
 	cfg.ROB = 32
-	b := New(cfg)
+	b := newPair(cfg)
 	// Vastly oversupply in one cycle.
 	extra := b.Supply(200, 50, 0x1000, 1)
 	if extra == 0 {
@@ -54,7 +71,7 @@ func TestMemoryStallsAccumulate(t *testing.T) {
 	cfg.MemFrac = 1.0
 	cfg.Overlap = 1.0
 	cfg.DataFootprint = 64 << 20 // big: misses guaranteed early
-	b := New(cfg)
+	b := newPair(cfg)
 	extraTotal := 0
 	for i := 0; i < 200; i++ {
 		extraTotal += b.Supply(6, 2, uint64(i)*4096, 1)
@@ -74,7 +91,7 @@ func TestHotDataStopsStalling(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MemFrac = 1.0
 	cfg.DataFootprint = 4 << 10 // tiny working set fits L1d
-	b := New(cfg)
+	b := newPair(cfg)
 	var early, late int
 	for i := 0; i < 400; i++ {
 		e := b.Supply(6, 2, 0x1000, 1) // same addr -> same data set
@@ -92,7 +109,7 @@ func TestHotDataStopsStalling(t *testing.T) {
 func TestFlush(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MemFrac = 0
-	b := New(cfg)
+	b := newPair(cfg)
 	b.Supply(25, 5, 0, 1) // retires 6, queue 19
 	c := b.Flush()
 	if c != 4 { // ceil(19/6)
@@ -108,11 +125,11 @@ func TestFlush(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() Stats {
-		b := New(DefaultConfig())
+		b := newPair(DefaultConfig())
 		for i := 0; i < 500; i++ {
 			b.Supply(8, 3, uint64(i%37)*512, 2)
 		}
-		return b.StatsCopy()
+		return b.Stats
 	}
 	if run() != run() {
 		t.Error("backend not deterministic")

@@ -8,6 +8,8 @@
 package branch
 
 import (
+	"slices"
+
 	"uopsim/internal/trace"
 )
 
@@ -37,6 +39,14 @@ func DefaultConfig() Config {
 		TaggedBits:  10,
 		HistLens:    []int{8, 32, 128},
 	}
+}
+
+// Equal reports whether c and o configure the same predictor.
+func (c Config) Equal(o Config) bool {
+	return c.BTBEntries == o.BTBEntries && c.BTBWays == o.BTBWays &&
+		c.RASEntries == o.RASEntries && c.IBTBEntries == o.IBTBEntries &&
+		c.BimodalBits == o.BimodalBits && c.TaggedBits == o.TaggedBits &&
+		slices.Equal(c.HistLens, o.HistLens)
 }
 
 // Zen4Config returns a larger frontend configuration for the paper's Fig. 17
@@ -300,37 +310,46 @@ func boolBit(b bool) uint64 {
 // --- BTB ---
 
 type btbEntry struct {
-	tag     uint64
-	target  uint64
-	valid   bool
+	tag    uint64
+	target uint64
+	// lastUse is a monotonically increasing stamp for LRU; the clock ticks
+	// before every fill, so 0 marks an invalid entry.
 	lastUse uint64
 }
 
+func (e *btbEntry) valid() bool { return e.lastUse != 0 }
+
+// btb is a set-associative BTB with true-LRU replacement. Its entries sit in
+// one backing array, set s occupying entries[s*ways : (s+1)*ways].
 type btb struct {
-	sets  [][]btbEntry
-	clock uint64
+	entries []btbEntry
+	ways    int
+	nsets   uint64
+	clock   uint64
 }
 
 func newBTB(entries, ways int) *btb {
 	nsets := entries / ways
-	sets := make([][]btbEntry, nsets)
-	for i := range sets {
-		sets[i] = make([]btbEntry, ways)
-	}
-	return &btb{sets: sets}
+	return &btb{entries: make([]btbEntry, nsets*ways), ways: ways, nsets: uint64(nsets)}
 }
 
 func (b *btb) index(pc uint64) (int, uint64) {
 	h := mix64(pc)
-	return int(h % uint64(len(b.sets))), h / uint64(len(b.sets))
+	return int(h % b.nsets), h / b.nsets
+}
+
+// set returns set s's ways.
+func (b *btb) set(s int) []btbEntry {
+	return b.entries[s*b.ways : (s+1)*b.ways]
 }
 
 func (b *btb) lookup(pc uint64) (uint64, bool) {
 	b.clock++
 	set, tag := b.index(pc)
-	for i := range b.sets[set] {
-		e := &b.sets[set][i]
-		if e.valid && e.tag == tag {
+	ways := b.set(set)
+	for i := range ways {
+		e := &ways[i]
+		if e.valid() && e.tag == tag {
 			e.lastUse = b.clock
 			return e.target, true
 		}
@@ -341,19 +360,19 @@ func (b *btb) lookup(pc uint64) (uint64, bool) {
 func (b *btb) update(pc, target uint64) {
 	b.clock++
 	set, tag := b.index(pc)
-	ways := b.sets[set]
+	ways := b.set(set)
 	victim := 0
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
+		if ways[i].valid() && ways[i].tag == tag {
 			ways[i].target = target
 			ways[i].lastUse = b.clock
 			return
 		}
-		if !ways[i].valid {
+		if !ways[i].valid() {
 			victim = i
-		} else if ways[victim].valid && ways[i].lastUse < ways[victim].lastUse {
+		} else if ways[victim].valid() && ways[i].lastUse < ways[victim].lastUse {
 			victim = i
 		}
 	}
-	ways[victim] = btbEntry{tag: tag, target: target, valid: true, lastUse: b.clock}
+	ways[victim] = btbEntry{tag: tag, target: target, lastUse: b.clock}
 }

@@ -5,7 +5,10 @@
 // package uopcache.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config sizes a conventional cache.
 type Config struct {
@@ -51,17 +54,22 @@ func (c Config) Validate() error {
 }
 
 type line struct {
-	tag   uint64
-	valid bool
-	// lastUse is a monotonically increasing stamp for LRU.
+	tag uint64
+	// lastUse is a monotonically increasing stamp for LRU; the clock ticks
+	// before every fill, so 0 marks an invalid line.
 	lastUse uint64
 }
 
-// Cache is a set-associative cache with true-LRU replacement.
+func (l *line) valid() bool { return l.lastUse != 0 }
+
+// Cache is a set-associative cache with true-LRU replacement. Its lines sit
+// in one backing array, set s occupying lines[s*ways : (s+1)*ways].
 type Cache struct {
 	cfg     Config
-	sets    [][]line
+	lines   []line
+	ways    int
 	setMask uint64
+	setBits uint
 	shift   uint
 	clock   uint64
 
@@ -86,15 +94,14 @@ func New(cfg Config) *Cache {
 	if ways == 0 {
 		ways = cfg.SizeBytes / cfg.LineBytes
 	}
-	sets := make([][]line, nsets)
-	for i := range sets {
-		sets[i] = make([]line, ways)
+	return &Cache{
+		cfg:     cfg,
+		lines:   make([]line, nsets*ways),
+		ways:    ways,
+		setMask: uint64(nsets - 1),
+		setBits: uint(bits.TrailingZeros(uint(nsets))),
+		shift:   uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 	}
-	shift := uint(0)
-	for l := cfg.LineBytes; l > 1; l >>= 1 {
-		shift++
-	}
-	return &Cache{cfg: cfg, sets: sets, setMask: uint64(nsets - 1), shift: shift}
 }
 
 // Config returns the cache's configuration.
@@ -102,15 +109,12 @@ func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	lineAddr := addr >> c.shift
-	return int(lineAddr & c.setMask), lineAddr >> uint(popcount(c.setMask))
+	return int(lineAddr & c.setMask), lineAddr >> c.setBits
 }
 
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
+// set returns set s's ways.
+func (c *Cache) set(s int) []line {
+	return c.lines[s*c.ways : (s+1)*c.ways]
 }
 
 // LineAddr returns the address of the line containing addr.
@@ -123,9 +127,9 @@ func (c *Cache) Access(addr uint64) bool {
 	c.Accesses++
 	c.clock++
 	set, tag := c.index(addr)
-	ways := c.sets[set]
+	ways := c.set(set)
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
+		if ways[i].valid() && ways[i].tag == tag {
 			ways[i].lastUse = c.clock
 			return true
 		}
@@ -134,7 +138,7 @@ func (c *Cache) Access(addr uint64) bool {
 	// Fill: pick an invalid way, else the LRU way.
 	victim := 0
 	for i := range ways {
-		if !ways[i].valid {
+		if !ways[i].valid() {
 			victim = i
 			goto fill
 		}
@@ -142,19 +146,19 @@ func (c *Cache) Access(addr uint64) bool {
 			victim = i
 		}
 	}
-	if ways[victim].valid && c.OnEvict != nil {
+	if ways[victim].valid() && c.OnEvict != nil {
 		c.OnEvict(c.reassemble(set, ways[victim].tag))
 	}
 fill:
-	ways[victim] = line{tag: tag, valid: true, lastUse: c.clock}
+	ways[victim] = line{tag: tag, lastUse: c.clock}
 	return false
 }
 
 // Probe reports whether addr is resident without updating state.
 func (c *Cache) Probe(addr uint64) bool {
 	set, tag := c.index(addr)
-	for _, w := range c.sets[set] {
-		if w.valid && w.tag == tag {
+	for _, w := range c.set(set) {
+		if w.valid() && w.tag == tag {
 			return true
 		}
 	}
@@ -164,10 +168,10 @@ func (c *Cache) Probe(addr uint64) bool {
 // Invalidate removes addr's line if resident, firing OnEvict.
 func (c *Cache) Invalidate(addr uint64) bool {
 	set, tag := c.index(addr)
-	ways := c.sets[set]
+	ways := c.set(set)
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].valid = false
+		if ways[i].valid() && ways[i].tag == tag {
+			ways[i].lastUse = 0
 			if c.OnEvict != nil {
 				c.OnEvict(c.reassemble(set, tag))
 			}
@@ -179,8 +183,7 @@ func (c *Cache) Invalidate(addr uint64) bool {
 
 // reassemble reconstructs a line address from set and tag.
 func (c *Cache) reassemble(set int, tag uint64) uint64 {
-	bits := uint(popcount(c.setMask))
-	return ((tag << bits) | uint64(set)) << c.shift
+	return ((tag << c.setBits) | uint64(set)) << c.shift
 }
 
 // MissRate returns misses/accesses (0 when untouched).

@@ -280,8 +280,19 @@ type TimingResult struct {
 // during the run, and the frontend_* aggregates are published at the end
 // (zero tel = off).
 func RunTiming(blocks []trace.Block, pws []trace.PW, cfg Config, pol uopcache.Policy, tel Telemetry) TimingResult {
+	return runTiming(blocks, pws, cfg, pol, tel, nil)
+}
+
+// runTiming is RunTiming over a prebuilt path: when path is nil, or was not
+// built over these slices with cfg's predictor and backend
+// (frontend.Path.For), it builds its own, so results are byte-identical
+// either way.
+func runTiming(blocks []trace.Block, pws []trace.PW, cfg Config, pol uopcache.Policy, tel Telemetry, path *frontend.Path) TimingResult {
 	if pws == nil {
 		pws = trace.FormPWs(blocks, 0)
+	}
+	if !path.For(blocks, pws, cfg.Branch, cfg.Backend) {
+		path = frontend.NewPath(blocks, pws, cfg.Branch, cfg.Backend)
 	}
 	uc := uopcache.New(cfg.UopCache, tel.instrument(pol))
 	tel.attach(uc)
@@ -289,9 +300,7 @@ func RunTiming(blocks []trace.Block, pws []trace.PW, cfg Config, pol uopcache.Po
 	if !cfg.Frontend.PerfectICache {
 		l1i = cache.New(cfg.L1I)
 	}
-	be := backend.New(cfg.Backend)
-	f := frontend.New(cfg.Frontend, branch.New(cfg.Branch), uc, l1i, be)
-	res := f.Run(blocks, pws)
+	res := frontend.New(cfg.Frontend, uc, l1i).Run(path)
 	if tel.Metrics != nil {
 		res.PublishMetrics(tel.Metrics)
 	}
@@ -316,6 +325,12 @@ type TimingOptions struct {
 	Plans     offline.PlanCache
 	// Workers bounds the offline plan solver's fan-out (0 = GOMAXPROCS).
 	Workers int
+	// Path is the trace's shared policy-independent timing path
+	// (frontend.NewPath over the run's blocks and windows with cfg.Branch
+	// and cfg.Backend). When it is nil, or was built over other slices or
+	// configs, the run builds its own; results are byte-identical either
+	// way.
+	Path *frontend.Path
 }
 
 // RunTimingByNameWith is RunTimingByName with the full attachment set.
@@ -344,7 +359,7 @@ func RunTimingByNameWith(name string, blocks []trace.Block, pws []trace.PW, cfg 
 		}
 		pol = p
 	}
-	return RunTiming(blocks, pws, cfg, pol, opts.Telemetry), nil
+	return runTiming(blocks, pws, cfg, pol, opts.Telemetry, opts.Path), nil
 }
 
 // MissReduction is the paper's headline metric: the relative reduction in

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"uopsim/internal/core"
+	"uopsim/internal/frontend"
+	"uopsim/internal/policy"
 )
 
 func TestRunTimingByNameAllPolicies(t *testing.T) {
@@ -79,5 +81,42 @@ func TestNonInclusiveNeverWorse(t *testing.T) {
 	if non.Frontend.UopCache.UopMissRate() > incl.Frontend.UopCache.UopMissRate() {
 		t.Errorf("non-inclusive miss rate %.4f worse than inclusive %.4f",
 			non.Frontend.UopCache.UopMissRate(), incl.Frontend.UopCache.UopMissRate())
+	}
+}
+
+// TestRunTimingAllocsFixed pins the allocations of one timing run on a
+// fixed trace (kafka, 4,000 blocks, LRU at the Table-I config). Measured:
+// 484 per RunTiming, of which 21 build the trace's path (predictor tables,
+// the two data caches, the step and stall arrays) and the rest are the
+// micro-op cache, its policy and the L1i. The caches and the BTB keep each
+// structure in one backing array, so no count here grows with the set
+// count; before that, one run took 3,680.
+func TestRunTimingAllocsFixed(t *testing.T) {
+	const maxRun, maxPath = 500, 24
+	blocks, pws, err := core.TraceFor("kafka", 4000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	run := testing.AllocsPerRun(5, func() {
+		core.RunTiming(blocks, pws, cfg, policy.NewLRU(), core.Telemetry{})
+	})
+	if run > maxRun {
+		t.Errorf("RunTiming: %.0f allocations, want at most %d", run, maxRun)
+	}
+	path := testing.AllocsPerRun(5, func() {
+		frontend.NewPath(blocks, pws, cfg.Branch, cfg.Backend)
+	})
+	if path > maxPath {
+		t.Errorf("NewPath: %.0f allocations, want at most %d", path, maxPath)
+	}
+	p := frontend.NewPath(blocks, pws, cfg.Branch, cfg.Backend)
+	reuse := testing.AllocsPerRun(5, func() {
+		if _, err := core.RunTimingByNameWith("lru", blocks, pws, cfg, nil, core.TimingOptions{Path: p}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if reuse > run-path {
+		t.Errorf("a run over a prebuilt path allocates %.0f, want at most %.0f (a run minus a path build)", reuse, run-path)
 	}
 }

@@ -32,10 +32,12 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"uopsim/internal/artifact"
 	"uopsim/internal/core"
+	"uopsim/internal/frontend"
 	"uopsim/internal/inspect"
 	"uopsim/internal/offline"
 	"uopsim/internal/parallel"
@@ -179,7 +181,8 @@ func (c *Context) ctx() context.Context {
 // released, and concurrent callers of the same key block on the flight's
 // done channel. times is the timing memo (Context.timing): its key carries
 // the full core.Config, not just the geometry, and a hit streams no
-// uopcache_* events for its cell. The plan memo has no flights (see
+// uopcache_* events for its cell. paths holds the timing runs' shared
+// per-trace paths (Context.timingPath). The plan memo has no flights (see
 // memoPlans).
 type ctxCaches struct {
 	mu     sync.Mutex
@@ -188,6 +191,7 @@ type ctxCaches struct {
 	profs  map[string]*flight[*profiles.Profile]
 	bases  map[string]*flight[uopcache.Stats]
 	times  map[string]*flight[core.TimingResult]
+	paths  map[string]*flight[*frontend.Path]
 	plans  map[string]*offline.Decisions
 }
 
@@ -210,6 +214,40 @@ type ctxSched struct {
 	seqs map[string]int
 	// status is the live campaign state the /debug/status dashboard polls.
 	status statusCounters
+	// memo tallies the memos' traffic for Context.MemoTraffic.
+	memo struct{ plans, runs, paths memoTally }
+}
+
+// memoTally counts one memo's requests whether or not metrics are attached.
+type memoTally struct{ hits, misses atomic.Uint64 }
+
+// note counts one request that computed (a miss) or did not (a hit); a nil
+// tally counts nothing.
+func (m *memoTally) note(computed bool) {
+	switch {
+	case m == nil:
+	case computed:
+		m.misses.Add(1)
+	default:
+		m.hits.Add(1)
+	}
+}
+
+func (m *memoTally) traffic() telemetry.MemoTraffic {
+	return telemetry.MemoTraffic{Hits: m.hits.Load(), Misses: m.misses.Load()}
+}
+
+// MemoTraffic returns the requests the context's memos have served so far,
+// for the run manifest: keep-plans (as plan_memo_*), timing runs (as
+// timing_memo_*) and timing paths (as timing_path_memo_*). Contexts derived
+// for another config, such as fig17's, count into the same tallies.
+func (c *Context) MemoTraffic() map[string]telemetry.MemoTraffic {
+	m := &c.sched.memo
+	return map[string]telemetry.MemoTraffic{
+		"plans":        m.plans.traffic(),
+		"timing_runs":  m.runs.traffic(),
+		"timing_paths": m.paths.traffic(),
+	}
 }
 
 // statusCounters is the mutable part of a StatusSnapshot (guarded by
@@ -361,6 +399,7 @@ func newCaches() *ctxCaches {
 		profs:  make(map[string]*flight[*profiles.Profile]),
 		bases:  make(map[string]*flight[uopcache.Stats]),
 		times:  make(map[string]*flight[core.TimingResult]),
+		paths:  make(map[string]*flight[*frontend.Path]),
 		plans:  make(map[string]*offline.Decisions),
 	}
 }

@@ -5,7 +5,10 @@ import (
 	"encoding/hex"
 	"fmt"
 
+	"uopsim/internal/backend"
+	"uopsim/internal/branch"
 	"uopsim/internal/core"
+	"uopsim/internal/frontend"
 	"uopsim/internal/policy"
 	"uopsim/internal/profiles"
 )
@@ -20,7 +23,8 @@ import (
 // The key covers the app, the Context's block count and input, the policy
 // name and the whole cfg (configKey), so two configs that differ in any
 // field never share an entry. Profile-guided policies use the context's
-// FLACK profile. A memo hit simulates nothing, so it streams no uopcache_*
+// FLACK profile, and every simulation walks the trace's shared timing path
+// (timingPath). A memo hit simulates nothing, so it streams no uopcache_*
 // events and moves no uopcache_* or frontend_* metrics; it counts one
 // timing_memo_hit_total, a simulation one timing_memo_miss_total.
 func (c *Context) timing(app string, cfg core.Config, name string) (core.TimingResult, error) {
@@ -39,11 +43,16 @@ func (c *Context) timing(app string, cfg core.Config, name string) (core.TimingR
 				return core.TimingResult{}, err
 			}
 		}
+		path, err := c.timingPath(app, cfg)
+		if err != nil {
+			return core.TimingResult{}, err
+		}
 		r := c.runOpts(app, 0, cfg.UopCache)
 		return core.RunTimingByNameWith(name, blocks, pws, cfg, prof, core.TimingOptions{
-			Telemetry: r.Telemetry, Prepared: r.Prepared, Plans: r.Plans, Workers: r.Workers,
+			Telemetry: r.Telemetry, Prepared: r.Prepared, Plans: r.Plans, Workers: r.Workers, Path: path,
 		})
 	})
+	c.sched.memo.runs.note(simulated)
 	if m := c.Telemetry.Metrics; m != nil {
 		if simulated {
 			m.Counter("timing_memo_miss_total").Inc()
@@ -54,12 +63,46 @@ func (c *Context) timing(app string, cfg core.Config, name string) (core.TimingR
 	return res, err
 }
 
-// configKey digests cfg's full printed form. core.Config is not comparable
+// timingPath returns (memoized) the policy-independent timing path of app's
+// trace under cfg's predictor and backend: window placement, branch
+// outcomes and data-side stalls, which no micro-op cache policy, geometry
+// or frontend switch changes. All of a trace's timing runs under one
+// predictor and backend share a path, so the campaign builds one per app
+// (fig17's Zen4 predictor gets its own). A request that builds counts one
+// timing_path_memo_miss_total, any other one timing_path_memo_hit_total.
+// A trace whose windows are not its FormPWs windows panics in the build and
+// fails the requesting cell; later requests get the cached error.
+func (c *Context) timingPath(app string, cfg core.Config) (*frontend.Path, error) {
+	key := fmt.Sprintf("%s/0/%d/%s", app, c.Blocks, configKey(struct {
+		Branch  branch.Config
+		Backend backend.Config
+	}{cfg.Branch, cfg.Backend}))
+	built := false
+	path, err := once(c, c.caches.paths, key, func() (*frontend.Path, error) {
+		built = true
+		blocks, pws, err := c.Trace(app, 0)
+		if err != nil {
+			return nil, err
+		}
+		return frontend.NewPath(blocks, pws, cfg.Branch, cfg.Backend), nil
+	})
+	c.sched.memo.paths.note(built)
+	if m := c.Telemetry.Metrics; m != nil {
+		if built {
+			m.Counter("timing_path_memo_miss_total").Inc()
+		} else {
+			m.Counter("timing_path_memo_hit_total").Inc()
+		}
+	}
+	return path, err
+}
+
+// configKey digests v's full printed form. core.Config is not comparable
 // (branch.Config.HistLens is a slice), and a hand-picked subset of fields
 // would let two configs that differ elsewhere share a memo entry; %+v
 // prints every field, floats in their shortest exact form.
-func configKey(cfg core.Config) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", cfg)))
+func configKey(v any) string {
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", v)))
 	return hex.EncodeToString(sum[:8])
 }
 

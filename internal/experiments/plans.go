@@ -25,12 +25,13 @@ type memoPlans struct {
 	cc      *ctxCaches
 	store   offline.PlanCache
 	metrics *telemetry.Registry
+	tally   *memoTally
 }
 
 // plans returns the context's keep-plan cache: the per-Context memo, backed
 // by the artifact store when one is attached.
 func (c *Context) plans() offline.PlanCache {
-	return memoPlans{cc: c.caches, store: offline.NewPlanStore(c.Artifacts), metrics: c.Telemetry.Metrics}
+	return memoPlans{cc: c.caches, store: offline.NewPlanStore(c.Artifacts), metrics: c.Telemetry.Metrics, tally: &c.sched.memo.plans}
 }
 
 // Load implements offline.PlanCache.
@@ -38,6 +39,7 @@ func (p memoPlans) Load(key string) (*offline.Decisions, bool) {
 	p.cc.mu.Lock()
 	d, ok := p.cc.plans[key]
 	p.cc.mu.Unlock()
+	p.tally.note(!ok)
 	if ok {
 		if p.metrics != nil {
 			p.metrics.Counter("plan_memo_hit_total").Inc()

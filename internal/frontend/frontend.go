@@ -1,16 +1,24 @@
 // Package frontend is the cycle-approximate timing model of the x86-style
-// decoupled frontend in the paper's Fig. 1. It does not form prediction
-// windows: it walks the trace's shared PW sequence (trace.FormPWs, the
-// paper's STEP 2 lookup sequence) next to its block stream. Blocks flow
-// through the branch predictor, and each window is served at the block
-// that emits it, either by the micro-op cache path (up to 8 micro-ops per
-// cycle, one PW per cycle) or by the legacy decode path (icache fetch +
-// 4-wide decoder with a 5-cycle pipeline), with a 1-cycle penalty on every
-// path switch. Micro-op cache insertions land decode-latency cycles after
-// their triggering miss, through the cache's in-flight queue on the cycle
-// clock (the asynchronous lookup/insertion the paper studies). The frontend
-// feeds the backend drain model to produce IPC, and counts every event the
-// power model charges for.
+// decoupled frontend in the paper's Fig. 1. A timing run has two halves.
+// The policy-independent half is a Path, built once per trace (and
+// predictor and backend configuration) and shared by every run over it:
+// NewPath walks the trace's shared PW sequence (trace.FormPWs, the paper's
+// STEP 2 lookup sequence) next to its block stream without forming
+// anything, placing each window at the block that emits it; it runs the
+// blocks through the branch predictor, which runs ahead of fetch, and
+// records each block's misprediction and BTB-miss flags; and it runs each
+// window through the backend's data side (backend.Data) and records its
+// stall cycles. The policy-dependent half is a Frontend's Run over the
+// path: each window is served at its block, either by the micro-op cache
+// path (up to 8 micro-ops per cycle, one PW per cycle) or by the legacy
+// decode path (icache fetch + 4-wide decoder with a 5-cycle pipeline), with
+// a 1-cycle penalty on every path switch, and a block's resteer penalty
+// lands on the next window unless a perfect-structure switch removes it.
+// Micro-op cache insertions land decode-latency cycles after their
+// triggering miss, through the cache's in-flight queue on the cycle clock
+// (the asynchronous lookup/insertion the paper studies). Each window then
+// feeds the backend's retire queue (backend.Drain) with its stall cycles to
+// produce IPC, and the run counts every event the power model charges for.
 package frontend
 
 import (
@@ -135,13 +143,13 @@ func (r Result) PublishMetrics(reg *telemetry.Registry) {
 	reg.Gauge("frontend_uop_miss_rate").Set(r.UopCache.UopMissRate())
 }
 
-// Frontend is the timing simulator. Construct with New and drive with Run.
+// Frontend is the timing simulator: the policy-dependent half of a timing
+// run. Construct with New and drive with Run over a Path.
 type Frontend struct {
 	cfg Config
-	bp  *branch.Predictor
 	uc  *uopcache.Cache
 	l1i *cache.Cache
-	be  *backend.Backend
+	be  backend.Drain
 
 	inUopPath bool
 	cycle     uint64
@@ -151,21 +159,22 @@ type Frontend struct {
 	pendingPenalty int
 }
 
-// New builds a frontend wired to its prediction, cache and backend
-// substrate. l1i may be nil only when cfg.PerfectICache is set.
-func New(cfg Config, bp *branch.Predictor, uc *uopcache.Cache, l1i *cache.Cache, be *backend.Backend) *Frontend {
+// New builds a frontend wired to its micro-op cache and L1i. l1i may be nil
+// only when cfg.PerfectICache is set.
+func New(cfg Config, uc *uopcache.Cache, l1i *cache.Cache) *Frontend {
 	if l1i != nil && !cfg.NonInclusive {
 		uc.MakeInclusive(l1i)
 	}
-	return &Frontend{cfg: cfg, bp: bp, uc: uc, l1i: l1i, be: be}
+	return &Frontend{cfg: cfg, uc: uc, l1i: l1i}
 }
 
-// Run drives the whole dynamic block stream and its PW sequence, which
-// must be trace.FormPWs(blocks, 0) — Run panics if it is not — and returns
-// the result.
-func (f *Frontend) Run(blocks []trace.Block, pws []trace.PW) Result {
+// Run walks p, serving each of its windows through the micro-op cache and
+// L1i and draining the backend's retire queue, and returns the result. The
+// branch and data-side statistics are p's.
+func (f *Frontend) Run(p *Path) Result {
+	f.be = backend.NewDrain(p.becfg)
 	written := f.uc.Stats.EntriesWritten
-	f.walk(blocks, pws)
+	f.walk(p)
 	f.uc.Complete(math.MaxUint64)
 	// Every entry the cache wrote during the run came from this
 	// frontend's insertions.
@@ -175,55 +184,46 @@ func (f *Frontend) Run(blocks []trace.Block, pws []trace.PW) Result {
 	var res Result
 	res.Events = f.events
 	res.Events.Cycles = f.cycle
-	res.Branch = f.bp.Stats
+	res.Events.BPLookups = uint64(len(p.steps))
+	res.Events.BTBLookups = p.btbLookups
+	res.Branch = p.branchStats
 	res.UopCache = f.uc.Stats
-	res.Instructions = f.bp.Stats.Instructions
+	res.Backend = p.backendStats
+	res.Instructions = p.branchStats.Instructions
 	res.Uops = f.events.UopCacheHitUops + f.events.DecodedUops
 	res.Cycles = f.cycle
-	// The backend stats live inside the backend; copy them out.
-	res.Backend = f.backendStats()
 	return res
 }
 
-func (f *Frontend) backendStats() backend.Stats { return f.be.StatsCopy() }
-
-// walk steps every block through prediction and serves each window at the
-// block that emits it, so a block's misprediction or BTB-miss penalty lands
-// on the first window emitted after it.
+// walk serves each window at the block that emits it, so a block's
+// misprediction or BTB-miss penalty lands on the first window emitted after
+// it.
 //
 //simlint:hotpath
-func (f *Frontend) walk(blocks []trace.Block, pws []trace.PW) {
-	w := windowWalk{blocks: blocks, pws: pws}
-	k, at := 0, w.emission(0)
-	for i := range blocks {
-		b := &blocks[i]
-		f.events.BPLookups++
-		if b.Kind.IsBranch() {
-			f.events.BTBLookups++
+func (f *Frontend) walk(p *Path) {
+	k := 0
+	for _, s := range p.steps {
+		for end := k + int(s>>stepShift); k < end; k++ {
+			f.servePW(p.pws[k], int(p.stalls[k]))
 		}
-		out := f.bp.Process(*b)
-		for ; at == i; k++ {
-			f.servePW(pws[k])
-			at = w.emission(k + 1)
-		}
-		if out.Mispredicted && !f.cfg.PerfectBP {
+		if s&stepMispredict != 0 && !f.cfg.PerfectBP {
 			f.pendingPenalty += f.cfg.MispredictPenalty
 			f.events.MispredictFlushes++
-		} else if out.BTBMiss && !f.cfg.PerfectBTB {
+		} else if s&stepBTBMiss != 0 && !f.cfg.PerfectBTB {
 			f.pendingPenalty += f.cfg.BTBMissPenalty
 		}
 	}
-	for ; at == len(blocks); k++ {
-		f.servePW(pws[k])
-		at = w.emission(k + 1)
+	for ; k < len(p.pws); k++ {
+		f.servePW(p.pws[k], int(p.stalls[k]))
 	}
 }
 
 // servePW delivers one prediction window to the micro-op queue, charging
-// cycles for the path it took.
+// cycles for the path it took and for the backend, whose data side stalls
+// the window for stall cycles.
 //
 //simlint:hotpath
-func (f *Frontend) servePW(p trace.PW) {
+func (f *Frontend) servePW(p trace.PW, stall int) {
 	f.uc.Complete(f.cycle)
 	cycles := f.pendingPenalty
 	f.pendingPenalty = 0
@@ -288,7 +288,7 @@ func (f *Frontend) servePW(p trace.PW) {
 		cycles = 1
 	}
 	f.cycle += uint64(cycles)
-	extra := f.be.Supply(int(p.NumUops), int(p.NumInst), p.Start, cycles)
+	extra := f.be.Supply(int(p.NumUops), cycles, stall)
 	f.cycle += uint64(extra)
 }
 

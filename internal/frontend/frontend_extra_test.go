@@ -3,8 +3,6 @@ package frontend_test
 import (
 	"testing"
 
-	"uopsim/internal/backend"
-	"uopsim/internal/branch"
 	"uopsim/internal/cache"
 	"uopsim/internal/frontend"
 	"uopsim/internal/policy"
@@ -15,11 +13,9 @@ import (
 )
 
 func buildWith(cfg frontend.Config) (*frontend.Frontend, *uopcache.Cache) {
-	bp := branch.New(branch.DefaultConfig())
 	uc := uopcache.New(uopcache.DefaultConfig(), policy.NewLRU())
 	l1i := cache.New(cache.Config{SizeBytes: 32 << 10, LineBytes: 64, Ways: 8, LatencyCycles: 1})
-	be := backend.New(backend.DefaultConfig())
-	return frontend.New(cfg, bp, uc, l1i, be), uc
+	return frontend.New(cfg, uc, l1i), uc
 }
 
 func TestDisableUopCacheDecodesEverything(t *testing.T) {

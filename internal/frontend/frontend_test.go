@@ -16,16 +16,19 @@ import (
 )
 
 func build(cfg frontend.Config) *frontend.Frontend {
-	bp := branch.New(branch.DefaultConfig())
 	uc := uopcache.New(uopcache.DefaultConfig(), policy.NewLRU())
 	l1i := cache.New(cache.Config{SizeBytes: 32 << 10, LineBytes: 64, Ways: 8, LatencyCycles: 1})
-	be := backend.New(backend.DefaultConfig())
-	return frontend.New(cfg, bp, uc, l1i, be)
+	return frontend.New(cfg, uc, l1i)
+}
+
+// newPath builds blocks' path under the default predictor and backend.
+func newPath(blocks []trace.Block, pws []trace.PW) *frontend.Path {
+	return frontend.NewPath(blocks, pws, branch.DefaultConfig(), backend.DefaultConfig())
 }
 
 // run drives f over blocks and their FormPWs windows.
 func run(f *frontend.Frontend, blocks []trace.Block) frontend.Result {
-	return f.Run(blocks, trace.FormPWs(blocks, 0))
+	return f.Run(newPath(blocks, trace.FormPWs(blocks, 0)))
 }
 
 // loopTrace builds a tight loop of nBlocks repeated iters times.
@@ -174,8 +177,8 @@ func TestMPKIOrdering(t *testing.T) {
 	}
 }
 
-// TestRunRejectsForeignWindows: Run walks only trace.FormPWs(blocks, 0)'s
-// windows and panics on any other sequence for the same blocks.
+// TestRunRejectsForeignWindows: a path holds only trace.FormPWs(blocks, 0)'s
+// windows, and NewPath panics on any other sequence for the same blocks.
 func TestRunRejectsForeignWindows(t *testing.T) {
 	spec, _ := workload.Get("kafka")
 	blocks := workload.GenerateSpec(spec, 4000, 0)
@@ -194,25 +197,26 @@ func TestRunRejectsForeignWindows(t *testing.T) {
 			defer func() {
 				err, ok := recover().(error)
 				if !ok || !strings.Contains(err.Error(), "not trace.FormPWs(blocks, 0)") {
-					t.Errorf("Run panicked with %v, want a FormPWs mismatch", err)
+					t.Errorf("NewPath panicked with %v, want a FormPWs mismatch", err)
 				}
 			}()
-			build(frontend.DefaultConfig()).Run(blocks, tc.pws)
+			newPath(blocks, tc.pws)
 		})
 	}
 }
 
-// TestRunAllocsPerBlock bounds the walk's allocations on a pre-formed
-// trace, not counting New and its substrate: forming windows is the
-// caller's one-time cost, so Run itself only allocates for cache state.
+// TestRunAllocsPerBlock bounds the walk's allocations on a prebuilt path,
+// not counting New and its substrate: forming windows and building the
+// path are one-time costs per trace, so Run itself only allocates for cache
+// state.
 func TestRunAllocsPerBlock(t *testing.T) {
 	spec, _ := workload.Get("kafka")
 	blocks := workload.GenerateSpec(spec, 20000, 0)
-	pws := trace.FormPWs(blocks, 0)
+	p := newPath(blocks, trace.FormPWs(blocks, 0))
 	f := build(frontend.DefaultConfig())
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	f.Run(blocks, pws)
+	f.Run(p)
 	runtime.ReadMemStats(&after)
 	if perBlock := float64(after.Mallocs-before.Mallocs) / float64(len(blocks)); perBlock >= 0.1 {
 		t.Errorf("Run allocates %.3f objects per block, want < 0.1", perBlock)

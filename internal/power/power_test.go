@@ -77,11 +77,10 @@ func runClang(t *testing.T, mutate func(*frontend.Config)) frontend.Result {
 	if mutate != nil {
 		mutate(&fcfg)
 	}
-	bp := branch.New(branch.DefaultConfig())
 	uc := uopcache.New(uopcache.DefaultConfig(), policy.NewLRU())
 	l1i := cache.New(cache.Config{SizeBytes: 32 << 10, LineBytes: 64, Ways: 8, LatencyCycles: 1})
-	be := backend.New(backend.DefaultConfig())
-	return frontend.New(fcfg, bp, uc, l1i, be).Run(blocks, trace.FormPWs(blocks, 0))
+	p := frontend.NewPath(blocks, trace.FormPWs(blocks, 0), branch.DefaultConfig(), backend.DefaultConfig())
+	return frontend.New(fcfg, uc, l1i).Run(p)
 }
 
 // TestFig13Calibration: in the no-uop-cache baseline the decoder and icache

@@ -116,6 +116,16 @@ type RunManifest struct {
 	// from it, so a result file states whether its traces and keep-plans
 	// were recomputed or replayed.
 	Cache *ArtifactCacheInfo `json:"cache,omitempty"`
+	// Memo records the run's in-memory memo traffic by memo name, so a
+	// manifest shows how much work its figures shared.
+	Memo map[string]MemoTraffic `json:"memo,omitempty"`
+}
+
+// MemoTraffic counts one in-memory memo's requests: Misses computed the
+// value, Hits were served an earlier one.
+type MemoTraffic struct {
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
 }
 
 // ArtifactCacheInfo is the run manifest's record of artifact-cache traffic.
