@@ -129,24 +129,40 @@ func FuzzSolverVsReference(f *testing.F) {
 	})
 }
 
-// TestWorkCounters: one MinCostFlow call publishes its augmentations and
-// settled nodes, counted per settled node rather than per heap pop, through
-// the registry RegisterMetrics fills.
+// TestWorkCounters: one MinCostFlow call publishes its phases,
+// augmentations and settled nodes, counted per settled node rather than per
+// heap pop, through the registry RegisterMetrics fills.
 func TestWorkCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	RegisterMetrics(reg)
+	phases := reg.Counter("flow_phases_total")
 	augs, settled := reg.Counter("flow_augmentations_total"), reg.Counter("flow_settled_total")
-	reg.Collect()
-	a0, s0 := augs.Value(), settled.Value()
-
-	g := NewGraph(3)
-	g.AddEdge(0, 1, 5, 2)
-	g.AddEdge(1, 2, 3, 1)
-	NewSolver().MinCostFlow(g, 0, 2, math.MaxInt64)
-	reg.Collect()
-	// Path 1 settles 0, 1, 2; the failed second search settles 0 and 1.
-	if a, s := augs.Value()-a0, settled.Value()-s0; a != 1 || s != 5 {
-		t.Errorf("augmentations +%d settled +%d, want +1 +5", a, s)
+	for _, tc := range []struct {
+		name                  string
+		n                     int
+		edges                 [][4]int64 // u, v, capacity, cost
+		phases, augs, settled uint64
+	}{
+		// Phase 1 settles 0, 1, 2 and augments once; the failed second
+		// Dijkstra settles 0 and 1.
+		{"chain", 3, [][4]int64{{0, 1, 5, 2}, {1, 2, 3, 1}}, 2, 1, 5},
+		// Two equal-cost paths: phase 1 settles all four nodes, augments
+		// along 0→2→3 and then along the zero-reduced-cost 0→1→3 without
+		// another Dijkstra; the failed second Dijkstra settles only 0.
+		{"two paths, one phase", 4, [][4]int64{{0, 1, 1, 1}, {1, 3, 1, 0}, {0, 2, 1, 1}, {2, 3, 1, 0}}, 2, 2, 5},
+	} {
+		reg.Collect()
+		p0, a0, s0 := phases.Value(), augs.Value(), settled.Value()
+		g := NewGraph(tc.n)
+		for _, e := range tc.edges {
+			g.AddEdge(int(e[0]), int(e[1]), e[2], e[3])
+		}
+		NewSolver().MinCostFlow(g, 0, tc.n-1, math.MaxInt64)
+		reg.Collect()
+		if p, a, s := phases.Value()-p0, augs.Value()-a0, settled.Value()-s0; p != tc.phases || a != tc.augs || s != tc.settled {
+			t.Errorf("%s: phases +%d augmentations +%d settled +%d, want +%d +%d +%d",
+				tc.name, p, a, s, tc.phases, tc.augs, tc.settled)
+		}
 	}
 }
 

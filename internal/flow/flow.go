@@ -1,19 +1,26 @@
-// Package flow implements an integral min-cost max-flow solver (successive
-// shortest augmenting paths with Johnson potentials) used by the FOO and
+// Package flow implements an integral min-cost max-flow solver (primal-dual
+// successive shortest paths with Johnson potentials) used by the FOO and
 // FLACK offline replacement policies to solve their interval-caching
 // formulation (Berger et al., "Practical Bounds on Optimal Caching with
 // Variable Object Sizes").
 //
-// Each augmenting path's Dijkstra stops as soon as the sink is settled. The
-// potentials stay valid for the next path because a settled node v takes
-// pot += dist[v] and every other node takes pot += dist[t]: an unsettled
-// node's true distance is at least dist[t], so every residual arc keeps a
-// non-negative reduced cost.
+// The solve runs in phases. Each phase runs one Dijkstra on reduced costs,
+// stopped as soon as the sink is settled, and updates the potentials: a
+// settled node v takes pot += dist[v] and every other node takes
+// pot += dist[t]. An unsettled node's true distance is at least dist[t], so
+// every residual arc keeps a non-negative reduced cost, and the shortest
+// path just found has reduced cost zero on every arc. The phase augments
+// along that path and then along every further src→t path of
+// zero-reduced-cost residual arcs, each found by a depth-first search in
+// adjacency order, until none is left. Every such path is a shortest path,
+// and augmenting along one only adds zero-cost reverse arcs, so the
+// potentials stay valid without another Dijkstra; the next phase starts
+// when the zero-reduced-cost paths run out.
 //
-// The Dijkstra scratch state (potentials, distances, parent arcs, visited
-// marks, and the binary heap) lives in a reusable Solver arena: allocated
-// once, grown to the largest graph seen, and invalidated by epoch stamping
-// instead of O(n) clears between augmenting paths. FOO solves thousands of
+// The scratch state (potentials, distances, parent arcs, visited marks,
+// search positions, and the binary heap) lives in a reusable Solver arena:
+// allocated once, grown to the largest graph seen, and invalidated by epoch
+// stamping instead of O(n) clears between searches. FOO solves thousands of
 // per-(set, segment) instances per experiment, so the arena turns the
 // solver's allocation profile from per-instance to per-worker. A Graph can
 // likewise be reshaped in place with Reset, keeping its arc storage.
@@ -135,8 +142,10 @@ type Solver struct {
 	pot     []int64
 	dist    []int64
 	prevArc []int32
+	// cur is each node's next arc to try in a zero-reduced-cost search.
+	cur []int32
 	// distE/visE stamp which entries of dist/prevArc (respectively the
-	// visited set) are valid for the current Dijkstra epoch; bumping the
+	// visited set) are valid for the current search epoch; bumping the
 	// epoch invalidates everything in O(1).
 	distE []uint32
 	visE  []uint32
@@ -155,12 +164,13 @@ func (s *Solver) grow(n int) {
 	s.pot = make([]int64, n)
 	s.dist = make([]int64, n)
 	s.prevArc = make([]int32, n)
+	s.cur = make([]int32, n)
 	s.distE = make([]uint32, n)
 	s.visE = make([]uint32, n)
 	s.epoch = 0
 }
 
-// bump starts a new Dijkstra epoch, invalidating dist/visited stamps.
+// bump starts a new search epoch, invalidating dist/visited stamps.
 func (s *Solver) bump() {
 	s.epoch++
 	if s.epoch == 0 { // uint32 wrap: stale stamps could alias; hard reset
@@ -229,11 +239,12 @@ func (s *Solver) MinCostFlow(g *Graph, src, t int, maxFlow int64) Result {
 	distE, visE := s.distE, s.visE
 	var res Result
 	// Work counters stay in locals and are published once per call.
-	var augmentations, settled uint64
+	var phases, augmentations, settled uint64
 
 	for res.Flow < maxFlow {
 		// Dijkstra on reduced costs, stopped when the sink is settled;
 		// stamps replace the per-iteration O(n) dist/visited reset.
+		phases++
 		s.bump()
 		ep := s.epoch
 		dist[src] = 0
@@ -272,7 +283,6 @@ func (s *Solver) MinCostFlow(g *Graph, src, t int, maxFlow int64) Result {
 		if visE[t] != ep {
 			break
 		}
-		augmentations++
 		dt := dist[t]
 		for i := 0; i < g.n; i++ {
 			if visE[i] == ep {
@@ -281,27 +291,75 @@ func (s *Solver) MinCostFlow(g *Graph, src, t int, maxFlow int64) Result {
 				pot[i] += dt
 			}
 		}
-		// Bottleneck along the path.
-		push := maxFlow - res.Flow
-		for v := t; v != src; {
-			a := prevArc[v]
-			if g.cap[a] < push {
-				push = g.cap[a]
+		// Augment along the shortest path, then along every further
+		// zero-reduced-cost path the potentials admit.
+		for {
+			augmentations++
+			s.augment(g, src, t, maxFlow, &res)
+			if res.Flow == maxFlow || !s.zeroPath(g, src, t) {
+				break
 			}
-			v = int(g.to[a^1])
 		}
-		for v := t; v != src; {
-			a := prevArc[v]
-			g.cap[a] -= push
-			g.cap[a^1] += push
-			res.Cost += push * g.cost[a]
-			v = int(g.to[a^1])
-		}
-		res.Flow += push
 	}
+	phasesTotal.Add(phases)
 	augmentationsTotal.Add(augmentations)
 	settledTotal.Add(settled)
 	return res
+}
+
+// augment pushes as many units as the prevArc path from src to t carries,
+// up to a total of maxFlow, and adds them and their cost to res.
+func (s *Solver) augment(g *Graph, src, t int, maxFlow int64, res *Result) {
+	prevArc := s.prevArc
+	push := maxFlow - res.Flow
+	for v := t; v != src; {
+		a := prevArc[v]
+		if g.cap[a] < push {
+			push = g.cap[a]
+		}
+		v = int(g.to[a^1])
+	}
+	for v := t; v != src; {
+		a := prevArc[v]
+		g.cap[a] -= push
+		g.cap[a^1] += push
+		res.Cost += push * g.cost[a]
+		v = int(g.to[a^1])
+	}
+	res.Flow += push
+}
+
+// zeroPath searches depth-first, in adjacency order, for a src→t path of
+// residual arcs with zero reduced cost, recording it in prevArc. The search
+// walks back up the tree through prevArc, so it keeps no stack: cur holds
+// each open node's next arc to try.
+func (s *Solver) zeroPath(g *Graph, src, t int) bool {
+	s.bump()
+	ep := s.epoch
+	pot, prevArc, cur, visE := s.pot, s.prevArc, s.cur, s.visE
+	visE[src] = ep
+	cur[src] = g.headA[src]
+	u := src
+	for u != t {
+		a := cur[u]
+		if a == -1 {
+			if u == src {
+				return false
+			}
+			u = int(g.to[prevArc[u]^1])
+			continue
+		}
+		cur[u] = g.next[a]
+		v := int(g.to[a])
+		if g.cap[a] <= 0 || visE[v] == ep || g.cost[a]+pot[u]-pot[v] != 0 {
+			continue
+		}
+		visE[v] = ep
+		prevArc[v] = a
+		cur[v] = g.headA[v]
+		u = v
+	}
+	return true
 }
 
 // SolveSupplies satisfies per-node supplies (positive) and demands
@@ -363,9 +421,11 @@ var (
 	// exposed as flow_solver_reuse_total / flow_solver_fresh_total.
 	solverReuse atomic.Uint64
 	solverFresh atomic.Uint64
-	// augmentationsTotal / settledTotal count augmenting paths and the
-	// Dijkstra nodes settled to find them; exposed as
-	// flow_augmentations_total / flow_settled_total.
+	// phasesTotal / augmentationsTotal / settledTotal count Dijkstra runs
+	// (one per phase), augmenting paths, and the nodes the Dijkstras
+	// settled; exposed as flow_phases_total / flow_augmentations_total /
+	// flow_settled_total.
+	phasesTotal        atomic.Uint64
 	augmentationsTotal atomic.Uint64
 	settledTotal       atomic.Uint64
 )
@@ -391,18 +451,22 @@ func SolverReuseStats() (reuse, fresh uint64) {
 
 // RegisterMetrics exposes the solver counters in reg, refreshed at each
 // collection: the pool's flow_solver_reuse_total and
-// flow_solver_fresh_total, and the work counters flow_augmentations_total
-// and flow_settled_total, whose ratio is the Dijkstra nodes settled per
-// augmenting path.
+// flow_solver_fresh_total, and the work counters flow_phases_total (one
+// Dijkstra per phase, counting a solve's final Dijkstra that finds no
+// path), flow_augmentations_total and flow_settled_total. settled / phases
+// is the Dijkstra nodes settled per run; augmentations / phases is the
+// augmenting paths each run pays for.
 func RegisterMetrics(reg *telemetry.Registry) {
 	reuse := reg.Counter("flow_solver_reuse_total")
 	fresh := reg.Counter("flow_solver_fresh_total")
+	phases := reg.Counter("flow_phases_total")
 	augs := reg.Counter("flow_augmentations_total")
 	settled := reg.Counter("flow_settled_total")
 	reg.OnCollect(func() {
 		r, f := SolverReuseStats()
 		reuse.Store(r)
 		fresh.Store(f)
+		phases.Store(phasesTotal.Load())
 		augs.Store(augmentationsTotal.Load())
 		settled.Store(settledTotal.Load())
 	})

@@ -21,11 +21,14 @@ func (h *refHeap) Pop() any {
 	return it
 }
 
-// refMinCostFlow is the test reference for Solver.MinCostFlow: successive
-// shortest paths in which every augmenting path runs Dijkstra to exhaustion,
-// and only the nodes it reached update their potentials. It shares nothing
-// with Solver but the Graph, so a change to the solver's early exit, heap
-// or potential rule shows up as a different flow.
+// refMinCostFlow is the test reference for Solver.MinCostFlow: primal-dual
+// successive shortest paths in which every phase runs Dijkstra to
+// exhaustion, only the nodes it reached update their potentials, and the
+// phase augments along the shortest path found and then along every path a
+// recursive depth-first search finds over zero-reduced-cost residual arcs,
+// in adjacency order. It shares nothing with Solver but the Graph, so a
+// change to the solver's early exit, heap, potential rule or augmentation
+// rule shows up as a different flow.
 func refMinCostFlow(g *Graph, src, t int, maxFlow int64) Result {
 	if src == t {
 		return Result{}
@@ -70,22 +73,47 @@ func refMinCostFlow(g *Graph, src, t int, maxFlow int64) Result {
 				pot[i] += dist[i]
 			}
 		}
-		push := maxFlow - res.Flow
-		for v := t; v != src; {
-			a := prevArc[v]
-			push = min(push, g.cap[a])
-			v = int(g.to[a^1])
+		for {
+			push := maxFlow - res.Flow
+			for v := t; v != src; {
+				a := prevArc[v]
+				push = min(push, g.cap[a])
+				v = int(g.to[a^1])
+			}
+			for v := t; v != src; {
+				a := prevArc[v]
+				g.cap[a] -= push
+				g.cap[a^1] += push
+				res.Cost += push * g.cost[a]
+				v = int(g.to[a^1])
+			}
+			res.Flow += push
+			if res.Flow == maxFlow || !refZeroPath(g, pot, prevArc, make([]bool, g.n), src, t) {
+				break
+			}
 		}
-		for v := t; v != src; {
-			a := prevArc[v]
-			g.cap[a] -= push
-			g.cap[a^1] += push
-			res.Cost += push * g.cost[a]
-			v = int(g.to[a^1])
-		}
-		res.Flow += push
 	}
 	return res
+}
+
+// refZeroPath is a recursive depth-first search from u for a path to t over
+// residual arcs of zero reduced cost under pot, trying u's arcs in
+// adjacency order and recording the path in prevArc.
+func refZeroPath(g *Graph, pot []int64, prevArc []int32, visited []bool, u, t int) bool {
+	visited[u] = true
+	if u == t {
+		return true
+	}
+	for a := g.headA[u]; a != -1; a = g.next[a] {
+		v := int(g.to[a])
+		if g.cap[a] > 0 && !visited[v] && g.cost[a]+pot[u]-pot[v] == 0 {
+			prevArc[v] = a
+			if refZeroPath(g, pot, prevArc, visited, v, t) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // refSolveSupplies is SolveSupplies over refMinCostFlow.

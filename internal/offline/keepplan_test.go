@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"uopsim/internal/flow"
+	"uopsim/internal/telemetry"
 	"uopsim/internal/trace"
 	"uopsim/internal/uopcache"
 	"uopsim/internal/workload"
@@ -65,9 +67,11 @@ func (h *refHeap) Pop() any {
 	return it
 }
 
-// minCostFlow is successive shortest paths with a Dijkstra run to
-// exhaustion for every augmenting path, updating the potentials of the
-// reached nodes only: the solver before its early exit.
+// minCostFlow is primal-dual successive shortest paths. Every phase runs
+// Dijkstra to exhaustion and updates the potentials of the reached nodes
+// only, augments along the shortest path, and then along every path a
+// recursive depth-first search finds over zero-reduced-cost residual arcs,
+// in adjacency order, until none is left.
 func (g *refGraph) minCostFlow(src, t int) (cost int64) {
 	n := len(g.head)
 	pot, dist, prev := make([]int64, n), make([]int64, n), make([]int, n)
@@ -103,16 +107,42 @@ func (g *refGraph) minCostFlow(src, t int) (cost int64) {
 				pot[i] += dist[i]
 			}
 		}
-		push := int64(math.MaxInt64)
-		for v := t; v != src; v = g.to[prev[v]^1] {
-			push = min(push, g.cap[prev[v]])
-		}
-		for v := t; v != src; v = g.to[prev[v]^1] {
-			g.cap[prev[v]] -= push
-			g.cap[prev[v]^1] += push
-			cost += push * g.cost[prev[v]]
+		for {
+			push := int64(math.MaxInt64)
+			for v := t; v != src; v = g.to[prev[v]^1] {
+				push = min(push, g.cap[prev[v]])
+			}
+			for v := t; v != src; v = g.to[prev[v]^1] {
+				g.cap[prev[v]] -= push
+				g.cap[prev[v]^1] += push
+				cost += push * g.cost[prev[v]]
+			}
+			clear(done)
+			if !g.zeroPath(pot, prev, done, src, t) {
+				break
+			}
 		}
 	}
+}
+
+// zeroPath is a recursive depth-first search from u for a path to t over
+// residual arcs whose reduced cost under pot is zero, trying u's arcs in
+// adjacency order and recording the path in prev.
+func (g *refGraph) zeroPath(pot []int64, prev []int, visited []bool, u, t int) bool {
+	visited[u] = true
+	if u == t {
+		return true
+	}
+	for a := g.head[u]; a != -1; a = g.next[a] {
+		v := g.to[a]
+		if g.cap[a] > 0 && !visited[v] && g.cost[a]+pot[u]-pot[v] == 0 {
+			prev[v] = a
+			if g.zeroPath(pot, prev, visited, v, t) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // refSolveSegment is the reference for solveSegment: the same FOO network,
@@ -171,9 +201,10 @@ func refSolveSegment(reqs []fooRequest, ways int, model CostModel) (keep []int32
 }
 
 // TestKeepPlansMatchReferenceOnWorkloadTraces solves the workload traces of
-// every application with the production solver and with the full-Dijkstra
-// reference, under the three cost models, with and without variant folding,
-// at 4, 8 and 16 ways. Every segment's keep-set and flow cost must match.
+// every application with the production solver and with the primal-dual
+// full-Dijkstra reference, under the three cost models, with and without
+// variant folding, at 4, 8 and 16 ways. Every segment's keep-set and flow
+// cost must match.
 //
 // Real traces matter here: their loops produce many equal-cost shortest
 // paths, so they exercise the tie-breaking that decides a keep plan. A
@@ -365,29 +396,61 @@ func TestComputeDecisionsAllocsFixed(t *testing.T) {
 	}
 }
 
-// BenchmarkSolveWorkloads solves the FOO and FLACK plans of every
-// application's 5,000-block workload trace serially; ns/op over the
-// lookups solved gives the solve cost per lookup.
+// BenchmarkSolveWorkloads solves keep plans serially and reports the solve
+// cost per lookup (ns/lookup) and the Dijkstra nodes settled per phase
+// (settled/phase). The all/blocks=5000 case solves the FOO (OHR) and FLACK
+// (VC, fold) plans of every application's 5,000-block trace; the
+// blocks=80000 cases solve the FLACK plan of kafka and clang at the
+// committed results' scale, where segments are longest.
 func BenchmarkSolveWorkloads(b *testing.B) {
 	cfg := uopcache.DefaultConfig()
-	var pts []*trace.PreparedTrace
-	lookups := 0
-	for _, app := range workload.Names() {
+	prepare := func(b *testing.B, app string, blocks int) *trace.PreparedTrace {
 		spec, err := workload.Get(app)
 		if err != nil {
 			b.Fatal(err)
 		}
-		pt := uopcache.Prepare(cfg, trace.FormPWs(workload.GenerateSpec(spec, 5000, 0), 0))
-		pts = append(pts, pt)
-		lookups += 2 * pt.Len()
+		return uopcache.Prepare(cfg, trace.FormPWs(workload.GenerateSpec(spec, blocks, 0), 0))
 	}
+	b.Run("all/blocks=5000", func(b *testing.B) {
+		var pts []*trace.PreparedTrace
+		for _, app := range workload.Names() {
+			pts = append(pts, prepare(b, app, 5000))
+		}
+		benchSolve(b, pts, func(pt *trace.PreparedTrace) int {
+			ComputeDecisionsPrepared(nil, pt, cfg, CostOHR, false, 0, 1)
+			ComputeDecisionsPrepared(nil, pt, cfg, CostVC, true, 0, 1)
+			return 2 * pt.Len()
+		})
+	})
+	for _, app := range []string{"kafka", "clang"} {
+		b.Run(app+"/blocks=80000/flack", func(b *testing.B) {
+			pt := prepare(b, app, 80000)
+			benchSolve(b, []*trace.PreparedTrace{pt}, func(pt *trace.PreparedTrace) int {
+				ComputeDecisionsPrepared(nil, pt, cfg, CostVC, true, 0, 1)
+				return pt.Len()
+			})
+		})
+	}
+}
+
+// benchSolve times solve over pts, which returns the lookups it solved, and
+// reports ns/lookup and settled/phase from the flow work counters.
+func benchSolve(b *testing.B, pts []*trace.PreparedTrace, solve func(*trace.PreparedTrace) int) {
+	reg := telemetry.NewRegistry()
+	flow.RegisterMetrics(reg)
+	phases, settled := reg.Counter("flow_phases_total"), reg.Counter("flow_settled_total")
+	reg.Collect()
+	p0, s0 := phases.Value(), settled.Value()
+	lookups := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, pt := range pts {
-			ComputeDecisionsPrepared(nil, pt, cfg, CostOHR, false, 0, 1)
-			ComputeDecisionsPrepared(nil, pt, cfg, CostVC, true, 0, 1)
+			lookups += solve(pt)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lookups), "ns/lookup")
+	b.StopTimer()
+	reg.Collect()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(lookups), "ns/lookup")
+	b.ReportMetric(float64(settled.Value()-s0)/float64(phases.Value()-p0), "settled/phase")
 }
