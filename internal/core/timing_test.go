@@ -6,6 +6,7 @@ import (
 	"uopsim/internal/core"
 	"uopsim/internal/frontend"
 	"uopsim/internal/policy"
+	"uopsim/internal/uopcache"
 )
 
 func TestRunTimingByNameAllPolicies(t *testing.T) {
@@ -86,13 +87,14 @@ func TestNonInclusiveNeverWorse(t *testing.T) {
 
 // TestRunTimingAllocsFixed pins the allocations of one timing run on a
 // fixed trace (kafka, 4,000 blocks, LRU at the Table-I config). Measured:
-// 484 per RunTiming, of which 21 build the trace's path (predictor tables,
+// 37 per RunTiming, of which 21 build the trace's path (predictor tables,
 // the two data caches, the step and stall arrays) and the rest are the
 // micro-op cache, its policy and the L1i. The caches and the BTB keep each
 // structure in one backing array, so no count here grows with the set
-// count; before that, one run took 3,680.
+// count; before that, one run took 3,680, and 484 while the micro-op cache
+// still allocated per line gaining a set.
 func TestRunTimingAllocsFixed(t *testing.T) {
-	const maxRun, maxPath = 500, 24
+	const maxRun, maxPath = 60, 24
 	blocks, pws, err := core.TraceFor("kafka", 4000, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -118,5 +120,48 @@ func TestRunTimingAllocsFixed(t *testing.T) {
 	})
 	if reuse > run-path {
 		t.Errorf("a run over a prebuilt path allocates %.0f, want at most %.0f (a run minus a path build)", reuse, run-path)
+	}
+}
+
+// TestRunBehaviorAllocsFixed pins the allocations of one behaviour run over
+// a prepared trace: the micro-op cache, its policy and (with the inclusive
+// L1i) the icache, and nothing per lookup, insertion or eviction. The
+// cache's line-count table and per-slot line arena are sized in New, so the
+// count is the same at 4,000 and 16,000 blocks (measured 13-22; Mockingjay
+// 30-35, see below). A run that allocated per line gaining a set took
+// 460-642, growing with the trace.
+//
+// Mockingjay's reuse-distance training history is a map keyed by window
+// start that must outlive eviction, so it grows as a longer trace reaches
+// more distinct windows (30 -> 32 allocations here). The growth check leaves
+// that policy out; the bound still covers it.
+func TestRunBehaviorAllocsFixed(t *testing.T) {
+	const maxRun = 40
+	cfg := core.DefaultConfig()
+	for _, name := range []string{"lru", "srrip", "ghrp", "mockingjay"} {
+		for _, ic := range []bool{false, true} {
+			var allocs [2]float64
+			for i, blocks := range []int{4000, 16000} {
+				_, pws, err := core.TraceFor("kafka", blocks, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := core.BehaviorOptions{WithICache: ic, Prepared: uopcache.Prepare(cfg.UopCache, pws)}
+				allocs[i] = testing.AllocsPerRun(3, func() {
+					pol, err := core.NewPolicy(name, nil, cfg.UopCache, policy.FURBYSConfig{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					core.RunBehavior(pws, cfg, pol, opts)
+				})
+			}
+			t.Logf("%s icache=%v: %.0f allocations at 4,000 blocks, %.0f at 16,000", name, ic, allocs[0], allocs[1])
+			if allocs[0] > maxRun || allocs[1] > maxRun {
+				t.Errorf("%s icache=%v: %.0f and %.0f allocations, want at most %d", name, ic, allocs[0], allocs[1], maxRun)
+			}
+			if allocs[1] > allocs[0] && name != "mockingjay" {
+				t.Errorf("%s icache=%v: allocations grow with trace length (%.0f at 4,000 blocks, %.0f at 16,000)", name, ic, allocs[0], allocs[1])
+			}
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Differential fuzz test for the dense (set, slot) storage rewrite: a
 // byte-stream of cache operations is replayed against both the real Cache
-// (slot arrays + linear-probe index + line refcounts) and a deliberately
+// (slot arrays + linear-probe index + line-bucket counts) and a deliberately
 // naive map-based reference model that re-implements the documented
 // semantics with Go maps and an inline LRU. The two must agree on every
 // per-operation outcome, the exact eviction sequence (set, key, order), the
@@ -52,7 +52,7 @@ type refWin struct {
 }
 
 // refCache is the map-based reference: one map per set, linear victim scans,
-// no slot handles, no probe index, no line refcounts — just the semantics.
+// no slot handles, no probe index, no line counts — just the semantics.
 type refCache struct {
 	cfg   uopcache.Config
 	cap   int
@@ -222,11 +222,16 @@ func (r *refCache) residentCount() int {
 // addresses (dense enough that sets collide constantly) and 1..40 micro-ops
 // (large enough to exceed a whole set in the smaller geometries, exercising
 // TooLarge). Odd extra bytes request a two-line window so line invalidation
-// sees multi-line residents.
+// sees multi-line residents. Extra bit 1 moves the start up by one full turn
+// of the line-count table (LineBuckets lines), so distinct lines share a
+// bucket row and invalidation must tell them apart.
 func fuzzPW(addr, uopsB, extra byte) trace.PW {
 	pw := trace.PW{
 		Start:   uint64(addr) << 4,
 		NumUops: uint16(1 + uopsB%40),
+	}
+	if extra&2 != 0 {
+		pw.Start += uopcache.LineBuckets * trace.LineSize
 	}
 	pw.Bytes = uint16(4 * pw.NumUops)
 	if extra&1 != 0 {
@@ -247,6 +252,11 @@ func FuzzDenseVsReference(f *testing.F) {
 	f.Add(uint8(1), []byte{3, 10, 30, 1, 3, 11, 30, 0, 3, 12, 30, 1, 6, 10, 0, 0, 5, 11, 0, 0})
 	f.Add(uint8(2), []byte{3, 1, 39, 0, 3, 1, 3, 0, 3, 1, 39, 0, 7, 1, 10, 0})
 	f.Add(uint8(3), []byte{3, 200, 20, 1, 3, 201, 20, 1, 3, 202, 20, 1, 3, 203, 20, 1, 6, 200, 0, 0})
+	// Two lines one bucket-table turn apart, then invalidate the first:
+	// only its window may go (geometry 0 puts them in different sets,
+	// geometry 3 in the same set, the second seed with two-line windows).
+	f.Add(uint8(0), []byte{3, 0, 5, 0, 3, 0, 5, 2, 6, 0, 0, 0, 0, 0, 5, 0, 0, 0, 5, 2})
+	f.Add(uint8(3), []byte{3, 4, 5, 1, 3, 4, 5, 3, 6, 4, 0, 2, 0, 4, 5, 1, 0, 4, 5, 3})
 	f.Fuzz(func(t *testing.T, geo uint8, data []byte) {
 		cfg := fuzzGeometries[int(geo)%len(fuzzGeometries)]
 

@@ -94,7 +94,10 @@ type Resident struct {
 	EntriesUsed int
 	// Lines are the icache lines the window's code lives in (one line
 	// normally; two when CLASP-style cross-line windows are enabled in
-	// the former), used for inclusive invalidation.
+	// the former), used for inclusive invalidation. In the view handed to
+	// Policy.Victim the slice aliases the cache's per-slot line arena and
+	// is overwritten when the slot is reused; Residents and ResidentFor
+	// return deep copies.
 	Lines []uint64
 	// InsertedAt is the lookup sequence number of the insertion.
 	InsertedAt uint64
@@ -198,22 +201,30 @@ type ProbeResult struct {
 	MissUops int
 }
 
-// lineRef counts how many windows of one set live in an icache line; the
-// per-line slice is kept sorted by set so invalidation scans sets in
-// ascending order without re-sorting.
-type lineRef struct {
-	set  int32
-	refs int32
-}
+// lineBuckets is the number of line buckets in the cache's line-count table
+// (a power of two). An icache line falls in bucket lineBucket(line); distinct
+// lines that share a bucket only cost InvalidateLine a scan of each other's
+// sets.
+const lineBuckets = 64
+
+// lineBucket maps an icache line address to its row of the line-count table.
+func lineBucket(line uint64) int { return int(line/trace.LineSize) & (lineBuckets - 1) }
+
+// linesPerSlot is the Lines capacity each slot gets from the cache's line
+// arena: one line normally, two for a CLASP-style cross-line window. A
+// window spanning more lines grows its slot's slice once.
+const linesPerSlot = 2
 
 // Cache is the micro-op cache structure. It is not safe for concurrent use.
 type Cache struct {
 	cfg    Config
 	policy Policy
 	sets   []cset
-	// lineIndex maps an icache line address to the sets holding windows
-	// from that line (with refcounts), enabling inclusive invalidation.
-	lineIndex map[uint64][]lineRef
+	// lineCount[lineBucket(line)*len(sets)+set] counts the windows of set
+	// whose code lives in a line of that bucket (a window counts once per
+	// line it spans), so InvalidateLine scans only the sets that may hold
+	// the evicted line. Allocated once in New; updates never allocate.
+	lineCount []int32
 	clock     uint64
 
 	// Dense slot geometry: every set owns capSlots Resident slots and an
@@ -228,8 +239,7 @@ type Cache struct {
 	// viewBuf is the reusable victim-snapshot buffer handed to
 	// Policy.Victim; capacity capSlots, so refilling it never allocates.
 	viewBuf []Resident
-	// invSets / invVictims are scratch buffers for InvalidateLine.
-	invSets    []int32
+	// invVictims is InvalidateLine's scratch buffer.
 	invVictims []uint64
 
 	// inflight[:qLen] are the insertions still in the decode pipe,
@@ -344,8 +354,6 @@ func New(cfg Config, policy Policy) *Cache {
 		cfg:     cfg,
 		policy:  policy,
 		polName: policy.Name(),
-
-		lineIndex: make(map[uint64][]lineRef),
 	}
 	c.capSlots = c.setCapacity()
 	idxLen := 8
@@ -358,6 +366,10 @@ func New(cfg Config, policy Policy) *Cache {
 	// One backing array per kind, sliced per set: contiguous, and a single
 	// allocation each.
 	slotB := make([]Resident, numSets*c.capSlots)
+	linesB := make([]uint64, numSets*c.capSlots*linesPerSlot)
+	for k := range slotB {
+		slotB[k].Lines = linesB[k*linesPerSlot : k*linesPerSlot : (k+1)*linesPerSlot]
+	}
 	occB := make([]uint64, numSets*occWords)
 	idxB := make([]int32, numSets*idxLen)
 	c.sets = make([]cset, numSets)
@@ -372,6 +384,7 @@ func New(cfg Config, policy Policy) *Cache {
 			s.occ[b>>6] |= 1 << (uint(b) & 63)
 		}
 	}
+	c.lineCount = make([]int32, lineBuckets*numSets)
 	c.viewBuf = make([]Resident, 0, c.capSlots)
 	c.inflight = make([]inflightInsert, max(cfg.InsertDelay, 1))
 	policy.Bind(Geometry{Sets: numSets, SlotsPerSet: c.capSlots, Clock: c.Clock})
@@ -809,8 +822,8 @@ func (c *Cache) insertAt(pw trace.PW, set, need int) InsertOutcome {
 	}
 	slot := s.allocSlot()
 	r := &s.slots[slot]
-	// Reuse the evicted occupant's Lines backing array; it grows at most
-	// once per slot over the cache's lifetime.
+	// Reuse the slot's Lines backing array (its arena share from New); it
+	// grows only for a window spanning more than linesPerSlot lines.
 	stored := r.Lines
 	if cap(stored) < len(lines) {
 		stored = make([]uint64, 0, len(lines))
@@ -832,7 +845,7 @@ func (c *Cache) insertAt(pw trace.PW, set, need int) InsertOutcome {
 	c.totalResidents++
 	c.addIdx(s, pw.Start, slot)
 	for _, line := range lines {
-		c.lineAddRef(line, int32(set))
+		c.lineAddRef(line, set)
 	}
 	c.Stats.Insertions++
 	c.Stats.EntriesWritten += uint64(pw.Entries(c.cfg.UopsPerEntry))
@@ -854,47 +867,15 @@ func (c *Cache) insertAt(pw trace.PW, set, need int) InsertOutcome {
 // lineAddRef records one more window of set living in line.
 //
 //simlint:hotpath
-func (c *Cache) lineAddRef(line uint64, set int32) {
-	refs := c.lineIndex[line]
-	for i := range refs {
-		if refs[i].set == set {
-			refs[i].refs++
-			return
-		}
-		if refs[i].set > set {
-			// Insert before i, keeping the slice sorted by set.
-			//simlint:ignore hotpath grows only when a line first gains a set; steady state hits the refcount path above
-			refs = append(refs, lineRef{})
-			copy(refs[i+1:], refs[i:])
-			refs[i] = lineRef{set: set, refs: 1}
-			c.lineIndex[line] = refs
-			return
-		}
-	}
-	//simlint:ignore hotpath grows only when a line first gains a set; steady state hits the refcount path above
-	c.lineIndex[line] = append(refs, lineRef{set: set, refs: 1})
+func (c *Cache) lineAddRef(line uint64, set int) {
+	c.lineCount[lineBucket(line)*len(c.sets)+set]++
 }
 
-// lineDecRef drops one window of set from line, cleaning up empty entries.
+// lineDecRef drops one window of set from line.
 //
 //simlint:hotpath
-func (c *Cache) lineDecRef(line uint64, set int32) {
-	refs := c.lineIndex[line]
-	for i := range refs {
-		if refs[i].set == set {
-			refs[i].refs--
-			if refs[i].refs == 0 {
-				copy(refs[i:], refs[i+1:])
-				refs = refs[:len(refs)-1]
-				if len(refs) == 0 {
-					delete(c.lineIndex, line)
-				} else {
-					c.lineIndex[line] = refs
-				}
-			}
-			return
-		}
-	}
+func (c *Cache) lineDecRef(line uint64, set int) {
+	c.lineCount[lineBucket(line)*len(c.sets)+set]--
 }
 
 // removeResident releases the slot, updating set and line bookkeeping and
@@ -911,7 +892,7 @@ func (c *Cache) removeResident(set int, slot int32) {
 	s.count--
 	c.totalResidents--
 	for _, line := range r.Lines {
-		c.lineDecRef(line, int32(set))
+		c.lineDecRef(line, set)
 	}
 	// Keep the Lines backing array on the vacated slot for reuse; clear
 	// EntriesUsed so stale contents cannot be mistaken for a resident.
@@ -932,27 +913,21 @@ func (c *Cache) MakeInclusive(l1i *cache.Cache) {
 // InvalidateLine evicts every window whose code lives in the given icache
 // line (the L1i eviction path MakeInclusive wires up).
 func (c *Cache) InvalidateLine(lineAddr uint64) int {
-	refs := c.lineIndex[lineAddr]
-	if len(refs) == 0 {
-		return 0
-	}
+	// The line's bucket row, walked in ascending set order. A nonzero count
+	// means the set holds a window from this line or from another line of
+	// the same bucket; the Lines check below tells them apart. Removal only
+	// lowers the current set's count, so the walk needs no snapshot.
+	b := lineBucket(lineAddr) * len(c.sets)
+	row := c.lineCount[b : b+len(c.sets)]
 	n := 0
-	// Snapshot the set list first (already ascending); removal mutates
-	// the index. The scratch buffers are reused across calls.
-	setsToScan := c.invSets
-	if cap(setsToScan) < len(refs) {
-		setsToScan = make([]int32, 0, len(refs)*2)
-	}
-	setsToScan = setsToScan[:0]
-	for _, ref := range refs {
-		setsToScan = append(setsToScan, ref.set)
-	}
-	c.invSets = setsToScan
 	victims := c.invVictims
 	if cap(victims) < c.capSlots {
 		victims = make([]uint64, 0, c.capSlots)
 	}
-	for _, set := range setsToScan {
+	for set := range row {
+		if row[set] == 0 {
+			continue
+		}
 		s := &c.sets[set]
 		victims = victims[:0]
 		for i := range s.slots {
@@ -978,13 +953,13 @@ func (c *Cache) InvalidateLine(lineAddr uint64) int {
 				}
 				if c.sink != nil {
 					c.sink.Emit(telemetry.Event{
-						Seq: c.clock, Kind: telemetry.EventInvalidate, Set: int(set), Key: key,
+						Seq: c.clock, Kind: telemetry.EventInvalidate, Set: set, Key: key,
 						VictimKey: key, VictimUops: r.Uops, VictimAge: c.clock - lastTouch(r),
 						Policy: c.polName,
 					})
 				}
 			}
-			c.removeResident(int(set), slot)
+			c.removeResident(set, slot)
 			c.Stats.Invalidations++
 			n++
 		}

@@ -201,6 +201,62 @@ func TestInvalidateLine(t *testing.T) {
 	}
 }
 
+// TestInvalidateLineBucketCollision invalidates one of two distinct lines
+// that share a row of the cache's line-count table (they lie LineBuckets
+// lines apart): only the named line's windows may go, and the survivor's
+// count must still let a later invalidation find it.
+func TestInvalidateLineBucketCollision(t *testing.T) {
+	const turn = uopcache.LineBuckets * trace.LineSize
+	cfg := tinyConfig()
+	win := func(start uint64, bytes uint16) trace.PW {
+		return trace.PW{Start: start, NumUops: 4, Bytes: bytes, NumInst: 4, Lines: trace.SpanLines(start, bytes)}
+	}
+	cases := []struct {
+		name     string
+		gone     trace.PW // window from the invalidated line
+		kept     trace.PW // window from the colliding line
+		line     uint64   // line invalidated
+		sameSet  bool
+		keptLine uint64 // a line of kept, invalidated last
+	}{
+		{"same set", win(0x1000, 16), win(0x1000+turn, 16), 0x1000, true, 0x1000 + turn},
+		{"different sets", win(0x1000, 16), win(0x1010+turn, 16), 0x1000, false, 0x1000 + turn},
+		// 0x1030+80 bytes spans lines 0x1000 and 0x1040; the second line
+		// shares its bucket with 0x1040+turn, the line of 0x1050+turn.
+		{"second line of a two-line window", win(0x1030, 80), win(0x1050+turn, 16), 0x1040, true, 0x1040 + turn},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := cfg.SetIndex(tc.gone.Start) == cfg.SetIndex(tc.kept.Start); got != tc.sameSet {
+				t.Fatalf("same set = %v, want %v (fix the test addresses)", got, tc.sameSet)
+			}
+			c := uopcache.New(cfg, policy.NewLRU())
+			c.Insert(tc.gone)
+			c.Insert(tc.kept)
+			if n := c.InvalidateLine(tc.line); n != 1 {
+				t.Fatalf("InvalidateLine(%#x) = %d, want 1", tc.line, n)
+			}
+			if _, ok := c.ResidentFor(tc.gone.Start); ok {
+				t.Errorf("%#x still resident", tc.gone.Start)
+			}
+			if _, ok := c.ResidentFor(tc.kept.Start); !ok {
+				t.Fatalf("%#x, from a colliding line, was evicted", tc.kept.Start)
+			}
+			for _, l := range tc.gone.Lines {
+				if n := c.InvalidateLine(l); n != 0 {
+					t.Errorf("InvalidateLine(%#x) after removal = %d, want 0", l, n)
+				}
+			}
+			if n := c.InvalidateLine(tc.keptLine); n != 1 {
+				t.Errorf("InvalidateLine(%#x) = %d, want 1", tc.keptLine, n)
+			}
+			if c.ResidentCount() != 0 || c.Stats.Invalidations != 2 {
+				t.Errorf("residents %d, invalidations %d; want 0 and 2", c.ResidentCount(), c.Stats.Invalidations)
+			}
+		})
+	}
+}
+
 // TestCapacityNeverExceeded is the core structural invariant: entries used
 // per set never exceed the way count, under heavy mixed-size traffic.
 func TestCapacityNeverExceeded(t *testing.T) {

@@ -224,7 +224,7 @@ type Program struct {
 // on Spec (notably Seed), never on the input variant.
 func (s Spec) Build() *Program {
 	rng := rand.New(rand.NewSource(s.Seed))
-	p := &Program{Spec: s}
+	p := &Program{Spec: s, funcs: make([]function, 0, s.Funcs)}
 	addr := uint64(0x400000)
 	nUtil := s.Funcs / 20
 	if nUtil < 4 {
@@ -232,7 +232,7 @@ func (s Spec) Build() *Program {
 	}
 	for fi := 0; fi < s.Funcs; fi++ {
 		nb := s.MinBlocks + rng.Intn(s.MaxBlocks-s.MinBlocks+1)
-		fn := function{loopHead: -1, loopEnd: -1}
+		fn := function{loopHead: -1, loopEnd: -1, blocks: make([]bblock, 0, nb)}
 		hasLoop := rng.Float64() < s.LoopFrac && nb >= 4
 		var loopHead, loopEnd int
 		if hasLoop {
@@ -312,6 +312,7 @@ func (s Spec) Build() *Program {
 		p.funcs = append(p.funcs, fn)
 		addr += 64 // gap between functions, keeps line sharing rare
 	}
+	p.utilFuncs = make([]int, 0, nUtil)
 	for i := 0; i < nUtil; i++ {
 		p.utilFuncs = append(p.utilFuncs, s.Funcs-1-i)
 	}
