@@ -122,9 +122,9 @@ func BenchmarkWorkloadGenerate(b *testing.B) {
 }
 
 // BenchmarkFormPWs measures PW formation over a kafka block trace. The
-// Former walks each block's instructions arithmetically and builds every
-// window's Lines slice in a shared append-only arena, so allocs/op is
-// O(log windows) — the growth of the arena and of the output slice — not
+// Former walks each block's instructions arithmetically and a PW is a
+// pointer-free value (its lines follow from its start and size), so
+// allocs/op is O(log windows), the growth of the output slice alone, not
 // one allocation per block or per window.
 func BenchmarkFormPWs(b *testing.B) {
 	spec, _ := workload.Get("kafka")

@@ -15,8 +15,13 @@
 // the baseline by more than -threshold percent, or its allocs/op exceeds the
 // baseline by more than -allocs-threshold allocations (default 0: any
 // added allocation on a measured path is a regression — wall-clock is noisy
-// on shared runners, allocation counts are exact). Exit status 1 on any
-// regression, 2 on a bad invocation.
+// on shared runners, allocation counts repeat exactly). The exception is a
+// benchmark whose scratch comes from a sync.Pool: a garbage collection
+// during the run empties flow.solverPool and offline.scratchPool, and every
+// solve after it allocates fresh scratch, so BenchmarkFLACKSolve's
+// allocs/op varies from run to run (16-44 in CI-style runs, against a
+// committed 20). CI's -allocs-threshold 64 absorbs that. Exit status 1 on
+// any regression, 2 on a bad invocation.
 //
 // Benchmark names are normalized by stripping the -N GOMAXPROCS suffix, so
 // snapshots from machines with different core counts compare.

@@ -260,7 +260,8 @@ func (f *Frontend) servePW(p trace.PW, stall int) {
 		}
 		// Instruction fetch for the window's lines.
 		fetch := 0
-		for _, line := range p.Lines {
+		first, last := p.Lines()
+		for line := first; line <= last; line += trace.LineSize {
 			f.events.ICacheReads++
 			switch {
 			case f.cfg.PerfectICache || f.l1i == nil:

@@ -10,7 +10,7 @@ import (
 
 func pw(start uint64, uops int) trace.PW {
 	return trace.PW{Start: start, NumUops: uint16(uops), Bytes: uint16(uops * 4),
-		NumInst: uint16(uops), Lines: []uint64{trace.LineAddr(start)}}
+		NumInst: uint16(uops)}
 }
 
 // seq builds a lookup sequence from (start, uops) pairs.

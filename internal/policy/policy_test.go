@@ -10,7 +10,7 @@ import (
 
 func pw(start uint64, uops int) trace.PW {
 	return trace.PW{Start: start, NumUops: uint16(uops), Bytes: uint16(uops * 4),
-		NumInst: uint16(uops), Lines: []uint64{trace.LineAddr(start)}}
+		NumInst: uint16(uops)}
 }
 
 // oneSet builds a single-set cache (4 ways) so victim logic is easy to probe.

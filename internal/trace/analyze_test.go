@@ -4,7 +4,7 @@ import "testing"
 
 func apw(start uint64, uops int, taken bool) PW {
 	return PW{Start: start, NumUops: uint16(uops), Bytes: uint16(uops * 4),
-		NumInst: uint16(uops), EndsTaken: taken, Lines: []uint64{LineAddr(start)}}
+		NumInst: uint16(uops), EndsTaken: taken}
 }
 
 func TestAnalyzeBasics(t *testing.T) {

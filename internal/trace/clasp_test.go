@@ -23,8 +23,8 @@ func TestCrossLineFormsLargerWindows(t *testing.T) {
 	}
 	for _, p := range clasp {
 		totalClasp += int(p.NumUops)
-		if len(p.Lines) > 2 {
-			t.Errorf("window spans %d lines, budget 2: %+v", len(p.Lines), p)
+		if n := spanLen(p); n > 2 {
+			t.Errorf("window spans %d lines, budget 2: %+v", n, p)
 		}
 	}
 	if totalBase != totalClasp {
@@ -36,7 +36,7 @@ func TestCrossLineDefaultBudget(t *testing.T) {
 	f := &Former{MaxUops: DefaultMaxUops, CrossLine: true} // MaxLines unset -> 2
 	pws := FormPWsWith(claspBlocks(), f)
 	for _, p := range pws {
-		if len(p.Lines) > 2 {
+		if spanLen(p) > 2 {
 			t.Errorf("default budget exceeded: %+v", p)
 		}
 	}

@@ -28,14 +28,6 @@ type Former struct {
 
 	cur       PW
 	curActive bool
-
-	// arena is the shared backing store for every emitted window's Lines
-	// slice. finish appends each window's spanned lines here and hands out
-	// a capacity-capped subslice, so forming n windows costs O(log n)
-	// allocations (arena growth) instead of one allocation per window.
-	// The arena is append-only: emitted subslices stay valid after growth
-	// because they keep referencing the backing array they were cut from.
-	arena []uint64
 }
 
 // DefaultMaxUops is 4 entries of 8 micro-ops each, the Zen3-like default.
@@ -118,27 +110,8 @@ func (f *Former) finish(taken bool, emit func(PW)) {
 		return
 	}
 	f.cur.EndsTaken = taken
-	f.cur.Lines = f.appendLines(f.cur.Start, f.cur.Bytes)
 	emit(f.cur)
 	f.curActive = false
-}
-
-// appendLines writes the lines spanned by [start, start+bytes) into the
-// shared arena and returns the window's subslice. The three-index slice
-// caps capacity at the segment's end, so appending to an emitted Lines
-// slice can never scribble over a later window's lines.
-func (f *Former) appendLines(start uint64, bytes uint16) []uint64 {
-	first := LineAddr(start)
-	last := LineAddr(start + uint64(bytes) - 1)
-	if bytes == 0 {
-		last = first
-	}
-	off := len(f.arena)
-	for l := first; l <= last; l += LineSize {
-		f.arena = append(f.arena, l)
-	}
-	end := len(f.arena)
-	return f.arena[off:end:end]
 }
 
 // FormPWs converts an entire block trace into its PW lookup sequence. This

@@ -9,7 +9,7 @@ func prepSeq() []PW {
 	starts := []uint64{0x1000, 0x2040, 0x1000, 0x3080, 0x2040, 0x1000}
 	out := make([]PW, len(starts))
 	for i, s := range starts {
-		out[i] = PW{Start: s, NumUops: uint16(4 + i), Bytes: 16, NumInst: 4, Lines: []uint64{LineAddr(s)}}
+		out[i] = PW{Start: s, NumUops: uint16(4 + i), Bytes: 16, NumInst: 4}
 	}
 	return out
 }
@@ -95,41 +95,5 @@ func TestPreparedSameSequence(t *testing.T) {
 	empty := testPrepare(nil, 0)
 	if !empty.SameSequence(nil) {
 		t.Error("SameSequence(nil) on empty trace = false")
-	}
-}
-
-// TestFormerArenaSharing pins the Former.finish allocation fix: every
-// emitted window's Lines slice must alias the shared arena, and appending
-// to one emitted slice must not scribble over the next window's lines.
-func TestFormerArenaSharing(t *testing.T) {
-	blocks := []Block{
-		{Addr: 0x1000, Bytes: 100, NumInst: 10, NumUops: 10, Kind: BranchCond, Taken: true},
-		{Addr: 0x2000, Bytes: 100, NumInst: 10, NumUops: 10, Kind: BranchCond, Taken: true},
-		{Addr: 0x3000, Bytes: 100, NumInst: 10, NumUops: 10, Kind: BranchCond, Taken: true},
-	}
-	f := NewFormer(0)
-	pws := FormPWsWith(blocks, f)
-	if len(pws) < 3 {
-		t.Fatalf("formed %d windows, want >= 3", len(pws))
-	}
-	for i, p := range pws {
-		if len(p.Lines) == 0 {
-			t.Fatalf("window %d has no lines", i)
-		}
-		for j, l := range p.Lines {
-			if j > 0 && l != p.Lines[j-1]+LineSize {
-				t.Fatalf("window %d lines not contiguous: %v", i, p.Lines)
-			}
-		}
-		if LineAddr(p.Start) != p.Lines[0] {
-			t.Fatalf("window %d first line %#x != LineAddr(start) %#x", i, p.Lines[0], LineAddr(p.Start))
-		}
-	}
-	// The capacity cap makes emitted slices append-safe: growing one must
-	// reallocate instead of overwriting its neighbour in the arena.
-	next := pws[1].Lines[0]
-	_ = append(pws[0].Lines, 0xdeadbeef)
-	if pws[1].Lines[0] != next {
-		t.Fatal("appending to one window's Lines corrupted the next window")
 	}
 }

@@ -136,6 +136,9 @@ func LineAddr(addr uint64) uint64 { return addr &^ uint64(LineSize-1) }
 // PW is a prediction window: the lookup and storage granule of the micro-op
 // cache. Its start address is the cache key; its micro-op count is the
 // paper's "cost"; the number of cache entries it occupies is its "size".
+// A PW holds no references (16 bytes, pointer-free), so PW slices are never
+// scanned by the garbage collector; its icache lines follow from Start and
+// Bytes (Lines).
 type PW struct {
 	// Start is the starting virtual address (the cache key).
 	Start uint64
@@ -148,11 +151,12 @@ type PW struct {
 	// EndsTaken reports whether the window was terminated by a taken
 	// branch (as opposed to an icache line boundary).
 	EndsTaken bool
-	// Lines lists the icache line addresses the window's code spans;
-	// the inclusive micro-op cache invalidates a PW when any of its
-	// lines leaves the L1i.
-	Lines []uint64
 }
+
+// Lines returns the first and last icache line the window's code spans;
+// the inclusive micro-op cache invalidates a PW when any line in
+// [first, last] (step LineSize) leaves the L1i.
+func (p PW) Lines() (first, last uint64) { return LineSpan(p.Start, p.Bytes) }
 
 // Cost returns the micro-op count of the window (the paper's miss cost).
 func (p PW) Cost() int { return int(p.NumUops) }
@@ -166,19 +170,16 @@ func (p PW) Entries(uopsPerEntry int) int {
 	return (int(p.NumUops) + uopsPerEntry - 1) / uopsPerEntry
 }
 
-// SpanLines computes the icache lines covered by [start, start+bytes).
-func SpanLines(start uint64, bytes uint16) []uint64 {
-	first := LineAddr(start)
-	last := LineAddr(start + uint64(bytes) - 1)
+// LineSpan returns the first and last icache line covered by
+// [start, start+bytes); a zero-byte span covers start's line. It is the one
+// definition of a window's lines: readers walk
+// for l := first; l <= last; l += LineSize.
+func LineSpan(start uint64, bytes uint16) (first, last uint64) {
+	first = LineAddr(start)
 	if bytes == 0 {
-		last = first
+		return first, first
 	}
-	n := int((last-first)/LineSize) + 1
-	lines := make([]uint64, 0, n)
-	for l := first; l <= last; l += LineSize {
-		lines = append(lines, l)
-	}
-	return lines
+	return first, LineAddr(start + uint64(bytes) - 1)
 }
 
 // Reader yields a stream of dynamic blocks. Implementations must be

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestBranchKindString(t *testing.T) {
@@ -86,19 +87,53 @@ func TestPWCostAndEntries(t *testing.T) {
 	}
 }
 
-func TestSpanLines(t *testing.T) {
-	got := SpanLines(0x1000, 64)
-	if !reflect.DeepEqual(got, []uint64{0x1000}) {
-		t.Errorf("SpanLines(0x1000,64) = %v", got)
+func TestLineSpan(t *testing.T) {
+	cases := []struct {
+		name        string
+		start       uint64
+		bytes       uint16
+		first, last uint64
+	}{
+		{"zero bytes", 0x1010, 0, 0x1000, 0x1000},
+		{"within a line", 0x1010, 16, 0x1000, 0x1000},
+		{"ends exactly on a boundary", 0x1020, 32, 0x1000, 0x1000},
+		{"whole line", 0x1000, 64, 0x1000, 0x1000},
+		{"crosses a boundary", 0x103c, 8, 0x1000, 0x1040},
+		{"CLASP two-line window", 0x1020, 96, 0x1000, 0x1040},
 	}
-	got = SpanLines(0x103c, 8) // crosses into 0x1040
-	if !reflect.DeepEqual(got, []uint64{0x1000, 0x1040}) {
-		t.Errorf("SpanLines(0x103c,8) = %v", got)
+	for _, tc := range cases {
+		first, last := LineSpan(tc.start, tc.bytes)
+		if first != tc.first || last != tc.last {
+			t.Errorf("%s: LineSpan(%#x, %d) = %#x, %#x; want %#x, %#x",
+				tc.name, tc.start, tc.bytes, first, last, tc.first, tc.last)
+		}
+		p := PW{Start: tc.start, Bytes: tc.bytes}
+		if f, l := p.Lines(); f != first || l != last {
+			t.Errorf("%s: PW.Lines() = %#x, %#x; LineSpan gives %#x, %#x", tc.name, f, l, first, last)
+		}
 	}
-	got = SpanLines(0x1000, 0)
-	if !reflect.DeepEqual(got, []uint64{0x1000}) {
-		t.Errorf("SpanLines(0x1000,0) = %v", got)
+}
+
+// TestPWIsPointerFree pins the PW layout: 16 bytes and no reference
+// fields, so PW slices are noscan for the garbage collector.
+func TestPWIsPointerFree(t *testing.T) {
+	if got := unsafe.Sizeof(PW{}); got != 16 {
+		t.Errorf("sizeof(PW) = %d bytes, want 16", got)
 	}
+	typ := reflect.TypeOf(PW{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.String,
+			reflect.Interface, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+			t.Errorf("PW.%s is a %s, a reference field", f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// spanLen is the number of icache lines p spans.
+func spanLen(p PW) int {
+	first, last := p.Lines()
+	return int((last-first)/LineSize) + 1
 }
 
 func TestSliceReader(t *testing.T) {
@@ -274,8 +309,8 @@ func TestFormerLineBoundary(t *testing.T) {
 		t.Fatalf("expected split at line boundary, got %d PWs", len(pws))
 	}
 	for i, p := range pws {
-		if len(p.Lines) != 1 {
-			t.Errorf("pw %d spans %d lines: %+v", i, len(p.Lines), p)
+		if n := spanLen(p); n != 1 {
+			t.Errorf("pw %d spans %d lines: %+v", i, n, p)
 		}
 		end := p.Start + uint64(p.Bytes) - 1
 		if LineAddr(p.Start) != LineAddr(end) {

@@ -42,8 +42,9 @@ func (b *Behavior) Access(pt *trace.PreparedTrace, i int) ProbeResult {
 	pw, set := pt.At(i), pt.Set(i)
 	c.Complete(c.clock + 1) // the lookup clock ticks to this access
 	if b.ICache != nil {
-		for _, line := range pw.Lines {
-			b.ICache.Access(line)
+		first, last := pw.Lines()
+		for l := first; l <= last; l += trace.LineSize {
+			b.ICache.Access(l)
 		}
 	}
 	res := c.lookupAt(pw, set)

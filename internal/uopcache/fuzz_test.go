@@ -162,19 +162,27 @@ func (r *refCache) insert(pw trace.PW) uopcache.InsertOutcome {
 		r.stats.Evictions++
 		r.remove(set, victim)
 	}
-	lines := pw.Lines
-	if len(lines) == 0 {
-		lines = []uint64{trace.LineAddr(pw.Start)}
-	}
 	r.lru++
 	r.sets[set][pw.Start] = &refWin{
 		key: pw.Start, uops: int(pw.NumUops), need: need,
-		lines: append([]uint64(nil), lines...), stamp: r.lru,
+		lines: refLines(pw.Start, pw.Bytes), stamp: r.lru,
 	}
 	r.used[set] += need
 	r.stats.Insertions++
 	r.stats.EntriesWritten += uint64(pw.Entries(r.cfg.UopsPerEntry))
 	return uopcache.Inserted
+}
+
+// refLines lists the icache lines holding the bytes [start, start+bytes),
+// found byte by byte; a zero-byte window lives in start's line.
+func refLines(start uint64, bytes uint16) []uint64 {
+	lines := []uint64{start &^ (trace.LineSize - 1)}
+	for a := start; a < start+uint64(bytes); a++ {
+		if l := a &^ (trace.LineSize - 1); l != lines[len(lines)-1] {
+			lines = append(lines, l)
+		}
+	}
+	return lines
 }
 
 func (r *refCache) evictKey(start uint64) bool {
@@ -221,10 +229,12 @@ func (r *refCache) residentCount() int {
 // fuzzPW decodes one operation's window: 256 distinct 16-byte-aligned start
 // addresses (dense enough that sets collide constantly) and 1..40 micro-ops
 // (large enough to exceed a whole set in the smaller geometries, exercising
-// TooLarge). Odd extra bytes request a two-line window so line invalidation
+// TooLarge). A window normally ends at its line boundary, like a baseline
+// window; odd extra bytes request a two-line window so line invalidation
 // sees multi-line residents. Extra bit 1 moves the start up by one full turn
 // of the line-count table (LineBuckets lines), so distinct lines share a
-// bucket row and invalidation must tell them apart.
+// bucket row and invalidation must tell them apart. Both the cache and the
+// reference derive a window's lines from its start and size.
 func fuzzPW(addr, uopsB, extra byte) trace.PW {
 	pw := trace.PW{
 		Start:   uint64(addr) << 4,
@@ -233,10 +243,9 @@ func fuzzPW(addr, uopsB, extra byte) trace.PW {
 	if extra&2 != 0 {
 		pw.Start += uopcache.LineBuckets * trace.LineSize
 	}
-	pw.Bytes = uint16(4 * pw.NumUops)
+	pw.Bytes = uint16(min(4*uint64(pw.NumUops), trace.LineSize-pw.Start%trace.LineSize))
 	if extra&1 != 0 {
 		pw.Bytes = 80 // spans two icache lines from any 16-byte-aligned start
-		pw.Lines = trace.SpanLines(pw.Start, pw.Bytes)
 	}
 	return pw
 }
@@ -253,8 +262,8 @@ func FuzzDenseVsReference(f *testing.F) {
 	f.Add(uint8(2), []byte{3, 1, 39, 0, 3, 1, 3, 0, 3, 1, 39, 0, 7, 1, 10, 0})
 	f.Add(uint8(3), []byte{3, 200, 20, 1, 3, 201, 20, 1, 3, 202, 20, 1, 3, 203, 20, 1, 6, 200, 0, 0})
 	// Two lines one bucket-table turn apart, then invalidate the first:
-	// only its window may go (geometry 0 puts them in different sets,
-	// geometry 3 in the same set, the second seed with two-line windows).
+	// only its window may go (geometry 0 puts them in different sets with
+	// one-line windows, geometry 3 in the same set with two-line windows).
 	f.Add(uint8(0), []byte{3, 0, 5, 0, 3, 0, 5, 2, 6, 0, 0, 0, 0, 0, 5, 0, 0, 0, 5, 2})
 	f.Add(uint8(3), []byte{3, 4, 5, 1, 3, 4, 5, 3, 6, 4, 0, 2, 0, 4, 5, 1, 0, 4, 5, 3})
 	f.Fuzz(func(t *testing.T, geo uint8, data []byte) {

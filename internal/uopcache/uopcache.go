@@ -92,13 +92,6 @@ type Resident struct {
 	Uops int
 	// EntriesUsed is the number of entry slots occupied (the size).
 	EntriesUsed int
-	// Lines are the icache lines the window's code lives in (one line
-	// normally; two when CLASP-style cross-line windows are enabled in
-	// the former), used for inclusive invalidation. In the view handed to
-	// Policy.Victim the slice aliases the cache's per-slot line arena and
-	// is overwritten when the slot is reused; Residents and ResidentFor
-	// return deep copies.
-	Lines []uint64
 	// InsertedAt is the lookup sequence number of the insertion.
 	InsertedAt uint64
 	// LastHitAt is the lookup sequence number of the last hit.
@@ -107,6 +100,11 @@ type Resident struct {
 	// at insertion, fixed until eviction, passed to every Policy event so
 	// policies can index flat per-slot metadata arrays.
 	Slot int32
+	// Bytes is the window's code footprint. With Key it names the icache
+	// lines the window lives in (trace.LineSpan: one line normally, two
+	// for a CLASP-style cross-line window), used for inclusive
+	// invalidation.
+	Bytes uint16
 }
 
 // Decision is a replacement policy's answer when space is needed.
@@ -209,11 +207,6 @@ const lineBuckets = 64
 
 // lineBucket maps an icache line address to its row of the line-count table.
 func lineBucket(line uint64) int { return int(line/trace.LineSize) & (lineBuckets - 1) }
-
-// linesPerSlot is the Lines capacity each slot gets from the cache's line
-// arena: one line normally, two for a CLASP-style cross-line window. A
-// window spanning more lines grows its slot's slice once.
-const linesPerSlot = 2
 
 // Cache is the micro-op cache structure. It is not safe for concurrent use.
 type Cache struct {
@@ -366,10 +359,6 @@ func New(cfg Config, policy Policy) *Cache {
 	// One backing array per kind, sliced per set: contiguous, and a single
 	// allocation each.
 	slotB := make([]Resident, numSets*c.capSlots)
-	linesB := make([]uint64, numSets*c.capSlots*linesPerSlot)
-	for k := range slotB {
-		slotB[k].Lines = linesB[k*linesPerSlot : k*linesPerSlot : (k+1)*linesPerSlot]
-	}
 	occB := make([]uint64, numSets*occWords)
 	idxB := make([]int32, numSets*idxLen)
 	c.sets = make([]cset, numSets)
@@ -814,38 +803,23 @@ func (c *Cache) insertAt(pw trace.PW, set, need int) InsertOutcome {
 		c.observeEviction(set, &s.slots[victim], pw.Start, d)
 		c.removeResident(set, victim)
 	}
-	var oneLine [1]uint64
-	lines := pw.Lines
-	if len(lines) == 0 {
-		oneLine[0] = trace.LineAddr(pw.Start)
-		lines = oneLine[:]
-	}
 	slot := s.allocSlot()
 	r := &s.slots[slot]
-	// Reuse the slot's Lines backing array (its arena share from New); it
-	// grows only for a window spanning more than linesPerSlot lines.
-	stored := r.Lines
-	if cap(stored) < len(lines) {
-		stored = make([]uint64, 0, len(lines))
-	}
-	stored = stored[:0]
-	for _, line := range lines {
-		stored = append(stored, line)
-	}
 	r.Key = pw.Start
 	r.Uops = int(pw.NumUops)
 	r.EntriesUsed = need
-	r.Lines = stored
 	r.InsertedAt = c.clock
 	r.LastHitAt = 0
 	r.Slot = slot
+	r.Bytes = pw.Bytes
 	s.occ[slot>>6] |= 1 << (uint(slot) & 63)
 	s.used += need
 	s.count++
 	c.totalResidents++
 	c.addIdx(s, pw.Start, slot)
-	for _, line := range lines {
-		c.lineAddRef(line, set)
+	first, last := pw.Lines()
+	for l := first; l <= last; l += trace.LineSize {
+		c.lineAddRef(l, set)
 	}
 	c.Stats.Insertions++
 	c.Stats.EntriesWritten += uint64(pw.Entries(c.cfg.UopsPerEntry))
@@ -891,13 +865,12 @@ func (c *Cache) removeResident(set int, slot int32) {
 	s.used -= r.EntriesUsed
 	s.count--
 	c.totalResidents--
-	for _, line := range r.Lines {
-		c.lineDecRef(line, set)
+	first, last := trace.LineSpan(key, r.Bytes)
+	for l := first; l <= last; l += trace.LineSize {
+		c.lineDecRef(l, set)
 	}
-	// Keep the Lines backing array on the vacated slot for reuse; clear
-	// EntriesUsed so stale contents cannot be mistaken for a resident.
+	// Clear EntriesUsed so stale contents cannot be mistaken for a resident.
 	r.EntriesUsed = 0
-	r.Lines = r.Lines[:0]
 	if c.m != nil {
 		c.m.slotOccupancy.Set(float64(c.totalResidents))
 	}
@@ -913,10 +886,13 @@ func (c *Cache) MakeInclusive(l1i *cache.Cache) {
 // InvalidateLine evicts every window whose code lives in the given icache
 // line (the L1i eviction path MakeInclusive wires up).
 func (c *Cache) InvalidateLine(lineAddr uint64) int {
+	if trace.LineAddr(lineAddr) != lineAddr {
+		return 0 // not a line address: no window's line span holds it
+	}
 	// The line's bucket row, walked in ascending set order. A nonzero count
 	// means the set holds a window from this line or from another line of
-	// the same bucket; the Lines check below tells them apart. Removal only
-	// lowers the current set's count, so the walk needs no snapshot.
+	// the same bucket; the line-span check below tells them apart. Removal
+	// only lowers the current set's count, so the walk needs no snapshot.
 	b := lineBucket(lineAddr) * len(c.sets)
 	row := c.lineCount[b : b+len(c.sets)]
 	n := 0
@@ -935,11 +911,8 @@ func (c *Cache) InvalidateLine(lineAddr uint64) int {
 			if r.EntriesUsed == 0 {
 				continue
 			}
-			for _, line := range r.Lines {
-				if line == lineAddr {
-					victims = append(victims, r.Key)
-					break
-				}
+			if first, last := trace.LineSpan(r.Key, r.Bytes); first <= lineAddr && lineAddr <= last {
+				victims = append(victims, r.Key)
 			}
 		}
 		// Sorted so eviction events replay in the same order every run.
@@ -992,7 +965,7 @@ func (c *Cache) residentsView(set int) []Resident {
 
 // Residents returns a snapshot of the residents of a set in slot order (for
 // analyses). Unlike the policy-facing view, the snapshot is freshly
-// allocated with deep-copied Lines, so callers may retain it.
+// allocated, so callers may retain it.
 func (c *Cache) Residents(set int) []Resident {
 	s := &c.sets[set]
 	out := make([]Resident, 0, s.count)
@@ -1000,24 +973,20 @@ func (c *Cache) Residents(set int) []Resident {
 		if s.slots[i].EntriesUsed == 0 {
 			continue
 		}
-		r := s.slots[i]
-		r.Lines = append([]uint64(nil), r.Lines...)
-		out = append(out, r)
+		out = append(out, s.slots[i])
 	}
 	return out
 }
 
-// ResidentFor returns the resident window for a start address, if any. The
-// returned copy's Lines are deep-copied, so callers may retain it.
+// ResidentFor returns a copy of the resident window for a start address, if
+// any.
 func (c *Cache) ResidentFor(start uint64) (Resident, bool) {
 	s := &c.sets[c.SetIndex(start)]
 	slot := c.findSlot(s, start)
 	if slot < 0 {
 		return Resident{}, false
 	}
-	r := s.slots[slot]
-	r.Lines = append([]uint64(nil), r.Lines...)
-	return r, true
+	return s.slots[slot], true
 }
 
 // UsedEntries returns the number of occupied entries in a set.

@@ -19,7 +19,6 @@ func pw(start uint64, uops int) trace.PW {
 		NumUops: uint16(uops),
 		Bytes:   uint16(uops * 4),
 		NumInst: uint16(uops),
-		Lines:   []uint64{trace.LineAddr(start)},
 	}
 }
 
@@ -209,7 +208,7 @@ func TestInvalidateLineBucketCollision(t *testing.T) {
 	const turn = uopcache.LineBuckets * trace.LineSize
 	cfg := tinyConfig()
 	win := func(start uint64, bytes uint16) trace.PW {
-		return trace.PW{Start: start, NumUops: 4, Bytes: bytes, NumInst: 4, Lines: trace.SpanLines(start, bytes)}
+		return trace.PW{Start: start, NumUops: 4, Bytes: bytes, NumInst: 4}
 	}
 	cases := []struct {
 		name     string
@@ -242,7 +241,8 @@ func TestInvalidateLineBucketCollision(t *testing.T) {
 			if _, ok := c.ResidentFor(tc.kept.Start); !ok {
 				t.Fatalf("%#x, from a colliding line, was evicted", tc.kept.Start)
 			}
-			for _, l := range tc.gone.Lines {
+			first, last := tc.gone.Lines()
+			for l := first; l <= last; l += trace.LineSize {
 				if n := c.InvalidateLine(l); n != 0 {
 					t.Errorf("InvalidateLine(%#x) after removal = %d, want 0", l, n)
 				}
