@@ -160,9 +160,10 @@ func TestManifestRecordsMemoTraffic(t *testing.T) {
 	}
 	man := readManifest(t, filepath.Join(dir, "run.json"))
 	want := map[string]telemetry.MemoTraffic{
-		"plans":        {},
-		"timing_runs":  {Hits: 2, Misses: 10},
-		"timing_paths": {Hits: 8, Misses: 2},
+		"plans":         {},
+		"behavior_runs": {},
+		"timing_runs":   {Hits: 2, Misses: 10},
+		"timing_paths":  {Hits: 8, Misses: 2},
 	}
 	if !reflect.DeepEqual(man.Memo, want) {
 		t.Errorf("manifest memo = %+v, want %+v", man.Memo, want)

@@ -14,9 +14,10 @@ import (
 // layer (internal/inspect): attribution roll-ups and span-trace health. The
 // plan family covers keep-plan traffic: the artifact cache's
 // (internal/artifact, the only kind the cache stores) and the experiment
-// Context's in-memory plan memo (internal/experiments). The timing family
-// counts the same Context's timing-run and timing-path memos.
-var metricNamePattern = regexp.MustCompile(`^(uopcache|frontend|policy|offline|flow|parallel|inspect|trace|plan|timing)_[a-z0-9_]+$`)
+// Context's in-memory plan memo (internal/experiments). The behavior and
+// timing families count the same Context's behaviour-run, timing-run and
+// timing-path memos.
+var metricNamePattern = regexp.MustCompile(`^(uopcache|frontend|policy|offline|flow|parallel|inspect|trace|plan|behavior|timing)_[a-z0-9_]+$`)
 
 // Telemetry enforces that metric names handed to the telemetry registry
 // (Registry.Counter / Gauge / Histogram methods of a package named
@@ -26,7 +27,7 @@ var metricNamePattern = regexp.MustCompile(`^(uopcache|frontend|policy|offline|f
 // Stats-reconciliation tests assert against.
 var Telemetry = &Analyzer{
 	Name: "telemetry",
-	Doc:  "metric names must be compile-time constants matching ^(uopcache|frontend|policy|offline|flow|parallel|inspect|trace|plan|timing)_[a-z0-9_]+$",
+	Doc:  "metric names must be compile-time constants matching ^(uopcache|frontend|policy|offline|flow|parallel|inspect|trace|plan|behavior|timing)_[a-z0-9_]+$",
 	Run:  runTelemetry,
 }
 

@@ -181,6 +181,10 @@ type BehaviorOptions struct {
 type BehaviorResult struct {
 	Stats     uopcache.Stats
 	PerLookup []uopcache.ProbeResult
+	// Utilization is the micro-op cache's end-of-run occupancy
+	// (uopcache.Cache.Utilization) of an online run; offline runs leave
+	// it zero.
+	Utilization float64
 	// FURBYS carries FURBYS's decision-provenance counters when the
 	// policy was FURBYS.
 	FURBYS *policy.FURBYSStats
@@ -210,6 +214,7 @@ func RunBehavior(pws []trace.PW, cfg Config, pol uopcache.Policy, opts BehaviorO
 	} else {
 		res.Stats = b.Run(pt)
 	}
+	res.Utilization = c.Utilization()
 	if f, ok := base.(*policy.FURBYS); ok {
 		st := f.Stats
 		res.FURBYS = &st

@@ -1,11 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation. Each experiment is a named function producing a Table; the
 // registry drives cmd/experiments and the root benchmark harness. A Context
-// caches generated traces, collected profiles, baseline runs and every
-// timing run behind per-key singleflight so multi-figure runs — serial or
+// caches generated traces, collected profiles, and behaviour and timing
+// runs behind per-key singleflight so multi-figure runs — serial or
 // parallel — do not repeat the expensive FLACK profiling step or an
-// identical frontend simulation, and it memoizes every solved FOO/FLACK
-// keep-plan so figures that share a plan solve it once.
+// identical replay or frontend simulation, and it memoizes every solved
+// FOO/FLACK keep-plan so figures that share a plan solve it once.
 //
 // Concurrency model: RunMany fans experiments out, and each experiment
 // splits into heavy cells (one per app, config point, or policy variant)
@@ -179,20 +179,20 @@ func (c *Context) ctx() context.Context {
 // ctxCaches holds the per-geometry singleflight result caches and the
 // keep-plan memo. The mutex only guards map access; computations run with it
 // released, and concurrent callers of the same key block on the flight's
-// done channel. times is the timing memo (Context.timing): its key carries
-// the full core.Config, not just the geometry, and a hit streams no
-// uopcache_* events for its cell. paths holds the timing runs' shared
-// per-trace paths (Context.timingPath). The plan memo has no flights (see
-// memoPlans).
+// done channel. behaviors and times are the behaviour and timing memos
+// (Context.behavior, Context.timing): their keys carry the full
+// core.Config, not just the geometry, and a hit streams no uopcache_*
+// events for its cell. paths holds the timing runs' shared per-trace paths
+// (Context.timingPath). The plan memo has no flights (see memoPlans).
 type ctxCaches struct {
-	mu     sync.Mutex
-	traces map[string]*flight[tracePair]
-	preps  map[string]*flight[*trace.PreparedTrace]
-	profs  map[string]*flight[*profiles.Profile]
-	bases  map[string]*flight[uopcache.Stats]
-	times  map[string]*flight[core.TimingResult]
-	paths  map[string]*flight[*frontend.Path]
-	plans  map[string]*offline.Decisions
+	mu        sync.Mutex
+	traces    map[string]*flight[tracePair]
+	preps     map[string]*flight[*trace.PreparedTrace]
+	profs     map[string]*flight[*profiles.Profile]
+	behaviors map[string]*flight[core.BehaviorResult]
+	times     map[string]*flight[core.TimingResult]
+	paths     map[string]*flight[*frontend.Path]
+	plans     map[string]*offline.Decisions
 }
 
 // ctxSched is the cross-experiment scheduler state: the shared cell limiter,
@@ -215,7 +215,7 @@ type ctxSched struct {
 	// status is the live campaign state the /debug/status dashboard polls.
 	status statusCounters
 	// memo tallies the memos' traffic for Context.MemoTraffic.
-	memo struct{ plans, runs, paths memoTally }
+	memo struct{ plans, behaviors, runs, paths memoTally }
 }
 
 // memoTally counts one memo's requests whether or not metrics are attached.
@@ -238,15 +238,17 @@ func (m *memoTally) traffic() telemetry.MemoTraffic {
 }
 
 // MemoTraffic returns the requests the context's memos have served so far,
-// for the run manifest: keep-plans (as plan_memo_*), timing runs (as
-// timing_memo_*) and timing paths (as timing_path_memo_*). Contexts derived
-// for another config, such as fig17's, count into the same tallies.
+// for the run manifest: keep-plans (as plan_memo_*), behaviour runs (as
+// behavior_memo_*), timing runs (as timing_memo_*) and timing paths (as
+// timing_path_memo_*). Contexts derived for another config, such as fig17's,
+// count into the same tallies.
 func (c *Context) MemoTraffic() map[string]telemetry.MemoTraffic {
 	m := &c.sched.memo
 	return map[string]telemetry.MemoTraffic{
-		"plans":        m.plans.traffic(),
-		"timing_runs":  m.runs.traffic(),
-		"timing_paths": m.paths.traffic(),
+		"plans":         m.plans.traffic(),
+		"behavior_runs": m.behaviors.traffic(),
+		"timing_runs":   m.runs.traffic(),
+		"timing_paths":  m.paths.traffic(),
 	}
 }
 
@@ -394,13 +396,13 @@ func once[T any](c *Context, m map[string]*flight[T], key string, compute func()
 
 func newCaches() *ctxCaches {
 	return &ctxCaches{
-		traces: make(map[string]*flight[tracePair]),
-		preps:  make(map[string]*flight[*trace.PreparedTrace]),
-		profs:  make(map[string]*flight[*profiles.Profile]),
-		bases:  make(map[string]*flight[uopcache.Stats]),
-		times:  make(map[string]*flight[core.TimingResult]),
-		paths:  make(map[string]*flight[*frontend.Path]),
-		plans:  make(map[string]*offline.Decisions),
+		traces:    make(map[string]*flight[tracePair]),
+		preps:     make(map[string]*flight[*trace.PreparedTrace]),
+		profs:     make(map[string]*flight[*profiles.Profile]),
+		behaviors: make(map[string]*flight[core.BehaviorResult]),
+		times:     make(map[string]*flight[core.TimingResult]),
+		paths:     make(map[string]*flight[*frontend.Path]),
+		plans:     make(map[string]*offline.Decisions),
 	}
 }
 

@@ -13,16 +13,64 @@ import (
 	"uopsim/internal/workload"
 )
 
-// lruBaseline runs (cached) the LRU baseline on an app's PW trace;
-// concurrent cells needing the same baseline share one run.
-func (c *Context) lruBaseline(app string) (uopcache.Stats, error) {
-	return once(c, c.caches.bases, app, func() (uopcache.Stats, error) {
+// behavior runs (memoized) a behaviour-mode replay of app's input-0 trace
+// under cfg for a named policy, online or offline (belady, foo, flack). It
+// is the package's one behaviour entry for the trace's plain replay: runs
+// that several figures share — LRU, the baseline of every miss reduction;
+// FURBYS at the context geometry behind figs. 8, 12, 18 and 21; FLACK
+// behind figs. 8 and 10 — replay once per Context, and concurrent cells
+// needing the same run share one flight.
+//
+// fcfg tunes FURBYS; a zero WeightBits selects DefaultFURBYSConfig, as
+// core.NewPolicy does, so the zero value and the defaults share an entry.
+// The key covers the app, the Context's block count and input, the policy
+// name, the whole cfg and fcfg (configKey). Profile-guided policies use the
+// context's FLACK profile, as in Context.timing. A memo hit replays
+// nothing, so it streams no uopcache_* events and moves no uopcache_*
+// metrics; it counts one behavior_memo_hit_total, a replay one
+// behavior_memo_miss_total.
+func (c *Context) behavior(app string, cfg core.Config, name string, fcfg policy.FURBYSConfig) (core.BehaviorResult, error) {
+	if fcfg.WeightBits == 0 {
+		fcfg = policy.DefaultFURBYSConfig()
+	}
+	key := fmt.Sprintf("%s/0/%d/%s/%s/%s", app, c.Blocks, name, configKey(cfg), configKey(fcfg))
+	replayed := false
+	res, err := once(c, c.caches.behaviors, key, func() (core.BehaviorResult, error) {
+		replayed = true
 		_, pws, err := c.Trace(app, 0)
 		if err != nil {
-			return uopcache.Stats{}, err
+			return core.BehaviorResult{}, err
 		}
-		return core.RunBehavior(pws, c.Cfg, policy.NewLRU(), c.runOpts(app, 0, c.Cfg.UopCache)).Stats, nil
+		opts := c.runOpts(app, 0, cfg.UopCache)
+		if name != "thermometer" && name != "furbys" {
+			return core.RunBehaviorByName(name, pws, cfg, opts)
+		}
+		prof, err := c.Profile(app, 0, profiles.SourceFLACK)
+		if err != nil {
+			return core.BehaviorResult{}, err
+		}
+		pol, err := core.NewPolicy(name, prof, cfg.UopCache, fcfg)
+		if err != nil {
+			return core.BehaviorResult{}, err
+		}
+		return core.RunBehavior(pws, cfg, pol, opts), nil
 	})
+	c.sched.memo.behaviors.note(replayed)
+	if m := c.Telemetry.Metrics; m != nil {
+		if replayed {
+			m.Counter("behavior_memo_miss_total").Inc()
+		} else {
+			m.Counter("behavior_memo_hit_total").Inc()
+		}
+	}
+	return res, err
+}
+
+// lruBaseline returns the Stats of the LRU replay at the context config,
+// the baseline of every miss reduction.
+func (c *Context) lruBaseline(app string) (uopcache.Stats, error) {
+	res, err := c.behavior(app, c.Cfg, "lru", policy.FURBYSConfig{})
+	return res.Stats, err
 }
 
 // Table1 dumps the simulation parameters (paper Table I).
@@ -170,28 +218,6 @@ func Sec3EReuseDistances(ctx *Context) (*Table, error) {
 	return t, nil
 }
 
-// runPolicyOnApp runs a named policy in behaviour mode, routing the
-// profile-guided ones through the context's profile cache so FLACK is
-// solved once per app rather than once per policy.
-func (c *Context) runPolicyOnApp(name, app string) (core.BehaviorResult, error) {
-	_, pws, err := c.Trace(app, 0)
-	if err != nil {
-		return core.BehaviorResult{}, err
-	}
-	if name == "thermometer" || name == "furbys" {
-		prof, err := c.Profile(app, 0, profiles.SourceFLACK)
-		if err != nil {
-			return core.BehaviorResult{}, err
-		}
-		pol, err := core.NewPolicy(name, prof, c.Cfg.UopCache, policy.FURBYSConfig{})
-		if err != nil {
-			return core.BehaviorResult{}, err
-		}
-		return core.RunBehavior(pws, c.Cfg, pol, c.runOpts(app, 0, c.Cfg.UopCache)), nil
-	}
-	return core.RunBehaviorByName(name, pws, c.Cfg, c.runOpts(app, 0, c.Cfg.UopCache))
-}
-
 // behaviorReductions computes per-app miss reductions vs LRU for a policy
 // list (apps as concurrent cells), returning per-policy per-app values.
 func (c *Context) behaviorReductions(policyNames []string) (map[string]map[string]float64, error) {
@@ -203,7 +229,7 @@ func (c *Context) behaviorReductions(policyNames []string) (map[string]map[strin
 		}
 		vals := make([]float64, len(policyNames))
 		for i, name := range policyNames {
-			res, err := c.runPolicyOnApp(name, app)
+			res, err := c.behavior(app, c.Cfg, name, policy.FURBYSConfig{})
 			if err != nil {
 				return nil, err
 			}
@@ -294,6 +320,15 @@ func Fig10FLACKAblation(ctx *Context) (*Table, error) {
 		bel := offline.RunBelady(pws, ctx.Cfg.UopCache, ctx.offlineOpts(app, 0, ctx.Cfg.UopCache, offline.Options{}))
 		vals = append(vals, core.MissReduction(base, bel.Stats))
 		for _, v := range variants {
+			// FLACK is the same replay fig8 runs.
+			if v == offline.FLACKFeatures() {
+				res, err := ctx.behavior(app, ctx.Cfg, "flack", policy.FURBYSConfig{})
+				if err != nil {
+					return nil, err
+				}
+				vals = append(vals, core.MissReduction(base, res.Stats))
+				continue
+			}
 			res := offline.RunFOO(pws, ctx.Cfg.UopCache, ctx.offlineOpts(app, 0, ctx.Cfg.UopCache, offline.Options{Features: v}))
 			vals = append(vals, core.MissReduction(base, res.Stats))
 		}
@@ -441,11 +476,13 @@ func Fig18CrossValidation(ctx *Context) (*Table, error) {
 		if err != nil {
 			return row{}, err
 		}
-		// Same-input: profile from the test trace itself.
-		sameProf, err := ctx.Profile(app, 0, profiles.SourceFLACK)
+		// Same-input: profile from the test trace itself, the FURBYS
+		// replay fig8 runs.
+		sameRes, err := ctx.behavior(app, ctx.Cfg, "furbys", policy.FURBYSConfig{})
 		if err != nil {
 			return row{}, err
 		}
+		same := core.MissReduction(base, sameRes.Stats)
 		// Cross-input: merge profiles of two other inputs.
 		p1, err := ctx.Profile(app, 1, profiles.SourceFLACK)
 		if err != nil {
@@ -457,23 +494,12 @@ func Fig18CrossValidation(ctx *Context) (*Table, error) {
 		}
 		crossProf := profiles.Merge(p1, p2)
 
-		runWith := func(p *profiles.Profile) (float64, error) {
-			pol, err := core.NewPolicy("furbys", p, ctx.Cfg.UopCache, policy.FURBYSConfig{})
-			if err != nil {
-				return 0, err
-			}
-			res := core.RunBehavior(testPWs, ctx.Cfg, pol, ctx.runOpts(app, 0, ctx.Cfg.UopCache))
-			return core.MissReduction(base, res.Stats), nil
-		}
-		same, err := runWith(sameProf)
+		pol, err := core.NewPolicy("furbys", crossProf, ctx.Cfg.UopCache, policy.FURBYSConfig{})
 		if err != nil {
 			return row{}, err
 		}
-		cross, err := runWith(crossProf)
-		if err != nil {
-			return row{}, err
-		}
-		return row{Same: same, Cross: cross}, nil
+		crossRes := core.RunBehavior(testPWs, ctx.Cfg, pol, ctx.runOpts(app, 0, ctx.Cfg.UopCache))
+		return row{Same: same, Cross: core.MissReduction(base, crossRes.Stats)}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -513,25 +539,16 @@ func Fig19WeightBits(ctx *Context) (*Table, error) {
 		bits := i + 1
 		var vals []float64
 		for _, app := range ctx.AppList() {
-			_, pws, err := ctx.Trace(app, 0)
-			if err != nil {
-				return 0, err
-			}
 			base, err := ctx.lruBaseline(app)
-			if err != nil {
-				return 0, err
-			}
-			prof, err := ctx.Profile(app, 0, profiles.SourceFLACK)
 			if err != nil {
 				return 0, err
 			}
 			fcfg := policy.DefaultFURBYSConfig()
 			fcfg.WeightBits = bits
-			pol, err := core.NewPolicy("furbys", prof, ctx.Cfg.UopCache, fcfg)
+			res, err := ctx.behavior(app, ctx.Cfg, "furbys", fcfg)
 			if err != nil {
 				return 0, err
 			}
-			res := core.RunBehavior(pws, ctx.Cfg, pol, ctx.runOpts(app, 0, ctx.Cfg.UopCache))
 			vals = append(vals, core.MissReduction(base, res.Stats))
 		}
 		return mean(vals), nil
@@ -560,25 +577,16 @@ func Fig20DetectorDepth(ctx *Context) (*Table, error) {
 	rows, err := cells(ctx, labels, func(depth int) (float64, error) {
 		var vals []float64
 		for _, app := range ctx.AppList() {
-			_, pws, err := ctx.Trace(app, 0)
-			if err != nil {
-				return 0, err
-			}
 			base, err := ctx.lruBaseline(app)
-			if err != nil {
-				return 0, err
-			}
-			prof, err := ctx.Profile(app, 0, profiles.SourceFLACK)
 			if err != nil {
 				return 0, err
 			}
 			fcfg := policy.DefaultFURBYSConfig()
 			fcfg.DetectorDepth = depth
-			pol, err := core.NewPolicy("furbys", prof, ctx.Cfg.UopCache, fcfg)
+			res, err := ctx.behavior(app, ctx.Cfg, "furbys", fcfg)
 			if err != nil {
 				return 0, err
 			}
-			res := core.RunBehavior(pws, ctx.Cfg, pol, ctx.runOpts(app, 0, ctx.Cfg.UopCache))
 			vals = append(vals, core.MissReduction(base, res.Stats))
 		}
 		return mean(vals), nil
@@ -599,31 +607,21 @@ func Fig21Bypass(ctx *Context) (*Table, error) {
 		Columns: []string{"application", "bypass off", "bypass on", "bypassed insertions"}}
 	type row struct{ Off, On, ByFrac float64 }
 	rows, err := appRows(ctx, func(app string) (row, error) {
-		_, pws, err := ctx.Trace(app, 0)
-		if err != nil {
-			return row{}, err
-		}
 		base, err := ctx.lruBaseline(app)
-		if err != nil {
-			return row{}, err
-		}
-		prof, err := ctx.Profile(app, 0, profiles.SourceFLACK)
 		if err != nil {
 			return row{}, err
 		}
 		offCfg := policy.DefaultFURBYSConfig()
 		offCfg.BypassEnabled = false
-		polOff, err := core.NewPolicy("furbys", prof, ctx.Cfg.UopCache, offCfg)
+		resOff, err := ctx.behavior(app, ctx.Cfg, "furbys", offCfg)
 		if err != nil {
 			return row{}, err
 		}
-		rOff := core.MissReduction(base, core.RunBehavior(pws, ctx.Cfg, polOff, ctx.runOpts(app, 0, ctx.Cfg.UopCache)).Stats)
-
-		polOn, err := core.NewPolicy("furbys", prof, ctx.Cfg.UopCache, policy.DefaultFURBYSConfig())
+		rOff := core.MissReduction(base, resOff.Stats)
+		resOn, err := ctx.behavior(app, ctx.Cfg, "furbys", policy.DefaultFURBYSConfig())
 		if err != nil {
 			return row{}, err
 		}
-		resOn := core.RunBehavior(pws, ctx.Cfg, polOn, ctx.runOpts(app, 0, ctx.Cfg.UopCache))
 		rOn := core.MissReduction(base, resOn.Stats)
 		byFrac := 0.0
 		if resOn.FURBYS != nil && resOn.FURBYS.InsertAttempts > 0 {
@@ -690,19 +688,10 @@ func CoverageStats(ctx *Context) (*Table, error) {
 		Cov, By float64
 	}
 	rows, err := appRows(ctx, func(app string) (row, error) {
-		_, pws, err := ctx.Trace(app, 0)
+		res, err := ctx.behavior(app, ctx.Cfg, "furbys", policy.FURBYSConfig{})
 		if err != nil {
 			return row{}, err
 		}
-		prof, err := ctx.Profile(app, 0, profiles.SourceFLACK)
-		if err != nil {
-			return row{}, err
-		}
-		pol, err := core.NewPolicy("furbys", prof, ctx.Cfg.UopCache, policy.FURBYSConfig{})
-		if err != nil {
-			return row{}, err
-		}
-		res := core.RunBehavior(pws, ctx.Cfg, pol, ctx.runOpts(app, 0, ctx.Cfg.UopCache))
 		if res.FURBYS == nil {
 			return row{}, nil
 		}

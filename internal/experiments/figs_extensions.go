@@ -83,7 +83,10 @@ func SensInsertDelay(ctx *Context) (*Table, error) {
 		// InsertDelay is excluded from the geometry signature (it affects
 		// timing, not per-window attributes), so the context's prepared
 		// trace and cached plans stay valid across the sweep.
-		base := core.RunBehavior(pws, cfg, policy.NewLRU(), ctx.runOpts(app, 0, cfg.UopCache))
+		base, err := ctx.behavior(app, cfg, "lru", policy.FURBYSConfig{})
+		if err != nil {
+			return point{}, err
+		}
 		raw := offline.RunFOO(pws, cfg.UopCache, ctx.offlineOpts(app, 0, cfg.UopCache, offline.Options{Features: offline.Features{}}))
 		withA := offline.RunFOO(pws, cfg.UopCache, ctx.offlineOpts(app, 0, cfg.UopCache, offline.Options{Features: offline.Features{Async: true}}))
 		return point{MissRate: base.Stats.UopMissRate(),

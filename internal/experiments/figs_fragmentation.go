@@ -7,7 +7,6 @@ import (
 	"uopsim/internal/policy"
 	"uopsim/internal/trace"
 	"uopsim/internal/uopcache"
-	"uopsim/internal/workload"
 )
 
 // SensFragmentation quantifies the fragmentation headroom the paper's
@@ -37,26 +36,30 @@ func SensFragmentation(ctx *Context) (*Table, error) {
 	baseRates := map[string]float64{}
 	for _, v := range variants {
 		rows, err := appRows(ctx, func(app string) (cell, error) {
-			spec, err := workload.Get(app)
-			if err != nil {
-				return cell{}, err
-			}
-			blocks := workload.GenerateSpec(spec, ctx.Blocks, 0)
-			former := &trace.Former{MaxUops: trace.DefaultMaxUops, CrossLine: v.crossLine, MaxLines: 2}
-			pws := trace.FormPWsWith(blocks, former)
 			cfg := ctx.Cfg
 			cfg.UopCache.Compaction = v.compaction
-			// These windows are formed here rather than by the
-			// context, so the cell prepares and shares its own trace.
-			pt := uopcache.Prepare(cfg.UopCache, pws)
-			res := core.RunBehavior(pws, cfg, policy.NewLRU(), core.BehaviorOptions{
-				Ctx: ctx.Ctx, Telemetry: ctx.Telemetry, Workers: ctx.Workers, Prepared: pt,
-			})
-			// Utilization sampled at end of run via a fresh cache
-			// replay is overkill; re-run and query.
-			c := uopcache.New(cfg.UopCache, policy.NewLRU())
-			uopcache.NewBehavior(c, nil).Run(pt)
-			return cell{Rate: res.Stats.UopMissRate(), Util: c.Utilization()}, nil
+			var res core.BehaviorResult
+			if v.crossLine {
+				// CLASP windows are formed here from the context's
+				// blocks, so the cell prepares and shares its own trace.
+				blocks, _, err := ctx.Trace(app, 0)
+				if err != nil {
+					return cell{}, err
+				}
+				former := &trace.Former{MaxUops: trace.DefaultMaxUops, CrossLine: true, MaxLines: 2}
+				pws := trace.FormPWsWith(blocks, former)
+				res = core.RunBehavior(pws, cfg, policy.NewLRU(), core.BehaviorOptions{
+					Ctx: ctx.Ctx, Telemetry: ctx.Telemetry, Workers: ctx.Workers,
+					Prepared: uopcache.Prepare(cfg.UopCache, pws),
+				})
+			} else {
+				var err error
+				res, err = ctx.behavior(app, cfg, "lru", policy.FURBYSConfig{})
+				if err != nil {
+					return cell{}, err
+				}
+			}
+			return cell{Rate: res.Stats.UopMissRate(), Util: res.Utilization}, nil
 		})
 		if err != nil {
 			return nil, err

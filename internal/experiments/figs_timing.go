@@ -300,28 +300,14 @@ func Fig12ISOPerformance(ctx *Context) (*Table, error) {
 			if err != nil {
 				return point{}, err
 			}
-			// The LRU row at the context geometry is the baseline itself.
-			beh := base
-			if rc.furbys || cfg.UopCache != ctx.Cfg.UopCache {
-				_, pws, err := ctx.Trace(app, 0)
-				if err != nil {
-					return point{}, err
-				}
-				var prof *profiles.Profile
-				if rc.furbys {
-					prof, err = ctx.Profile(app, 0, profiles.SourceFLACK)
-					if err != nil {
-						return point{}, err
-					}
-				}
-				pol, err := core.NewPolicy(polName, prof, cfg.UopCache, policy.FURBYSConfig{})
-				if err != nil {
-					return point{}, err
-				}
-				beh = core.RunBehavior(pws, cfg, pol, ctx.runOpts(app, 0, cfg.UopCache)).Stats
+			// The LRU row at the context geometry is the baseline itself,
+			// and FURBYS there is fig8's replay.
+			beh, err := ctx.behavior(app, cfg, polName, policy.FURBYSConfig{})
+			if err != nil {
+				return point{}, err
 			}
-			missRates = append(missRates, beh.UopMissRate())
-			reds = append(reds, core.MissReduction(base, beh))
+			missRates = append(missRates, beh.Stats.UopMissRate())
+			reds = append(reds, core.MissReduction(base, beh.Stats))
 
 			tim, err := ctx.timing(app, cfg, polName)
 			if err != nil {

@@ -11,8 +11,8 @@ import (
 // and the PW sequence), in front of the on-disk plan store (nil without
 // Artifacts). A memo miss falls through to the store; a solved plan is
 // written to both. The figures that share a plan then solve it once per
-// Context: fig8's FLACK replay and FURBYS profile, fig10's FOO variants and
-// FLACK, and sec3b's real-geometry FLACK classification. A plan is read-only
+// Context: fig8's FLACK replay and FURBYS profile, fig10's FOO variants,
+// and sec3b's real-geometry FLACK classification. A plan is read-only
 // once solved, so every replay shares one *offline.Decisions, and offline's
 // computePlan never stores a plan solved under a cancelled context, so an
 // incomplete plan never reaches the memo.

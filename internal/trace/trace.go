@@ -4,8 +4,10 @@
 // unit the micro-op cache operates on.
 //
 // A PW starts at the target of a control-flow change and terminates at the
-// first predicted-taken branch or at a 64-byte instruction-cache line
-// boundary, whichever comes first. Because predicted-not-taken conditional
+// first predicted-taken branch or before the first instruction that starts
+// in the next 64-byte instruction-cache line, whichever comes first; an
+// instruction that straddles the line boundary stays in the window, which
+// then spans two lines (see Former). Because predicted-not-taken conditional
 // branches do not terminate a PW, two dynamic executions of the same code can
 // yield two PWs with the same start address but different lengths — the
 // "overlapping PW" phenomenon the paper's FLACK and FURBYS policies exploit.

@@ -298,7 +298,9 @@ func TestFormerOverlappingPWs(t *testing.T) {
 	}
 }
 
-// TestFormerLineBoundary: windows never span an icache line.
+// TestFormerLineBoundary: a window is cut before an instruction that starts
+// in the next icache line, so windows of instructions that do not straddle
+// a boundary stay within one line.
 func TestFormerLineBoundary(t *testing.T) {
 	blocks := []Block{
 		// 96 bytes starting at 0x1020: crosses 0x1040 boundary.

@@ -181,8 +181,6 @@ type bblock struct {
 	kind trace.BranchKind
 	// takenProb applies to conditional branches.
 	takenProb float64
-	// flaky marks near-random conditionals.
-	flaky bool
 	// target is the taken target address (0 for rets, whose target is
 	// the return address).
 	target uint64
@@ -267,7 +265,7 @@ func (s Spec) Build() *Program {
 				case r < 0.55:
 					b.kind = trace.BranchCond
 					if rng.Float64() < s.FlakyFrac {
-						b.flaky = true
+						// A near-random ("flaky") conditional.
 						b.takenProb = 0.35 + 0.3*rng.Float64()
 					} else if rng.Float64() < 0.5 {
 						b.takenProb = 0.05 // strongly not-taken

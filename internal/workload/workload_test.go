@@ -4,9 +4,18 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"uopsim/internal/trace"
 )
+
+// TestStaticBlockSize pins the static block at 48 bytes: every field is
+// read when the generator walks the program, and none pads the struct.
+func TestStaticBlockSize(t *testing.T) {
+	if n := unsafe.Sizeof(bblock{}); n != 48 {
+		t.Errorf("bblock is %d bytes, want 48", n)
+	}
+}
 
 func TestCatalogHasElevenApps(t *testing.T) {
 	cat := Catalog()
