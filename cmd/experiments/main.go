@@ -542,16 +542,29 @@ func writeCSV(dir, id string, tbl *experiments.Table) error {
 	return telemetry.AtomicWriteFile(filepath.Join(dir, id+".csv"), 0o644, tbl.CSV)
 }
 
+// sweepIDs lists experiments whose first column is a swept parameter; they
+// render as line charts rather than grouped bars.
+var sweepIDs = map[string]bool{
+	"fig12": true, "fig16": true, "fig19": true, "fig20": true,
+	"sens-delay": true, "sens-segment": true,
+}
+
+// writeSVG charts the table's numeric columns, a line chart for a parameter
+// sweep and grouped bars otherwise; a table with no numeric column gets no
+// SVG.
 func writeSVG(dir, id string, tbl *experiments.Table) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	svg, ok := plot.RenderTable(plot.TableData{
-		Name: tbl.Name, Title: tbl.Title, Columns: tbl.Columns, Rows: tbl.Rows,
-	})
-	if !ok {
+	groups, series := tbl.Series()
+	if series == nil {
 		return nil
 	}
+	chart := plot.BarSVG
+	if sweepIDs[tbl.Name] {
+		chart = plot.LineSVG
+	}
+	svg := chart(tbl.Title, "percent", groups, series)
 	return telemetry.AtomicWriteFile(filepath.Join(dir, id+".svg"), 0o644, func(w io.Writer) error {
 		_, err := io.WriteString(w, svg)
 		return err

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"uopsim/internal/experiments"
 	"uopsim/internal/telemetry"
 )
 
@@ -167,5 +168,42 @@ func TestManifestRecordsMemoTraffic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(man.Memo, want) {
 		t.Errorf("manifest memo = %+v, want %+v", man.Memo, want)
+	}
+}
+
+// TestWriteSVGFormSelection: a parameter sweep charts as lines, any other
+// table with a numeric column as grouped bars, and a table of labels gets no
+// SVG.
+func TestWriteSVGFormSelection(t *testing.T) {
+	dir := t.TempDir()
+	cols := []string{"x", "y"}
+	sweep := &experiments.Table{Name: "fig19", Title: "t", Columns: cols}
+	bars := &experiments.Table{Name: "fig8", Title: "t", Columns: cols}
+	for i, v := range []float64{0.05, 0.08} {
+		sweep.AddRow(experiments.Count(i+1), experiments.Pct(v))
+		bars.AddRow(experiments.Count(i+1), experiments.Pct(v))
+	}
+	labels := &experiments.Table{Name: "tab1", Title: "t", Columns: []string{"parameter", "value"}}
+	labels.AddRow(experiments.Label("CPU"), experiments.Label("fast"))
+	for _, tbl := range []*experiments.Table{sweep, bars, labels} {
+		if err := writeSVG(dir, tbl.Name, tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(id string) string {
+		b, err := os.ReadFile(filepath.Join(dir, id+".svg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if svg := read("fig19"); !strings.Contains(svg, "<polyline") {
+		t.Error("fig19 should render as a line chart")
+	}
+	if svg := read("fig8"); !strings.Contains(svg, "<rect x=") || strings.Contains(svg, "<polyline") {
+		t.Error("fig8 should render as bars")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "tab1.svg")); !os.IsNotExist(err) {
+		t.Errorf("tab1 should get no SVG (stat: %v)", err)
 	}
 }

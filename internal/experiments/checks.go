@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // CheckResult reports whether a generated table preserves the paper's
 // qualitative claims (who wins, by roughly what factor, where the knees
@@ -18,43 +14,6 @@ type CheckResult struct {
 
 // OK reports whether every claim held.
 func (c CheckResult) OK() bool { return len(c.Failed) == 0 }
-
-// cellPct parses "12.34%" to 12.34; ok=false for non-numeric cells.
-func cellPct(s string) (float64, bool) {
-	s = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(s), "%"))
-	v, err := strconv.ParseFloat(s, 64)
-	return v, err == nil
-}
-
-// meanRow finds the summary row ("MEAN" label, or "MEAN" in column 0).
-func meanRow(t *Table) []string {
-	for _, r := range t.Rows {
-		if len(r) > 0 && strings.EqualFold(r[0], "MEAN") {
-			return r
-		}
-	}
-	return nil
-}
-
-// colIndex finds a column by name, -1 if absent.
-func colIndex(t *Table, name string) int {
-	for i, c := range t.Columns {
-		if strings.EqualFold(c, name) || strings.Contains(strings.ToLower(c), strings.ToLower(name)) {
-			return i
-		}
-	}
-	return -1
-}
-
-// meanOf extracts the summary value of a column.
-func meanOf(t *Table, col string) (float64, bool) {
-	r := meanRow(t)
-	i := colIndex(t, col)
-	if r == nil || i < 0 || i >= len(r) {
-		return 0, false
-	}
-	return cellPct(r[i])
-}
 
 type claim struct {
 	desc string
@@ -104,29 +63,27 @@ func checks(id string) []claim {
 		return []claim{{
 			desc: "capacity misses dominate under LRU",
 			hold: func(t *Table) (bool, string) {
-				for _, r := range t.Rows {
-					if len(r) >= 5 && strings.EqualFold(r[0], "MEAN") && r[1] == "lru" {
-						capv, _ := cellPct(r[3])
-						coldv, _ := cellPct(r[2])
-						confv, _ := cellPct(r[4])
-						return capv > coldv && capv > confv,
-							fmt.Sprintf("cold %.1f / capacity %.1f / conflict %.1f", coldv, capv, confv)
-					}
+				r := t.find("MEAN", "lru")
+				coldv, ok1 := t.num(r, "cold")
+				capv, ok2 := t.num(r, "capacity")
+				confv, ok3 := t.num(r, "conflict")
+				if !ok1 || !ok2 || !ok3 {
+					return false, "no LRU mean row"
 				}
-				return false, "no LRU mean row"
+				return capv > coldv && capv > confv,
+					fmt.Sprintf("cold %.1f / capacity %.1f / conflict %.1f", coldv, capv, confv)
 			},
 		}}
 	case "sec3e":
 		return []claim{{
 			desc: "PW reuse distances more scattered than icache lines and BTB entries",
 			hold: func(t *Table) (bool, string) {
-				r := meanRow(t)
-				if r == nil || len(r) < 4 {
+				pw, ok1 := meanOf(t, "PW frac > 30")
+				ic, ok2 := meanOf(t, "icache-line frac > 30")
+				br, ok3 := meanOf(t, "branch-PC frac > 30")
+				if !ok1 || !ok2 || !ok3 {
 					return false, "no mean row"
 				}
-				pw, _ := cellPct(r[1])
-				ic, _ := cellPct(r[2])
-				br, _ := cellPct(r[3])
 				return pw > ic && pw > br, fmt.Sprintf("pw %.1f ic %.1f btb %.1f", pw, ic, br)
 			},
 		}}
@@ -166,22 +123,8 @@ func checks(id string) []claim {
 		return []claim{{
 			desc: "FURBYS@512 beats LRU@512 and LRU needs more capacity to match",
 			hold: func(t *Table) (bool, string) {
-				var lru512, furbys float64
-				for _, r := range t.Rows {
-					if len(r) < 2 {
-						continue
-					}
-					v, ok := cellPct(r[1])
-					if !ok {
-						continue
-					}
-					switch r[0] {
-					case "lru@512":
-						lru512 = v
-					case "furbys@512":
-						furbys = v
-					}
-				}
+				lru512, _ := t.num(t.find("lru@512"), "mean uop miss rate")
+				furbys, _ := t.num(t.find("furbys@512"), "mean uop miss rate")
 				return furbys < lru512, fmt.Sprintf("miss rate furbys@512 %.4f vs lru@512 %.4f", furbys, lru512)
 			},
 		}}
@@ -189,22 +132,8 @@ func checks(id string) []claim {
 		return []claim{{
 			desc: "uop cache saves energy; FURBYS saves more than LRU",
 			hold: func(t *Table) (bool, string) {
-				var lru, furbys float64
-				for _, r := range t.Rows {
-					if len(r) < 6 {
-						continue
-					}
-					v, ok := cellPct(r[5])
-					if !ok {
-						continue
-					}
-					switch r[0] {
-					case "lru":
-						lru = v
-					case "furbys":
-						furbys = v
-					}
-				}
+				lru, _ := t.num(t.find("lru"), "total vs no-uop-cache")
+				furbys, _ := t.num(t.find("furbys"), "total vs no-uop-cache")
 				return lru < 100 && furbys <= lru, fmt.Sprintf("total lru %.1f%% furbys %.1f%% of baseline", lru, furbys)
 			},
 		}}
@@ -231,8 +160,8 @@ func checks(id string) []claim {
 				if len(t.Rows) != 10 {
 					return false, "not 10 deciles"
 				}
-				hotLRU, _ := cellPct(t.Rows[0][1])
-				coldLRU, _ := cellPct(t.Rows[9][1])
+				hotLRU, _ := t.num(t.Rows[0], "lru")
+				coldLRU, _ := t.num(t.Rows[9], "lru")
 				return hotLRU > coldLRU, fmt.Sprintf("lru hot %.1f vs cold %.1f", hotLRU, coldLRU)
 			},
 		}}

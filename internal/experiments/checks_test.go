@@ -1,16 +1,56 @@
 package experiments
 
-import "testing"
+import (
+	"math"
+	"strconv"
+	"strings"
+	"testing"
+)
 
-func mkTable(name string, cols []string, rows ...[]string) *Table {
+func mkTable(name string, cols []string, rows ...[]Cell) *Table {
 	return &Table{Name: name, Columns: cols, Rows: rows}
+}
+
+// pctRow is a row of leading labels then percentages given in percent
+// (5 holds 5 and renders "5.00%").
+func pctRow(labels []string, pcts ...float64) []Cell {
+	var r []Cell
+	for _, l := range labels {
+		r = append(r, Label(l))
+	}
+	for _, p := range pcts {
+		r = append(r, Pct(p/100))
+	}
+	return r
+}
+
+// row is pctRow with a single label.
+func row(label string, pcts ...float64) []Cell { return pctRow([]string{label}, pcts...) }
+
+// checkShown fails t for every numeric cell of tbl whose rendered text does
+// not parse back to the number claims, summaries and charts read.
+func checkShown(t *testing.T, tbl *Table) {
+	t.Helper()
+	for _, r := range tbl.Rows {
+		for ci, c := range r {
+			v, ok := c.Number()
+			if !ok {
+				continue
+			}
+			text := c.String()
+			got, err := strconv.ParseFloat(strings.TrimSuffix(text, "%"), 64)
+			if err != nil || got != v || math.Signbit(got) != math.Signbit(v) {
+				t.Errorf("%s %s/%s: text %q parses to %v (%v), cell holds %v", tbl.Name, r[0], tbl.Columns[ci], text, got, err, v)
+			}
+		}
+	}
 }
 
 func TestCheckFig8PassAndFail(t *testing.T) {
 	cols := []string{"application", "srrip", "ship++", "mockingjay", "ghrp", "thermometer", "furbys", "flack"}
 	good := mkTable("fig8", cols,
-		[]string{"kafka", "5%", "6%", "4%", "7%", "10%", "14%", "30%"},
-		[]string{"MEAN", "5.00%", "6.00%", "4.00%", "7.00%", "10.00%", "14.00%", "30.00%"},
+		row("kafka", 5, 6, 4, 7, 10, 14, 30),
+		row("MEAN", 5, 6, 4, 7, 10, 14, 30),
 	)
 	res := Check(good)
 	if !res.OK() {
@@ -19,9 +59,7 @@ func TestCheckFig8PassAndFail(t *testing.T) {
 	if len(res.Passed) != 7 {
 		t.Errorf("passed = %d claims", len(res.Passed))
 	}
-	bad := mkTable("fig8", cols,
-		[]string{"MEAN", "5.00%", "6.00%", "4.00%", "20.00%", "10.00%", "14.00%", "30.00%"},
-	)
+	bad := mkTable("fig8", cols, row("MEAN", 5, 6, 4, 20, 10, 14, 30))
 	if Check(bad).OK() {
 		t.Error("fig8 with GHRP beating FURBYS should fail")
 	}
@@ -29,33 +67,34 @@ func TestCheckFig8PassAndFail(t *testing.T) {
 
 func TestCheckFig10(t *testing.T) {
 	cols := []string{"application", "belady", "foo", "foo+A", "foo+A+VC", "flack"}
-	good := mkTable("fig10", cols,
-		[]string{"MEAN", "25.00%", "10.00%", "20.00%", "26.00%", "30.00%"},
-	)
+	good := mkTable("fig10", cols, row("MEAN", 25, 10, 20, 26, 30))
 	if res := Check(good); !res.OK() {
 		t.Errorf("good fig10 failed: %v", res.Failed)
 	}
-	bad := mkTable("fig10", cols,
-		[]string{"MEAN", "35.00%", "10.00%", "20.00%", "26.00%", "30.00%"},
-	)
+	bad := mkTable("fig10", cols, row("MEAN", 35, 10, 20, 26, 30))
 	if Check(bad).OK() {
 		t.Error("fig10 with Belady beating FLACK should fail")
 	}
 }
 
+// fig12Row is a fig12 row: configuration, miss rate, IPC, reduction (%).
+func fig12Row(label string, missRate, ipc, red float64) []Cell {
+	return []Cell{Label(label), Fixed(missRate, 4), Fixed(ipc, 4), Pct(red / 100)}
+}
+
 func TestCheckFig12(t *testing.T) {
 	cols := []string{"configuration", "mean uop miss rate", "mean IPC", "mean miss reduction vs LRU@512"}
 	good := mkTable("fig12", cols,
-		[]string{"lru@512", "0.1500", "1.2", "0.00%"},
-		[]string{"lru@768", "0.1100", "1.25", "20.00%"},
-		[]string{"furbys@512", "0.1300", "1.22", "13.00%"},
+		fig12Row("lru@512", 0.15, 1.2, 0),
+		fig12Row("lru@768", 0.11, 1.25, 20),
+		fig12Row("furbys@512", 0.13, 1.22, 13),
 	)
 	if res := Check(good); !res.OK() {
 		t.Errorf("good fig12 failed: %v", res.Failed)
 	}
 	bad := mkTable("fig12", cols,
-		[]string{"lru@512", "0.1200", "1.2", "0.00%"},
-		[]string{"furbys@512", "0.1300", "1.22", "-8.00%"},
+		fig12Row("lru@512", 0.12, 1.2, 0),
+		fig12Row("furbys@512", 0.13, 1.22, -8),
 	)
 	if Check(bad).OK() {
 		t.Error("fig12 with FURBYS worse than LRU should fail")
@@ -64,15 +103,11 @@ func TestCheckFig12(t *testing.T) {
 
 func TestCheckSec3B(t *testing.T) {
 	cols := []string{"application", "policy", "cold", "capacity", "conflict", "total misses"}
-	good := mkTable("sec3b", cols,
-		[]string{"MEAN", "lru", "1.00%", "85.00%", "14.00%", ""},
-	)
+	good := mkTable("sec3b", cols, append(pctRow([]string{"MEAN", "lru"}, 1, 85, 14), Label("")))
 	if res := Check(good); !res.OK() {
 		t.Errorf("good sec3b failed: %v", res.Failed)
 	}
-	bad := mkTable("sec3b", cols,
-		[]string{"MEAN", "lru", "60.00%", "25.00%", "15.00%", ""},
-	)
+	bad := mkTable("sec3b", cols, append(pctRow([]string{"MEAN", "lru"}, 60, 25, 15), Label("")))
 	if Check(bad).OK() {
 		t.Error("sec3b with cold misses dominating should fail")
 	}
@@ -88,16 +123,28 @@ func TestCheckUnknownExperimentIsEmpty(t *testing.T) {
 	}
 }
 
+// TestCheckMissingColumnsFail: claims and summaries read columns by exact
+// name, so a name that is only part of a real column reads as missing.
 func TestCheckMissingColumnsFail(t *testing.T) {
-	res := Check(mkTable("fig8", []string{"application", "x"}, []string{"MEAN", "1%"}))
+	res := Check(mkTable("fig8", []string{"application", "x"}, row("MEAN", 1)))
 	if res.OK() {
 		t.Error("fig8 without its columns should fail the checks")
+	}
+	inc := mkTable("sens-inclusion",
+		[]string{"application", "inclusive: FURBYS IPC speedup", "non-inclusive: FURBYS IPC speedup", "non-inclusive: invalidations"},
+		append(row("MEAN", 0.5, 2.5), Label("")))
+	if v, ok := meanOf(inc, "inclusive"); ok {
+		t.Errorf("\"inclusive\" read %v from a column it is only part of", v)
+	}
+	if got := summarize(inc)[0].Measured; got != "0.50% vs 2.50%" {
+		t.Errorf("sens-inclusion summary = %q", got)
 	}
 }
 
 // TestCheckAgainstLiveTables runs the real experiments at small scale and
 // verifies the paper's claims hold end-to-end — the reproduction's core
-// integration test.
+// integration test. Every numeric cell's rendered text must also parse back
+// to the number the claims read.
 func TestCheckAgainstLiveTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live shape checks are expensive")
@@ -114,5 +161,6 @@ func TestCheckAgainstLiveTables(t *testing.T) {
 		for _, f := range res.Failed {
 			t.Errorf("%s: claim failed: %s", id, f)
 		}
+		checkShown(t, tbl)
 	}
 }

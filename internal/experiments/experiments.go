@@ -27,10 +27,8 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime/debug"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,84 +45,6 @@ import (
 	"uopsim/internal/uopcache"
 	"uopsim/internal/workload"
 )
-
-// Table is a rendered experiment result.
-type Table struct {
-	Name    string
-	Title   string
-	Columns []string
-	Rows    [][]string
-	// Notes records paper-vs-measured commentary.
-	Notes []string
-}
-
-// AddRow appends a row (stringifying values).
-func (t *Table) AddRow(vals ...any) {
-	row := make([]string, len(vals))
-	for i, v := range vals {
-		switch x := v.(type) {
-		case string:
-			row[i] = x
-		case float64:
-			row[i] = fmt.Sprintf("%.4f", x)
-		default:
-			row[i] = fmt.Sprint(v)
-		}
-	}
-	t.Rows = append(t.Rows, row)
-}
-
-// CSV writes the table as CSV.
-func (t *Table) CSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, strings.Join(t.Columns, ",")); err != nil {
-		return err
-	}
-	for _, r := range t.Rows {
-		if _, err := fmt.Fprintln(w, strings.Join(r, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Markdown writes the table as GitHub-flavoured markdown. Every write is
-// error-checked (through a sticky-error writer) so a full disk or closed
-// pipe surfaces instead of silently truncating a report.
-func (t *Table) Markdown(w io.Writer) error {
-	ew := &errWriter{w: w}
-	fmt.Fprintf(ew, "### %s — %s\n\n", t.Name, t.Title)
-	fmt.Fprintf(ew, "| %s |\n", strings.Join(t.Columns, " | "))
-	sep := make([]string, len(t.Columns))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	fmt.Fprintf(ew, "| %s |\n", strings.Join(sep, " | "))
-	for _, r := range t.Rows {
-		fmt.Fprintf(ew, "| %s |\n", strings.Join(r, " | "))
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(ew, "\n> %s\n", n)
-	}
-	fmt.Fprintln(ew)
-	return ew.err
-}
-
-// errWriter carries the first write error through a multi-write render.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) Write(p []byte) (int, error) {
-	if e.err != nil {
-		return 0, e.err
-	}
-	n, err := e.w.Write(p)
-	if err != nil {
-		e.err = err
-	}
-	return n, err
-}
 
 // Context carries shared configuration, result caches and the worker
 // budget. Derived views (scoped, withConfig) share the caches and scheduler
@@ -843,9 +763,6 @@ func IDs() []string {
 	}
 	return out
 }
-
-// pct formats a fraction as a percentage string.
-func pct(f float64) string { return fmt.Sprintf("%.2f%%", 100*f) }
 
 // geomean-free mean helper.
 func mean(xs []float64) float64 {

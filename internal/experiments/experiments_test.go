@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -41,8 +40,8 @@ func TestRegistryCoversEveryFigure(t *testing.T) {
 
 func TestTableRendering(t *testing.T) {
 	tbl := &Table{Name: "x", Title: "T", Columns: []string{"a", "b"}, Notes: []string{"note"}}
-	tbl.AddRow("foo", 1.5)
-	tbl.AddRow(2, "bar")
+	tbl.AddRow(Label("foo"), Fixed(1.5, 4))
+	tbl.AddRow(Count(2), Label("bar"))
 	var csv, md bytes.Buffer
 	if err := tbl.CSV(&csv); err != nil {
 		t.Fatal(err)
@@ -89,7 +88,7 @@ func TestTable1(t *testing.T) {
 	if len(tbl.Rows) != 8 {
 		t.Errorf("rows = %d", len(tbl.Rows))
 	}
-	if !strings.Contains(tbl.Rows[3][1], "512-entry, 8-way") {
+	if !strings.Contains(tbl.Rows[3][1].String(), "512-entry, 8-way") {
 		t.Errorf("uop cache row = %v", tbl.Rows[3])
 	}
 }
@@ -104,7 +103,7 @@ func TestTable2MeasuresMPKI(t *testing.T) {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
 	for _, r := range tbl.Rows {
-		if r[3] == "0.00" {
+		if v, ok := tbl.num(r, "measured MPKI"); !ok || v == 0 {
 			t.Errorf("measured MPKI is zero for %s", r[0])
 		}
 	}
@@ -116,20 +115,11 @@ func TestFig8ShapesHold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// MEAN row last; furbys column is index 6, flack 7.
-	meanRow := tbl.Rows[len(tbl.Rows)-1]
-	if meanRow[0] != "MEAN" {
-		t.Fatalf("last row = %v", meanRow)
+	furbys, ok1 := meanOf(tbl, "furbys")
+	flack, ok2 := meanOf(tbl, "flack")
+	if !ok1 || !ok2 {
+		t.Fatalf("no furbys/flack mean in %v", tbl.Rows)
 	}
-	parse := func(s string) float64 {
-		var f float64
-		if _, err := fmtSscanfPct(s, &f); err != nil {
-			t.Fatalf("bad pct %q: %v", s, err)
-		}
-		return f
-	}
-	furbys := parse(meanRow[6])
-	flack := parse(meanRow[7])
 	if furbys <= 0 {
 		t.Errorf("FURBYS mean reduction %.2f%% should be positive", furbys)
 	}
@@ -144,15 +134,9 @@ func TestFig10AblationMonotoneish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meanRow := tbl.Rows[len(tbl.Rows)-1]
-	parse := func(s string) float64 {
-		var f float64
-		fmtSscanfPct(s, &f)
-		return f
-	}
-	foo := parse(meanRow[2])
-	flack := parse(meanRow[5])
-	belady := parse(meanRow[1])
+	foo, _ := meanOf(tbl, "foo")
+	flack, _ := meanOf(tbl, "flack")
+	belady, _ := meanOf(tbl, "belady")
 	if flack <= foo {
 		t.Errorf("FLACK (%.2f%%) should beat raw FOO (%.2f%%)", flack, foo)
 	}
@@ -189,9 +173,8 @@ func TestFig22DecileMonotonicityAtHotEnd(t *testing.T) {
 	if len(tbl.Rows) != 10 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
-	var hot, cold float64
-	fmtSscanfPct(tbl.Rows[0][1], &hot)  // LRU decile 0
-	fmtSscanfPct(tbl.Rows[9][1], &cold) // LRU decile 9
+	hot, _ := tbl.num(tbl.Rows[0], "lru")
+	cold, _ := tbl.num(tbl.Rows[9], "lru")
 	if hot <= cold {
 		t.Errorf("hot decile hit rate %.2f%% should exceed cold %.2f%%", hot, cold)
 	}
@@ -208,20 +191,13 @@ func TestFig13Shares(t *testing.T) {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
 	// The no-uop-cache decoder share should be substantial (paper: 12.5%).
-	var dec float64
-	fmtSscanfPct(tbl.Rows[0][1], &dec)
+	dec, _ := tbl.num(tbl.find("no uop cache"), "decoder")
 	if dec < 5 || dec > 30 {
 		t.Errorf("no-uop-cache decoder share %.1f%%, want 5-30%%", dec)
 	}
 	// LRU total should be below the no-uop-cache total (paper: -8.1%).
-	var lruTotal float64
-	fmtSscanfPct(tbl.Rows[1][5], &lruTotal)
+	lruTotal, _ := tbl.num(tbl.find("lru"), "total vs no-uop-cache")
 	if lruTotal >= 100 {
 		t.Errorf("LRU total %.1f%% of baseline, want < 100%%", lruTotal)
 	}
-}
-
-// fmtSscanfPct parses "12.34%".
-func fmtSscanfPct(s string, f *float64) (int, error) {
-	return fmt.Sscan(strings.TrimSuffix(s, "%"), f)
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -16,8 +17,7 @@ func TestSensInsertDelayTable(t *testing.T) {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
 	// The A benefit (last column) must be positive at high delays.
-	var lastBenefit float64
-	fmtSscanfPct(tbl.Rows[len(tbl.Rows)-1][4], &lastBenefit)
+	lastBenefit, _ := tbl.num(tbl.Rows[len(tbl.Rows)-1], "A benefit")
 	if lastBenefit <= 0 {
 		t.Errorf("A benefit at max delay = %.2f%%, want positive", lastBenefit)
 	}
@@ -34,9 +34,9 @@ func TestSensSegmentLimitTable(t *testing.T) {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
 	// Largest segment limit should not be the worst.
-	var first, last float64
-	fmtSscanfPct(tbl.Rows[0][1], &first)
-	fmtSscanfPct(tbl.Rows[len(tbl.Rows)-1][1], &last)
+	const col = "flack miss reduction vs LRU"
+	first, _ := tbl.num(tbl.Rows[0], col)
+	last, _ := tbl.num(tbl.Rows[len(tbl.Rows)-1], col)
 	if last < first-5 {
 		t.Errorf("default segment limit (%.2f%%) much worse than tiny segments (%.2f%%)", last, first)
 	}
@@ -49,7 +49,7 @@ func TestSensInclusionTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 2 || tbl.Rows[1][0] != "MEAN" {
+	if len(tbl.Rows) != 2 || tbl.Rows[1][0].String() != "MEAN" {
 		t.Fatalf("rows = %v", tbl.Rows)
 	}
 	for _, c := range tbl.Columns {
@@ -69,13 +69,39 @@ func TestMeanHelper(t *testing.T) {
 	}
 }
 
+// TestPctHelper: cells render as the formats they replace, and a number
+// holds exactly what its text shows, ties and negative zero included.
 func TestPctHelper(t *testing.T) {
-	if got := pct(0.1234); got != "12.34%" {
+	if got := Pct(0.1234).String(); got != "12.34%" {
 		t.Errorf("pct = %q", got)
 	}
-	if got := pct(-0.05); got != "-5.00%" {
+	if got := Pct(-0.05).String(); got != "-5.00%" {
 		t.Errorf("pct = %q", got)
 	}
+	tbl := &Table{Name: "rounding", Columns: []string{"v", "cell"}}
+	fixed := func(v float64, d int) {
+		c := Fixed(v, d)
+		if want := strconv.FormatFloat(v, 'f', d, 64); c.String() != want {
+			t.Errorf("Fixed(%v, %d) = %q, want %q", v, d, c.String(), want)
+		}
+		tbl.AddRow(Label(strconv.FormatFloat(v, 'g', -1, 64)), c)
+	}
+	// 0.005, 0.015 and 0.00035 land exactly on a half once scaled, from
+	// above, below and below: only the exact rounding error places them.
+	for _, v := range []float64{0.005, 0.015, 0.00035, 0.125, 0.375, 2.5, 3.5, -2.5, 1.005, 2.675, 0.285, 1e-9, -0.001, -0.004, 12345.67895, 1.0 / 3} {
+		for _, d := range []int{0, 1, 2, 4} {
+			fixed(v, d)
+		}
+		tbl.AddRow(Label("pct"), Pct(v))
+	}
+	for i := -400; i <= 400; i++ {
+		for _, v := range []float64{float64(i) / 8, float64(i) * 0.005, float64(i) * 0.00005} {
+			fixed(v, 2)
+			fixed(v, 4)
+			tbl.AddRow(Label("pct"), Pct(v))
+		}
+	}
+	checkShown(t, tbl)
 }
 
 func TestAppRowsPropagatesError(t *testing.T) {
@@ -127,16 +153,9 @@ func TestSensFragmentationTable(t *testing.T) {
 	}
 	// Compaction must reach utilization 1.0 and not increase the miss
 	// rate versus baseline.
-	var baseMiss, compMiss, compUtil float64
-	for _, r := range tbl.Rows {
-		switch r[0] {
-		case "baseline lru":
-			fmtSscanfPct(r[1], &baseMiss)
-		case "compaction":
-			fmtSscanfPct(r[1], &compMiss)
-			fmtSscanfPct(r[2], &compUtil)
-		}
-	}
+	baseMiss, _ := tbl.num(tbl.find("baseline lru"), "mean uop miss rate")
+	compMiss, _ := tbl.num(tbl.find("compaction"), "mean uop miss rate")
+	compUtil, _ := tbl.num(tbl.find("compaction"), "mean utilization")
 	if compUtil < 0.99 {
 		t.Errorf("compaction utilization = %v", compUtil)
 	}
@@ -152,10 +171,8 @@ func TestSensObjectiveOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr := tbl.Rows[len(tbl.Rows)-1]
-	var ohr, vc float64
-	fmtSscanfPct(mr[1], &ohr)
-	fmtSscanfPct(mr[3], &vc)
+	ohr, _ := meanOf(tbl, "ohr")
+	vc, _ := meanOf(tbl, "variable cost")
 	if vc < ohr {
 		t.Errorf("variable-cost objective (%.2f%%) below OHR (%.2f%%)", vc, ohr)
 	}

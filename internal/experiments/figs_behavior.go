@@ -77,19 +77,19 @@ func (c *Context) lruBaseline(app string) (uopcache.Stats, error) {
 func Table1(ctx *Context) (*Table, error) {
 	t := &Table{Name: "tab1", Title: "Simulation parameters (Table I)", Columns: []string{"parameter", "value"}}
 	cfg := ctx.Cfg
-	t.AddRow("CPU", fmt.Sprintf("3.2GHz, %d-wide OoO, %d-entry ROB", cfg.Backend.Width, cfg.Backend.ROB))
-	t.AddRow("Decoder", fmt.Sprintf("%d-wide decoder, %d-cycle latency", cfg.Frontend.DecodeWidth, cfg.Frontend.DecodeLatency))
-	t.AddRow("Branch predictor", fmt.Sprintf("%d-entry %d-way BTB, %d-entry RAS, TAGE-lite, %d-entry IBTB",
-		cfg.Branch.BTBEntries, cfg.Branch.BTBWays, cfg.Branch.RASEntries, cfg.Branch.IBTBEntries))
-	t.AddRow("Micro-op cache", fmt.Sprintf("%d-entry, %d-way, %d micro-ops/entry, inclusive with L1i, %d-cycle switch delay",
-		cfg.UopCache.Entries, cfg.UopCache.Ways, cfg.UopCache.UopsPerEntry, cfg.Frontend.SwitchPenalty))
-	t.AddRow("L1i", fmt.Sprintf("%dB-line, %dKiB, %d-way, %d-cycle, LRU",
-		cfg.L1I.LineBytes, cfg.L1I.SizeBytes>>10, cfg.L1I.Ways, cfg.L1I.LatencyCycles))
-	t.AddRow("L1d", fmt.Sprintf("%dB-line, %dKiB, %d-way, %d-cycle, LRU",
-		cfg.Backend.L1D.LineBytes, cfg.Backend.L1D.SizeBytes>>10, cfg.Backend.L1D.Ways, cfg.Backend.L1D.LatencyCycles))
-	t.AddRow("L2", fmt.Sprintf("%dB-line, %dKiB, %d-way, %d-cycle, LRU",
-		cfg.Backend.L2.LineBytes, cfg.Backend.L2.SizeBytes>>10, cfg.Backend.L2.Ways, cfg.Backend.L2Latency))
-	t.AddRow("DRAM", fmt.Sprintf("%d-cycle latency", cfg.Backend.DRAMLatency))
+	t.AddRow(Label("CPU"), Label(fmt.Sprintf("3.2GHz, %d-wide OoO, %d-entry ROB", cfg.Backend.Width, cfg.Backend.ROB)))
+	t.AddRow(Label("Decoder"), Label(fmt.Sprintf("%d-wide decoder, %d-cycle latency", cfg.Frontend.DecodeWidth, cfg.Frontend.DecodeLatency)))
+	t.AddRow(Label("Branch predictor"), Label(fmt.Sprintf("%d-entry %d-way BTB, %d-entry RAS, TAGE-lite, %d-entry IBTB",
+		cfg.Branch.BTBEntries, cfg.Branch.BTBWays, cfg.Branch.RASEntries, cfg.Branch.IBTBEntries)))
+	t.AddRow(Label("Micro-op cache"), Label(fmt.Sprintf("%d-entry, %d-way, %d micro-ops/entry, inclusive with L1i, %d-cycle switch delay",
+		cfg.UopCache.Entries, cfg.UopCache.Ways, cfg.UopCache.UopsPerEntry, cfg.Frontend.SwitchPenalty)))
+	t.AddRow(Label("L1i"), Label(fmt.Sprintf("%dB-line, %dKiB, %d-way, %d-cycle, LRU",
+		cfg.L1I.LineBytes, cfg.L1I.SizeBytes>>10, cfg.L1I.Ways, cfg.L1I.LatencyCycles)))
+	t.AddRow(Label("L1d"), Label(fmt.Sprintf("%dB-line, %dKiB, %d-way, %d-cycle, LRU",
+		cfg.Backend.L1D.LineBytes, cfg.Backend.L1D.SizeBytes>>10, cfg.Backend.L1D.Ways, cfg.Backend.L1D.LatencyCycles)))
+	t.AddRow(Label("L2"), Label(fmt.Sprintf("%dB-line, %dKiB, %d-way, %d-cycle, LRU",
+		cfg.Backend.L2.LineBytes, cfg.Backend.L2.SizeBytes>>10, cfg.Backend.L2.Ways, cfg.Backend.L2Latency)))
+	t.AddRow(Label("DRAM"), Label(fmt.Sprintf("%d-cycle latency", cfg.Backend.DRAMLatency)))
 	return t, nil
 }
 
@@ -98,9 +98,10 @@ func Table2(ctx *Context) (*Table, error) {
 	t := &Table{Name: "tab2", Title: "Data center applications (Table II)",
 		Columns: []string{"application", "description", "paper MPKI", "measured MPKI", "static PWs", "overlapping PWs", "avg uops/PW"}}
 	type row struct {
-		Desc, Target, MPKI string
-		Distinct           int
-		Overlap, Avg       string
+		Desc              string
+		Target, MPKI, Avg float64
+		Distinct          int
+		Overlap           float64
 	}
 	rows, err := appRows(ctx, func(app string) (row, error) {
 		spec, err := workload.Get(app)
@@ -116,16 +117,15 @@ func Table2(ctx *Context) (*Table, error) {
 			return row{}, err
 		}
 		an := trace.Analyze(pws, ctx.Cfg.UopCache.UopsPerEntry)
-		return row{Desc: spec.Description, Target: fmt.Sprintf("%.2f", spec.TargetMPKI),
-			MPKI: fmt.Sprintf("%.2f", res.Frontend.Branch.MPKI()), Distinct: an.DistinctStarts,
-			Overlap: pct(an.OverlapFrac()), Avg: fmt.Sprintf("%.1f", an.AvgUops)}, nil
+		return row{Desc: spec.Description, Target: spec.TargetMPKI, MPKI: res.Frontend.Branch.MPKI(),
+			Distinct: an.DistinctStarts, Overlap: an.OverlapFrac(), Avg: an.AvgUops}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, app := range ctx.AppList() {
 		r := rows[i]
-		t.AddRow(app, r.Desc, r.Target, r.MPKI, r.Distinct, r.Overlap, r.Avg)
+		t.AddRow(Label(app), Label(r.Desc), Fixed(r.Target, 2), Fixed(r.MPKI, 2), Count(r.Distinct), Pct(r.Overlap), Fixed(r.Avg, 1))
 	}
 	t.Notes = append(t.Notes, "Measured MPKI comes from the TAGE-lite predictor on the synthetic traces; the paper's column is the calibration target.")
 	return t, nil
@@ -174,12 +174,12 @@ func Sec3BMissClasses(ctx *Context) (*Table, error) {
 			lruTotals[k] += r.LRU[k]
 			flackTotals[k] += r.FLACK[k]
 		}
-		t.AddRow(app, "lru", pct(r.LRU[0]), pct(r.LRU[1]), pct(r.LRU[2]), r.LRUTotal)
-		t.AddRow(app, "flack", pct(r.FLACK[0]), pct(r.FLACK[1]), pct(r.FLACK[2]), r.FLACKTotal)
+		t.AddRow(Label(app), Label("lru"), Pct(r.LRU[0]), Pct(r.LRU[1]), Pct(r.LRU[2]), Count(r.LRUTotal))
+		t.AddRow(Label(app), Label("flack"), Pct(r.FLACK[0]), Pct(r.FLACK[1]), Pct(r.FLACK[2]), Count(r.FLACKTotal))
 	}
 	n := float64(len(ctx.AppList()))
-	t.AddRow("MEAN", "lru", pct(lruTotals[0]/n), pct(lruTotals[1]/n), pct(lruTotals[2]/n), "")
-	t.AddRow("MEAN", "flack", pct(flackTotals[0]/n), pct(flackTotals[1]/n), pct(flackTotals[2]/n), "")
+	t.AddRow(Label("MEAN"), Label("lru"), Pct(lruTotals[0]/n), Pct(lruTotals[1]/n), Pct(lruTotals[2]/n), Label(""))
+	t.AddRow(Label("MEAN"), Label("flack"), Pct(flackTotals[0]/n), Pct(flackTotals[1]/n), Pct(flackTotals[2]/n), Label(""))
 	t.Notes = append(t.Notes, "Paper: with LRU, 0.89% cold / 88.31% capacity / 10.8% conflict; near-optimal reduces capacity and conflict misses by 23.9% and 31.6%.")
 	return t, nil
 }
@@ -190,38 +190,28 @@ func Sec3BMissClasses(ctx *Context) (*Table, error) {
 func Sec3EReuseDistances(ctx *Context) (*Table, error) {
 	t := &Table{Name: "sec3e", Title: "Reuse distance spectrum (Section III-E)",
 		Columns: []string{"application", "PW frac > 30", "icache-line frac > 30", "branch-PC frac > 30"}}
-	rows, err := appRows(ctx, func(app string) ([3]float64, error) {
+	rows, err := appRows(ctx, func(app string) ([]float64, error) {
 		blocks, pws, err := ctx.Trace(app, 0)
 		if err != nil {
-			return [3]float64{}, err
+			return nil, err
 		}
 		const maxB = 256
 		hPW := stats.ReuseDistances(stats.PWKeys(pws), maxB)
 		hLine := stats.ReuseDistances(stats.LineKeys(blocks), maxB)
 		hBr := stats.ReuseDistances(stats.BranchKeys(blocks), maxB)
-		return [3]float64{hPW.FracAbove(30), hLine.FracAbove(30), hBr.FracAbove(30)}, nil
+		return []float64{hPW.FracAbove(30), hLine.FracAbove(30), hBr.FracAbove(30)}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var sums [3]float64
-	for i, app := range ctx.AppList() {
-		r := rows[i]
-		sums[0] += r[0]
-		sums[1] += r[1]
-		sums[2] += r[2]
-		t.AddRow(app, pct(r[0]), pct(r[1]), pct(r[2]))
-	}
-	n := float64(len(ctx.AppList()))
-	t.AddRow("MEAN", pct(sums[0]/n), pct(sums[1]/n), pct(sums[2]/n))
+	t.addAppPcts(ctx.AppList(), rows)
 	t.Notes = append(t.Notes, "Paper: >20% of PWs, ~10% of icache lines and ~2% of BTB entries have reuse distance over 30.")
 	return t, nil
 }
 
-// behaviorReductions computes per-app miss reductions vs LRU for a policy
-// list (apps as concurrent cells), returning per-policy per-app values.
-func (c *Context) behaviorReductions(policyNames []string) (map[string]map[string]float64, error) {
-	apps := c.AppList()
+// reductionTable renders a per-app × per-policy matrix of miss reductions
+// vs LRU, apps as concurrent cells.
+func (c *Context) reductionTable(name, title string, policyNames []string, notes ...string) (*Table, error) {
 	rows, err := appRows(c, func(app string) ([]float64, error) {
 		base, err := c.lruBaseline(app)
 		if err != nil {
@@ -240,41 +230,8 @@ func (c *Context) behaviorReductions(policyNames []string) (map[string]map[strin
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]map[string]float64)
-	for _, name := range policyNames {
-		out[name] = make(map[string]float64, len(apps))
-	}
-	for i, app := range apps {
-		for j, name := range policyNames {
-			out[name][app] = rows[i][j]
-		}
-	}
-	return out, nil
-}
-
-// reductionTable renders a per-app × per-policy miss-reduction matrix.
-func (c *Context) reductionTable(name, title string, policyNames []string, notes ...string) (*Table, error) {
-	red, err := c.behaviorReductions(policyNames)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{Name: name, Title: title, Columns: append([]string{"application"}, policyNames...), Notes: notes}
-	for _, app := range c.AppList() {
-		row := []any{app}
-		for _, p := range policyNames {
-			row = append(row, pct(red[p][app]))
-		}
-		t.AddRow(row...)
-	}
-	meanRow := []any{"MEAN"}
-	for _, p := range policyNames {
-		var vals []float64
-		for _, app := range c.AppList() {
-			vals = append(vals, red[p][app])
-		}
-		meanRow = append(meanRow, pct(mean(vals)))
-	}
-	t.AddRow(meanRow...)
+	t.addAppPcts(c.AppList(), rows)
 	return t, nil
 }
 
@@ -337,21 +294,7 @@ func Fig10FLACKAblation(ctx *Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sums := make([]float64, len(variants)+1)
-	for i, app := range ctx.AppList() {
-		row := []any{app}
-		for j, r := range rows[i] {
-			sums[j] += r
-			row = append(row, pct(r))
-		}
-		t.AddRow(row...)
-	}
-	meanRow := []any{"MEAN"}
-	n := float64(len(ctx.AppList()))
-	for _, s := range sums {
-		meanRow = append(meanRow, pct(s/n))
-	}
-	t.AddRow(meanRow...)
+	t.addAppPcts(ctx.AppList(), rows)
 	t.Notes = append(t.Notes, "Paper: raw FOO can be worse than LRU; each feature adds gains; FLACK beats Belady by 4.46% on average.")
 	return t, nil
 }
@@ -362,24 +305,24 @@ func Fig15ProfileSources(ctx *Context) (*Table, error) {
 	srcs := []profiles.Source{profiles.SourceBelady, profiles.SourceFOO, profiles.SourceFLACK}
 	t := &Table{Name: "fig15", Title: "FURBYS miss reduction by offline profile source (Fig. 15)",
 		Columns: []string{"application", "belady-profile", "foo-profile", "flack-profile"}}
-	rows, err := appRows(ctx, func(app string) ([3]float64, error) {
+	rows, err := appRows(ctx, func(app string) ([]float64, error) {
 		_, pws, err := ctx.Trace(app, 0)
 		if err != nil {
-			return [3]float64{}, err
+			return nil, err
 		}
 		base, err := ctx.lruBaseline(app)
 		if err != nil {
-			return [3]float64{}, err
+			return nil, err
 		}
-		var vals [3]float64
+		vals := make([]float64, len(srcs))
 		for i, src := range srcs {
 			prof, err := ctx.Profile(app, 0, src)
 			if err != nil {
-				return [3]float64{}, err
+				return nil, err
 			}
 			pol, err := core.NewPolicy("furbys", prof, ctx.Cfg.UopCache, policy.FURBYSConfig{})
 			if err != nil {
-				return [3]float64{}, err
+				return nil, err
 			}
 			res := core.RunBehavior(pws, ctx.Cfg, pol, ctx.runOpts(app, 0, ctx.Cfg.UopCache))
 			vals[i] = core.MissReduction(base, res.Stats)
@@ -389,16 +332,7 @@ func Fig15ProfileSources(ctx *Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var sums [3]float64
-	for i, app := range ctx.AppList() {
-		r := rows[i]
-		sums[0] += r[0]
-		sums[1] += r[1]
-		sums[2] += r[2]
-		t.AddRow(app, pct(r[0]), pct(r[1]), pct(r[2]))
-	}
-	n := float64(len(ctx.AppList()))
-	t.AddRow("MEAN", pct(sums[0]/n), pct(sums[1]/n), pct(sums[2]/n))
+	t.addAppPcts(ctx.AppList(), rows)
 	t.Notes = append(t.Notes, "Paper: the FLACK profile yields ~3.47% more reduction than Belady's and ~4.39% more than FOO's.")
 	return t, nil
 }
@@ -455,7 +389,7 @@ func Fig16SizeAssocSweep(ctx *Context) (*Table, error) {
 		return nil, err
 	}
 	for i, r := range rows {
-		t.AddRow(combos[i].entries, combos[i].ways, pct(r.Fu), pct(r.Gh))
+		t.AddRow(Count(combos[i].entries), Count(combos[i].ways), Pct(r.Fu), Pct(r.Gh))
 	}
 	t.Notes = append(t.Notes, "Paper: FURBYS outperforms GHRP in every configuration; the gap narrows as capacity grows.")
 	return t, nil
@@ -509,18 +443,18 @@ func Fig18CrossValidation(ctx *Context) (*Table, error) {
 		r := rows[i]
 		sumSame += r.Same
 		sumCross += r.Cross
-		ret := "n/a"
+		ret := Label("n/a")
 		if r.Same > 0 {
-			ret = pct(r.Cross / r.Same)
+			ret = Pct(r.Cross / r.Same)
 		}
-		t.AddRow(app, pct(r.Same), pct(r.Cross), ret)
+		t.AddRow(Label(app), Pct(r.Same), Pct(r.Cross), ret)
 	}
 	n := float64(len(ctx.AppList()))
 	retained := 0.0
 	if sumSame != 0 {
 		retained = sumCross / sumSame
 	}
-	t.AddRow("MEAN", pct(sumSame/n), pct(sumCross/n), pct(retained))
+	t.AddRow(Label("MEAN"), Pct(sumSame/n), Pct(sumCross/n), Pct(retained))
 	t.Notes = append(t.Notes, "Paper: cross-input profiles retain 94.34% of the same-input reduction (13.51% vs LRU).")
 	return t, nil
 }
@@ -558,7 +492,7 @@ func Fig19WeightBits(ctx *Context) (*Table, error) {
 	}
 	for i, r := range rows {
 		bits := i + 1
-		t.AddRow(bits, 1<<bits, pct(r))
+		t.AddRow(Count(bits), Count(1<<bits), Pct(r))
 	}
 	t.Notes = append(t.Notes, "Paper: 3 bits (8 groups) balances reduction against hardware overhead.")
 	return t, nil
@@ -595,7 +529,7 @@ func Fig20DetectorDepth(ctx *Context) (*Table, error) {
 		return nil, err
 	}
 	for depth, r := range rows {
-		t.AddRow(depth, pct(r))
+		t.AddRow(Count(depth), Pct(r))
 	}
 	t.Notes = append(t.Notes, "Paper: depth 2 gives the best miss reduction.")
 	return t, nil
@@ -637,10 +571,10 @@ func Fig21Bypass(ctx *Context) (*Table, error) {
 		r := rows[i]
 		sumOff += r.Off
 		sumOn += r.On
-		t.AddRow(app, pct(r.Off), pct(r.On), pct(r.ByFrac))
+		t.AddRow(Label(app), Pct(r.Off), Pct(r.On), Pct(r.ByFrac))
 	}
 	n := float64(len(ctx.AppList()))
-	t.AddRow("MEAN", pct(sumOff/n), pct(sumOn/n), "")
+	t.AddRow(Label("MEAN"), Pct(sumOff/n), Pct(sumOn/n), Label(""))
 	t.Notes = append(t.Notes, "Paper: bypassing adds 4.33% more miss reduction and bypasses ~30% of insertions.")
 	return t, nil
 }
@@ -669,9 +603,9 @@ func Fig22Hotness(ctx *Context) (*Table, error) {
 		return nil, err
 	}
 	for d := 0; d < 10; d++ {
-		row := []any{fmt.Sprintf("%d-%d%%", d*10, (d+1)*10)}
+		row := []Cell{Label(fmt.Sprintf("%d-%d%%", d*10, (d+1)*10))}
 		for i := range names {
-			row = append(row, pct(rows[i][d].HitRate()))
+			row = append(row, Pct(rows[i][d].HitRate()))
 		}
 		t.AddRow(row...)
 	}
@@ -712,10 +646,10 @@ func CoverageStats(ctx *Context) (*Table, error) {
 		}
 		sumCov += r.Cov
 		sumBy += r.By
-		t.AddRow(app, pct(r.Cov), pct(1-r.Cov), pct(r.By))
+		t.AddRow(Label(app), Pct(r.Cov), Pct(1-r.Cov), Pct(r.By))
 	}
 	n := float64(len(ctx.AppList()))
-	t.AddRow("MEAN", pct(sumCov/n), pct(1-sumCov/n), pct(sumBy/n))
+	t.AddRow(Label("MEAN"), Pct(sumCov/n), Pct(1-sumCov/n), Pct(sumBy/n))
 	t.Notes = append(t.Notes, "Paper: FURBYS selects the victim 88.68% of the time; ~30% of insertions are bypassed.")
 	return t, nil
 }

@@ -51,10 +51,10 @@ func SensInclusion(ctx *Context) (*Table, error) {
 		r := rows[i]
 		sumInc += r.Inc
 		sumNon += r.Non
-		t.AddRow(app, pct(r.Inc), pct(r.Non), r.Inval)
+		t.AddRow(Label(app), Pct(r.Inc), Pct(r.Non), Count(r.Inval))
 	}
 	n := float64(len(ctx.AppList()))
-	t.AddRow("MEAN", pct(sumInc/n), pct(sumNon/n), "")
+	t.AddRow(Label("MEAN"), Pct(sumInc/n), Pct(sumNon/n), Label(""))
 	t.Notes = append(t.Notes, "Paper: non-inclusive FURBYS reaches 2.5% IPC speedup vs 0.48% inclusive; the non-inclusive design complicates self-modifying-code invalidation.")
 	return t, nil
 }
@@ -97,7 +97,7 @@ func SensInsertDelay(ctx *Context) (*Table, error) {
 		return nil, err
 	}
 	for i, p := range points {
-		t.AddRow(delays[i], fmt.Sprintf("%.4f", p.MissRate), pct(p.RRaw), pct(p.RA), pct(p.RA-p.RRaw))
+		t.AddRow(Count(delays[i]), Fixed(p.MissRate, 4), Pct(p.RRaw), Pct(p.RA), Pct(p.RA-p.RRaw))
 	}
 	t.Notes = append(t.Notes, "Raw FOO applies decisions at lookup time and degrades as insertions lag; the A feature recovers the loss (paper Section III-C/IV).")
 	return t, nil
@@ -131,7 +131,7 @@ func SensSegmentLimit(ctx *Context) (*Table, error) {
 		return nil, err
 	}
 	for i, r := range reds {
-		t.AddRow(limits[i], pct(r))
+		t.AddRow(Count(limits[i]), Pct(r))
 	}
 	t.Notes = append(t.Notes, "Longer segments let keep decisions look further ahead; quality saturates well before whole-trace solving.")
 	return t, nil
@@ -144,16 +144,16 @@ func SensSegmentLimit(ctx *Context) (*Table, error) {
 func SensObjective(ctx *Context) (*Table, error) {
 	t := &Table{Name: "sens-objective", Title: "Flow objective: OHR vs BHR vs variable cost (Section III-D)",
 		Columns: []string{"application", "ohr", "bhr", "variable cost"}}
-	rows, err := appRows(ctx, func(app string) ([3]float64, error) {
+	rows, err := appRows(ctx, func(app string) ([]float64, error) {
 		_, pws, err := ctx.Trace(app, 0)
 		if err != nil {
-			return [3]float64{}, err
+			return nil, err
 		}
 		base, err := ctx.lruBaseline(app)
 		if err != nil {
-			return [3]float64{}, err
+			return nil, err
 		}
-		var vals [3]float64
+		vals := make([]float64, 3)
 		o := ctx.offlineOpts(app, 0, ctx.Cfg.UopCache, offline.Options{Features: offline.FLACKFeatures()})
 		for i, model := range []offline.CostModel{offline.CostOHR, offline.CostBHR, offline.CostVC} {
 			dec := offline.ComputeDecisionsCached(o.Ctx, pws, o.Prepared, ctx.Cfg.UopCache, model, true, 0, o.Workers, o.Plans)
@@ -165,16 +165,7 @@ func SensObjective(ctx *Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var sums [3]float64
-	for i, app := range ctx.AppList() {
-		r := rows[i]
-		sums[0] += r[0]
-		sums[1] += r[1]
-		sums[2] += r[2]
-		t.AddRow(app, pct(r[0]), pct(r[1]), pct(r[2]))
-	}
-	n := float64(len(ctx.AppList()))
-	t.AddRow("MEAN", pct(sums[0]/n), pct(sums[1]/n), pct(sums[2]/n))
+	t.addAppPcts(ctx.AppList(), rows)
 	t.Notes = append(t.Notes, "The variable-cost objective (FLACK's VC) should dominate: OHR ignores both size and cost, BHR tracks entries but not micro-ops.")
 	return t, nil
 }

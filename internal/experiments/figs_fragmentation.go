@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"uopsim/internal/core"
 	"uopsim/internal/policy"
 	"uopsim/internal/trace"
@@ -76,7 +74,7 @@ func SensFragmentation(ctx *Context) (*Table, error) {
 				reds = append(reds, (br-r.Rate)/br)
 			}
 		}
-		t.AddRow(v.label, fmt.Sprintf("%.4f", mean(rates)), fmt.Sprintf("%.4f", mean(utils)), pct(mean(reds)))
+		t.AddRow(Label(v.label), Fixed(mean(rates), 4), Fixed(mean(utils), 4), Pct(mean(reds)))
 	}
 	t.Notes = append(t.Notes,
 		"Compaction is the idealized perfect-packing bound (utilization 1.0) and delivers a large miss reduction — the headroom Kotra & Kalamatianos's realizable designs chase.",

@@ -141,21 +141,7 @@ func Fig2PerfectStructures(ctx *Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sums := make([]float64, len(variants))
-	for i, app := range ctx.AppList() {
-		row := []any{app}
-		for j, g := range rows[i] {
-			sums[j] += g
-			row = append(row, pct(g))
-		}
-		t.AddRow(row...)
-	}
-	meanRow := []any{"MEAN"}
-	n := float64(len(ctx.AppList()))
-	for _, s := range sums {
-		meanRow = append(meanRow, pct(s/n))
-	}
-	t.AddRow(meanRow...)
+	t.addAppPcts(ctx.AppList(), rows)
 	t.Notes = append(t.Notes, "Paper: the perfect micro-op cache gives the largest gain, 7.41% on average.")
 	return t, nil
 }
@@ -182,21 +168,7 @@ func (c *Context) ppwTable(name, title string, policyNames []string, notes ...st
 	if err != nil {
 		return nil, err
 	}
-	sums := make([]float64, len(policyNames))
-	for i, app := range c.AppList() {
-		row := []any{app}
-		for j, g := range rows[i] {
-			sums[j] += g
-			row = append(row, pct(g))
-		}
-		t.AddRow(row...)
-	}
-	meanRow := []any{"MEAN"}
-	n := float64(len(c.AppList()))
-	for _, s := range sums {
-		meanRow = append(meanRow, pct(s/n))
-	}
-	t.AddRow(meanRow...)
+	t.addAppPcts(c.AppList(), rows)
 	return t, nil
 }
 
@@ -238,23 +210,25 @@ func Fig11IPC(ctx *Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sums := make([]float64, len(names)+1)
-	for i, app := range ctx.AppList() {
-		row := []any{app}
-		for j, sp := range rows[i] {
-			sums[j] += sp
-			row = append(row, pct(sp))
-		}
-		t.AddRow(row...)
-	}
-	meanRow := []any{"MEAN"}
-	n := float64(len(ctx.AppList()))
-	for _, s := range sums {
-		meanRow = append(meanRow, pct(s/n))
-	}
-	t.AddRow(meanRow...)
+	t.addAppPcts(ctx.AppList(), rows)
 	t.Notes = append(t.Notes, "Paper: FURBYS speeds up IPC by ~0.49% (60% of FLACK, 28.48% of an infinite micro-op cache); miss reduction only partially translates to IPC.")
 	return t, nil
+}
+
+// fig12Configs are fig12's rows in order: LRU from 512 to 1024 entries in
+// 25% steps, keeping 64 sets and scaling ways, then FURBYS at 512.
+var fig12Configs = []struct {
+	label   string
+	entries int
+	ways    int
+	furbys  bool
+}{
+	{"lru@512", 512, 8, false},
+	{"lru@640", 640, 10, false},
+	{"lru@768", 768, 12, false},
+	{"lru@896", 896, 14, false},
+	{"lru@1024", 1024, 16, false},
+	{"furbys@512", 512, 8, true},
 }
 
 // Fig12ISOPerformance reproduces Fig. 12: how large an LRU cache must be to
@@ -262,21 +236,7 @@ func Fig11IPC(ctx *Context) (*Table, error) {
 func Fig12ISOPerformance(ctx *Context) (*Table, error) {
 	t := &Table{Name: "fig12", Title: "ISO-performance: LRU at larger capacities vs FURBYS@512 (Fig. 12)",
 		Columns: []string{"configuration", "mean uop miss rate", "mean IPC", "mean miss reduction vs LRU@512"}}
-	// Keep 64 sets and scale ways: 512..1024 entries in 25% steps.
-	type cfgRow struct {
-		label   string
-		entries int
-		ways    int
-		furbys  bool
-	}
-	rows := []cfgRow{
-		{"lru@512", 512, 8, false},
-		{"lru@640", 640, 10, false},
-		{"lru@768", 768, 12, false},
-		{"lru@896", 896, 14, false},
-		{"lru@1024", 1024, 16, false},
-		{"furbys@512", 512, 8, true},
-	}
+	rows := fig12Configs
 	labels := make([]string, len(rows))
 	for i, rc := range rows {
 		labels[i] = rc.label
@@ -321,7 +281,7 @@ func Fig12ISOPerformance(ctx *Context) (*Table, error) {
 		return nil, err
 	}
 	for i, p := range points {
-		t.AddRow(rows[i].label, fmt.Sprintf("%.4f", p.MissRate), fmt.Sprintf("%.4f", p.IPC), pct(p.Red))
+		t.AddRow(Label(rows[i].label), Fixed(p.MissRate, 4), Fixed(p.IPC, 4), Pct(p.Red))
 	}
 	t.Notes = append(t.Notes, "Paper: LRU needs ~1.5x the capacity on average (2x for Postgres) to match FURBYS.")
 	return t, nil
@@ -353,9 +313,9 @@ func Fig13EnergyBreakdownClang(ctx *Context) (*Table, error) {
 	for i, label := range labels {
 		b := results[i].Power
 		others := b.Total() - b.Decoder - b.ICache - b.UopCache
-		t.AddRow(label,
-			pct(b.Decoder/b.Total()), pct(b.ICache/b.Total()), pct(b.UopCache/b.Total()),
-			pct(others/b.Total()), pct(b.Total()/baseTotal))
+		t.AddRow(Label(label),
+			Pct(b.Decoder/b.Total()), Pct(b.ICache/b.Total()), Pct(b.UopCache/b.Total()),
+			Pct(others/b.Total()), Pct(b.Total()/baseTotal))
 	}
 	t.Notes = append(t.Notes,
 		"Paper: without a uop cache the decoder takes 12.5% and the icache 7.7% of per-core power; adding an LRU uop cache saves 8.1%; FURBYS saves a further 2.2%.")
@@ -400,17 +360,17 @@ func Fig14EnergyReductionBreakdown(ctx *Context) (*Table, error) {
 	for i, app := range ctx.AppList() {
 		r := rows[i]
 		if r.Skip {
-			t.AddRow(app, "-", "-", "-", "-", pct(r.TotFrac))
+			t.AddRow(Label(app), Label("-"), Label("-"), Label("-"), Label("-"), Pct(r.TotFrac))
 			continue
 		}
 		n++
 		for k := 0; k < 4; k++ {
 			sums[k] += r.Shares[k]
 		}
-		t.AddRow(app, pct(r.Shares[0]), pct(r.Shares[1]), pct(r.Shares[2]), pct(r.Shares[3]), pct(r.TotFrac))
+		t.AddRow(Label(app), Pct(r.Shares[0]), Pct(r.Shares[1]), Pct(r.Shares[2]), Pct(r.Shares[3]), Pct(r.TotFrac))
 	}
 	if n > 0 {
-		t.AddRow("MEAN", pct(sums[0]/float64(n)), pct(sums[1]/float64(n)), pct(sums[2]/float64(n)), pct(sums[3]/float64(n)), "")
+		t.AddRow(Label("MEAN"), Pct(sums[0]/float64(n)), Pct(sums[1]/float64(n)), Pct(sums[2]/float64(n)), Pct(sums[3]/float64(n)), Label(""))
 	}
 	t.Notes = append(t.Notes, "Paper: ~7.75% of the gain comes from the icache, 73.26% from fewer uop-cache insertions, 16.35% from the decoder.")
 	return t, nil

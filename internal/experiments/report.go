@@ -29,23 +29,14 @@ func summarize(t *Table) []SummaryLine {
 			{t.Name, "perfect micro-op cache PPW gain (mean)", "7.41% (largest of all structures)", m("perfect uop cache")},
 		}
 	case "sec3b":
-		for _, r := range t.Rows {
-			if len(r) >= 5 && strings.EqualFold(r[0], "MEAN") && r[1] == "lru" {
-				return []SummaryLine{
-					{t.Name, "LRU misses: cold / capacity / conflict", "0.89% / 88.31% / 10.8%",
-						fmt.Sprintf("%s / %s / %s", r[2], r[3], r[4])},
-				}
-			}
+		return []SummaryLine{
+			{t.Name, "LRU misses: cold / capacity / conflict", "0.89% / 88.31% / 10.8%",
+				texts(t, t.find("MEAN", "lru"), "cold", "capacity", "conflict")},
 		}
-		return nil
 	case "sec3e":
-		r := meanRow(t)
-		if r == nil || len(r) < 4 {
-			return nil
-		}
 		return []SummaryLine{
 			{t.Name, "frac. reuse distance > 30: PW / icache / BTB", ">20% / ~10% / ~2%",
-				fmt.Sprintf("%s / %s / %s", r[1], r[2], r[3])},
+				texts(t, t.find("MEAN"), "PW frac > 30", "icache-line frac > 30", "branch-PC frac > 30")},
 		}
 	case "fig5":
 		return []SummaryLine{
@@ -76,7 +67,8 @@ func summarize(t *Table) []SummaryLine {
 		return fig13Summary(t)
 	case "fig14":
 		return []SummaryLine{
-			{t.Name, "energy-saving shares: icache / insertion / decoder", "7.75% / 73.26% / 16.35%", fig14Shares(t)},
+			{t.Name, "energy-saving shares: icache / insertion / decoder", "7.75% / 73.26% / 16.35%",
+				texts(t, t.find("MEAN"), "icache", "uop-cache insertion", "decoder")},
 		}
 	case "fig15":
 		return []SummaryLine{
@@ -88,9 +80,9 @@ func summarize(t *Table) []SummaryLine {
 	case "fig18":
 		return []SummaryLine{{t.Name, "cross-input retention of same-input reduction", "94.34%", ratio(t, "cross-input", "same-input")}}
 	case "fig19":
-		return []SummaryLine{{t.Name, "weight-bits knee", "3 bits", kneeOf(t, 0)}}
+		return []SummaryLine{{t.Name, "weight-bits knee", "3 bits", kneeOf(t)}}
 	case "fig20":
-		return []SummaryLine{{t.Name, "pitfall-detector depth knee", "depth 2", kneeOf(t, 0)}}
+		return []SummaryLine{{t.Name, "pitfall-detector depth knee", "depth 2", kneeOf(t)}}
 	case "fig21":
 		return []SummaryLine{{t.Name, "bypass benefit (mean)", "+4.33pp", diff(t, "bypass on", "bypass off")}}
 	case "coverage":
@@ -101,7 +93,7 @@ func summarize(t *Table) []SummaryLine {
 	case "sens-inclusion":
 		return []SummaryLine{
 			{t.Name, "FURBYS IPC speedup, inclusive vs non-inclusive", "0.48% vs 2.5%",
-				fmt.Sprintf("%s vs %s", m("inclusive"), m("non-inclusive: FURBYS IPC speedup"))},
+				fmt.Sprintf("%s vs %s", m("inclusive: FURBYS IPC speedup"), m("non-inclusive: FURBYS IPC speedup"))},
 		}
 	default:
 		return nil
@@ -128,76 +120,77 @@ func diff(t *Table, a, b string) string {
 	return fmt.Sprintf("%+.2fpp", va-vb)
 }
 
-// isoCapacity scans fig12 for the smallest LRU configuration whose miss rate
-// beats FURBYS@512.
-func isoCapacity(t *Table) string {
-	var furbys float64
-	ok := false
-	for _, r := range t.Rows {
-		if r[0] == "furbys@512" {
-			furbys, ok = cellPct(r[1])
+// texts joins row's rendered cells in the named columns with " / ", or
+// reads "n/a" when the row or a column is missing.
+func texts(t *Table, row []Cell, cols ...string) string {
+	parts := make([]string, len(cols))
+	for i, col := range cols {
+		j := t.col(col)
+		if j < 0 || j >= len(row) {
+			return "n/a"
 		}
+		parts[i] = row[j].String()
 	}
+	return strings.Join(parts, " / ")
+}
+
+// isoCapacity finds the smallest LRU configuration of fig12 whose miss rate
+// is no higher than FURBYS@512's.
+func isoCapacity(t *Table) string {
+	const col = "mean uop miss rate"
+	furbys, ok := t.num(t.find("furbys@512"), col)
 	if !ok {
 		return "n/a"
 	}
-	for _, r := range t.Rows {
-		if !strings.HasPrefix(r[0], "lru@") || r[0] == "lru@512" {
+	for _, rc := range fig12Configs {
+		if rc.furbys || rc.entries == 512 {
 			continue
 		}
-		if v, ok := cellPct(r[1]); ok && v <= furbys {
-			var entries int
-			fmt.Sscanf(r[0], "lru@%d", &entries)
-			return fmt.Sprintf("%s (%.2fx)", r[0], float64(entries)/512)
+		if v, ok := t.num(t.find(rc.label), col); ok && v <= furbys {
+			return fmt.Sprintf("%s (%.2fx)", rc.label, float64(rc.entries)/512)
 		}
 	}
 	return ">2x (never matched)"
 }
 
+// fig13Summary puts the paper's quantities next to the paper's values: the
+// baseline's decoder and icache shares, LRU's total change against no
+// micro-op cache, and FURBYS's total change against LRU.
 func fig13Summary(t *Table) []SummaryLine {
-	var out []SummaryLine
-	for _, r := range t.Rows {
-		if len(r) < 6 {
-			continue
-		}
-		switch r[0] {
-		case "no uop cache":
-			out = append(out, SummaryLine{t.Name, "baseline decoder / icache power share", "12.5% / 7.7%",
-				fmt.Sprintf("%s / %s", r[1], r[2])})
-		case "lru":
-			out = append(out, SummaryLine{t.Name, "LRU uop cache total energy vs baseline", "-8.1%", r[5]})
-		case "furbys":
-			out = append(out, SummaryLine{t.Name, "FURBYS total energy vs baseline", "further -2.2%", r[5]})
-		}
+	const total = "total vs no-uop-cache"
+	lru, okL := t.num(t.find("lru"), total)
+	furbys, okF := t.num(t.find("furbys"), total)
+	lruDelta, further := "n/a", "n/a"
+	if okL {
+		lruDelta = fmt.Sprintf("%.2f%%", lru-100)
 	}
-	return out
-}
-
-func fig14Shares(t *Table) string {
-	r := meanRow(t)
-	if r == nil || len(r) < 4 {
-		return "n/a"
+	if okL && okF && lru != 0 {
+		further = fmt.Sprintf("%.2f%%", 100*(furbys/lru-1))
 	}
-	return fmt.Sprintf("%s / %s / %s", r[1], r[2], r[3])
+	return []SummaryLine{
+		{t.Name, "baseline decoder / icache power share", "12.5% / 7.7%", texts(t, t.find("no uop cache"), "decoder", "icache")},
+		{t.Name, "LRU uop cache total energy vs baseline", "-8.1%", lruDelta},
+		{t.Name, "FURBYS total energy vs LRU", "further -2.2%", further},
+	}
 }
 
 // kneeOf reports the swept value (column 0) after which the final numeric
 // column stops improving by more than 0.5pp.
-func kneeOf(t *Table, _ int) string {
-	last := len(t.Columns) - 1
+func kneeOf(t *Table) string {
+	last := t.Columns[len(t.Columns)-1]
 	prev := -1e18
 	for _, r := range t.Rows {
-		v, ok := cellPct(r[last])
+		v, ok := t.num(r, last)
 		if !ok {
 			continue
 		}
 		if prev > -1e17 && v-prev < 0.5 {
-			return "at " + r[0] + " (diminishing returns)"
+			return "at " + r[0].String() + " (diminishing returns)"
 		}
 		prev = v
 	}
 	if len(t.Rows) > 0 {
-		return "at " + t.Rows[len(t.Rows)-1][0] + " (still improving)"
+		return "at " + t.Rows[len(t.Rows)-1][0].String() + " (still improving)"
 	}
 	return "n/a"
 }

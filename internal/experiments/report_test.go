@@ -9,7 +9,7 @@ import (
 func TestSummarizeFig8(t *testing.T) {
 	tbl := mkTable("fig8",
 		[]string{"application", "srrip", "ship++", "mockingjay", "ghrp", "thermometer", "furbys", "flack"},
-		[]string{"MEAN", "5.00%", "6.00%", "4.00%", "7.00%", "10.00%", "15.00%", "30.00%"},
+		row("MEAN", 5, 6, 4, 7, 10, 15, 30),
 	)
 	lines := summarize(tbl)
 	if len(lines) != 2 {
@@ -26,7 +26,7 @@ func TestSummarizeFig8(t *testing.T) {
 func TestSummarizeDiff(t *testing.T) {
 	tbl := mkTable("fig10",
 		[]string{"application", "belady", "foo", "foo+A", "foo+A+VC", "flack"},
-		[]string{"MEAN", "26.00%", "-3.00%", "28.00%", "38.00%", "39.00%"},
+		row("MEAN", 26, -3, 28, 38, 39),
 	)
 	lines := summarize(tbl)
 	if lines[0].Measured != "+13.00pp" {
@@ -37,10 +37,10 @@ func TestSummarizeDiff(t *testing.T) {
 func TestIsoCapacityExtraction(t *testing.T) {
 	tbl := mkTable("fig12",
 		[]string{"configuration", "mean uop miss rate", "mean IPC", "red"},
-		[]string{"lru@512", "0.1500", "1.2", "0%"},
-		[]string{"lru@640", "0.1400", "1.21", "5%"},
-		[]string{"lru@768", "0.1200", "1.22", "15%"},
-		[]string{"furbys@512", "0.1250", "1.22", "12%"},
+		fig12Row("lru@512", 0.15, 1.2, 0),
+		fig12Row("lru@640", 0.14, 1.21, 5),
+		fig12Row("lru@768", 0.12, 1.22, 15),
+		fig12Row("furbys@512", 0.125, 1.22, 12),
 	)
 	lines := summarize(tbl)
 	if !strings.Contains(lines[0].Measured, "lru@768") || !strings.Contains(lines[0].Measured, "1.50x") {
@@ -49,9 +49,9 @@ func TestIsoCapacityExtraction(t *testing.T) {
 	// Never matched case.
 	tbl2 := mkTable("fig12",
 		[]string{"configuration", "mean uop miss rate", "mean IPC", "red"},
-		[]string{"lru@512", "0.1500", "1.2", "0%"},
-		[]string{"lru@1024", "0.1300", "1.22", "10%"},
-		[]string{"furbys@512", "0.1000", "1.25", "30%"},
+		fig12Row("lru@512", 0.15, 1.2, 0),
+		fig12Row("lru@1024", 0.13, 1.22, 10),
+		fig12Row("furbys@512", 0.10, 1.25, 30),
 	)
 	if got := summarize(tbl2)[0].Measured; !strings.Contains(got, "never matched") {
 		t.Errorf("unmatched iso = %s", got)
@@ -61,10 +61,10 @@ func TestIsoCapacityExtraction(t *testing.T) {
 func TestKneeOf(t *testing.T) {
 	tbl := mkTable("fig19",
 		[]string{"bits", "groups", "mean reduction"},
-		[]string{"1", "2", "8.00%"},
-		[]string{"2", "4", "12.00%"},
-		[]string{"3", "8", "14.00%"},
-		[]string{"4", "16", "14.10%"},
+		[]Cell{Count(1), Count(2), Pct(0.08)},
+		[]Cell{Count(2), Count(4), Pct(0.12)},
+		[]Cell{Count(3), Count(8), Pct(0.14)},
+		[]Cell{Count(4), Count(16), Pct(0.141)},
 	)
 	lines := summarize(tbl)
 	if !strings.Contains(lines[0].Measured, "at 4") {
@@ -75,8 +75,8 @@ func TestKneeOf(t *testing.T) {
 func TestWriteReport(t *testing.T) {
 	tbl := mkTable("fig8",
 		[]string{"application", "srrip", "ship++", "mockingjay", "ghrp", "thermometer", "furbys", "flack"},
-		[]string{"kafka", "5%", "6%", "4%", "7%", "10%", "15%", "30%"},
-		[]string{"MEAN", "5.00%", "6.00%", "4.00%", "7.00%", "10.00%", "15.00%", "30.00%"},
+		row("kafka", 5, 6, 4, 7, 10, 15, 30),
+		row("MEAN", 5, 6, 4, 7, 10, 15, 30),
 	)
 	checkRes := Check(tbl)
 	var buf bytes.Buffer
@@ -91,6 +91,25 @@ func TestWriteReport(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q", want)
 		}
+	}
+}
+
+// TestSummarizeFig13 pins the headline rows' quantities: LRU's total less
+// the no-uop-cache baseline, and FURBYS's total relative to LRU's.
+func TestSummarizeFig13(t *testing.T) {
+	tbl := mkTable("fig13",
+		[]string{"configuration", "decoder", "icache", "uop cache", "others", "total vs no-uop-cache"},
+		row("no uop cache", 13.08, 3.59, 0, 83.34, 100),
+		row("lru", 2.44, 0.67, 1.73, 95.16, 67.78),
+		row("furbys", 2.03, 0.59, 1.61, 95.76, 67.06),
+	)
+	var got []string
+	for _, l := range summarize(tbl) {
+		got = append(got, l.Measured)
+	}
+	want := []string{"13.08% / 3.59%", "-32.22%", "-1.06%"}
+	if strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("fig13 measured = %q, want %q", got, want)
 	}
 }
 

@@ -82,82 +82,3 @@ func TestNiceTicks(t *testing.T) {
 		t.Errorf("degenerate range ticks = %v", got)
 	}
 }
-
-func TestParseCell(t *testing.T) {
-	cases := []struct {
-		in   string
-		want float64
-		ok   bool
-	}{
-		{"12.34%", 12.34, true},
-		{"-3.5%", -3.5, true},
-		{"7", 7, true},
-		{" 0.5 ", 0.5, true},
-		{"-", 0, false},
-		{"n/a", 0, false},
-		{"", 0, false},
-		{"kafka", 0, false},
-	}
-	for _, tc := range cases {
-		got, ok := parseCell(tc.in)
-		if ok != tc.ok || (ok && got != tc.want) {
-			t.Errorf("parseCell(%q) = %v, %v", tc.in, got, ok)
-		}
-	}
-}
-
-func TestFromTable(t *testing.T) {
-	td := TableData{
-		Name:    "fig8",
-		Title:   "T",
-		Columns: []string{"application", "furbys", "note"},
-		Rows: [][]string{
-			{"kafka", "25.66%", "hello"},
-			{"postgres", "1.87%", "world"},
-			{"MEAN", "13.77%", ""},
-		},
-	}
-	groups, series, ok := FromTable(td)
-	if !ok {
-		t.Fatal("not plottable")
-	}
-	if len(groups) != 2 || groups[0] != "kafka" {
-		t.Errorf("groups = %v (MEAN must be dropped)", groups)
-	}
-	if len(series) != 1 || series[0].Name != "furbys" {
-		t.Fatalf("series = %+v (text column must be dropped)", series)
-	}
-	if series[0].Values[1] != 1.87 {
-		t.Errorf("values = %v", series[0].Values)
-	}
-}
-
-func TestFromTableNotPlottable(t *testing.T) {
-	td := TableData{Columns: []string{"parameter", "value"},
-		Rows: [][]string{{"CPU", "3.2GHz"}, {"Decoder", "4-wide"}}}
-	if _, _, ok := FromTable(td); ok {
-		t.Error("text-only table should not be plottable")
-	}
-	if _, _, ok := FromTable(TableData{Columns: []string{"only"}}); ok {
-		t.Error("single-column table should not be plottable")
-	}
-	if _, _, ok := FromTable(TableData{Columns: []string{"a", "b"}, Rows: [][]string{{"MEAN", "1"}}}); ok {
-		t.Error("summary-only table should not be plottable")
-	}
-}
-
-func TestRenderTableFormSelection(t *testing.T) {
-	rows := [][]string{{"1", "5.0%"}, {"2", "8.0%"}}
-	bar, ok := RenderTable(TableData{Name: "fig8", Title: "t", Columns: []string{"app", "x"}, Rows: rows})
-	if !ok || !strings.Contains(bar, "<rect") || strings.Contains(bar, "<polyline") {
-		t.Error("fig8 should render as bars")
-	}
-	line, ok := RenderTable(TableData{Name: "fig19", Title: "t", Columns: []string{"bits", "x"}, Rows: rows})
-	if !ok || !strings.Contains(line, "<polyline") {
-		t.Error("fig19 should render as a line chart")
-	}
-	if _, ok := RenderTable(TableData{Name: "tab1", Columns: []string{"parameter", "value"},
-		Rows: [][]string{{"CPU", "fast"}}}); ok {
-		t.Error("tab1 should not be plottable")
-	}
-}
