@@ -122,10 +122,10 @@ func BenchmarkWorkloadGenerate(b *testing.B) {
 }
 
 // BenchmarkFormPWs measures PW formation over a kafka block trace. The
-// Former walks each block's instructions arithmetically and a PW is a
-// pointer-free value (its lines follow from its start and size), so
-// allocs/op is O(log windows), the growth of the output slice alone, not
-// one allocation per block or per window.
+// Former walks each block's instructions arithmetically, a PW is a
+// pointer-free value (its lines follow from its start and size), and the
+// output is sized once from the block count, so allocs/op is 1: the output
+// slice, allocated once, not once per growth, block or window.
 func BenchmarkFormPWs(b *testing.B) {
 	spec, _ := workload.Get("kafka")
 	blocks := workload.GenerateSpec(spec, 20000, 0)

@@ -152,7 +152,8 @@ func TestFailedCellFailsFigure(t *testing.T) {
 // TestManifestRecordsMemoTraffic: run.json's memo block shows how much work
 // the figures shared, without -telemetry. Per app, tab2 simulates LRU and
 // fig2 asks for it again plus four perfect-structure variants: five timing
-// simulations and one hit, all walking one timing path.
+// simulations and one hit, all walking one timing path, over one trace
+// generated from one program.
 func TestManifestRecordsMemoTraffic(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-blocks", "1000", "-apps", "kafka,postgres", "-quiet", "-csv", dir, "tab2", "fig2"}
@@ -161,6 +162,7 @@ func TestManifestRecordsMemoTraffic(t *testing.T) {
 	}
 	man := readManifest(t, filepath.Join(dir, "run.json"))
 	want := map[string]telemetry.MemoTraffic{
+		"programs":      {Misses: 2},
 		"plans":         {},
 		"behavior_runs": {},
 		"timing_runs":   {Hits: 2, Misses: 10},

@@ -115,8 +115,15 @@ func TraceFor(app string, numBlocks, input int) ([]trace.Block, []trace.PW, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	blocks := workload.GenerateSpec(spec, numBlocks, input)
-	return blocks, trace.FormPWs(blocks, 0), nil
+	blocks, pws := ProgramTrace(spec.Build(), numBlocks, input)
+	return blocks, pws, nil
+}
+
+// ProgramTrace is TraceFor over an already built program. It only reads p,
+// so the traces of every input can come from one shared program.
+func ProgramTrace(p *workload.Program, numBlocks, input int) ([]trace.Block, []trace.PW) {
+	blocks := p.Generate(numBlocks, input)
+	return blocks, trace.FormPWs(blocks, 0)
 }
 
 // Telemetry bundles the optional observability attachments threaded into a

@@ -20,8 +20,8 @@ type claim struct {
 	hold func(t *Table) (bool, string)
 }
 
-// greater asserts mean(a) > mean(b) (+ margin in percentage points).
-func greater(a, b string, margin float64) claim {
+// greater asserts mean(a) > mean(b).
+func greater(a, b string) claim {
 	return claim{
 		desc: fmt.Sprintf("mean(%s) > mean(%s)", a, b),
 		hold: func(t *Table) (bool, string) {
@@ -30,7 +30,7 @@ func greater(a, b string, margin float64) claim {
 			if !oka || !okb {
 				return false, fmt.Sprintf("missing columns %q/%q", a, b)
 			}
-			return va > vb+margin, fmt.Sprintf("%.2f vs %.2f", va, vb)
+			return va > vb, fmt.Sprintf("%.2f vs %.2f", va, vb)
 		},
 	}
 }
@@ -49,15 +49,28 @@ func positive(col string) claim {
 	}
 }
 
+// rowMean is the mean of column col over every row of t.
+func rowMean(t *Table, col string) (float64, bool) {
+	sum := 0.0
+	for _, r := range t.Rows {
+		v, ok := t.num(r, col)
+		if !ok {
+			return 0, false
+		}
+		sum += v
+	}
+	return sum / float64(len(t.Rows)), len(t.Rows) > 0
+}
+
 // checks maps experiment ids to the paper's qualitative claims.
 func checks(id string) []claim {
 	switch id {
 	case "fig2":
 		// The perfect micro-op cache gives the largest PPW gain.
 		return []claim{
-			greater("perfect uop cache", "perfect icache", 0),
-			greater("perfect uop cache", "perfect BP", 0),
-			greater("perfect uop cache", "perfect BTB", 0),
+			greater("perfect uop cache", "perfect icache"),
+			greater("perfect uop cache", "perfect BP"),
+			greater("perfect uop cache", "perfect BTB"),
 		}
 	case "sec3b":
 		return []claim{{
@@ -89,43 +102,52 @@ func checks(id string) []claim {
 		}}
 	case "fig5":
 		return []claim{
-			greater("flack", "ghrp", 0),
-			greater("flack", "srrip", 0),
-			greater("flack", "thermometer", 0),
+			greater("flack", "ghrp"),
+			greater("flack", "srrip"),
+			greater("flack", "thermometer"),
 			positive("flack"),
 		}
 	case "fig8":
 		return []claim{
 			positive("furbys"),
-			greater("furbys", "srrip", 0),
-			greater("furbys", "ship++", 0),
-			greater("furbys", "ghrp", 0),
-			greater("furbys", "mockingjay", 0),
-			greater("furbys", "thermometer", 0),
-			greater("flack", "furbys", 0),
+			greater("furbys", "srrip"),
+			greater("furbys", "ship++"),
+			greater("furbys", "ghrp"),
+			greater("furbys", "mockingjay"),
+			greater("furbys", "thermometer"),
+			greater("flack", "furbys"),
 		}
 	case "fig9":
-		return []claim{positive("furbys"), greater("furbys", "ghrp", 0), greater("furbys", "srrip", 0)}
+		return []claim{positive("furbys"), greater("furbys", "ghrp"), greater("furbys", "srrip")}
 	case "fig10":
 		return []claim{
-			greater("flack", "belady", 0),
-			greater("flack", "foo", 0),
-			greater("foo+A", "foo", 0),
+			greater("flack", "belady"),
+			greater("flack", "foo"),
+			greater("foo+A", "foo"),
 			positive("flack"),
 		}
 	case "fig11":
 		return []claim{
 			positive("furbys"),
-			greater("infinite uop cache", "furbys", 0),
-			greater("flack", "srrip", 0),
+			greater("infinite uop cache", "furbys"),
+			greater("flack", "srrip"),
 		}
 	case "fig12":
 		return []claim{{
 			desc: "FURBYS@512 beats LRU@512 and LRU needs more capacity to match",
 			hold: func(t *Table) (bool, string) {
-				lru512, _ := t.num(t.find("lru@512"), "mean uop miss rate")
-				furbys, _ := t.num(t.find("furbys@512"), "mean uop miss rate")
-				return furbys < lru512, fmt.Sprintf("miss rate furbys@512 %.4f vs lru@512 %.4f", furbys, lru512)
+				lru512, ok1 := t.num(t.find("lru@512"), fig12MissRate)
+				furbys, ok2 := t.num(t.find("furbys@512"), fig12MissRate)
+				if !ok1 || !ok2 {
+					return false, "missing lru@512 or furbys@512"
+				}
+				match := "no larger LRU"
+				i := isoMatch(t)
+				if i >= 0 {
+					match = fig12Configs[i].label
+				}
+				return furbys < lru512 && i >= 0,
+					fmt.Sprintf("miss rate furbys@512 %.4f vs lru@512 %.4f; matched by %s", furbys, lru512, match)
 			},
 		}}
 	case "fig13":
@@ -134,11 +156,11 @@ func checks(id string) []claim {
 			hold: func(t *Table) (bool, string) {
 				lru, _ := t.num(t.find("lru"), "total vs no-uop-cache")
 				furbys, _ := t.num(t.find("furbys"), "total vs no-uop-cache")
-				return lru < 100 && furbys <= lru, fmt.Sprintf("total lru %.1f%% furbys %.1f%% of baseline", lru, furbys)
+				return lru < 100 && furbys < lru, fmt.Sprintf("total lru %.1f%% furbys %.1f%% of baseline", lru, furbys)
 			},
 		}}
 	case "fig15":
-		return []claim{greater("flack-profile", "foo-profile", 0)}
+		return []claim{greater("flack-profile", "foo-profile")}
 	case "fig18":
 		return []claim{{
 			desc: "cross-input profile retains most of the same-input reduction",
@@ -152,7 +174,7 @@ func checks(id string) []claim {
 			},
 		}}
 	case "fig21":
-		return []claim{greater("bypass on", "bypass off", 0)}
+		return []claim{greater("bypass on", "bypass off")}
 	case "fig22":
 		return []claim{{
 			desc: "hot deciles hit well under every policy; FLACK bounds FURBYS overall",
@@ -160,9 +182,19 @@ func checks(id string) []claim {
 				if len(t.Rows) != 10 {
 					return false, "not 10 deciles"
 				}
-				hotLRU, _ := t.num(t.Rows[0], "lru")
-				coldLRU, _ := t.num(t.Rows[9], "lru")
-				return hotLRU > coldLRU, fmt.Sprintf("lru hot %.1f vs cold %.1f", hotLRU, coldLRU)
+				for _, p := range t.Columns[1:] {
+					hot, ok1 := t.num(t.Rows[0], p)
+					cold, ok2 := t.num(t.Rows[9], p)
+					if !ok1 || !ok2 || hot <= cold {
+						return false, fmt.Sprintf("%s hot %.1f vs cold %.1f", p, hot, cold)
+					}
+				}
+				flack, ok1 := rowMean(t, "flack")
+				furbys, ok2 := rowMean(t, "furbys")
+				if !ok1 || !ok2 {
+					return false, "missing flack or furbys"
+				}
+				return flack >= furbys, fmt.Sprintf("every hot decile beats its cold one; mean flack %.1f vs furbys %.1f", flack, furbys)
 			},
 		}}
 	case "coverage":

@@ -99,6 +99,58 @@ func TestCheckFig12(t *testing.T) {
 	if Check(bad).OK() {
 		t.Error("fig12 with FURBYS worse than LRU should fail")
 	}
+	unmatched := mkTable("fig12", cols,
+		fig12Row("lru@512", 0.15, 1.2, 0),
+		fig12Row("lru@640", 0.14, 1.21, 7),
+		fig12Row("furbys@512", 0.13, 1.22, 13),
+	)
+	if Check(unmatched).OK() {
+		t.Error("fig12 with no larger LRU matching FURBYS@512 should fail")
+	}
+}
+
+// TestCheckFig13Strict: FURBYS must save strictly more than LRU; a tie fails.
+func TestCheckFig13Strict(t *testing.T) {
+	cols := []string{"configuration", "decoder", "icache", "uop cache", "others", "total vs no-uop-cache"}
+	tbl := func(lru, furbys float64) *Table {
+		return mkTable("fig13", cols,
+			row("no uop cache", 13, 4, 0, 83, 100),
+			row("lru", 2, 1, 2, 95, lru),
+			row("furbys", 2, 1, 2, 95, furbys))
+	}
+	if res := Check(tbl(67.78, 67.06)); !res.OK() {
+		t.Errorf("good fig13 failed: %v", res.Failed)
+	}
+	if Check(tbl(67.78, 67.78)).OK() {
+		t.Error("fig13 with FURBYS tying LRU should fail")
+	}
+}
+
+// TestCheckFig22: every policy's hottest decile must beat its coldest, and
+// FLACK's mean hit rate must be at least FURBYS's.
+func TestCheckFig22(t *testing.T) {
+	cols := []string{"decile", "lru", "ghrp", "furbys", "flack"}
+	deciles := func(ghrpCold, flackShift float64) *Table {
+		tbl := mkTable("fig22", cols)
+		for d := 0; d < 10; d++ {
+			v := float64(90 - 10*d)
+			ghrp := v
+			if d == 9 {
+				ghrp = ghrpCold
+			}
+			tbl.Rows = append(tbl.Rows, row("d", v, ghrp, v+1, v+1+flackShift))
+		}
+		return tbl
+	}
+	if res := Check(deciles(0, 0)); !res.OK() {
+		t.Errorf("good fig22 failed: %v", res.Failed)
+	}
+	if Check(deciles(95, 0)).OK() {
+		t.Error("fig22 with GHRP's cold decile beating its hot one should fail")
+	}
+	if Check(deciles(0, -2)).OK() {
+		t.Error("fig22 with FURBYS above FLACK on average should fail")
+	}
 }
 
 func TestCheckSec3B(t *testing.T) {

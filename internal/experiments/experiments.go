@@ -1,11 +1,13 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation. Each experiment is a named function producing a Table; the
 // registry drives cmd/experiments and the root benchmark harness. A Context
-// caches generated traces, collected profiles, and behaviour and timing
-// runs behind per-key singleflight so multi-figure runs — serial or
-// parallel — do not repeat the expensive FLACK profiling step or an
-// identical replay or frontend simulation, and it memoizes every solved
-// FOO/FLACK keep-plan so figures that share a plan solve it once.
+// caches each app's static program, generated traces, collected profiles,
+// and behaviour and timing runs behind per-key singleflight so multi-figure
+// runs — serial or parallel — do not repeat the expensive FLACK profiling
+// step or an identical replay or frontend simulation, and it memoizes every
+// solved FOO/FLACK keep-plan so figures that share a plan solve it once.
+// A training input (fig18's inputs 1 and 2) feeds only its profile: its
+// trace and prepared trace live inside that profile's collection.
 //
 // Concurrency model: RunMany fans experiments out, and each experiment
 // splits into heavy cells (one per app, config point, or policy variant)
@@ -103,9 +105,12 @@ func (c *Context) ctx() context.Context {
 // (Context.behavior, Context.timing): their keys carry the full
 // core.Config, not just the geometry, and a hit streams no uopcache_*
 // events for its cell. paths holds the timing runs' shared per-trace paths
-// (Context.timingPath). The plan memo has no flights (see memoPlans).
+// (Context.timingPath). programs holds each app's static program
+// (Context.program), which every trace of the app is generated from. The
+// plan memo has no flights (see memoPlans).
 type ctxCaches struct {
 	mu        sync.Mutex
+	programs  map[string]*flight[*workload.Program]
 	traces    map[string]*flight[tracePair]
 	preps     map[string]*flight[*trace.PreparedTrace]
 	profs     map[string]*flight[*profiles.Profile]
@@ -135,7 +140,7 @@ type ctxSched struct {
 	// status is the live campaign state the /debug/status dashboard polls.
 	status statusCounters
 	// memo tallies the memos' traffic for Context.MemoTraffic.
-	memo struct{ plans, behaviors, runs, paths memoTally }
+	memo struct{ programs, plans, behaviors, runs, paths memoTally }
 }
 
 // memoTally counts one memo's requests whether or not metrics are attached.
@@ -158,13 +163,14 @@ func (m *memoTally) traffic() telemetry.MemoTraffic {
 }
 
 // MemoTraffic returns the requests the context's memos have served so far,
-// for the run manifest: keep-plans (as plan_memo_*), behaviour runs (as
-// behavior_memo_*), timing runs (as timing_memo_*) and timing paths (as
-// timing_path_memo_*). Contexts derived for another config, such as fig17's,
-// count into the same tallies.
+// for the run manifest: static programs, keep-plans (as plan_memo_*),
+// behaviour runs (as behavior_memo_*), timing runs (as timing_memo_*) and
+// timing paths (as timing_path_memo_*). Contexts derived for another config,
+// such as fig17's, count into the same tallies.
 func (c *Context) MemoTraffic() map[string]telemetry.MemoTraffic {
 	m := &c.sched.memo
 	return map[string]telemetry.MemoTraffic{
+		"programs":      m.programs.traffic(),
 		"plans":         m.plans.traffic(),
 		"behavior_runs": m.behaviors.traffic(),
 		"timing_runs":   m.runs.traffic(),
@@ -316,6 +322,7 @@ func once[T any](c *Context, m map[string]*flight[T], key string, compute func()
 
 func newCaches() *ctxCaches {
 	return &ctxCaches{
+		programs:  make(map[string]*flight[*workload.Program]),
 		traces:    make(map[string]*flight[tracePair]),
 		preps:     make(map[string]*flight[*trace.PreparedTrace]),
 		profs:     make(map[string]*flight[*profiles.Profile]),
@@ -549,12 +556,44 @@ func (c *Context) AppList() []string {
 // count how often the underlying computation actually runs.
 var collectProfile = profiles.CollectWith
 
+// program returns (cached) the app's static program. The key is the whole
+// workload.Spec, which is all Spec.Build reads, so a spec that differs in
+// any field, its layout seed included, gets a program of its own.
+// Generate only reads a program, so every trace of the app, on any worker,
+// is generated from this one.
+func (c *Context) program(app string) (*workload.Program, error) {
+	spec, err := workload.Get(app)
+	if err != nil {
+		return nil, err
+	}
+	built := false
+	p, err := once(c, c.caches.programs, app+"/"+configKey(spec), func() (*workload.Program, error) {
+		built = true
+		return spec.Build(), nil
+	})
+	c.sched.memo.programs.note(built)
+	return p, err
+}
+
+// generate returns the block trace and PW sequence of an app/input,
+// generated from the app's cached program (core.ProgramTrace, the code
+// behind core.TraceFor). Nothing keeps them: Trace memoizes them, and
+// Profile streams a training input's.
+func (c *Context) generate(app string, input int) ([]trace.Block, []trace.PW, error) {
+	p, err := c.program(app)
+	if err != nil {
+		return nil, nil, err
+	}
+	blocks, pws := core.ProgramTrace(p, c.Blocks, input)
+	return blocks, pws, nil
+}
+
 // Trace returns (cached) the block trace and PW sequence for an app/input.
 // Concurrent callers of the same key share one generation.
 func (c *Context) Trace(app string, input int) ([]trace.Block, []trace.PW, error) {
 	key := fmt.Sprintf("%s/%d/%d", app, input, c.Blocks)
 	tp, err := once(c, c.caches.traces, key, func() (tracePair, error) {
-		blocks, pws, err := core.TraceFor(app, c.Blocks, input)
+		blocks, pws, err := c.generate(app, input)
 		return tracePair{blocks: blocks, pws: pws}, err
 	})
 	return tp.blocks, tp.pws, err
@@ -578,22 +617,46 @@ func (c *Context) Prepared(app string, input int, geom uopcache.Config) (*trace.
 
 // Profile returns (cached) the offline profile for an app/input/source
 // under the context's micro-op cache geometry. Concurrent callers of the
-// same key invoke the collection exactly once.
+// same key invoke the collection exactly once. The default input's trace
+// and prepared trace come from (and stay in) Trace's and Prepared's memos,
+// which every figure reads. Any other input is a training input: only its
+// profile is read again, so its trace is generated, prepared and dropped
+// inside this collection, and only the profile stays cached.
 func (c *Context) Profile(app string, input int, src profiles.Source) (*profiles.Profile, error) {
-	key := fmt.Sprintf("%s/%d/%v/%d/%d/%d", app, input, src, c.Blocks, c.Cfg.UopCache.Entries, c.Cfg.UopCache.Ways)
+	geom := c.Cfg.UopCache
+	key := fmt.Sprintf("%s/%d/%v/%d/%d/%d", app, input, src, c.Blocks, geom.Entries, geom.Ways)
 	return once(c, c.caches.profs, key, func() (*profiles.Profile, error) {
-		_, pws, err := c.Trace(app, input)
+		var pws []trace.PW
+		var err error
+		if input == 0 {
+			_, pws, err = c.Trace(app, input)
+		} else {
+			_, pws, err = c.generate(app, input)
+		}
 		if err != nil {
 			return nil, err
 		}
-		r := c.runOpts(app, input, c.Cfg.UopCache)
-		return collectProfile(pws, c.Cfg.UopCache, src, profiles.CollectOptions{
-			Metrics:  r.Telemetry.Metrics,
-			Events:   r.Telemetry.Events,
-			Prepared: r.Prepared,
-			Plans:    r.Plans,
-			Workers:  r.Workers,
-		}), nil
+		var pt *trace.PreparedTrace
+		if input == 0 {
+			pt, _ = c.Prepared(app, input, geom)
+		} else {
+			pt = uopcache.Prepare(geom, pws)
+		}
+		// The attachments runOpts hands every run.
+		prof := collectProfile(pws, geom, src, profiles.CollectOptions{
+			Ctx:      c.Ctx,
+			Metrics:  c.Telemetry.Metrics,
+			Events:   c.Telemetry.Events,
+			Prepared: pt,
+			Plans:    c.plans(),
+			Workers:  c.Workers,
+		})
+		// A solve abandoned by cancellation leaves the profile
+		// incomplete; cache the cancellation instead.
+		if err := c.ctx().Err(); err != nil {
+			return nil, err
+		}
+		return prof, nil
 	})
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"uopsim/internal/telemetry"
 )
 
 // smallCtx keeps experiment smoke tests fast: two contrasting apps, short
@@ -77,6 +79,44 @@ func TestContextCaching(t *testing.T) {
 	}
 	if len(NewContext(0).AppList()) != 11 {
 		t.Error("default app list should be all 11")
+	}
+}
+
+// TestCampaignBuildsEachProgramOnce: the nine-CSV campaign generates 33
+// traces (11 apps under the default input and fig18's training inputs 1
+// and 2) from 11 programs, one per app. The training inputs leave only
+// their profiles behind: no trace or prepared-trace memo key names an
+// input other than 0.
+func TestCampaignBuildsEachProgramOnce(t *testing.T) {
+	ctx := NewContext(5000)
+	ctx.Workers = 2
+	for _, r := range RunMany(ctx, campaignIDs, nil) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.ID, r.Err)
+		}
+	}
+	if got, want := ctx.MemoTraffic()["programs"], (telemetry.MemoTraffic{Hits: 22, Misses: 11}); got != want {
+		t.Errorf("programs memo = %+v, want %+v", got, want)
+	}
+	inputOf := func(key string) string { return strings.Split(key, "/")[1] }
+	for key := range ctx.caches.traces {
+		if inputOf(key) != "0" {
+			t.Errorf("trace memo keeps %s", key)
+		}
+	}
+	for key := range ctx.caches.preps {
+		if inputOf(key) != "0" {
+			t.Errorf("prepared-trace memo keeps %s", key)
+		}
+	}
+	training := 0
+	for key := range ctx.caches.profs {
+		if inputOf(key) != "0" {
+			training++
+		}
+	}
+	if training != 22 {
+		t.Errorf("profile memo keeps %d training-input profiles, want 22", training)
 	}
 }
 

@@ -134,23 +134,40 @@ func texts(t *Table, row []Cell, cols ...string) string {
 	return strings.Join(parts, " / ")
 }
 
-// isoCapacity finds the smallest LRU configuration of fig12 whose miss rate
-// is no higher than FURBYS@512's.
+// isoCapacity names the smallest LRU configuration of fig12 whose miss rate
+// is no higher than FURBYS@512's (isoMatch).
 func isoCapacity(t *Table) string {
-	const col = "mean uop miss rate"
-	furbys, ok := t.num(t.find("furbys@512"), col)
-	if !ok {
+	if _, ok := t.num(t.find("furbys@512"), fig12MissRate); !ok {
 		return "n/a"
 	}
-	for _, rc := range fig12Configs {
+	i := isoMatch(t)
+	if i < 0 {
+		return ">2x (never matched)"
+	}
+	rc := fig12Configs[i]
+	return fmt.Sprintf("%s (%.2fx)", rc.label, float64(rc.entries)/512)
+}
+
+// fig12MissRate is the fig12 column isoMatch compares.
+const fig12MissRate = "mean uop miss rate"
+
+// isoMatch returns the index in fig12Configs of the smallest LRU
+// configuration above 512 entries whose miss rate is no higher than
+// FURBYS@512's, or -1 when none is (or FURBYS@512 is missing).
+func isoMatch(t *Table) int {
+	furbys, ok := t.num(t.find("furbys@512"), fig12MissRate)
+	if !ok {
+		return -1
+	}
+	for i, rc := range fig12Configs {
 		if rc.furbys || rc.entries == 512 {
 			continue
 		}
-		if v, ok := t.num(t.find(rc.label), col); ok && v <= furbys {
-			return fmt.Sprintf("%s (%.2fx)", rc.label, float64(rc.entries)/512)
+		if v, ok := t.num(t.find(rc.label), fig12MissRate); ok && v <= furbys {
+			return i
 		}
 	}
-	return ">2x (never matched)"
+	return -1
 }
 
 // fig13Summary puts the paper's quantities next to the paper's values: the

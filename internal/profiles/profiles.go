@@ -10,6 +10,7 @@ package profiles
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -81,9 +82,12 @@ func Collect(pws []trace.PW, cfg uopcache.Config, src Source) *Profile {
 // CollectOptions bundles a profiling replay's optional attachments: live
 // metrics and event observability, the shared prepared trace (nil, or one
 // built over another slice or geometry, means the replay prepares its own),
-// the keep-plan cache (skips the flow solve on a hit), and the solver worker
-// bound. The zero value disables everything.
+// the keep-plan cache (skips the flow solve on a hit), the solver worker
+// bound, and the cancellation handle of the solve (nil = never cancelled; a
+// caller that sets Ctx must discard the profile when Ctx.Err() != nil after
+// the call). The zero value disables everything.
 type CollectOptions struct {
+	Ctx      context.Context
 	Metrics  *telemetry.Registry
 	Events   telemetry.EventSink
 	Prepared *trace.PreparedTrace
@@ -101,6 +105,7 @@ func CollectObserved(pws []trace.PW, cfg uopcache.Config, src Source, metrics *t
 // CollectWith is Collect with the full attachment set.
 func CollectWith(pws []trace.PW, cfg uopcache.Config, src Source, o CollectOptions) *Profile {
 	opts := offline.Options{
+		Ctx:             o.Ctx,
 		RecordPerLookup: true,
 		Metrics:         o.Metrics,
 		Events:          o.Events,

@@ -147,9 +147,13 @@ func FormPWs(blocks []Block, maxUops int) []PW {
 }
 
 // FormPWsWith runs a configured Former (e.g. with CLASP cross-line windows)
-// over an entire block trace.
+// over an entire block trace. The output is sized once from the block
+// count: the 11 applications form at most 1.12 baseline windows per block
+// on inputs 0–2 at 1,000–80,000 blocks (kafka: 16,542 from 15,694 at
+// 5,000), and CLASP about 0.55, so an eighth more than one window per block
+// covers them, and append grows the slice past any trace that forms more.
 func FormPWsWith(blocks []Block, f *Former) []PW {
-	var pws []PW
+	pws := make([]PW, 0, len(blocks)+len(blocks)/8)
 	emit := func(p PW) { pws = append(pws, p) }
 	for _, b := range blocks {
 		f.Add(b, emit)

@@ -361,17 +361,19 @@ func New(cfg Config, policy Policy) *Cache {
 	slotB := make([]Resident, numSets*c.capSlots)
 	occB := make([]uint64, numSets*occWords)
 	idxB := make([]int32, numSets*idxLen)
+	// Mark the bitmap tail beyond capSlots occupied so allocSlot can never
+	// hand out an out-of-range slot. The tail lies within the last word.
+	var tail uint64
+	if r := c.capSlots % 64; r != 0 {
+		tail = ^uint64(0) << r
+	}
 	c.sets = make([]cset, numSets)
 	for i := range c.sets {
 		s := &c.sets[i]
 		s.slots = slotB[i*c.capSlots : (i+1)*c.capSlots : (i+1)*c.capSlots]
 		s.occ = occB[i*occWords : (i+1)*occWords : (i+1)*occWords]
 		s.idx = idxB[i*idxLen : (i+1)*idxLen : (i+1)*idxLen]
-		// Mark the bitmap tail beyond capSlots occupied so allocSlot can
-		// never hand out an out-of-range slot.
-		for b := c.capSlots; b < occWords*64; b++ {
-			s.occ[b>>6] |= 1 << (uint(b) & 63)
-		}
+		s.occ[occWords-1] = tail
 	}
 	c.lineCount = make([]int32, lineBuckets*numSets)
 	c.viewBuf = make([]Resident, 0, c.capSlots)

@@ -219,7 +219,9 @@ type Program struct {
 }
 
 // Build constructs the static program for the spec. The result depends only
-// on Spec (notably Seed), never on the input variant.
+// on Spec (notably Seed), never on the input variant, so one program serves
+// every input: Generate never writes to it, and concurrent Generate calls
+// may share it.
 func (s Spec) Build() *Program {
 	rng := rand.New(rand.NewSource(s.Seed))
 	p := &Program{Spec: s, funcs: make([]function, 0, s.Funcs)}
@@ -356,7 +358,8 @@ func sampleCDF(cdf []float64, r float64) int {
 // up to one invocation, which can be far larger than numBlocks: kafka
 // yields 15,694 blocks for 5,000 and 83,032 for 80,000. Variant 0 is the
 // paper's "default input"; other variants model different request
-// mixes/seeds for cross-validation.
+// mixes/seeds for cross-validation. Generate only reads p: any number of
+// goroutines may generate from one program at once, for any inputs.
 func (p *Program) Generate(numBlocks, input int) []trace.Block {
 	s := p.Spec
 	rng := rand.New(rand.NewSource(s.Seed*1_000_003 + int64(input)*7919 + 17))

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -326,5 +327,45 @@ func TestMPKIOrderingAcrossApps(t *testing.T) {
 					cat[j].Name, cat[j].TargetMPKI, cat[j].FlakyFrac)
 			}
 		}
+	}
+}
+
+// TestSharedProgramGeneratesEveryInput: one program serves every input, so
+// a context builds it once and generates all of an app's traces from it,
+// on any number of workers. Inputs 2, 1 and 0 generated in that order, and
+// then again all at once, give exactly GenerateSpec's blocks, and leave the
+// program as Build made it.
+func TestSharedProgramGeneratesEveryInput(t *testing.T) {
+	s, _ := Get("kafka")
+	const n = 3000
+	inputs := []int{2, 1, 0}
+	want := make([][]trace.Block, len(inputs))
+	for i, in := range inputs {
+		want[i] = GenerateSpec(s, n, in)
+	}
+	p := s.Build()
+	for i, in := range inputs {
+		if got := p.Generate(n, in); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("input %d in sequence differs from GenerateSpec", in)
+		}
+	}
+	got := make([][]trace.Block, len(inputs))
+	var wg sync.WaitGroup
+	for i, in := range inputs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = p.Generate(n, in)
+		}()
+	}
+	wg.Wait()
+	for i, in := range inputs {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("input %d generated concurrently differs from GenerateSpec", in)
+		}
+	}
+	fresh := s.Build()
+	if !reflect.DeepEqual(p.funcs, fresh.funcs) || !reflect.DeepEqual(p.rank, fresh.rank) || !reflect.DeepEqual(p.utilFuncs, fresh.utilFuncs) {
+		t.Error("Generate modified the program it read")
 	}
 }
