@@ -17,7 +17,8 @@ import (
 // (same cache), then with no cache at all, must emit byte-identical CSVs —
 // the cache changes only how fast artifacts materialize. The warm run must
 // actually be served from the cache: plan_cache_hit_total > 0 and the
-// manifest's cache block records the traffic.
+// manifest's cache block records the traffic. The cold run's dump carries
+// the offline segment counters.
 func TestColdWarmCacheEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three small campaigns")
@@ -43,7 +44,7 @@ func TestColdWarmCacheEquivalence(t *testing.T) {
 		return csvDir, metricsPath
 	}
 
-	coldDir, _ := campaign("cold", true)
+	coldDir, coldMetrics := campaign("cold", true)
 	warmDir, warmMetrics := campaign("warm", true)
 	plainDir, _ := campaign("plain", false)
 
@@ -56,6 +57,15 @@ func TestColdWarmCacheEquivalence(t *testing.T) {
 		}
 		if !bytes.Equal(cold, plain) {
 			t.Errorf("%s.csv: cached and uncached runs differ", id)
+		}
+	}
+
+	// The cold run solved plans, and its dump counts the segments planned
+	// and those that needed a flow solve.
+	cold := string(readFileT(t, coldMetrics))
+	for _, name := range []string{"offline_segments_total", "offline_segments_solved_total"} {
+		if !counterPositive(cold, name) {
+			t.Errorf("cold run: %s not positive in metrics:\n%s", name, cold)
 		}
 	}
 

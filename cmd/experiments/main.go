@@ -66,6 +66,7 @@ import (
 	"uopsim/internal/experiments"
 	"uopsim/internal/flow"
 	"uopsim/internal/inspect"
+	"uopsim/internal/offline"
 	"uopsim/internal/parallel"
 	"uopsim/internal/plot"
 	"uopsim/internal/telemetry"
@@ -243,6 +244,7 @@ func run(o *options, args []string, stdout, stderr io.Writer) (interrupted bool,
 	}
 	if o.obs.Registry != nil {
 		flow.RegisterMetrics(o.obs.Registry)
+		offline.RegisterMetrics(o.obs.Registry)
 	}
 	hw := telemetry.StartHeapWatermark(0)
 

@@ -7,11 +7,7 @@
 // replacement studies do not need it.
 package branch
 
-import (
-	"slices"
-
-	"uopsim/internal/trace"
-)
+import "uopsim/internal/trace"
 
 // Config sizes the predictor stack; DefaultConfig matches Table I.
 type Config struct {
@@ -24,9 +20,14 @@ type Config struct {
 	// TaggedBits sizes each tagged table (2^bits entries).
 	TaggedBits int
 	// HistLens are the geometric global-history lengths of the tagged
-	// tables.
-	HistLens []int
+	// tables, one table per entry up to the first zero. An array, not a
+	// slice, keeps Config comparable, so a config can key a map and be
+	// compared with ==.
+	HistLens [MaxTaggedTables]int
 }
+
+// MaxTaggedTables bounds the tagged tables a Config can describe.
+const MaxTaggedTables = 4
 
 // DefaultConfig returns the paper's Zen3-like predictor configuration.
 func DefaultConfig() Config {
@@ -37,16 +38,8 @@ func DefaultConfig() Config {
 		IBTBEntries: 4096,
 		BimodalBits: 14,
 		TaggedBits:  10,
-		HistLens:    []int{8, 32, 128},
+		HistLens:    [MaxTaggedTables]int{8, 32, 128},
 	}
-}
-
-// Equal reports whether c and o configure the same predictor.
-func (c Config) Equal(o Config) bool {
-	return c.BTBEntries == o.BTBEntries && c.BTBWays == o.BTBWays &&
-		c.RASEntries == o.RASEntries && c.IBTBEntries == o.IBTBEntries &&
-		c.BimodalBits == o.BimodalBits && c.TaggedBits == o.TaggedBits &&
-		slices.Equal(c.HistLens, o.HistLens)
 }
 
 // Zen4Config returns a larger frontend configuration for the paper's Fig. 17
@@ -59,7 +52,7 @@ func Zen4Config() Config {
 		IBTBEntries: 6144,
 		BimodalBits: 15,
 		TaggedBits:  11,
-		HistLens:    []int{8, 32, 128, 256},
+		HistLens:    [MaxTaggedTables]int{8, 32, 128, 256},
 	}
 }
 
@@ -119,6 +112,9 @@ func New(cfg Config) *Predictor {
 		p.bimodal[i] = 1 // weakly not taken
 	}
 	for _, hl := range cfg.HistLens {
+		if hl == 0 {
+			break
+		}
 		p.tagged = append(p.tagged, taggedTable{
 			entries: make([]taggedEntry, 1<<cfg.TaggedBits),
 			histLen: hl,

@@ -152,7 +152,7 @@ func TestBTBMissOnFirstSight(t *testing.T) {
 
 func TestBTBCapacityEviction(t *testing.T) {
 	p := New(Config{BTBEntries: 8, BTBWays: 2, RASEntries: 4, IBTBEntries: 16,
-		BimodalBits: 6, TaggedBits: 4, HistLens: []int{4}})
+		BimodalBits: 6, TaggedBits: 4, HistLens: [MaxTaggedTables]int{4}})
 	// Stream many distinct branches through the 8-entry BTB.
 	for i := 0; i < 100; i++ {
 		pc := uint64(0x1000 + i*64)

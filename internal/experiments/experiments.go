@@ -49,8 +49,9 @@ import (
 )
 
 // Context carries shared configuration, result caches and the worker
-// budget. Derived views (scoped, withConfig) share the caches and scheduler
-// so the budget and manifest records stay global.
+// budget. Derived views share the scheduler, so the budget and manifest
+// records stay global: scoped shares every cache, and withConfig the
+// config-independent ones.
 type Context struct {
 	// Cfg is the system configuration (DefaultConfig unless overridden).
 	Cfg core.Config
@@ -107,16 +108,17 @@ func (c *Context) ctx() context.Context {
 // events for its cell. paths holds the timing runs' shared per-trace paths
 // (Context.timingPath). programs holds each app's static program
 // (Context.program), which every trace of the app is generated from. The
-// plan memo has no flights (see memoPlans).
+// plan memo has no flights (see memoPlans). A context derived for another
+// config shares some of the maps (forConfig), and with them mu.
 type ctxCaches struct {
-	mu        sync.Mutex
-	programs  map[string]*flight[*workload.Program]
+	mu        *sync.Mutex
+	programs  map[programKey]*flight[*workload.Program]
 	traces    map[string]*flight[tracePair]
 	preps     map[string]*flight[*trace.PreparedTrace]
 	profs     map[string]*flight[*profiles.Profile]
-	behaviors map[string]*flight[core.BehaviorResult]
-	times     map[string]*flight[core.TimingResult]
-	paths     map[string]*flight[*frontend.Path]
+	behaviors map[runKey]*flight[core.BehaviorResult]
+	times     map[runKey]*flight[core.TimingResult]
+	paths     map[pathKey]*flight[*frontend.Path]
 	plans     map[string]*offline.Decisions
 }
 
@@ -285,8 +287,9 @@ type flight[T any] struct {
 //
 // With span tracing on, the computing caller records a "compute" span and
 // every caller that actually blocks records a "wait" span — which is how
-// singleflight stalls become visible in the Perfetto view.
-func once[T any](c *Context, m map[string]*flight[T], key string, compute func() (T, error)) (T, error) {
+// singleflight stalls become visible in the Perfetto view. Spans and errors
+// name the key by its printed form, which is only built when needed.
+func once[K comparable, T any](c *Context, m map[K]*flight[T], key K, compute func() (T, error)) (T, error) {
 	cc := c.caches
 	cc.mu.Lock()
 	if f, ok := m[key]; ok {
@@ -296,7 +299,7 @@ func once[T any](c *Context, m map[string]*flight[T], key string, compute func()
 			return f.val, f.err
 		default:
 		}
-		sp := c.Spans.Begin("singleflight", key).Arg("state", "wait")
+		sp := c.Spans.Begin("singleflight", spanName(c, key)).Arg("state", "wait")
 		<-f.done
 		sp.End()
 		return f.val, f.err
@@ -310,25 +313,35 @@ func once[T any](c *Context, m map[string]*flight[T], key string, compute func()
 	// fail too, not read a zero value as if it were the result.
 	defer func() {
 		if p := recover(); p != nil {
-			f.err = fmt.Errorf("%s: panic: %v", key, p)
+			f.err = fmt.Errorf("%v: panic: %v", key, p)
 			panic(p)
 		}
 	}()
-	sp := c.Spans.Begin("singleflight", key).Arg("state", "compute")
+	sp := c.Spans.Begin("singleflight", spanName(c, key)).Arg("state", "compute")
 	f.val, f.err = compute()
 	sp.End()
 	return f.val, f.err
 }
 
+// spanName prints a memo key for c's singleflight span; without a span log
+// it returns "" and prints nothing.
+func spanName[K comparable](c *Context, key K) string {
+	if c.Spans == nil {
+		return ""
+	}
+	return fmt.Sprint(key)
+}
+
 func newCaches() *ctxCaches {
 	return &ctxCaches{
-		programs:  make(map[string]*flight[*workload.Program]),
+		mu:        new(sync.Mutex),
+		programs:  make(map[programKey]*flight[*workload.Program]),
 		traces:    make(map[string]*flight[tracePair]),
 		preps:     make(map[string]*flight[*trace.PreparedTrace]),
 		profs:     make(map[string]*flight[*profiles.Profile]),
-		behaviors: make(map[string]*flight[core.BehaviorResult]),
-		times:     make(map[string]*flight[core.TimingResult]),
-		paths:     make(map[string]*flight[*frontend.Path]),
+		behaviors: make(map[runKey]*flight[core.BehaviorResult]),
+		times:     make(map[runKey]*flight[core.TimingResult]),
+		paths:     make(map[pathKey]*flight[*frontend.Path]),
 		plans:     make(map[string]*offline.Decisions),
 	}
 }
@@ -364,16 +377,32 @@ func (c *Context) scoped(id string) *Context {
 	return &cc
 }
 
-// withConfig derives a context with a different system configuration: the
-// result caches are fresh (they key on this context's geometry) while the
-// scheduler — worker budget, limiter, timing records — stays shared, so the
-// derived run obeys the same -parallel budget and reports into the same
-// manifest.
+// withConfig derives a context with a different system configuration. It
+// shares the config-independent caches (forConfig) and the scheduler —
+// worker budget, limiter, timing records — so the derived run obeys the
+// same -parallel budget, reuses the programs and traces already built, and
+// reports into the same manifest.
 func (c *Context) withConfig(cfg core.Config) *Context {
 	cc := *c
 	cc.Cfg = cfg
-	cc.caches = newCaches()
+	cc.caches = c.caches.forConfig()
 	return &cc
+}
+
+// forConfig returns the caches of a context derived for another config.
+// Programs, traces, prepared traces, timing paths and keep-plans are keyed
+// by everything they are computed from (the spec; app, input and block
+// count; plus the geometry signature, the predictor and backend configs,
+// or offline.PlanKey), and none reads the context's config, so the derived
+// caches share them, under the same lock. Profiles stay per context: their
+// key names the geometry's entries and ways but not the whole geometry.
+// So do behaviour and timing runs: a profile-guided run reads the
+// context's profile, which its key does not name.
+func (cc *ctxCaches) forConfig() *ctxCaches {
+	d := newCaches()
+	d.mu = cc.mu
+	d.programs, d.traces, d.preps, d.paths, d.plans = cc.programs, cc.traces, cc.preps, cc.paths, cc.plans
+	return d
 }
 
 // limiter lazily builds the shared cell limiter sized to the context's
@@ -556,9 +585,15 @@ func (c *Context) AppList() []string {
 // count how often the underlying computation actually runs.
 var collectProfile = profiles.CollectWith
 
-// program returns (cached) the app's static program. The key is the whole
-// workload.Spec, which is all Spec.Build reads, so a spec that differs in
-// any field, its layout seed included, gets a program of its own.
+// programKey names a memoized static program: the whole workload.Spec,
+// which is all Spec.Build reads, so a spec that differs in any field, its
+// layout seed included, gets a program of its own.
+type programKey struct{ spec workload.Spec }
+
+// String names the program in singleflight spans and errors.
+func (k programKey) String() string { return k.spec.Name }
+
+// program returns (cached) the app's static program, keyed by programKey.
 // Generate only reads a program, so every trace of the app, on any worker,
 // is generated from this one.
 func (c *Context) program(app string) (*workload.Program, error) {
@@ -567,7 +602,7 @@ func (c *Context) program(app string) (*workload.Program, error) {
 		return nil, err
 	}
 	built := false
-	p, err := once(c, c.caches.programs, app+"/"+configKey(spec), func() (*workload.Program, error) {
+	p, err := once(c, c.caches.programs, programKey{spec}, func() (*workload.Program, error) {
 		built = true
 		return spec.Build(), nil
 	})

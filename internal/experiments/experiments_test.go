@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -117,6 +118,37 @@ func TestCampaignBuildsEachProgramOnce(t *testing.T) {
 	}
 	if training != 22 {
 		t.Errorf("profile memo keeps %d training-input profiles, want 22", training)
+	}
+}
+
+// TestDerivedConfigSharesPrograms: fig17 runs under a context derived for
+// the Zen4 config, which shares the parent's programs, traces and prepared
+// traces. Run next to fig8, under two workers, fig17 builds no program and
+// generates no trace of its own, and its table equals the one a fresh
+// context computes.
+func TestDerivedConfigSharesPrograms(t *testing.T) {
+	run := func(ids ...string) (*Context, []RunResult) {
+		t.Helper()
+		ctx := NewContext(2000)
+		ctx.Workers = 2
+		rs := RunMany(ctx, ids, nil)
+		for _, r := range rs {
+			if r.Err != nil {
+				t.Fatalf("%s: %v", r.ID, r.Err)
+			}
+		}
+		return ctx, rs
+	}
+	ctx, rs := run("fig8", "fig17")
+	apps := len(ctx.AppList())
+	if got := ctx.MemoTraffic()["programs"]; got.Misses != uint64(apps) {
+		t.Errorf("programs memo after fig8 and fig17 = %+v, want %d misses", got, apps)
+	}
+	if n := len(ctx.caches.traces); n != apps {
+		t.Errorf("trace memo holds %d traces, want %d", n, apps)
+	}
+	if _, fresh := run("fig17"); !reflect.DeepEqual(rs[1].Table, fresh[0].Table) {
+		t.Error("fig17 next to fig8 differs from fig17 in a fresh context")
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 // fcfg tunes FURBYS; a zero WeightBits selects DefaultFURBYSConfig, as
 // core.NewPolicy does, so the zero value and the defaults share an entry.
 // The key covers the app, the Context's block count and input, the policy
-// name, the whole cfg and fcfg (configKey). Profile-guided policies use the
+// name, the whole cfg and fcfg (runKey). Profile-guided policies use the
 // context's FLACK profile, as in Context.timing. A memo hit replays
 // nothing, so it streams no uopcache_* events and moves no uopcache_*
 // metrics; it counts one behavior_memo_hit_total, a replay one
@@ -33,7 +33,7 @@ func (c *Context) behavior(app string, cfg core.Config, name string, fcfg policy
 	if fcfg.WeightBits == 0 {
 		fcfg = policy.DefaultFURBYSConfig()
 	}
-	key := fmt.Sprintf("%s/0/%d/%s/%s/%s", app, c.Blocks, name, configKey(cfg), configKey(fcfg))
+	key := runKey{app: app, blocks: c.Blocks, name: name, cfg: cfg, fcfg: fcfg}
 	replayed := false
 	res, err := once(c, c.caches.behaviors, key, func() (core.BehaviorResult, error) {
 		replayed = true

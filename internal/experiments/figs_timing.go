@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 
 	"uopsim/internal/backend"
@@ -20,15 +18,15 @@ import (
 // the context geometry behind fig9, fig12, fig13 and fig14 — simulate once
 // per Context. Concurrent cells needing the same run share one flight.
 //
-// The key covers the app, the Context's block count and input, the policy
-// name and the whole cfg (configKey), so two configs that differ in any
-// field never share an entry. Profile-guided policies use the context's
+// The key (runKey) covers the app, the Context's block count and input, the
+// policy name and the whole cfg, so two configs that differ in any field
+// never share an entry. Profile-guided policies use the context's
 // FLACK profile, and every simulation walks the trace's shared timing path
 // (timingPath). A memo hit simulates nothing, so it streams no uopcache_*
 // events and moves no uopcache_* or frontend_* metrics; it counts one
 // timing_memo_hit_total, a simulation one timing_memo_miss_total.
 func (c *Context) timing(app string, cfg core.Config, name string) (core.TimingResult, error) {
-	key := fmt.Sprintf("%s/0/%d/%s/%s", app, c.Blocks, name, configKey(cfg))
+	key := runKey{app: app, blocks: c.Blocks, name: name, cfg: cfg}
 	simulated := false
 	res, err := once(c, c.caches.times, key, func() (core.TimingResult, error) {
 		simulated = true
@@ -73,10 +71,7 @@ func (c *Context) timing(app string, cfg core.Config, name string) (core.TimingR
 // A trace whose windows are not its FormPWs windows panics in the build and
 // fails the requesting cell; later requests get the cached error.
 func (c *Context) timingPath(app string, cfg core.Config) (*frontend.Path, error) {
-	key := fmt.Sprintf("%s/0/%d/%s", app, c.Blocks, configKey(struct {
-		Branch  branch.Config
-		Backend backend.Config
-	}{cfg.Branch, cfg.Backend}))
+	key := pathKey{app: app, blocks: c.Blocks, branch: cfg.Branch, backend: cfg.Backend}
 	built := false
 	path, err := once(c, c.caches.paths, key, func() (*frontend.Path, error) {
 		built = true
@@ -97,14 +92,34 @@ func (c *Context) timingPath(app string, cfg core.Config) (*frontend.Path, error
 	return path, err
 }
 
-// configKey digests v's full printed form. core.Config is not comparable
-// (branch.Config.HistLens is a slice), and a hand-picked subset of fields
-// would let two configs that differ elsewhere share a memo entry; %+v
-// prints every field, floats in their shortest exact form.
-func configKey(v any) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", v)))
-	return hex.EncodeToString(sum[:8])
+// runKey names a memoized behaviour or timing run of an app's input-0
+// trace at a block count: the policy, the whole config and, for behaviour
+// runs, the FURBYS tuning. The configs are comparable values, so the key
+// covers every field of both without printing or hashing them.
+type runKey struct {
+	app    string
+	blocks int
+	name   string
+	cfg    core.Config
+	fcfg   policy.FURBYSConfig
 }
+
+// String names the run in singleflight spans and errors.
+func (k runKey) String() string {
+	return fmt.Sprintf("%s/0/%d/%s/%s", k.app, k.blocks, k.name, k.cfg.Name)
+}
+
+// pathKey names a memoized timing path: an app's input-0 trace at a block
+// count under one predictor and one backend config, every field of each.
+type pathKey struct {
+	app     string
+	blocks  int
+	branch  branch.Config
+	backend backend.Config
+}
+
+// String names the path in singleflight spans and errors.
+func (k pathKey) String() string { return fmt.Sprintf("%s/0/%d", k.app, k.blocks) }
 
 // Fig2PerfectStructures reproduces Fig. 2: per-core performance-per-watt
 // gain when each frontend structure is made perfect.

@@ -3,7 +3,6 @@ package frontend
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"uopsim/internal/backend"
 	"uopsim/internal/branch"
@@ -53,7 +52,6 @@ const (
 // block emits more windows or a window stalls for more cycles than the
 // compact encoding holds, rather than truncate either.
 func NewPath(blocks []trace.Block, pws []trace.PW, bcfg branch.Config, becfg backend.Config) *Path {
-	bcfg.HistLens = slices.Clone(bcfg.HistLens)
 	p := &Path{
 		blocks: blocks, pws: pws, bcfg: bcfg, becfg: becfg,
 		steps:  make([]uint16, len(blocks)),
@@ -108,7 +106,7 @@ func NewPath(blocks []trace.Block, pws []trace.PW, bcfg branch.Config, becfg bac
 // backend configurations; a nil p is for nothing.
 func (p *Path) For(blocks []trace.Block, pws []trace.PW, bcfg branch.Config, becfg backend.Config) bool {
 	return p != nil && sameSlice(p.blocks, blocks) && sameSlice(p.pws, pws) &&
-		p.bcfg.Equal(bcfg) && p.becfg == becfg
+		p.bcfg == bcfg && p.becfg == becfg
 }
 
 // sameSlice reports whether a and b are the same view of the same array.

@@ -3,9 +3,11 @@ package offline
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"uopsim/internal/flow"
 	"uopsim/internal/parallel"
+	"uopsim/internal/telemetry"
 	"uopsim/internal/trace"
 	"uopsim/internal/uopcache"
 )
@@ -208,19 +210,63 @@ type segScratch struct {
 	g         flow.Graph
 }
 
-// interval is one outer edge: the request it starts at and its edge id.
+// interval is one outer edge: the request it starts at, its size in
+// entries, the per-unit cost of missing it, and its edge id once the graph
+// is built.
 type interval struct {
-	edge int
-	from int
+	from, edge    int
+	size, perUnit int64
 }
 
 var scratchPool = sync.Pool{New: func() any {
 	return &segScratch{next: make(map[uint64]int)}
 }}
 
+// segmentsTotal and segmentsSolved count the (set, segment) instances
+// solveSegment planned and those of them it handed to the flow solver;
+// exposed as offline_segments_total and offline_segments_solved_total.
+var segmentsTotal, segmentsSolved atomic.Uint64
+
+// RegisterMetrics exposes the segment counters in reg, refreshed at each
+// collection: offline_segments_total counts every (set, segment) instance
+// planned, and offline_segments_solved_total those whose capacity binds and
+// which therefore ran a flow solve. Their ratio is the share of segments
+// that pay for a solve.
+func RegisterMetrics(reg *telemetry.Registry) {
+	total := reg.Counter("offline_segments_total")
+	solved := reg.Counter("offline_segments_solved_total")
+	reg.OnCollect(func() {
+		total.Store(segmentsTotal.Load())
+		solved.Store(segmentsSolved.Load())
+	})
+}
+
 // solveSegment runs the min-cost-flow formulation on one per-set segment,
 // writes keep decisions into dec and returns the flow cost.
+//
+// The network has a node per request, an inner edge of capacity ways and
+// cost 0 between consecutive requests, and an outer edge per interval
+// (request i to the next request j of the same object) of capacity size
+// and per-unit cost perUnit, the cost of missing it; node i supplies and
+// node j demands size units. Flow on an interval's outer edge is the part
+// of it that misses, so an interval is kept when its outer edge carries
+// none. The supply's prefix sum at gap k (between requests k and k+1) is
+// the load: the total size of the intervals open across that gap.
+//
+// A segment whose capacity never binds is not solved. If the load is at
+// most ways at every gap and every interval has perUnit > 0, keeping every
+// interval is the unique optimum: routing every interval over the inner
+// edges puts exactly the load on each inner edge, which fits, so the plan
+// is feasible at cost 0; and any other feasible flow puts some units on an
+// outer edge, each costing perUnit > 0, so it costs more. The solver would
+// return exactly that plan, so the shortcut keeps every interval and
+// returns 0 without building the graph. An interval with perUnit == 0 (a
+// VC window of 0 micro-ops) costs nothing to miss, so the solver's
+// tie-breaking decides it and its segment is always solved. The check is
+// folded into the loop that fills the supply vector: supply[i] is final once
+// request i is visited, because later requests only add to later nodes.
 func solveSegment(reqs []fooRequest, ways int, model CostModel, dec *Decisions) int64 {
+	segmentsTotal.Add(1)
 	m := len(reqs)
 	if m < 2 {
 		return 0
@@ -244,44 +290,54 @@ func solveSegment(reqs []fooRequest, ways int, model CostModel, dec *Decisions) 
 		}
 		next[reqs[i].id] = i
 	}
+	// Price the intervals, fill the supply vector and track the load.
+	intervals := grow(sc.intervals, nIntervals)[:0]
+	sc.supply = grow(sc.supply, m)
+	supply := sc.supply
+	clear(supply)
+	fits := true
+	var load int64
+	for i := 0; i < m; i++ {
+		if j := nextOcc[i]; j >= 0 {
+			size := int64(reqs[i].size)
+			var missCost int64
+			switch model {
+			case CostOHR:
+				missCost = 1
+			case CostBHR:
+				missCost = size
+			case CostVC:
+				missCost = int64(reqs[i].cost)
+			}
+			// Per-unit cost of NOT caching the interval; costScale
+			// keeps it integral for any size 1..8.
+			perUnit := costScale * missCost / size
+			intervals = append(intervals, interval{from: i, size: size, perUnit: perUnit})
+			supply[i] += size
+			supply[j] -= size
+			fits = fits && perUnit > 0
+		}
+		load += supply[i]
+		fits = fits && load <= int64(ways)
+	}
+	sc.intervals = intervals
+	if fits {
+		for _, iv := range intervals {
+			dec.Keep[reqs[iv.from].pos] = true
+		}
+		return 0
+	}
+	segmentsSolved.Add(1)
 	g := &sc.g
 	g.Reset(m, (m-1)+nIntervals+m)
 	// Inner edges: consecutive requests share the set's entry capacity.
 	for i := 0; i+1 < m; i++ {
 		g.AddEdge(i, i+1, int64(ways), 0)
 	}
-	// Outer edges: one per interval (request -> next request of the same
-	// object within the segment).
-	intervals := grow(sc.intervals, nIntervals)[:0]
-	sc.supply = grow(sc.supply, m)
-	supply := sc.supply
-	clear(supply)
-	for i := 0; i < m; i++ {
-		j := nextOcc[i]
-		if j < 0 {
-			continue
-		}
-		size := int64(reqs[i].size)
-		var missCost int64
-		switch model {
-		case CostOHR:
-			missCost = 1
-		case CostBHR:
-			missCost = size
-		case CostVC:
-			missCost = int64(reqs[i].cost)
-		}
-		// Per-unit cost of NOT caching the interval; costScale keeps
-		// it integral for any size 1..8.
-		perUnit := costScale * missCost / size
-		e := g.AddEdge(i, j, size, perUnit)
-		intervals = append(intervals, interval{edge: e, from: i})
-		supply[i] += size
-		supply[j] -= size
-	}
-	sc.intervals = intervals
-	if len(intervals) == 0 {
-		return 0
+	// Outer edges: one per interval, in request order.
+	for k := range intervals {
+		iv := &intervals[k]
+		iv.edge = g.AddEdge(iv.from, nextOcc[iv.from], iv.size, iv.perUnit)
 	}
 	// The network is always feasible: every outer edge can carry its own
 	// supply. An error here is a programming bug.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"uopsim/internal/flow"
@@ -204,7 +205,9 @@ func refSolveSegment(reqs []fooRequest, ways int, model CostModel) (keep []int32
 // every application with the production solver and with the primal-dual
 // full-Dijkstra reference, under the three cost models, with and without
 // variant folding, at 4, 8 and 16 ways. Every segment's keep-set and flow
-// cost must match.
+// cost must match. The comparison must cover both of solveSegment's paths
+// at every way count: segments whose intervals all fit, which keep them all
+// without a flow solve, and segments whose capacity binds.
 //
 // Real traces matter here: their loops produce many equal-cost shortest
 // paths, so they exercise the tie-breaking that decides a keep plan. A
@@ -217,13 +220,18 @@ func TestKeepPlansMatchReferenceOnWorkloadTraces(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		blocks = 1500
 	}
+	waysList := []int{4, 8, 16}
+	paths := map[int]*struct{ uncontended, contended int }{}
+	for _, ways := range waysList {
+		paths[ways] = &struct{ uncontended, contended int }{}
+	}
 	for _, app := range workload.Names() {
 		spec, err := workload.Get(app)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pws := trace.FormPWs(workload.GenerateSpec(spec, blocks, 0), 0)
-		for _, ways := range []int{4, 8, 16} {
+		for _, ways := range waysList {
 			cfg := uopcache.Config{Entries: 512, Ways: ways, UopsPerEntry: 8}
 			pt := uopcache.Prepare(cfg, pws)
 			for _, model := range []CostModel{CostOHR, CostBHR, CostVC} {
@@ -231,8 +239,15 @@ func TestKeepPlansMatchReferenceOnWorkloadTraces(t *testing.T) {
 					name := fmt.Sprintf("%s/ways=%d/%v/fold=%v", app, ways, model, fold)
 					dec := &Decisions{Keep: make([]bool, pt.Len())}
 					for k, seg := range segmentRequests(pt, cfg, fold, 0) {
+						solved0 := segmentsSolved.Load()
 						cost := solveSegment(seg, ways, model, dec)
 						keep, refCost := refSolveSegment(seg, ways, model)
+						switch {
+						case segmentsSolved.Load() != solved0:
+							paths[ways].contended++
+						case len(keep) > 0:
+							paths[ways].uncontended++
+						}
 						if cost != refCost {
 							t.Fatalf("%s segment %d: cost %d, reference %d", name, k, cost, refCost)
 						}
@@ -249,6 +264,79 @@ func TestKeepPlansMatchReferenceOnWorkloadTraces(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+	for _, ways := range waysList {
+		p := paths[ways]
+		t.Logf("ways=%d: %d uncontended segments kept whole, %d solved", ways, p.uncontended, p.contended)
+		if p.uncontended == 0 || p.contended == 0 {
+			t.Errorf("ways=%d: %d uncontended and %d contended segments; the reference must cover both paths",
+				ways, p.uncontended, p.contended)
+		}
+	}
+}
+
+// TestSolveSegmentSkipsUncontendedSegments: a segment whose intervals fit
+// the set at every gap, each with a positive miss cost, keeps every
+// interval without touching the flow solver; a segment whose load exceeds
+// the ways at one gap, or one with an interval that costs nothing to miss,
+// is solved. Every case matches the reference solve.
+func TestSolveSegmentSkipsUncontendedSegments(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	flow.RegisterMetrics(reg)
+	counters := []*telemetry.Counter{
+		reg.Counter("flow_solver_reuse_total"), reg.Counter("flow_solver_fresh_total"),
+		reg.Counter("flow_phases_total"), reg.Counter("flow_augmentations_total"), reg.Counter("flow_settled_total"),
+	}
+	flowWork := func() (sum uint64) {
+		reg.Collect()
+		for _, c := range counters {
+			sum += c.Value()
+		}
+		return sum
+	}
+	// req builds request i of object id with a size in entries and a
+	// micro-op count.
+	req := func(i int, id uint64, size, cost int32) fooRequest {
+		return fooRequest{pos: int32(i), id: id, size: size, cost: cost}
+	}
+	for _, tc := range []struct {
+		name   string
+		ways   int
+		model  CostModel
+		reqs   []fooRequest
+		solved bool
+	}{
+		// A opens over gaps 0-1, B over gaps 1-2: two entries at gap 1.
+		{"load equals ways", 2, CostOHR,
+			[]fooRequest{req(0, 'A', 1, 6), req(1, 'B', 1, 6), req(2, 'A', 1, 6), req(3, 'B', 1, 6)}, false},
+		{"sized load equals ways", 8, CostVC,
+			[]fooRequest{req(0, 'A', 5, 40), req(1, 'B', 3, 20), req(2, 'A', 5, 40), req(3, 'B', 3, 20)}, false},
+		{"load one over ways", 1, CostOHR,
+			[]fooRequest{req(0, 'A', 1, 6), req(1, 'B', 1, 6), req(2, 'A', 1, 6), req(3, 'B', 1, 6)}, true},
+		{"sized load one over ways", 8, CostBHR,
+			[]fooRequest{req(0, 'A', 5, 40), req(1, 'B', 4, 30), req(2, 'A', 5, 40), req(3, 'B', 4, 30)}, true},
+		// B's window has no micro-ops, so missing it costs 0 under VC.
+		{"zero-cost interval", 2, CostVC,
+			[]fooRequest{req(0, 'A', 1, 6), req(1, 'B', 1, 0), req(2, 'A', 1, 6), req(3, 'B', 1, 0)}, true},
+	} {
+		solved0, work0 := segmentsSolved.Load(), flowWork()
+		dec := &Decisions{Keep: make([]bool, len(tc.reqs))}
+		cost := solveSegment(tc.reqs, tc.ways, tc.model, dec)
+		solved, work := segmentsSolved.Load() != solved0, flowWork() != work0
+		if solved != tc.solved || work != tc.solved {
+			t.Errorf("%s: solved %v, flow counters moved %v; want %v", tc.name, solved, work, tc.solved)
+		}
+		keep, refCost := refSolveSegment(tc.reqs, tc.ways, tc.model)
+		want := make([]bool, len(tc.reqs))
+		for _, p := range keep {
+			want[p] = true
+		}
+		if cost != refCost || !slices.Equal(dec.Keep, want) {
+			t.Errorf("%s: cost %d keep %v, reference %d %v", tc.name, cost, dec.Keep, refCost, want)
+		}
+		if !tc.solved && (cost != 0 || !dec.Keep[0] || !dec.Keep[1]) {
+			t.Errorf("%s: uncontended segment kept %v at cost %d, want both intervals at 0", tc.name, dec.Keep, cost)
 		}
 	}
 }
@@ -397,50 +485,71 @@ func TestComputeDecisionsAllocsFixed(t *testing.T) {
 }
 
 // BenchmarkSolveWorkloads solves keep plans serially and reports the solve
-// cost per lookup (ns/lookup) and the Dijkstra nodes settled per phase
-// (settled/phase). The all/blocks=5000 case solves the FOO (OHR) and FLACK
-// (VC, fold) plans of every application's 5,000-block trace; the
-// blocks=80000 cases solve the FLACK plan of kafka and clang at the
-// committed results' scale, where segments are longest.
+// cost per lookup (ns/lookup), the share of (set, segment) instances that
+// ran a flow solve (solved/segment) and the Dijkstra nodes settled per
+// phase (settled/phase). The all/blocks=5000 case solves the FOO (OHR) and
+// FLACK (VC, fold) plans of every application's 5,000-block trace at the
+// default 512×8 geometry; the blocks=80000 cases solve the FLACK plan of
+// kafka and clang at the committed results' scale, at the default geometry
+// and at fig16's 256×16 (long segments) and 2048×16 (short ones).
 func BenchmarkSolveWorkloads(b *testing.B) {
-	cfg := uopcache.DefaultConfig()
-	prepare := func(b *testing.B, app string, blocks int) *trace.PreparedTrace {
+	prepare := func(b *testing.B, cfg uopcache.Config, app string, blocks int) *trace.PreparedTrace {
 		spec, err := workload.Get(app)
 		if err != nil {
 			b.Fatal(err)
 		}
 		return uopcache.Prepare(cfg, trace.FormPWs(workload.GenerateSpec(spec, blocks, 0), 0))
 	}
+	def := uopcache.DefaultConfig()
 	b.Run("all/blocks=5000", func(b *testing.B) {
 		var pts []*trace.PreparedTrace
 		for _, app := range workload.Names() {
-			pts = append(pts, prepare(b, app, 5000))
+			pts = append(pts, prepare(b, def, app, 5000))
 		}
 		benchSolve(b, pts, func(pt *trace.PreparedTrace) int {
-			ComputeDecisionsPrepared(nil, pt, cfg, CostOHR, false, 0, 1)
-			ComputeDecisionsPrepared(nil, pt, cfg, CostVC, true, 0, 1)
+			ComputeDecisionsPrepared(nil, pt, def, CostOHR, false, 0, 1)
+			ComputeDecisionsPrepared(nil, pt, def, CostVC, true, 0, 1)
 			return 2 * pt.Len()
 		})
 	})
 	for _, app := range []string{"kafka", "clang"} {
-		b.Run(app+"/blocks=80000/flack", func(b *testing.B) {
-			pt := prepare(b, app, 80000)
-			benchSolve(b, []*trace.PreparedTrace{pt}, func(pt *trace.PreparedTrace) int {
-				ComputeDecisionsPrepared(nil, pt, cfg, CostVC, true, 0, 1)
-				return pt.Len()
+		for _, geom := range []struct {
+			name string
+			cfg  uopcache.Config
+		}{
+			{"", def},
+			{"/256x16", uopcache.Config{Entries: 256, Ways: 16, UopsPerEntry: def.UopsPerEntry}},
+			{"/2048x16", uopcache.Config{Entries: 2048, Ways: 16, UopsPerEntry: def.UopsPerEntry}},
+		} {
+			cfg := geom.cfg
+			b.Run(app+"/blocks=80000"+geom.name+"/flack", func(b *testing.B) {
+				pt := prepare(b, cfg, app, 80000)
+				benchSolve(b, []*trace.PreparedTrace{pt}, func(pt *trace.PreparedTrace) int {
+					ComputeDecisionsPrepared(nil, pt, cfg, CostVC, true, 0, 1)
+					return pt.Len()
+				})
 			})
-		})
+		}
 	}
 }
 
 // benchSolve times solve over pts, which returns the lookups it solved, and
-// reports ns/lookup and settled/phase from the flow work counters.
+// reports ns/lookup, solved/segment from the offline segment counters and
+// settled/phase from the flow work counters (0 when no segment ran a
+// phase).
 func benchSolve(b *testing.B, pts []*trace.PreparedTrace, solve func(*trace.PreparedTrace) int) {
 	reg := telemetry.NewRegistry()
 	flow.RegisterMetrics(reg)
-	phases, settled := reg.Counter("flow_phases_total"), reg.Counter("flow_settled_total")
+	RegisterMetrics(reg)
+	counters := []*telemetry.Counter{
+		reg.Counter("offline_segments_total"), reg.Counter("offline_segments_solved_total"),
+		reg.Counter("flow_phases_total"), reg.Counter("flow_settled_total"),
+	}
 	reg.Collect()
-	p0, s0 := phases.Value(), settled.Value()
+	start := make([]uint64, len(counters))
+	for i, c := range counters {
+		start[i] = c.Value()
+	}
 	lookups := 0
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -451,6 +560,13 @@ func benchSolve(b *testing.B, pts []*trace.PreparedTrace, solve func(*trace.Prep
 	}
 	b.StopTimer()
 	reg.Collect()
+	delta := func(i int) float64 { return float64(counters[i].Value() - start[i]) }
+	segments, solved, phases, settled := delta(0), delta(1), delta(2), delta(3)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(lookups), "ns/lookup")
-	b.ReportMetric(float64(settled.Value()-s0)/float64(phases.Value()-p0), "settled/phase")
+	b.ReportMetric(solved/segments, "solved/segment")
+	perPhase := 0.0
+	if phases > 0 {
+		perPhase = settled / phases
+	}
+	b.ReportMetric(perPhase, "settled/phase")
 }
