@@ -129,7 +129,8 @@ func (c *Cache) Access(addr uint64) bool {
 	set, tag := c.index(addr)
 	ways := c.set(set)
 	for i := range ways {
-		if ways[i].valid() && ways[i].tag == tag {
+		// The tag first: it rules out almost every way on its own.
+		if ways[i].tag == tag && ways[i].valid() {
 			ways[i].lastUse = c.clock
 			return true
 		}

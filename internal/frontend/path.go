@@ -58,7 +58,7 @@ func NewPath(blocks []trace.Block, pws []trace.PW, bcfg branch.Config, becfg bac
 		stalls: make([]uint16, len(pws)),
 	}
 	bp := branch.New(bcfg)
-	w := windowWalk{blocks: blocks, pws: pws}
+	w := newWindowWalk(blocks, pws)
 	k, at := 0, w.emission(0)
 	for i := range blocks {
 		b := &blocks[i]

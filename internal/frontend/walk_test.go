@@ -59,7 +59,7 @@ func formWithEmission(blocks []trace.Block) ([]trace.PW, []int) {
 func checkEmission(t *testing.T, blocks []trace.Block) {
 	t.Helper()
 	pws, want := formWithEmission(blocks)
-	w := windowWalk{blocks: blocks, pws: pws}
+	w := newWindowWalk(blocks, pws)
 	for k := range pws {
 		if got := w.emission(k); got != want[k] {
 			t.Fatalf("window %d of %d (%+v): walk emits at block %d, Former at block %d", k, len(pws), pws[k], got, want[k])

@@ -224,6 +224,9 @@ type Cache struct {
 	// idxLen-entry linear-probe index (power of two, <=50% loaded).
 	capSlots int
 	idxMask  uint32
+	// setMask is the set count less one (Config.Validate requires a power
+	// of two), computed once so SetIndex does not divide.
+	setMask uint64
 
 	// totalResidents counts occupied slots cache-wide (the value behind
 	// the uopcache_slot_occupancy gauge).
@@ -355,6 +358,7 @@ func New(cfg Config, policy Policy) *Cache {
 	}
 	c.idxMask = uint32(idxLen - 1)
 	numSets := cfg.Sets()
+	c.setMask = uint64(numSets - 1)
 	occWords := (c.capSlots + 63) / 64
 	// One backing array per kind, sliced per set: contiguous, and a single
 	// allocation each.
@@ -476,17 +480,20 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Policy() Policy { return c.policy }
 
 // SetIndex maps a window start address to its set.
-func (c *Cache) SetIndex(start uint64) int { return c.cfg.SetIndex(start) }
+func (c *Cache) SetIndex(start uint64) int { return foldSet(start, c.setMask) }
 
 // SetIndex maps a window start address to its set for this geometry; offline
 // policies use it to partition the lookup trace per set.
-func (c Config) SetIndex(start uint64) int {
-	// Fold two bit ranges above the low offset bits. Plain bit selection
-	// ((start>>4) & mask) severely imbalances sets on structured code
-	// layouts (functions laid out at regular strides), inflating conflict
-	// misses far beyond the paper's ~11%; XOR-folding is the standard
-	// cure and matches how real frontends hash micro-op cache indices.
-	return int(((start >> 4) ^ (start >> 11)) & uint64(c.Sets()-1))
+func (c Config) SetIndex(start uint64) int { return foldSet(start, uint64(c.Sets()-1)) }
+
+// foldSet is the set of a window starting at start among setMask+1 sets.
+// It folds two bit ranges above the low offset bits. Plain bit selection
+// ((start>>4) & mask) severely imbalances sets on structured code layouts
+// (functions laid out at regular strides), inflating conflict misses far
+// beyond the paper's ~11%; XOR-folding is the standard cure and matches how
+// real frontends hash micro-op cache indices.
+func foldSet(start, setMask uint64) int {
+	return int(((start >> 4) ^ (start >> 11)) & setMask)
 }
 
 // Footprint returns a window's storage cost in the geometry's accounting

@@ -2,6 +2,7 @@ package uopcache_test
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"uopsim/internal/cache"
@@ -46,6 +47,32 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if got := uopcache.DefaultConfig().Sets(); got != 64 {
 		t.Errorf("default sets = %d, want 64", got)
+	}
+}
+
+// TestCacheSetIndexMatchesConfig checks that a cache's set index, which
+// masks with the set count New computed, is its Config's on the default
+// geometry and on every fig16 geometry, over random window starts.
+func TestCacheSetIndexMatchesConfig(t *testing.T) {
+	cfgs := []uopcache.Config{uopcache.DefaultConfig()}
+	for _, entries := range []int{256, 512, 1024, 2048} {
+		for _, ways := range []int{4, 8, 16} {
+			cfg := uopcache.DefaultConfig()
+			cfg.Entries, cfg.Ways = entries, ways
+			if cfg.Validate() == nil {
+				cfgs = append(cfgs, cfg)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, cfg := range cfgs {
+		c := uopcache.New(cfg, policy.NewLRU())
+		for range 10000 {
+			start := rng.Uint64() >> uint(rng.Intn(64))
+			if got, want := c.SetIndex(start), cfg.SetIndex(start); got != want {
+				t.Fatalf("%dx%d: Cache.SetIndex(%#x) = %d, Config.SetIndex = %d", cfg.Entries, cfg.Ways, start, got, want)
+			}
+		}
 	}
 }
 
