@@ -50,26 +50,15 @@ func NewFormer(maxUops int) *Former {
 
 // Add consumes one dynamic block, emitting any completed windows. It walks
 // the block's instructions with a running address and micro-op count, each
-// instruction taking the quotient plus, for the first remainder of them, one
-// more: the boundaries Block.InstAddr and Block.UopsBefore define, without a
-// division per instruction.
+// instruction taking its share of the block's Split: the boundaries
+// Block.InstAddr and Block.UopsBefore define, without a division per
+// instruction.
 func (f *Former) Add(b Block, emit func(PW)) {
-	n := b.NumInst
-	var byteQ, byteR, uopQ, uopR uint16
-	if n > 0 {
-		byteQ, byteR = b.Bytes/n, b.Bytes%n
-		uopQ, uopR = b.NumUops/n, b.NumUops%n
-	}
+	s := b.Split()
 	maxSpan := f.maxSpan()
 	addr := b.Addr
-	for i := uint16(0); i < n; i++ {
-		size, uops := byteQ, uopQ
-		if i < byteR {
-			size++
-		}
-		if i < uopR {
-			uops++
-		}
+	for i := uint16(0); i < b.NumInst; i++ {
+		size, uops := s.InstBytes(i), s.InstUops(i)
 		if !f.curActive {
 			f.begin(addr)
 		}

@@ -109,23 +109,55 @@ func (b Block) EndsTaken() bool { return b.Kind.IsBranch() && b.Taken }
 
 // InstAddr returns the address of instruction i of the block; i == NumInst
 // gives the fall-through address. Together with UopsBefore it is the one
-// definition of instruction boundaries inside a block.
-func (b Block) InstAddr(i int) uint64 { return b.Addr + uint64(share(b.Bytes, b.NumInst, i)) }
+// definition of instruction boundaries inside a block (see Split).
+func (b Block) InstAddr(i int) uint64 { return b.Addr + uint64(b.Split().BytesBefore(i)) }
 
 // UopsBefore returns the micro-ops of the block's first i instructions.
-func (b Block) UopsBefore(i int) int { return share(b.NumUops, b.NumInst, i) }
+func (b Block) UopsBefore(i int) int { return b.Split().UopsBefore(i) }
 
-// share apportions total units (bytes or micro-ops) across n instructions
-// and returns the units of the first i: each instruction gets total/n and
-// the first total%n get one extra. This approximates instruction boundaries
-// without modelling real x86 encodings; all that matters downstream is
-// where line boundaries fall and how many micro-ops each side of a cut
-// carries.
-func share(total, n uint16, i int) int {
-	if n == 0 {
-		return 0
+// Split is a block's bytes and micro-ops apportioned across its
+// instructions: each instruction gets the quotient of the total over
+// NumInst, and the first remainder of them one more. This approximates
+// instruction boundaries without modelling real x86 encodings; all that
+// matters downstream is where line boundaries fall and how many micro-ops
+// each side of a cut carries. A Split divides once, so that a walk over a
+// block's instructions asks for boundaries without a division each.
+type Split struct {
+	byteQ, byteR, uopQ, uopR uint16
+}
+
+// Split returns the block's instruction split. It reads the block through
+// a pointer: copying a block that was just stored field by field costs a
+// stalled load on every Former.Add.
+func (b *Block) Split() Split {
+	var s Split
+	if n := b.NumInst; n > 0 {
+		s.byteQ, s.byteR = b.Bytes/n, b.Bytes%n
+		s.uopQ, s.uopR = b.NumUops/n, b.NumUops%n
 	}
-	return i*int(total/n) + min(i, int(total%n))
+	return s
+}
+
+// BytesBefore returns the bytes of the first i instructions.
+func (s Split) BytesBefore(i int) int { return i*int(s.byteQ) + min(i, int(s.byteR)) }
+
+// UopsBefore returns the micro-ops of the first i instructions.
+func (s Split) UopsBefore(i int) int { return i*int(s.uopQ) + min(i, int(s.uopR)) }
+
+// InstBytes returns the bytes of instruction i.
+func (s Split) InstBytes(i uint16) uint16 {
+	if i < s.byteR {
+		return s.byteQ + 1
+	}
+	return s.byteQ
+}
+
+// InstUops returns the micro-ops of instruction i.
+func (s Split) InstUops(i uint16) uint16 {
+	if i < s.uopR {
+		return s.uopQ + 1
+	}
+	return s.uopQ
 }
 
 // LineSize is the instruction-cache line size in bytes; PW formation cuts

@@ -214,10 +214,15 @@ func TestInstBoundariesConserve(t *testing.T) {
 		}
 		// Every instruction gets the even share, the first remainder ones
 		// one unit more, so sizes never grow along the block.
+		// InstBytes and InstUops are the same differences.
 		prevBytes, prevUops := int(bytes)+1, int(nuops)+1
+		s := b.Split()
 		for i := 0; i < int(ninst); i++ {
 			by := int(b.InstAddr(i+1) - b.InstAddr(i))
 			uo := b.UopsBefore(i+1) - b.UopsBefore(i)
+			if by != int(s.InstBytes(uint16(i))) || uo != int(s.InstUops(uint16(i))) {
+				return false
+			}
 			if by > prevBytes || uo > prevUops || by-int(bytes)/int(ninst) > 1 || uo-int(nuops)/int(ninst) > 1 {
 				return false
 			}
