@@ -102,6 +102,12 @@ func BenchmarkAllFiguresSerial(b *testing.B)   { benchAllFigures(b, 1) }
 func BenchmarkAllFiguresParallel(b *testing.B) { benchAllFigures(b, 0) }
 
 // --- Micro-benchmarks of the core building blocks ---
+//
+// These measure and gate nothing. The allocation counts of their paths are
+// pinned exactly by AllocsPerRun tests next to the code (for example
+// TestRunBehaviorAllocsFixed, TestReplayAllocsZero and
+// TestComputeDecisionsAllocsFixed), and CI's wall-clock gate is a short
+// perfbench run of each workload.
 
 func benchTracePWs(b *testing.B, app string, blocks int) []trace.PW {
 	b.Helper()

@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"uopsim/internal/core"
 	"uopsim/internal/frontend"
 	"uopsim/internal/policy"
+	"uopsim/internal/profiles"
 	"uopsim/internal/uopcache"
 )
 
@@ -86,31 +88,33 @@ func TestNonInclusiveNeverWorse(t *testing.T) {
 }
 
 // TestRunTimingAllocsFixed pins the allocations of one timing run on a
-// fixed trace (kafka, 4,000 blocks, LRU at the Table-I config). Measured:
-// 36 per RunTiming, of which 21 build the trace's path (predictor tables,
-// the two data caches, the step and stall arrays) and the rest are the
-// micro-op cache, its policy and the L1i. The caches and the BTB keep each
-// structure in one backing array, so no count here grows with the set
-// count; before that, one run took 3,680, and 484 while the micro-op cache
-// still allocated per line gaining a set.
+// fixed trace (kafka, 4,000 blocks, LRU at the Table-I config): 35 per
+// RunTiming, of which 20 build the trace's path (predictor tables, the two
+// data caches, the step and stall arrays) and the rest are the micro-op
+// cache, its policy and the L1i. A run over a prebuilt path allocates 15.
+// The caches and the BTB keep each structure in one backing array, so no
+// count here grows with the set count. The counts are taken with the
+// collector off: a collection during the count adds allocations of the
+// runtime's own (two here).
 func TestRunTimingAllocsFixed(t *testing.T) {
-	const maxRun, maxPath = 59, 24
+	const wantRun, wantPath, wantReuse = 35, 20, 15
 	blocks, pws, err := core.TraceFor("kafka", 4000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	run := testing.AllocsPerRun(5, func() {
 		core.RunTiming(blocks, pws, cfg, policy.NewLRU(), core.Telemetry{})
 	})
-	if run > maxRun {
-		t.Errorf("RunTiming: %.0f allocations, want at most %d", run, maxRun)
+	if run != wantRun {
+		t.Errorf("RunTiming: %.0f allocations, want %d", run, wantRun)
 	}
 	path := testing.AllocsPerRun(5, func() {
 		frontend.NewPath(blocks, pws, cfg.Branch, cfg.Backend)
 	})
-	if path > maxPath {
-		t.Errorf("NewPath: %.0f allocations, want at most %d", path, maxPath)
+	if path != wantPath {
+		t.Errorf("NewPath: %.0f allocations, want %d", path, wantPath)
 	}
 	p := frontend.NewPath(blocks, pws, cfg.Branch, cfg.Backend)
 	reuse := testing.AllocsPerRun(5, func() {
@@ -118,49 +122,70 @@ func TestRunTimingAllocsFixed(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if reuse > run-path {
-		t.Errorf("a run over a prebuilt path allocates %.0f, want at most %.0f (a run minus a path build)", reuse, run-path)
+	if reuse != wantReuse {
+		t.Errorf("a run over a prebuilt path: %.0f allocations, want %d", reuse, wantReuse)
 	}
 }
 
 // TestRunBehaviorAllocsFixed pins the allocations of one behaviour run over
-// a prepared trace: the micro-op cache, its policy and (with the inclusive
-// L1i) the icache, and nothing per lookup, insertion or eviction. The
-// cache's line-count table is sized in New and a resident's lines follow
-// from its start and size, so the count is the same at 4,000 and 16,000
-// blocks (measured 12-21; Mockingjay 29-34, see below). A run that
-// allocated per line gaining a set took 460-642, growing with the trace.
+// a prepared kafka trace at 4,000 and 20,000 blocks: the micro-op cache, its
+// policy and the run's result, plus 3 for the inclusive L1i, and nothing per
+// lookup, insertion or eviction. The cache's line-count table is sized in
+// New and a resident's lines follow from its start and size, so for most
+// policies the count does not grow with the trace.
 //
-// Mockingjay's reuse-distance training history is a map keyed by window
-// start that must outlive eviction, so it grows as a longer trace reaches
-// more distinct windows (29 -> 31 allocations here). The growth check leaves
-// that policy out; the bound still covers it.
+// Two policies grow with the trace. Mockingjay's reuse-distance training
+// history is a map keyed by window start that must outlive eviction, so it
+// grows as a longer trace reaches more distinct windows. FURBYS allocates a
+// set's eviction and bypass detectors on their first use, so its count
+// grows with the sets that have evicted or bypassed. Its weights come from a
+// FLACK profile collected outside the count. The collector is off, as in
+// TestRunTimingAllocsFixed.
 func TestRunBehaviorAllocsFixed(t *testing.T) {
-	const maxRun = 39
+	const icacheAllocs = 3
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cfg := core.DefaultConfig()
-	for _, name := range []string{"lru", "srrip", "ghrp", "mockingjay"} {
-		for _, ic := range []bool{false, true} {
-			var allocs [2]float64
-			for i, blocks := range []int{4000, 16000} {
-				_, pws, err := core.TraceFor("kafka", blocks, 0)
-				if err != nil {
-					t.Fatal(err)
+	newPolicy := func(name string, weights map[uint64]uint8) uopcache.Policy {
+		if name == "furbys" {
+			return policy.NewFURBYS(policy.DefaultFURBYSConfig(), weights)
+		}
+		pol, err := core.NewPolicy(name, nil, cfg.UopCache, policy.FURBYSConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pol
+	}
+	cases := []struct {
+		name string
+		want [2]float64 // at 4,000 and 20,000 blocks, without the L1i
+	}{
+		{"lru", [2]float64{12, 12}},
+		{"srrip", [2]float64{13, 13}},
+		{"ghrp", [2]float64{18, 18}},
+		{"mockingjay", [2]float64{29, 31}},
+		{"furbys", [2]float64{28, 67}},
+	}
+	for i, blocks := range []int{4000, 20000} {
+		_, pws, err := core.TraceFor("kafka", blocks, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt := uopcache.Prepare(cfg.UopCache, pws)
+		prof := profiles.Collect(pws, cfg.UopCache, profiles.SourceFLACK)
+		weights := prof.Weights(cfg.UopCache, policy.DefaultFURBYSConfig().WeightBits)
+		for _, tc := range cases {
+			for _, ic := range []bool{false, true} {
+				want := tc.want[i]
+				if ic {
+					want += icacheAllocs
 				}
-				opts := core.BehaviorOptions{WithICache: ic, Prepared: uopcache.Prepare(cfg.UopCache, pws)}
-				allocs[i] = testing.AllocsPerRun(3, func() {
-					pol, err := core.NewPolicy(name, nil, cfg.UopCache, policy.FURBYSConfig{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					core.RunBehavior(pws, cfg, pol, opts)
+				opts := core.BehaviorOptions{WithICache: ic, Prepared: pt}
+				got := testing.AllocsPerRun(3, func() {
+					core.RunBehavior(pws, cfg, newPolicy(tc.name, weights), opts)
 				})
-			}
-			t.Logf("%s icache=%v: %.0f allocations at 4,000 blocks, %.0f at 16,000", name, ic, allocs[0], allocs[1])
-			if allocs[0] > maxRun || allocs[1] > maxRun {
-				t.Errorf("%s icache=%v: %.0f and %.0f allocations, want at most %d", name, ic, allocs[0], allocs[1], maxRun)
-			}
-			if allocs[1] > allocs[0] && name != "mockingjay" {
-				t.Errorf("%s icache=%v: allocations grow with trace length (%.0f at 4,000 blocks, %.0f at 16,000)", name, ic, allocs[0], allocs[1])
+				if got != want {
+					t.Errorf("%s icache=%v, %d blocks: %.0f allocations, want %.0f", tc.name, ic, blocks, got, want)
+				}
 			}
 		}
 	}

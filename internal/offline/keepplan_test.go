@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -454,32 +455,52 @@ var raceEnabled bool
 
 // TestComputeDecisionsAllocsFixed: with a warm scratch and solver pool a
 // solve allocates its plan and request partition and nothing per segment,
-// so doubling the segment count leaves the allocation count unchanged.
+// so doubling the segment count leaves the allocation count unchanged. The
+// fixed allocations are the plan and its Keep slice, the fold prefix
+// maxima, the per-set partition, the segment list and the fan-out closures.
+// The collector is off during the count: a collection empties the pools
+// (flow.solverPool and scratchPool), and every solve after it would
+// allocate fresh scratch. The last case is kafka's 20,000-block trace at
+// the default geometry, the FLACK solve of BenchmarkFLACKSolve.
 func TestComputeDecisionsAllocsFixed(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
 	}
-	// maxAllocs is the measured 11 fixed allocations (the plan and its
-	// Keep slice, the fold prefix maxima, the per-set partition, the
-	// segment list, the fan-out closures) plus headroom for the pools'
-	// re-pinning after a garbage collection.
-	const maxAllocs = 16
 	cfg := uopcache.Config{Entries: 256, Ways: 4, UopsPerEntry: 8}
 	rng := rand.New(rand.NewSource(3))
 	var s []trace.PW
 	for i := 0; i < 16000; i++ {
 		s = append(s, pw(uint64(0x1000+(i%300+rng.Intn(3))*16), 1+rng.Intn(24)))
 	}
-	pt := uopcache.Prepare(cfg, s)
-	for _, segLimit := range []int{64, 32} {
-		if n := len(segmentRequests(pt, cfg, true, segLimit)); n < 200 {
-			t.Fatalf("segLimit %d: only %d segments", segLimit, n)
+	synthetic := uopcache.Prepare(cfg, s)
+	spec, err := workload.Get("kafka")
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := uopcache.DefaultConfig()
+	kafka := uopcache.Prepare(def, trace.FormPWs(workload.GenerateSpec(spec, 20000, 0), 0))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		name     string
+		pt       *trace.PreparedTrace
+		cfg      uopcache.Config
+		segLimit int
+		want     float64
+	}{
+		{"synthetic/segLimit=64", synthetic, cfg, 64, 10},
+		{"synthetic/segLimit=32", synthetic, cfg, 32, 10},
+		{"kafka", kafka, def, 0, 10},
+	} {
+		if tc.segLimit != 0 {
+			if n := len(segmentRequests(tc.pt, tc.cfg, true, tc.segLimit)); n < 200 {
+				t.Fatalf("%s: only %d segments", tc.name, n)
+			}
 		}
-		allocs := testing.AllocsPerRun(10, func() {
-			ComputeDecisionsPrepared(nil, pt, cfg, CostVC, true, segLimit, 1)
+		got := testing.AllocsPerRun(10, func() {
+			ComputeDecisionsPrepared(nil, tc.pt, tc.cfg, CostVC, true, tc.segLimit, 1)
 		})
-		if allocs > maxAllocs {
-			t.Errorf("segLimit %d: %.0f allocations per solve, want at most %d", segLimit, allocs, maxAllocs)
+		if got != tc.want {
+			t.Errorf("%s: %.0f allocations per solve, want %.0f", tc.name, got, tc.want)
 		}
 	}
 }
