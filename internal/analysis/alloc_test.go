@@ -12,16 +12,22 @@ var raceEnabled bool
 // TestRunAllocsFixed pins the allocations of one run of every analyzer over
 // the fixture packages under testdata/src. The module's own count grows with
 // every function added to it; the fixtures change only with the analyzers'
-// tests. Some analyzers walk maps, and the iteration order changes how much
-// they walk before they stop, which adds up to about ten allocations to a
-// run. The fewest over twenty runs is the pinned count: a run reached it in
-// about every other try. The collector is off, because a collection empties
-// fmt's printer pool.
+// tests.
+//
+// A single run's count is not exact, and the analyzers are not the cause:
+// their walks are the same in every run. The runtime fills a type
+// assertion's or type switch's cache on only about one miss in a thousand
+// (runtime/iface.go), and each fill allocates. go/ast.Walk and the
+// analyzers' type switches miss thousands of times a run, so a run in a
+// fresh process reads up to about ten allocations high, and one in fifty
+// still reads one or two high after 500 warm-up runs. A fill only adds, so
+// the fewest over twenty runs is the analyzers' own count. The collector is
+// off, because a collection empties fmt's printer pool.
 func TestRunAllocsFixed(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
 	}
-	const want = 6004
+	const want = 6151
 	prog, err := Load(".", "./testdata/src/...")
 	if err != nil {
 		t.Fatal(err)

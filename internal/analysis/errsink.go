@@ -205,14 +205,17 @@ func writePathFiles(info *types.Info, body *ast.BlockStmt) map[types.Object]bool
 		}
 		return true
 	})
-	for i := 0; i < 2; i++ { // small fixpoint for alias chains
+	// Spread the mark along alias chains until nothing changes: every file
+	// aliased, however indirectly, to a write-path file is one too. A fixed
+	// number of sweeps would reach further along a chain in some map
+	// orders than in others.
+	for changed := true; changed; {
+		changed = false
 		for lo, ros := range aliases {
 			for _, ro := range ros {
-				if out[ro] {
-					out[lo] = true
-				}
-				if out[lo] {
-					out[ro] = true
+				if out[lo] != out[ro] {
+					out[lo], out[ro] = true, true
+					changed = true
 				}
 			}
 		}

@@ -54,6 +54,23 @@ func writeThenClose(path string) {
 	f.Close() // want "error from Close discarded on a write path: the final flush error is lost"
 }
 
+// closeAtChainEnd drops the Close error six assignments away from the
+// Create: the write path must follow the whole alias chain, whatever order
+// the analyzer meets the assignments in.
+func closeAtChainEnd(path string) {
+	a, err := os.Create(path)
+	if err != nil {
+		return
+	}
+	b := a
+	c := b
+	d := c
+	e := d
+	g := e
+	h := g
+	h.Close() // want "error from Close discarded on a write path: the final flush error is lost"
+}
+
 func readThenClose(path string) []byte {
 	f, err := os.Open(path)
 	if err != nil {

@@ -135,11 +135,16 @@ func (p *PlanPolicy) Victim(_ int, residents []uopcache.Resident, incoming trace
 	var bestUnkept, bestAny uint64
 	unkeptNext, anyNext := -1, -1
 	for _, r := range residents {
-		n := p.o.NextUse(r.Key)
+		// One key-id lookup serves both the next use and the plan.
+		id, ok := p.pt.IDOf(r.Key)
+		n := NoNextUse
+		if ok {
+			n = p.o.NextUseID(id)
+		}
 		if n > anyNext || (n == anyNext && r.Key < bestAny) {
 			bestAny, anyNext = r.Key, n
 		}
-		if p.keep != nil && !p.kept(r.Key) && (n > unkeptNext || (n == unkeptNext && r.Key < bestUnkept)) {
+		if p.keep != nil && !(ok && p.curKeep[id]) && (n > unkeptNext || (n == unkeptNext && r.Key < bestUnkept)) {
 			bestUnkept, unkeptNext = r.Key, n
 		}
 	}

@@ -53,6 +53,14 @@ func (o *Oracle) NextUse(start uint64) int {
 	if !ok {
 		return NoNextUse
 	}
+	return o.NextUseID(id)
+}
+
+// NextUseID is NextUse for the window with a dense key id of the prepared
+// trace (PreparedTrace.IDOf).
+//
+//simlint:hotpath
+func (o *Oracle) NextUseID(id int32) int {
 	occ := o.pt.Occurrences(id)
 	i := o.ptr[id]
 	for int(i) < len(occ) && int(occ[i]) < o.pos {

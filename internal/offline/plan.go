@@ -95,18 +95,26 @@ type PlanCache interface {
 	Store(key string, d *Decisions)
 }
 
-// PlanKey content-addresses a solve: SHA-256 over the format version, the
-// geometry the plan was solved for, the objective, the fold flag, the
-// resolved segment limit, and a digest of the lookup sequence (start
-// address and micro-op count per window — exactly the inputs the flow
-// formulation reads). Any change to these inputs, or a planVersion bump,
-// yields a different key, which is how stale cache entries are invalidated.
+// PlanKey content-addresses a solve: SHA-256 over a header (the format
+// version, the geometry the plan was solved for, the objective, the fold
+// flag, the resolved segment limit and the sequence length) followed by
+// trace.SequenceDigest of the lookup sequence (start address and micro-op
+// count per window — exactly the inputs the flow formulation reads). Any
+// change to these inputs, or a planVersion bump, yields a different key,
+// which is how stale cache entries are invalidated. A prepared trace keeps
+// its digest, so the plan solves over it hash the sequence once. Keys from
+// builds that hashed the sequence itself into the key differ, so an older
+// store misses once and refills.
 func PlanKey(pws []trace.PW, cfg uopcache.Config, model CostModel, foldVariants bool, segLimit int) string {
+	return planKey(trace.SequenceDigest(pws), len(pws), cfg, model, foldVariants, segLimit)
+}
+
+// planKey is PlanKey over a precomputed sequence digest of n windows.
+func planKey(digest [sha256.Size]byte, n int, cfg uopcache.Config, model CostModel, foldVariants bool, segLimit int) string {
 	if segLimit <= 0 {
 		segLimit = DefaultSegmentLimit
 	}
-	h := sha256.New()
-	var hdr [64]byte
+	var hdr [29 + sha256.Size]byte
 	binary.LittleEndian.PutUint16(hdr[0:2], planVersion)
 	binary.LittleEndian.PutUint32(hdr[2:6], uint32(cfg.Entries))
 	binary.LittleEndian.PutUint32(hdr[6:10], uint32(cfg.Ways))
@@ -119,23 +127,10 @@ func PlanKey(pws []trace.PW, cfg uopcache.Config, model CostModel, foldVariants 
 		hdr[16] = 1
 	}
 	binary.LittleEndian.PutUint32(hdr[17:21], uint32(segLimit))
-	binary.LittleEndian.PutUint64(hdr[21:29], uint64(len(pws)))
-	h.Write(hdr[:29])
-	// Stream the sequence digest in fixed-size chunks to keep the hash
-	// fast and allocation-bounded.
-	buf := hdr[:0]
-	for i := range pws {
-		var rec [10]byte
-		binary.LittleEndian.PutUint64(rec[0:8], pws[i].Start)
-		binary.LittleEndian.PutUint16(rec[8:10], pws[i].NumUops)
-		buf = append(buf, rec[:]...)
-		if len(buf)+10 > cap(buf) {
-			h.Write(buf)
-			buf = buf[:0]
-		}
-	}
-	h.Write(buf)
-	return hex.EncodeToString(h.Sum(nil))
+	binary.LittleEndian.PutUint64(hdr[21:29], uint64(n))
+	copy(hdr[29:], digest[:])
+	sum := sha256.Sum256(hdr[:])
+	return hex.EncodeToString(sum[:])
 }
 
 // ComputeDecisionsCached is ComputeDecisionsPrepared over pws with the
@@ -153,7 +148,7 @@ func computePlan(ctx context.Context, pt *trace.PreparedTrace, cfg uopcache.Conf
 	if plans == nil {
 		return ComputeDecisionsPrepared(ctx, pt, cfg, model, foldVariants, segLimit, workers)
 	}
-	key := PlanKey(pt.PWs(), cfg, model, foldVariants, segLimit)
+	key := planKey(pt.SequenceDigest(), pt.Len(), cfg, model, foldVariants, segLimit)
 	if d, ok := plans.Load(key); ok && len(d.Keep) == pt.Len() && d.Model == model && d.FoldVariants == foldVariants {
 		return d
 	}

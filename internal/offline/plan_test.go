@@ -181,3 +181,36 @@ func TestComputePlanSkipsStoreWhenCancelled(t *testing.T) {
 		t.Fatal("cancelled solve was stored")
 	}
 }
+
+// keyLog is a PlanCache that never hits and records the keys it is asked
+// for.
+type keyLog struct{ keys []string }
+
+func (k *keyLog) Load(key string) (*Decisions, bool) {
+	k.keys = append(k.keys, key)
+	return nil, false
+}
+
+func (k *keyLog) Store(string, *Decisions) {}
+
+// TestPlanKeyMatchesPreparedKey: the key a solve over a prepared trace asks
+// its cache for, built from the trace's kept sequence digest, is PlanKey of
+// the same slice, for both cost models, both fold flags and two segment
+// limits.
+func TestPlanKeyMatchesPreparedKey(t *testing.T) {
+	s := planSeq(600)
+	cfg := tinyCfg()
+	pt := uopcache.Prepare(cfg, s)
+	for _, model := range []CostModel{CostOHR, CostVC} {
+		for _, fold := range []bool{false, true} {
+			for _, seg := range []int{0, 128} {
+				log := &keyLog{}
+				ComputeDecisionsCached(context.Background(), s, pt, cfg, model, fold, seg, 1, log)
+				want := PlanKey(s, cfg, model, fold, seg)
+				if len(log.keys) != 1 || log.keys[0] != want {
+					t.Errorf("model %d fold %v seg %d: solve asked for %q, PlanKey is %q", model, fold, seg, log.keys, want)
+				}
+			}
+		}
+	}
+}

@@ -18,7 +18,8 @@ type FURBYSConfig struct {
 	DetectorDepth int
 	// BypassEnabled toggles the selective bypass mechanism (Fig. 21).
 	BypassEnabled bool
-	// DefaultWeight is assigned to windows absent from the profile.
+	// DefaultWeight is assigned to windows absent from the profile,
+	// clamped to [0, MaxWeight].
 	DefaultWeight int
 }
 
@@ -42,8 +43,14 @@ type FURBYS struct {
 	cfg FURBYSConfig
 	// weights is the profile-derived hint map: window start → group.
 	weights map[uint64]uint8
+	// maxW and defaultW are the weight clamp and the weight of windows
+	// absent from the hint map.
+	maxW, defaultW uint8
 
-	rrpv        []uint8
+	rrpv []uint8
+	// weight is each resident's hint, looked up once at insertion, as
+	// the hint bits arrive with the window; it shares rrpv's allocation.
+	weight      []uint8
 	slotsPerSet int
 	rec         *recency
 	// detector[set] holds the keys of the most recent evictions; slices
@@ -88,7 +95,12 @@ func NewFURBYS(cfg FURBYSConfig, weights map[uint64]uint8) *FURBYS {
 	if cfg.WeightBits <= 0 {
 		cfg = DefaultFURBYSConfig()
 	}
-	return &FURBYS{cfg: cfg, weights: weights, rec: newRecency()}
+	// Hints are 8-bit, the hint map's value type.
+	maxW := min(cfg.MaxWeight(), 255)
+	return &FURBYS{
+		cfg: cfg, weights: weights, rec: newRecency(),
+		maxW: uint8(maxW), defaultW: uint8(max(min(cfg.DefaultWeight, maxW), 0)),
+	}
 }
 
 // Name implements uopcache.Policy.
@@ -97,7 +109,9 @@ func (p *FURBYS) Name() string { return "furbys" }
 // Bind implements uopcache.Policy.
 func (p *FURBYS) Bind(g uopcache.Geometry) {
 	p.slotsPerSet = g.SlotsPerSet
-	p.rrpv = make([]uint8, g.Slots())
+	n := g.Slots()
+	meta := make([]uint8, 2*n)
+	p.rrpv, p.weight = meta[:n:n], meta[n:]
 	p.detector = make([][]uint64, g.Sets)
 	p.bypassDetector = make([][]uint64, g.Sets)
 	p.srripNext = make([]bool, g.Sets)
@@ -107,20 +121,15 @@ func (p *FURBYS) Bind(g uopcache.Geometry) {
 // Config returns the policy configuration.
 func (p *FURBYS) Config() FURBYSConfig { return p.cfg }
 
+// weightOf reads a window's hint: its group in the hint map, clamped to the
+// configured width, or the default weight when the map lacks it.
+//
 //simlint:hotpath
-func (p *FURBYS) weightOf(pc uint64) int {
+func (p *FURBYS) weightOf(pc uint64) uint8 {
 	if w, ok := p.weights[pc]; ok {
-		m := p.cfg.MaxWeight()
-		if int(w) > m {
-			return m
-		}
-		return int(w)
+		return min(w, p.maxW)
 	}
-	d := p.cfg.DefaultWeight
-	if m := p.cfg.MaxWeight(); d > m {
-		d = m
-	}
-	return d
+	return p.defaultW
 }
 
 // OnHit implements uopcache.Policy.
@@ -134,8 +143,10 @@ func (p *FURBYS) OnHit(set int, slot int32, _ uint64) {
 // OnInsert implements uopcache.Policy: RRPV initialized to 2 per the paper.
 //
 //simlint:hotpath
-func (p *FURBYS) OnInsert(set int, slot int32, _ trace.PW) {
-	p.rrpv[set*p.slotsPerSet+int(slot)] = 2
+func (p *FURBYS) OnInsert(set int, slot int32, pw trace.PW) {
+	i := set*p.slotsPerSet + int(slot)
+	p.rrpv[i] = 2
+	p.weight[i] = p.weightOf(pw.Start)
 	p.rec.touch(set, slot)
 }
 
@@ -203,9 +214,9 @@ func (p *FURBYS) Victim(set int, residents []uopcache.Resident, incoming trace.P
 	// Find the minimum-weight resident (min module in Fig. 7) with
 	// LRU tiebreak.
 	minI := 0
-	minW := p.weightOf(residents[0].Key)
+	minW := p.weight[base+int(residents[0].Slot)]
 	for i := 1; i < len(residents); i++ {
-		w := p.weightOf(residents[i].Key)
+		w := p.weight[base+int(residents[i].Slot)]
 		switch {
 		case w < minW:
 			minI, minW = i, w
@@ -218,10 +229,10 @@ func (p *FURBYS) Victim(set int, residents []uopcache.Resident, incoming trace.P
 	// bypassed recently is locally hot regardless of its profiled
 	// weight, so it is admitted — the bypass-side analogue of the local
 	// miss-pitfall detector.
-	if p.cfg.BypassEnabled && p.weightOf(incoming.Start) < minW-p.cfg.K {
-		if !p.recordBypass(set, incoming.Start) {
+	if p.cfg.BypassEnabled {
+		if in := p.weightOf(incoming.Start); int(in) < int(minW)-p.cfg.K && !p.recordBypass(set, incoming.Start) {
 			p.Stats.Bypasses++
-			return uopcache.Decision{Bypass: true, Reason: ReasonBypass, Score: float64(p.weightOf(incoming.Start))}
+			return uopcache.Decision{Bypass: true, Reason: ReasonBypass, Score: float64(in)}
 		}
 	}
 	// Local miss-pitfall handling: if a previous decision flagged this

@@ -14,9 +14,11 @@ import (
 //
 // State layout: per-resident last-access times live in a per-slot array and
 // per-set clocks in a dense array; the RDP is dense over its 16-bit
-// signature space. Only the training history (`last`) stays a map — it must
-// survive eviction so a window's reuse distance is learned when it
-// reappears, which no per-slot array can express.
+// signature space. Only the training history (`last`) is a map: a window's
+// last access must outlive its eviction so its reuse distance is learned
+// when it reappears. While the window is resident that time is its slot's
+// lastAccess, so the history is written only at eviction (invalidations
+// included) and read only at insertion; hits touch no map.
 type Mockingjay struct {
 	// rdp maps a window signature to its EWMA reuse distance measured in
 	// set-local accesses; rdpSeen marks trained signatures.
@@ -25,8 +27,9 @@ type Mockingjay struct {
 	// lastAccess is the set-local clock at each resident slot's last touch.
 	lastAccess  []uint64
 	slotsPerSet int
-	// last maps a window start to the set clock of its previous access for
-	// RDP training (set-local: each window belongs to exactly one set).
+	// last maps an evicted window's start to the set clock of its last
+	// access for RDP training (set-local: each window belongs to exactly
+	// one set).
 	last  map[uint64]uint64
 	clock []uint64
 	rec   *recency
@@ -71,22 +74,17 @@ func (p *Mockingjay) Bind(g uopcache.Geometry) {
 
 func (p *Mockingjay) sig(pc uint64) uint32 { return uint32(mix(pc) & (1<<mjSigBits - 1)) }
 
-// observe trains the RDP with an observed set-local reuse distance.
+// train folds an observed set-local reuse distance into the RDP.
 //
 //simlint:hotpath
-func (p *Mockingjay) observe(set int, pc uint64) {
-	now := p.clock[set]
-	if prev, ok := p.last[pc]; ok {
-		d := float64(now - prev)
-		s := p.sig(pc)
-		if p.rdpSeen[s] {
-			p.rdp[s] = 0.75*p.rdp[s] + 0.25*d
-		} else {
-			p.rdp[s] = d
-			p.rdpSeen[s] = true
-		}
+func (p *Mockingjay) train(pc uint64, d float64) {
+	s := p.sig(pc)
+	if p.rdpSeen[s] {
+		p.rdp[s] = 0.75*p.rdp[s] + 0.25*d
+	} else {
+		p.rdp[s] = d
+		p.rdpSeen[s] = true
 	}
-	p.last[pc] = now
 }
 
 //simlint:hotpath
@@ -97,30 +95,41 @@ func (p *Mockingjay) predictRD(pc uint64) float64 {
 	return p.InfiniteRD
 }
 
-// OnHit implements uopcache.Policy.
+// OnHit implements uopcache.Policy: the reuse distance runs from the
+// resident's previous access, kept in its slot.
 //
 //simlint:hotpath
 func (p *Mockingjay) OnHit(set int, slot int32, pc uint64) {
+	i := set*p.slotsPerSet + int(slot)
 	p.clock[set]++
-	p.observe(set, pc)
-	p.lastAccess[set*p.slotsPerSet+int(slot)] = p.clock[set]
+	now := p.clock[set]
+	p.train(pc, float64(now-p.lastAccess[i]))
+	p.lastAccess[i] = now
 	p.rec.touch(set, slot)
 }
 
-// OnInsert implements uopcache.Policy.
+// OnInsert implements uopcache.Policy: a window seen before trains the RDP
+// with the distance from its last access before its eviction.
 //
 //simlint:hotpath
 func (p *Mockingjay) OnInsert(set int, slot int32, pw trace.PW) {
 	p.clock[set]++
-	p.observe(set, pw.Start)
-	p.lastAccess[set*p.slotsPerSet+int(slot)] = p.clock[set]
+	now := p.clock[set]
+	if prev, ok := p.last[pw.Start]; ok {
+		p.train(pw.Start, float64(now-prev))
+	}
+	p.lastAccess[set*p.slotsPerSet+int(slot)] = now
 	p.rec.touch(set, slot)
 }
 
-// OnEvict implements uopcache.Policy.
+// OnEvict implements uopcache.Policy: the window's last access outlives it
+// in the training history.
 //
 //simlint:hotpath
-func (p *Mockingjay) OnEvict(set int, slot int32, _ uint64) { p.rec.drop(set, slot) }
+func (p *Mockingjay) OnEvict(set int, slot int32, key uint64) {
+	p.last[key] = p.lastAccess[set*p.slotsPerSet+int(slot)]
+	p.rec.drop(set, slot)
+}
 
 // etr estimates a resident's time remaining until its next use.
 //

@@ -29,6 +29,9 @@ type Thermometer struct {
 	// DefaultClass applies to windows absent from the profile.
 	DefaultClass ThermoClass
 	rec          *recency
+	// slotClass is each resident's class, looked up once at insertion.
+	slotClass   []ThermoClass
+	slotsPerSet int
 }
 
 // NewThermometer builds the policy from a profile classification.
@@ -47,7 +50,11 @@ func (p *Thermometer) classOf(pc uint64) ThermoClass {
 }
 
 // Bind implements uopcache.Policy.
-func (p *Thermometer) Bind(g uopcache.Geometry) { p.rec.bind(g) }
+func (p *Thermometer) Bind(g uopcache.Geometry) {
+	p.slotsPerSet = g.SlotsPerSet
+	p.slotClass = make([]ThermoClass, g.Slots())
+	p.rec.bind(g)
+}
 
 // OnHit implements uopcache.Policy.
 //
@@ -57,7 +64,10 @@ func (p *Thermometer) OnHit(set int, slot int32, _ uint64) { p.rec.touch(set, sl
 // OnInsert implements uopcache.Policy.
 //
 //simlint:hotpath
-func (p *Thermometer) OnInsert(set int, slot int32, _ trace.PW) { p.rec.touch(set, slot) }
+func (p *Thermometer) OnInsert(set int, slot int32, pw trace.PW) {
+	p.slotClass[set*p.slotsPerSet+int(slot)] = p.classOf(pw.Start)
+	p.rec.touch(set, slot)
+}
 
 // OnEvict implements uopcache.Policy.
 //
@@ -69,10 +79,11 @@ func (p *Thermometer) OnEvict(set int, slot int32, _ uint64) { p.rec.drop(set, s
 //
 //simlint:hotpath
 func (p *Thermometer) Victim(set int, residents []uopcache.Resident, _ trace.PW) uopcache.Decision {
+	base := set * p.slotsPerSet
 	best := 0
-	bestClass := p.classOf(residents[0].Key)
+	bestClass := p.slotClass[base+int(residents[0].Slot)]
 	for i := 1; i < len(residents); i++ {
-		c := p.classOf(residents[i].Key)
+		c := p.slotClass[base+int(residents[i].Slot)]
 		switch {
 		case c < bestClass:
 			best, bestClass = i, c

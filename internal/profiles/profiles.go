@@ -15,6 +15,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync"
 
 	"uopsim/internal/jenks"
 	"uopsim/internal/offline"
@@ -68,9 +69,31 @@ func (r Rate) Value() float64 {
 
 // Profile maps each window start address to its profiled hit rate under the
 // chosen offline policy.
+//
+// A Profile is read-only once built (by Collect, Merge or Load): Weights and
+// ThermoClasses compute each hint map once and hand every later caller the
+// same map, as the paper's hints are computed once offline and shipped with
+// the binary. Changing Rates afterwards would leave those maps stale, and
+// the maps themselves must not be written.
 type Profile struct {
 	Rates  map[uint64]Rate
 	Source Source
+
+	// mu guards the derived maps below: experiment cells that share a
+	// profile ask for them concurrently.
+	mu sync.Mutex
+	// weights holds one hint map per (set count, weight bits) asked for;
+	// it starts on weightsBuf, so a profile asked for one or two widths
+	// allocates nothing for the memo itself.
+	weights    []weightsMemo
+	weightsBuf [2]weightsMemo
+	classes    map[uint64]policy.ThermoClass
+}
+
+// weightsMemo is one memoized Weights result.
+type weightsMemo struct {
+	sets, bits int
+	w          map[uint64]uint8
 }
 
 // Collect runs the offline policy over the lookup sequence and accumulates
@@ -171,10 +194,31 @@ const minClassGap = 0.05
 // granularity — paper Section V) into 2^bits classes by Jenks natural
 // breaks over their hit rates; the class index is the weight, 0 = coldest.
 // Class boundaries closer than minClassGap are merged.
+//
+// The map depends only on the set count and the bit width, so it is
+// computed once per pair and shared by every caller (read-only).
 func (p *Profile) Weights(cfg uopcache.Config, bits int) map[uint64]uint8 {
 	if bits <= 0 {
 		bits = 3
 	}
+	sets := cfg.Sets()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, m := range p.weights {
+		if m.sets == sets && m.bits == bits {
+			return m.w
+		}
+	}
+	w := p.computeWeights(cfg, bits)
+	if p.weights == nil {
+		p.weights = p.weightsBuf[:0]
+	}
+	p.weights = append(p.weights, weightsMemo{sets: sets, bits: bits, w: w})
+	return w
+}
+
+// computeWeights is Weights without the memo.
+func (p *Profile) computeWeights(cfg uopcache.Config, bits int) map[uint64]uint8 {
 	k := 1 << bits
 	// Deterministic order (map iteration is random): collect and sort the
 	// start addresses once, then group per set in sorted order.
@@ -238,8 +282,19 @@ func enforceGap(breaks []float64, gap float64) []float64 {
 }
 
 // ThermoClasses derives Thermometer's hot/warm/cold classification from the
-// same profile (three Jenks classes over global hit rates).
+// same profile (three Jenks classes over global hit rates). The map is
+// computed once and shared by every caller (read-only).
 func (p *Profile) ThermoClasses() map[uint64]policy.ThermoClass {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.classes == nil {
+		p.classes = p.computeThermoClasses()
+	}
+	return p.classes
+}
+
+// computeThermoClasses is ThermoClasses without the memo.
+func (p *Profile) computeThermoClasses() map[uint64]policy.ThermoClass {
 	vals := make([]float64, 0, len(p.Rates))
 	starts := make([]uint64, 0, len(p.Rates))
 	for s := range p.Rates {

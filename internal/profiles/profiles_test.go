@@ -3,7 +3,9 @@ package profiles
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"uopsim/internal/policy"
@@ -146,6 +148,58 @@ func TestWeightsDeterministic(t *testing.T) {
 	for k, v := range w1 {
 		if w2[k] != v {
 			t.Fatalf("weight for %#x differs: %d vs %d", k, v, w2[k])
+		}
+	}
+}
+
+// TestDerivedMapsMemoized: Weights at two set counts and two widths, and
+// ThermoClasses, equal a fresh computation, and asking again returns the
+// same map.
+func TestDerivedMapsMemoized(t *testing.T) {
+	p := Collect(hotColdTrace(), cfg(), SourceFLACK)
+	wide := cfg()
+	wide.Entries *= 4
+	for _, c := range []uopcache.Config{cfg(), wide} {
+		for _, bits := range []int{2, 3} {
+			w := p.Weights(c, bits)
+			if fresh := p.computeWeights(c, bits); !reflect.DeepEqual(w, fresh) {
+				t.Errorf("%d sets, %d bits: memoized weights differ from a fresh computation", c.Sets(), bits)
+			}
+			if again := p.Weights(c, bits); reflect.ValueOf(again).Pointer() != reflect.ValueOf(w).Pointer() {
+				t.Errorf("%d sets, %d bits: a second call built a new map", c.Sets(), bits)
+			}
+		}
+	}
+	if reflect.ValueOf(p.Weights(cfg(), 0)).Pointer() != reflect.ValueOf(p.Weights(cfg(), 3)).Pointer() {
+		t.Error("bits 0 and bits 3 name the same weights but got different maps")
+	}
+	if cl := p.ThermoClasses(); !reflect.DeepEqual(cl, p.computeThermoClasses()) {
+		t.Error("memoized classes differ from a fresh computation")
+	} else if reflect.ValueOf(p.ThermoClasses()).Pointer() != reflect.ValueOf(cl).Pointer() {
+		t.Error("a second ThermoClasses call built a new map")
+	}
+}
+
+// TestDerivedMapsConcurrent: concurrent callers of one profile all get the
+// one memoized map (run under -race to check the locking).
+func TestDerivedMapsConcurrent(t *testing.T) {
+	p := Collect(hotColdTrace()[:1500], cfg(), SourceFLACK)
+	const n = 8
+	weights := make([]uintptr, n)
+	classes := make([]uintptr, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			weights[i] = reflect.ValueOf(p.Weights(cfg(), 3)).Pointer()
+			classes[i] = reflect.ValueOf(p.ThermoClasses()).Pointer()
+		}()
+	}
+	wg.Wait()
+	for i := 1; i < n; i++ {
+		if weights[i] != weights[0] || classes[i] != classes[0] {
+			t.Fatalf("caller %d got a different map", i)
 		}
 	}
 }

@@ -1,5 +1,11 @@
 package trace
 
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"sync"
+)
+
 // PreparedTrace is a columnar, read-only view of a PW lookup sequence,
 // built once per (trace, cache geometry) and shared by every replay that
 // walks the same sequence: policy replays, offline plan solves, figure
@@ -9,7 +15,8 @@ package trace
 // occurrence index (all positions of each distinct start address) that
 // replaces the per-replay map-of-slices the offline oracle used to build.
 //
-// All fields are immutable after Prepare; concurrent readers need no
+// All fields are immutable after Prepare, except the sequence digest, which
+// is computed on first use under a sync.Once; concurrent readers need no
 // locking. Mutable per-replay state (oracle cursors, keep bits) lives with
 // the replay, keyed by the dense key id.
 type PreparedTrace struct {
@@ -30,6 +37,9 @@ type PreparedTrace struct {
 	idOf   map[uint64]int32
 	occOff []int32
 	occ    []int32
+
+	digestOnce sync.Once
+	digest     [sha256.Size]byte
 }
 
 // Prepare builds the columnar view of pws. sig identifies the geometry;
@@ -136,6 +146,36 @@ func (pt *PreparedTrace) IDOf(start uint64) (int32, bool) {
 //simlint:hotpath
 func (pt *PreparedTrace) Occurrences(id int32) []int32 {
 	return pt.occ[pt.occOff[id]:pt.occOff[id+1]]
+}
+
+// SequenceDigest returns SequenceDigest(pt.PWs()), computed on the first
+// call and kept: every plan-key lookup over the trace reuses it.
+func (pt *PreparedTrace) SequenceDigest() [sha256.Size]byte {
+	pt.digestOnce.Do(func() { pt.digest = SequenceDigest(pt.pws) })
+	return pt.digest
+}
+
+// SequenceDigest is the SHA-256 of a lookup sequence's start address and
+// micro-op count per window (little-endian, 10 bytes a window), the inputs
+// an offline plan solve reads from the sequence.
+func SequenceDigest(pws []PW) [sha256.Size]byte {
+	h := sha256.New()
+	// Stream fixed-size chunks to keep the hash fast and allocation-free.
+	var buf [640]byte
+	n := 0
+	for i := range pws {
+		binary.LittleEndian.PutUint64(buf[n:], pws[i].Start)
+		binary.LittleEndian.PutUint16(buf[n+8:], pws[i].NumUops)
+		n += 10
+		if n == len(buf) {
+			h.Write(buf[:])
+			n = 0
+		}
+	}
+	h.Write(buf[:n])
+	var d [sha256.Size]byte
+	h.Sum(d[:0])
+	return d
 }
 
 // SameSequence reports whether pt was built over exactly this slice: same

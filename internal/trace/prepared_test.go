@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"testing"
 )
 
@@ -95,5 +97,31 @@ func TestPreparedSameSequence(t *testing.T) {
 	empty := testPrepare(nil, 0)
 	if !empty.SameSequence(nil) {
 		t.Error("SameSequence(nil) on empty trace = false")
+	}
+}
+
+// TestSequenceDigest: the digest is the SHA-256 of the 10-byte (start,
+// micro-op count) records, across the hash's internal chunk boundary, and a
+// prepared trace's kept digest is the same value.
+func TestSequenceDigest(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 129, 1000} {
+		pws := make([]PW, n)
+		var flat []byte
+		for i := range pws {
+			pws[i] = PW{Start: uint64(i*7919) << 4, NumUops: uint16(i%30 + 1)}
+			flat = binary.LittleEndian.AppendUint64(flat, pws[i].Start)
+			flat = binary.LittleEndian.AppendUint16(flat, pws[i].NumUops)
+		}
+		want := sha256.Sum256(flat)
+		if got := SequenceDigest(pws); got != want {
+			t.Errorf("%d windows: digest %x, want %x", n, got, want)
+		}
+		pt := testPrepare(pws, 1)
+		if got := pt.SequenceDigest(); got != want {
+			t.Errorf("%d windows: prepared digest %x, want %x", n, got, want)
+		}
+		if got := pt.SequenceDigest(); got != want {
+			t.Errorf("%d windows: second prepared digest %x, want %x", n, got, want)
+		}
 	}
 }
