@@ -127,16 +127,15 @@ func ProgramTrace(p *workload.Program, numBlocks, input int) ([]trace.Block, []t
 }
 
 // Telemetry bundles the optional observability attachments threaded into a
-// run: a metrics registry receiving live uopcache_* (and per-policy)
-// counters, and a structured event sink receiving the cache-decision trace.
-// The zero value disables both.
+// run: a metrics registry receiving the cache's live uopcache_* and
+// policy_<name>_* counters, and a structured event sink receiving the
+// cache-decision trace. The zero value disables both.
 type Telemetry struct {
 	Metrics *telemetry.Registry
 	Events  telemetry.EventSink
 }
 
-// attach wires the attachments into a cache and, when metrics are enabled,
-// returns the policy wrapped with per-policy decision counters.
+// attach wires the attachments into a cache.
 func (t Telemetry) attach(c *uopcache.Cache) {
 	if t.Metrics != nil {
 		c.AttachMetrics(t.Metrics)
@@ -144,15 +143,6 @@ func (t Telemetry) attach(c *uopcache.Cache) {
 	if t.Events != nil {
 		c.SetEventSink(t.Events)
 	}
-}
-
-// instrument wraps pol with per-policy decision counters when metrics are
-// attached.
-func (t Telemetry) instrument(pol uopcache.Policy) uopcache.Policy {
-	if t.Metrics == nil {
-		return pol
-	}
-	return policy.Instrument(pol, t.Metrics)
 }
 
 // BehaviorOptions tunes a behaviour-mode run.
@@ -200,8 +190,6 @@ type BehaviorResult struct {
 // RunBehavior drives a PW lookup sequence through the micro-op cache under
 // an online policy.
 func RunBehavior(pws []trace.PW, cfg Config, pol uopcache.Policy, opts BehaviorOptions) BehaviorResult {
-	base := pol
-	pol = opts.Telemetry.instrument(pol)
 	c := uopcache.New(cfg.UopCache, pol)
 	opts.Telemetry.attach(c)
 	var ic *cache.Cache
@@ -222,7 +210,7 @@ func RunBehavior(pws []trace.PW, cfg Config, pol uopcache.Policy, opts BehaviorO
 		res.Stats = b.Run(pt)
 	}
 	res.Utilization = c.Utilization()
-	if f, ok := base.(*policy.FURBYS); ok {
+	if f, ok := pol.(*policy.FURBYS); ok {
 		st := f.Stats
 		res.FURBYS = &st
 	}
@@ -306,7 +294,7 @@ func runTiming(blocks []trace.Block, pws []trace.PW, cfg Config, pol uopcache.Po
 	if !path.For(blocks, pws, cfg.Branch, cfg.Backend) {
 		path = frontend.NewPath(blocks, pws, cfg.Branch, cfg.Backend)
 	}
-	uc := uopcache.New(cfg.UopCache, tel.instrument(pol))
+	uc := uopcache.New(cfg.UopCache, pol)
 	tel.attach(uc)
 	var l1i *cache.Cache
 	if !cfg.Frontend.PerfectICache {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"uopsim/internal/core"
 	"uopsim/internal/inspect"
@@ -21,13 +20,6 @@ type AttributionOptions struct {
 	// re-referenced within Window lookups of its eviction is classified
 	// premature. <= 0 selects inspect.DefaultWindow.
 	Window int
-	// Input selects the per-app trace input (same meaning as Context.Trace).
-	Input int
-	// SkipDivergence disables the FLACK keep-plan solve and the divergent
-	// class; every non-justified eviction then classifies as premature or
-	// justified by the window alone. Useful when only reuse behaviour is of
-	// interest and the offline solve is too expensive.
-	SkipDivergence bool
 }
 
 // RunAttribution replays every (app, policy) pair with a fresh metrics
@@ -64,23 +56,20 @@ func RunAttribution(c *Context, opts AttributionOptions) ([]inspect.Attribution,
 			return rows, err
 		}
 		appSp := c.Spans.Begin("attribution", "attribute/"+app)
-		_, pws, err := c.Trace(app, opts.Input)
+		_, pws, err := c.Trace(app, 0)
 		if err != nil {
 			appSp.End()
 			return rows, fmt.Errorf("attribution: trace %s: %w", app, err)
 		}
 		// One FLACK keep-plan per app, shared by every policy's divergence
 		// check: the plan depends only on the trace and the geometry.
-		pt, _ := c.Prepared(app, opts.Input, c.Cfg.UopCache)
-		var keep []bool
-		if !opts.SkipDivergence {
-			dec := offline.ComputeDecisionsCached(c.ctx(), pws, pt, c.Cfg.UopCache, offline.CostVC, true, 0, c.Workers, c.plans())
-			if err := c.ctx().Err(); err != nil {
-				appSp.End()
-				return rows, err
-			}
-			keep = dec.Keep
+		pt, _ := c.Prepared(app, 0, c.Cfg.UopCache)
+		dec := offline.ComputeDecisionsCached(c.ctx(), pws, pt, c.Cfg.UopCache, offline.CostVC, true, 0, c.Workers, c.plans())
+		if err := c.ctx().Err(); err != nil {
+			appSp.End()
+			return rows, err
 		}
+		keep := dec.Keep
 		for _, pol := range opts.Policies {
 			if err := c.ctx().Err(); err != nil {
 				appSp.End()
@@ -145,17 +134,5 @@ func publishAttribution(c *Context, row inspect.Attribution) {
 		s.attribution.Justified += row.Justified
 		s.attribution.Premature += row.Premature
 		s.attribution.Divergent += row.Divergent
-	})
-}
-
-// SortAttribution orders rows app-major, policy-minor (the order
-// RunAttribution already produces; exported for callers that merge rows
-// from several campaigns).
-func SortAttribution(rows []inspect.Attribution) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].App != rows[j].App {
-			return rows[i].App < rows[j].App
-		}
-		return rows[i].Policy < rows[j].Policy
 	})
 }

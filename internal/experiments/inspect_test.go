@@ -66,21 +66,15 @@ func TestRunAttributionReconciles(t *testing.T) {
 	}
 }
 
-func TestRunAttributionSkipDivergence(t *testing.T) {
+func TestRunAttributionDefaultWindow(t *testing.T) {
 	ctx := smallCtx()
 	ctx.Apps = []string{"kafka"}
-	rows, err := RunAttribution(ctx, AttributionOptions{
-		Policies:       []string{"lru"},
-		SkipDivergence: true,
-	})
+	rows, err := RunAttribution(ctx, AttributionOptions{Policies: []string{"lru"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d", len(rows))
-	}
-	if rows[0].Divergent != 0 {
-		t.Errorf("SkipDivergence produced %d divergent evictions", rows[0].Divergent)
 	}
 	if rows[0].Window != inspect.DefaultWindow {
 		t.Errorf("window = %d, want DefaultWindow", rows[0].Window)

@@ -18,6 +18,8 @@ import (
 // capacity (bitline/wordline lengths) and mildly with associativity (ways
 // read in parallel). The constants are fitted to typical published 22nm
 // CACTI numbers (a 32KiB 8-way L1 read ≈ 20pJ, a 512KiB L2 read ≈ 75pJ).
+// The associativity term is rounded before the add (explicit float64), so
+// no target fuses it into a multiply-add.
 func CACTILike(sizeBytes, assoc int) float64 {
 	if sizeBytes <= 0 {
 		return 0
@@ -25,7 +27,7 @@ func CACTILike(sizeBytes, assoc int) float64 {
 	if assoc <= 0 {
 		assoc = 1
 	}
-	return 2.6 * math.Sqrt(float64(sizeBytes)/1024) * (1 + 0.13*float64(assoc))
+	return 2.6 * math.Sqrt(float64(sizeBytes)/1024) * (1 + float64(0.13*float64(assoc)))
 }
 
 // EnergyTable holds per-event energies in picojoules and static power in
@@ -103,15 +105,17 @@ func (b Breakdown) FrontendShare() float64 {
 }
 
 // Compute charges the energy table against a timing run's event counts.
+// Each product is rounded before it is summed (the explicit float64
+// conversions), so no target may fuse a sum into a multiply-add.
 func Compute(res frontend.Result, tbl EnergyTable) Breakdown {
 	e := res.Events
 	return Breakdown{
 		Decoder:  float64(e.DecodedUops) * tbl.DecodePerUop,
 		ICache:   float64(e.ICacheReads) * tbl.ICacheRead,
-		UopCache: float64(e.UopCacheLookups)*tbl.UopLookup + float64(e.UopCacheWrites)*tbl.UopWritePerEntry,
+		UopCache: float64(float64(e.UopCacheLookups)*tbl.UopLookup) + float64(float64(e.UopCacheWrites)*tbl.UopWritePerEntry),
 		BTB:      float64(e.BTBLookups) * tbl.BTBLookup,
 		BP:       float64(e.BPLookups) * tbl.BPLookup,
-		L2:       float64(e.L2InstrReads)*tbl.L2Read + float64(res.Backend.L2Accesses)*tbl.L2Read,
+		L2:       float64(float64(e.L2InstrReads)*tbl.L2Read) + float64(float64(res.Backend.L2Accesses)*tbl.L2Read),
 		L1D:      float64(res.Backend.L1DAccesses) * tbl.L1DRead,
 		Backend:  float64(res.Backend.RetiredUops) * tbl.BackendPerUop,
 		Static:   float64(e.Cycles) * tbl.StaticPerCycle,

@@ -63,15 +63,6 @@ func (c *CLI) statusDoc() any {
 	return fn()
 }
 
-// ServerAddr returns the bound address of the HTTP server, if one is
-// running ("" otherwise); useful when -serve was given port 0.
-func (c *CLI) ServerAddr() string {
-	if c.server == nil {
-		return ""
-	}
-	return c.server.Addr
-}
-
 // Start opens the sinks and the HTTP server the parsed flags ask for.
 func (c *CLI) Start() error {
 	if c.MetricsPath != "" || c.ServeAddr != "" {

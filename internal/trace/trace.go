@@ -216,51 +216,6 @@ func LineSpan(start uint64, bytes uint16) (first, last uint64) {
 	return first, LineAddr(start + uint64(bytes) - 1)
 }
 
-// Reader yields a stream of dynamic blocks. Implementations must be
-// deterministic for a fixed construction.
-type Reader interface {
-	// Next returns the next block, or ok=false at end of trace.
-	Next() (b Block, ok bool)
-}
-
-// SliceReader adapts an in-memory block slice to the Reader interface.
-type SliceReader struct {
-	blocks []Block
-	pos    int
-}
-
-// NewSliceReader returns a Reader over blocks.
-func NewSliceReader(blocks []Block) *SliceReader { return &SliceReader{blocks: blocks} }
-
-// Next implements Reader.
-func (r *SliceReader) Next() (Block, bool) {
-	if r.pos >= len(r.blocks) {
-		return Block{}, false
-	}
-	b := r.blocks[r.pos]
-	r.pos++
-	return b, true
-}
-
-// Reset rewinds the reader to the beginning of the trace.
-func (r *SliceReader) Reset() { r.pos = 0 }
-
-// Len returns the total number of blocks in the trace.
-func (r *SliceReader) Len() int { return len(r.blocks) }
-
-// Collect drains a Reader into a slice. It is intended for tests and for
-// traces small enough to buffer.
-func Collect(r Reader) []Block {
-	var out []Block
-	for {
-		b, ok := r.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, b)
-	}
-}
-
 const fileMagic = 0x75506354 // "uPcT"
 
 // WriteBlocks serializes a block trace in a compact little-endian binary

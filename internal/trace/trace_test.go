@@ -136,25 +136,6 @@ func spanLen(p PW) int {
 	return int((last-first)/LineSize) + 1
 }
 
-func TestSliceReader(t *testing.T) {
-	blocks := []Block{{Addr: 1}, {Addr: 2}, {Addr: 3}}
-	r := NewSliceReader(blocks)
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d", r.Len())
-	}
-	got := Collect(r)
-	if !reflect.DeepEqual(got, blocks) {
-		t.Errorf("Collect = %v, want %v", got, blocks)
-	}
-	if _, ok := r.Next(); ok {
-		t.Error("Next after exhaustion should report ok=false")
-	}
-	r.Reset()
-	if b, ok := r.Next(); !ok || b.Addr != 1 {
-		t.Errorf("after Reset, Next = %v, %v", b, ok)
-	}
-}
-
 func TestWriteReadBlocksRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	blocks := make([]Block, 200)

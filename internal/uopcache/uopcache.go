@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strings"
 
 	"uopsim/internal/cache"
 	"uopsim/internal/telemetry"
@@ -256,7 +257,9 @@ type Cache struct {
 
 // cacheMetrics pre-resolves the registry counters the cache increments at
 // exactly the sites the Stats fields are incremented, so the exposed
-// uopcache_* counters reconcile with Stats at any instant.
+// uopcache_* counters reconcile with Stats at any instant. The pol* counters
+// are the policy_<name>_* family: each counts the cache's calls of one
+// Policy method (and Victim's bypass answers), at its single call site.
 type cacheMetrics struct {
 	lookups, fullHits, partialHits, misses     *telemetry.Counter
 	uopsRequested, uopsHit, uopsMissed         *telemetry.Counter
@@ -265,10 +268,31 @@ type cacheMetrics struct {
 	coalesced                                  *telemetry.Counter
 	slotOccupancy                              *telemetry.Gauge
 	lookupUops, victimCostUops, victimReuseAge *telemetry.Histogram
+
+	polHits, polInserts, polEvictions *telemetry.Counter
+	polVictimCalls, polBypasses       *telemetry.Counter
 }
 
-func newCacheMetrics(reg *telemetry.Registry) *cacheMetrics {
+// policyCounter resolves policy_<name>_<what>_total, with the policy name
+// mapped into the [a-z0-9_] metric-name alphabet (e.g. "ship++" ->
+// "ship__", "foo+A" -> "foo_a").
+func policyCounter(reg *telemetry.Registry, name, what string) *telemetry.Counter {
+	b := []byte(strings.ToLower(name))
+	for i, c := range b {
+		if (c < 'a' || c > 'z') && (c < '0' || c > '9') && c != '_' {
+			b[i] = '_'
+		}
+	}
+	return reg.Counter("policy_" + string(b) + "_" + what + "_total") //simlint:ignore telemetry per-policy family policy_<name>_*, the name mapped into [a-z0-9_] above
+}
+
+func newCacheMetrics(reg *telemetry.Registry, polName string) *cacheMetrics {
 	return &cacheMetrics{
+		polHits:        policyCounter(reg, polName, "hits"),
+		polInserts:     policyCounter(reg, polName, "inserts"),
+		polEvictions:   policyCounter(reg, polName, "evictions"),
+		polVictimCalls: policyCounter(reg, polName, "victim_calls"),
+		polBypasses:    policyCounter(reg, polName, "bypasses"),
 		lookups:        reg.Counter("uopcache_lookups_total"),
 		fullHits:       reg.Counter("uopcache_full_hits_total"),
 		partialHits:    reg.Counter("uopcache_partial_hits_total"),
@@ -462,22 +486,21 @@ func (s *cset) allocSlot() int32 {
 func (c *Cache) SetEventSink(s telemetry.EventSink) { c.sink = s }
 
 // AttachMetrics registers the cache's live uopcache_* counters and
-// histograms in reg. Counters are incremented at exactly the sites the
-// Stats fields are, so both views reconcile at any instant.
+// histograms in reg, and its policy's policy_<name>_* decision counters.
+// Counters are incremented at exactly the sites the Stats fields are, and
+// at the sites the cache calls the policy, so both views reconcile at any
+// instant.
 func (c *Cache) AttachMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		c.m = nil
 		return
 	}
-	c.m = newCacheMetrics(reg)
+	c.m = newCacheMetrics(reg, c.polName)
 	c.m.slotOccupancy.Set(float64(c.totalResidents))
 }
 
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
-
-// Policy returns the replacement policy.
-func (c *Cache) Policy() Policy { return c.policy }
 
 // SetIndex maps a window start address to its set.
 func (c *Cache) SetIndex(start uint64) int { return foldSet(start, c.setMask) }
@@ -696,6 +719,7 @@ func (c *Cache) lookupAt(pw trace.PW, set int) ProbeResult {
 		c.Stats.FullHits++
 		c.Stats.UopsHit += uint64(want)
 		if c.m != nil {
+			c.m.polHits.Inc()
 			c.m.fullHits.Inc()
 			c.m.uopsHit.Add(uint64(want))
 		}
@@ -711,6 +735,7 @@ func (c *Cache) lookupAt(pw trace.PW, set int) ProbeResult {
 	c.Stats.UopsHit += uint64(r.Uops)
 	c.Stats.UopsMissed += uint64(want - r.Uops)
 	if c.m != nil {
+		c.m.polHits.Inc()
 		c.m.partialHits.Inc()
 		c.m.uopsHit.Add(uint64(r.Uops))
 		c.m.uopsMissed.Add(uint64(want - r.Uops))
@@ -798,6 +823,12 @@ func (c *Cache) insertAt(pw trace.PW, set, need int) InsertOutcome {
 	for s.used+need > c.capSlots {
 		residents := c.residentsView(set)
 		d := c.policy.Victim(set, residents, pw)
+		if c.m != nil {
+			c.m.polVictimCalls.Inc()
+			if d.Bypass {
+				c.m.polBypasses.Inc()
+			}
+		}
 		if d.Bypass {
 			c.noteBypass(set, pw)
 			return Bypassed
@@ -833,6 +864,7 @@ func (c *Cache) insertAt(pw trace.PW, set, need int) InsertOutcome {
 	c.Stats.Insertions++
 	c.Stats.EntriesWritten += uint64(pw.Entries(c.cfg.UopsPerEntry))
 	if c.m != nil {
+		c.m.polInserts.Inc()
 		c.m.insertions.Inc()
 		c.m.entriesWritten.Add(uint64(pw.Entries(c.cfg.UopsPerEntry)))
 		c.m.slotOccupancy.Set(float64(c.totalResidents))
@@ -881,6 +913,7 @@ func (c *Cache) removeResident(set int, slot int32) {
 	// Clear EntriesUsed so stale contents cannot be mistaken for a resident.
 	r.EntriesUsed = 0
 	if c.m != nil {
+		c.m.polEvictions.Inc()
 		c.m.slotOccupancy.Set(float64(c.totalResidents))
 	}
 	c.policy.OnEvict(set, slot, key)
