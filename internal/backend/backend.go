@@ -115,7 +115,7 @@ func (d *Data) Stall(uops, insts int, addr uint64) int {
 	// A deterministic fraction of micro-ops are memory operations touching
 	// a synthetic working set derived from the code address (hot code
 	// tends to touch hot data).
-	memOps := int(float64(uops)*d.cfg.MemFrac + 0.5)
+	memOps := int(float64(float64(uops)*d.cfg.MemFrac) + 0.5)
 	stall := 0.0
 	for i := 0; i < memOps; i++ {
 		da := mix64(addr+uint64(i)*0x9E3779B9) & d.footMask

@@ -99,7 +99,7 @@ func Example_policyComparison() {
 	// belady       offline   +29.24%
 	// furbys       online    +24.72%
 	// thermometer  online    +16.40%
-	// foo          offline   +13.91%
+	// foo          offline   +14.69%
 	// mockingjay   online     +5.63%
 	// ship++       online     +5.17%
 	// srrip        online     +4.30%

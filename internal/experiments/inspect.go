@@ -90,6 +90,9 @@ func RunAttribution(c *Context, opts AttributionOptions) ([]inspect.Attribution,
 
 // attributeOne replays one (app, policy) pair with introspection attached
 // and reconciles the classification against the run's eviction counters.
+// The replay reads keep-plans through the context's plan cache, so the
+// FLACK plan RunAttribution just solved is not solved again, and once the
+// row reconciles the run's counters are added to the context's registry.
 func attributeOne(c *Context, app, pol string, pws []trace.PW, pt *trace.PreparedTrace, keep []bool, window int) (inspect.Attribution, error) {
 	// A fresh registry scoped to this single run makes the reconciliation
 	// exact: uopcache_evictions_total here counts THIS replay's evictions
@@ -102,6 +105,7 @@ func attributeOne(c *Context, app, pol string, pws []trace.PW, pt *trace.Prepare
 		Telemetry: core.Telemetry{Metrics: reg, Events: col},
 		Workers:   c.Workers,
 		Prepared:  pt,
+		Plans:     c.plans(),
 	})
 	if err != nil {
 		return inspect.Attribution{}, fmt.Errorf("attribution: %s/%s: %w", app, pol, err)
@@ -113,6 +117,9 @@ func attributeOne(c *Context, app, pol string, pws []trace.PW, pt *trace.Prepare
 		return row, fmt.Errorf(
 			"attribution: %s/%s: classified %d evictions but Stats.Evictions=%d, uopcache_evictions_total=%d",
 			app, pol, row.Total, res.Stats.Evictions, counter)
+	}
+	if m := c.Telemetry.Metrics; m != nil {
+		m.AddCounters(reg)
 	}
 	return row, nil
 }

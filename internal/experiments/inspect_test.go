@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"uopsim/internal/inspect"
+	"uopsim/internal/offline"
 	"uopsim/internal/telemetry"
 )
 
@@ -124,5 +125,44 @@ func TestStatusSnapshotTracksCampaign(t *testing.T) {
 	}
 	if !sawExp || !sawCell {
 		t.Errorf("span log missing categories: experiment=%v cell=%v", sawExp, sawCell)
+	}
+}
+
+// TestRunAttributionSharesPlansAndCounters: the attribution replays of
+// flack, furbys and thermometer read the FLACK plan through the context's
+// plan cache instead of solving it again, and their per-run counters are
+// added to the context's registry once each row reconciles. The first
+// RunAttribution solves and memoizes the plan; during the second, no
+// segment is solved and every replay hits the memo.
+func TestRunAttributionSharesPlansAndCounters(t *testing.T) {
+	ctx := smallCtx()
+	ctx.Apps = []string{"kafka"}
+	reg := telemetry.NewRegistry()
+	ctx.Telemetry.Metrics = reg
+	offline.RegisterMetrics(reg)
+	if _, err := RunAttribution(ctx, AttributionOptions{Policies: []string{"lru"}}); err != nil {
+		t.Fatal(err)
+	}
+	read := func() (solved, memoHits uint64) {
+		reg.Collect()
+		return reg.Counter("offline_segments_solved_total").Value(), reg.Counter("plan_memo_hit_total").Value()
+	}
+	solved0, hits0 := read()
+	pols := []string{"flack", "furbys", "thermometer"}
+	if _, err := RunAttribution(ctx, AttributionOptions{Policies: pols}); err != nil {
+		t.Fatal(err)
+	}
+	solved, hits := read()
+	if solved != solved0 {
+		t.Errorf("offline_segments_solved_total moved %d → %d during the attribution replays", solved0, solved)
+	}
+	// One hit for RunAttribution's own plan and at least one per replay.
+	if hits < hits0+1+uint64(len(pols)) {
+		t.Errorf("plan_memo_hit_total %d → %d, want at least %d more", hits0, hits, 1+len(pols))
+	}
+	for _, name := range []string{"policy_lru_hits_total", "policy_flack_hits_total", "uopcache_evictions_total"} {
+		if reg.Counter(name).Value() == 0 {
+			t.Errorf("%s = 0 in the context registry after the attribution replays", name)
+		}
 	}
 }

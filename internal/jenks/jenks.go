@@ -46,7 +46,7 @@ func Breaks(values []float64, k int) ([]float64, error) {
 	prefixSq := make([]float64, n+1)
 	for i, x := range v {
 		prefix[i+1] = prefix[i] + x
-		prefixSq[i+1] = prefixSq[i] + x*x
+		prefixSq[i+1] = prefixSq[i] + float64(x*x)
 	}
 	sse := func(i, j int) float64 { // inclusive i..j
 		cnt := float64(j - i + 1)

@@ -2,6 +2,7 @@ package offline
 
 import (
 	"context"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -80,7 +81,7 @@ func (d *Decisions) KeptFraction() float64 {
 
 type fooRequest struct {
 	pos  int32 // global lookup position
-	id   uint64
+	next int32 // distance to the object's next request in its set; 0 = none
 	size int32 // entries
 	cost int32 // micro-ops
 }
@@ -118,187 +119,259 @@ func ComputeDecisionsPrepared(ctx context.Context, pt *trace.PreparedTrace, cfg 
 // each set's requests into segments of at most segLimit (0 selects
 // DefaultSegmentLimit): the independent min-cost-flow instances, in set
 // order.
+//
+// It also links every request to its object's next request. With folding,
+// an object is the start address (its dense key id) and its footprint is
+// that of its largest variant (the steady-state stored window). Without
+// folding, each (start, micro-ops) variant is a separate object —
+// Belady/FOO's view — resolved through a short per-key list of variants. A
+// start address maps to one set, so an object's requests all lie in one
+// set's list and a link is a distance within it; one pass over the trace
+// links every set. A link that reaches past its segment's end opens no
+// interval there.
 func segmentRequests(pt *trace.PreparedTrace, cfg uopcache.Config, foldVariants bool, segLimit int) [][]fooRequest {
 	if segLimit <= 0 {
 		segLimit = DefaultSegmentLimit
 	}
 	n := pt.Len()
+	sets := cfg.Sets()
 
-	// Identity and (size, cost) per object. With folding, an object is
-	// the start address and its footprint is that of its largest
-	// variant (the steady-state stored window). Without folding, each
-	// (start, uops) variant is a separate object — Belady/FOO's view.
-	identity := func(p trace.PW) uint64 {
-		if foldVariants {
-			return p.Start
-		}
-		return p.Start ^ (uint64(p.NumUops) << 48)
-	}
-	// With folding, a request's footprint is the PREFIX max of its
-	// variants: the cache stores the largest window seen so far (growth
-	// happens on partial hits), so planning against the global max would
-	// overstate early intervals' size and cost. The maxima live in a flat
-	// array indexed by dense key id.
-	var prefixMax []int32
-	if foldVariants {
-		prefixMax = make([]int32, pt.NumKeys())
-	}
-
-	// Partition requests per set. The per-set counts are known up front,
-	// so the request lists are carved out of one arena instead of growing
-	// by repeated append.
-	perSet := make([][]fooRequest, cfg.Sets())
-	counts := make([]int32, cfg.Sets())
+	// The per-set request lists are carved out of one arena in set order.
+	// end[s] starts as set s's first slot and advances as the set fills,
+	// so after the fill it is the set's end (and set s+1's start).
+	end := make([]int32, sets+1)
 	for i := 0; i < n; i++ {
-		counts[pt.Set(i)]++
+		end[pt.Set(i)+1]++
 	}
+	for s := 1; s <= sets; s++ {
+		end[s] += end[s-1]
+	}
+	end = end[:sets]
 	arena := make([]fooRequest, n)
-	off := 0
-	for s := range perSet {
-		c := int(counts[s])
-		perSet[s] = arena[off : off : off+c]
-		off += c
+
+	// Per-object state: last is 1 + the arena slot of the object's latest
+	// request (0 before its first). With folding, max is the PREFIX max of
+	// the key's micro-op counts: the cache stores the largest window seen
+	// so far (growth happens on partial hits), so planning against the
+	// global max would overstate early intervals' size and cost. Without
+	// folding, head[key] is 1 + the index of the key's newest variant and
+	// each variant chains to the key's previous one.
+	type foldKey struct{ max, last int32 }
+	type variant struct {
+		uops        uint16
+		last, chain int32
+	}
+	var keys []foldKey
+	var head []int32
+	var variants []variant
+	if foldVariants {
+		keys = make([]foldKey, pt.NumKeys())
+	} else {
+		head = make([]int32, pt.NumKeys())
+		variants = make([]variant, 0, pt.NumKeys())
 	}
 	for i := 0; i < n; i++ {
 		p := pt.At(i)
-		set := pt.Set(i)
+		s := pt.Set(i)
+		slot := end[s]
+		end[s]++
+		id := pt.KeyID(i)
 		cost := int32(p.NumUops)
+		var last *int32
 		if foldVariants {
-			id := pt.KeyID(i)
-			if cost > prefixMax[id] {
-				prefixMax[id] = cost
+			k := &keys[id]
+			k.max = max(k.max, cost)
+			cost = k.max
+			last = &k.last
+		} else {
+			v := head[id]
+			for v != 0 && variants[v-1].uops != p.NumUops {
+				v = variants[v-1].chain
 			}
-			cost = prefixMax[id]
+			if v == 0 {
+				variants = append(variants, variant{uops: p.NumUops, chain: head[id]})
+				v = int32(len(variants))
+				head[id] = v
+			}
+			last = &variants[v-1].last
 		}
 		size := (cost + int32(cfg.UopsPerEntry) - 1) / int32(cfg.UopsPerEntry)
 		if size < 1 {
 			size = 1
 		}
-		perSet[set] = append(perSet[set], fooRequest{
-			pos: int32(i), id: identity(p), size: size, cost: cost,
-		})
+		arena[slot] = fooRequest{pos: int32(i), size: size, cost: cost}
+		if prev := *last - 1; prev >= 0 {
+			arena[prev].next = slot - prev
+		}
+		*last = slot + 1
 	}
 
 	// Flatten the (set, segment) instances into one work list so a few
 	// long sets cannot serialize the tail of the fan-out.
-	nSegs := 0
-	for _, reqs := range perSet {
-		nSegs += (len(reqs) + segLimit - 1) / segLimit
+	nSegs, lo := 0, int32(0)
+	for _, hi := range end {
+		nSegs += (int(hi-lo) + segLimit - 1) / segLimit
+		lo = hi
 	}
 	segs := make([][]fooRequest, 0, nSegs)
-	for _, reqs := range perSet {
+	lo = 0
+	for _, hi := range end {
+		reqs := arena[lo:hi:hi]
 		for off := 0; off < len(reqs); off += segLimit {
-			end := off + segLimit
-			if end > len(reqs) {
-				end = len(reqs)
-			}
-			segs = append(segs, reqs[off:end])
+			segs = append(segs, reqs[off:min(off+segLimit, len(reqs))])
 		}
+		lo = hi
 	}
 	return segs
 }
 
-// segScratch is one worker's reusable segment-build state: the
-// next-occurrence map and slices, the supply vector, the interval list and
-// the flow graph itself. Each segment resets it instead of allocating, so a
-// warm pool makes the per-segment build allocation-free.
+// segScratch is one worker's reusable segment-build state: the interval
+// list, the per-request load, overload and core-node columns, the supply
+// vector, the inner-edge capacities and the flow graph itself. Each segment
+// resets it instead of allocating, so a warm pool makes the per-segment
+// build allocation-free.
 type segScratch struct {
-	next      map[uint64]int // id -> most recent earlier index
-	nextOcc   []int
-	supply    []int64
 	intervals []interval
+	load      []int64
+	over      []int32
+	supply    []int64
+	node      []int32
+	inner     []int64
 	g         flow.Graph
 }
 
-// interval is one outer edge: the request it starts at, its size in
-// entries, the per-unit cost of missing it, and its edge id once the graph
-// is built.
+// interval is one outer edge: the requests it spans, its size in entries,
+// the per-unit cost of missing it, and its edge id once the graph is built.
 type interval struct {
-	from, edge    int
-	size, perUnit int64
+	from, to, edge int
+	size, perUnit  int64
 }
 
-var scratchPool = sync.Pool{New: func() any {
-	return &segScratch{next: make(map[uint64]int)}
-}}
+var scratchPool = sync.Pool{New: func() any { return &segScratch{} }}
 
 // segmentsTotal and segmentsSolved count the (set, segment) instances
 // solveSegment planned and those of them it handed to the flow solver;
-// exposed as offline_segments_total and offline_segments_solved_total.
-var segmentsTotal, segmentsSolved atomic.Uint64
+// intervalsTotal and intervalsCore count the intervals of the solved
+// segments and those of them that went into the solved core network.
+var segmentsTotal, segmentsSolved, intervalsTotal, intervalsCore atomic.Uint64
 
 // RegisterMetrics exposes the segment counters in reg, refreshed at each
 // collection: offline_segments_total counts every (set, segment) instance
 // planned, and offline_segments_solved_total those whose capacity binds and
 // which therefore ran a flow solve. Their ratio is the share of segments
-// that pay for a solve.
+// that pay for a solve. offline_intervals_total counts the intervals of the
+// solved segments and offline_intervals_core_total those of them in the
+// contended core; their ratio is the share of a solved segment's intervals
+// the flow solve still decides.
 func RegisterMetrics(reg *telemetry.Registry) {
 	total := reg.Counter("offline_segments_total")
 	solved := reg.Counter("offline_segments_solved_total")
+	intervals := reg.Counter("offline_intervals_total")
+	core := reg.Counter("offline_intervals_core_total")
 	reg.OnCollect(func() {
 		total.Store(segmentsTotal.Load())
 		solved.Store(segmentsSolved.Load())
+		intervals.Store(intervalsTotal.Load())
+		core.Store(intervalsCore.Load())
 	})
 }
 
-// solveSegment runs the min-cost-flow formulation on one per-set segment,
-// writes keep decisions into dec and returns the flow cost.
+// solveSegment solves the FOO/FLACK interval-caching LP of one per-set
+// segment, writes keep decisions into dec and returns the optimal flow
+// cost.
 //
-// The network has a node per request, an inner edge of capacity ways and
-// cost 0 between consecutive requests, and an outer edge per interval
-// (request i to the next request j of the same object) of capacity size
-// and per-unit cost perUnit, the cost of missing it; node i supplies and
-// node j demands size units. Flow on an interval's outer edge is the part
-// of it that misses, so an interval is kept when its outer edge carries
-// none. The supply's prefix sum at gap k (between requests k and k+1) is
-// the load: the total size of the intervals open across that gap.
+// The LP: each interval (request i to the next request j of the same
+// object) may be kept in part or in whole; at every gap k (between requests
+// k and k+1) the kept intervals open across it fit in ways entries; missing
+// a unit of an interval costs its perUnit. The load at gap k is the total
+// size of the intervals open across it, kept or not.
 //
-// A segment whose capacity never binds is not solved. If the load is at
-// most ways at every gap and every interval has perUnit > 0, keeping every
-// interval is the unique optimum: routing every interval over the inner
-// edges puts exactly the load on each inner edge, which fits, so the plan
-// is feasible at cost 0; and any other feasible flow puts some units on an
-// outer edge, each costing perUnit > 0, so it costs more. The solver would
-// return exactly that plan, so the shortcut keeps every interval and
-// returns 0 without building the graph. An interval with perUnit == 0 (a
-// VC window of 0 micro-ops) costs nothing to miss, so the solver's
-// tie-breaking decides it and its segment is always solved. The check is
-// folded into the loop that fills the supply vector: supply[i] is final once
-// request i is visited, because later requests only add to later nodes.
+// Only the contended core is solved. A gap is overloaded when its load
+// exceeds ways. An interval with perUnit > 0 that spans no overloaded gap
+// is kept whole without a solve: its kept load at every gap it spans is at
+// most that gap's load, which fits, so any plan that missed part of it
+// could keep it and cost less. Every other interval — one that crosses an
+// overloaded gap, or one that costs nothing to miss (a VC window of 0
+// micro-ops), whose outcome is a tie — is in the core. A segment whose core
+// is empty keeps every interval at cost 0 without building a graph.
+//
+// The core network has a node per core-interval endpoint. An inner edge of
+// cost 0 joins consecutive nodes p and q; its capacity is the smallest room
+// the kept non-core intervals leave, ways minus their load, over gaps
+// p..q-1. Overloaded gaps carry no non-core load, so the room is never
+// negative. Each core interval gets an outer edge of capacity size and
+// cost perUnit; its start node supplies and its end node demands size
+// units. Flow on an outer edge is the part of the interval that misses, so
+// a core interval is kept when its outer edge carries none. The core LP is
+// the segment's LP with the non-core intervals fixed at their optimum, so
+// the flow cost is the segment's optimal cost.
 func solveSegment(reqs []fooRequest, ways int, model CostModel, dec *Decisions) int64 {
 	segmentsTotal.Add(1)
-	m := len(reqs)
-	if m < 2 {
+	if len(reqs) < 2 {
 		return 0
 	}
 	sc := scratchPool.Get().(*segScratch)
 	defer scratchPool.Put(sc)
-	// Walk backward so "next occurrence" is known, counting intervals as we
-	// go: together with the m-1 inner edges and at most m supply edges this
-	// gives the exact arc budget, so the graph build never grows a slice.
-	next := sc.next
-	clear(next)
-	sc.nextOcc = grow(sc.nextOcc, m)
-	nextOcc := sc.nextOcc
-	nIntervals := 0
-	for i := m - 1; i >= 0; i-- {
-		if j, ok := next[reqs[i].id]; ok {
-			nextOcc[i] = j
-			nIntervals++
-		} else {
-			nextOcc[i] = -1
-		}
-		next[reqs[i].id] = i
+	core, k := sc.contendedCore(reqs, ways, model, dec)
+	if len(core) == 0 {
+		return 0
 	}
-	// Price the intervals, fill the supply vector and track the load.
-	intervals := grow(sc.intervals, nIntervals)[:0]
+	segmentsSolved.Add(1)
+	intervalsTotal.Add(uint64(len(sc.intervals)))
+	intervalsCore.Add(uint64(len(core)))
+	node := sc.node
+	g := &sc.g
+	g.Reset(k, (k-1)+len(core)+k)
+	for p, room := range sc.inner[:k-1] {
+		g.AddEdge(p, p+1, room, 0)
+	}
+	for c := range core {
+		iv := &core[c]
+		iv.edge = g.AddEdge(int(node[iv.from]), int(node[iv.to]), iv.size, iv.perUnit)
+	}
+	// The network is always feasible: every outer edge can carry its own
+	// supply. An error here is a programming bug.
+	sv := flow.AcquireSolver()
+	res, err := sv.SolveSupplies(g, sc.supply[:k])
+	flow.ReleaseSolver(sv)
+	if err != nil {
+		panic("offline: infeasible FOO instance: " + err.Error())
+	}
+	for _, iv := range core {
+		// Zero flow on the outer (miss) edge means the whole object
+		// rode the inner edges: the interval is cached.
+		if g.Flow(iv.edge) == 0 {
+			dec.Keep[reqs[iv.from].pos] = true
+		}
+	}
+	return res.Cost
+}
+
+// contendedCore prices the segment's intervals, keeps the non-core ones in
+// dec and reduces the rest to the core network's inputs. It returns the
+// core intervals, in request order, and the core node count k; sc.node maps
+// each core endpoint's request to its node, sc.supply[:k] holds the node
+// supplies and sc.inner[:k-1] the inner-edge capacities. sc.intervals keeps
+// every interval of the segment, the core ones first.
+func (sc *segScratch) contendedCore(reqs []fooRequest, ways int, model CostModel, dec *Decisions) (core []interval, k int) {
+	m := len(reqs)
+	// Price the intervals and fill the supply vector, tracking the load and
+	// the overloaded gaps: supply[i] is final once request i is visited,
+	// because later requests only add to later nodes. over[k] counts the
+	// overloaded gaps before request k, so an interval from i to j crosses
+	// over[j] - over[i] of them.
+	intervals := grow(sc.intervals, m)[:0]
 	sc.supply = grow(sc.supply, m)
 	supply := sc.supply
 	clear(supply)
-	fits := true
-	var load int64
+	sc.load = grow(sc.load, m)
+	load := sc.load
+	sc.over = grow(sc.over, m+1)
+	over := sc.over
+	over[0] = 0
+	var open int64
 	for i := 0; i < m; i++ {
-		if j := nextOcc[i]; j >= 0 {
+		if j := i + int(reqs[i].next); j > i && j < m {
 			size := int64(reqs[i].size)
 			var missCost int64
 			switch model {
@@ -312,49 +385,63 @@ func solveSegment(reqs []fooRequest, ways int, model CostModel, dec *Decisions) 
 			// Per-unit cost of NOT caching the interval; costScale
 			// keeps it integral for any size 1..8.
 			perUnit := costScale * missCost / size
-			intervals = append(intervals, interval{from: i, size: size, perUnit: perUnit})
+			intervals = append(intervals, interval{from: i, to: j, size: size, perUnit: perUnit})
 			supply[i] += size
 			supply[j] -= size
-			fits = fits && perUnit > 0
 		}
-		load += supply[i]
-		fits = fits && load <= int64(ways)
+		open += supply[i]
+		load[i] = open
+		over[i+1] = over[i]
+		if open > int64(ways) {
+			over[i+1]++
+		}
 	}
 	sc.intervals = intervals
-	if fits {
-		for _, iv := range intervals {
-			dec.Keep[reqs[iv.from].pos] = true
-		}
-		return 0
-	}
-	segmentsSolved.Add(1)
-	g := &sc.g
-	g.Reset(m, (m-1)+nIntervals+m)
-	// Inner edges: consecutive requests share the set's entry capacity.
-	for i := 0; i+1 < m; i++ {
-		g.AddEdge(i, i+1, int64(ways), 0)
-	}
-	// Outer edges: one per interval, in request order.
-	for k := range intervals {
-		iv := &intervals[k]
-		iv.edge = g.AddEdge(iv.from, nextOcc[iv.from], iv.size, iv.perUnit)
-	}
-	// The network is always feasible: every outer edge can carry its own
-	// supply. An error here is a programming bug.
-	sv := flow.AcquireSolver()
-	res, err := sv.SolveSupplies(g, supply)
-	flow.ReleaseSolver(sv)
-	if err != nil {
-		panic("offline: infeasible FOO instance: " + err.Error())
-	}
+	// Keep the non-core intervals and move the core ones to the front,
+	// marking their endpoints and gathering their supplies.
+	sc.node = grow(sc.node, m)
+	node := sc.node
+	clear(node)
+	clear(supply)
+	nCore := 0
 	for _, iv := range intervals {
-		// Zero flow on the outer (miss) edge means the whole object
-		// rode the inner edges: the interval is cached.
-		if g.Flow(iv.edge) == 0 {
+		if iv.perUnit > 0 && over[iv.to] == over[iv.from] {
 			dec.Keep[reqs[iv.from].pos] = true
+			continue
 		}
+		intervals[nCore] = iv
+		nCore++
+		supply[iv.from] += iv.size
+		supply[iv.to] -= iv.size
+		node[iv.from], node[iv.to] = 1, 1
 	}
-	return res.Cost
+	if nCore == 0 {
+		return nil, 0
+	}
+	// Number the core nodes in request order, compacting their supplies to
+	// the front of supply, and take each inner edge's capacity: the least
+	// room over the gaps from one core node to the next. The core load
+	// open across a gap is the prefix sum of the core supplies; the rest of
+	// the gap's load is the kept non-core intervals'.
+	sc.inner = grow(sc.inner, m)
+	inner := sc.inner
+	var coreOpen int64
+	room := int64(math.MaxInt64)
+	for i := 0; i < m; i++ {
+		if node[i] != 0 {
+			if k > 0 {
+				inner[k-1] = room
+			}
+			s := supply[i]
+			coreOpen += s
+			supply[k] = s
+			node[i] = int32(k)
+			k++
+			room = math.MaxInt64
+		}
+		room = min(room, int64(ways)-(load[i]-coreOpen))
+	}
+	return intervals[:nCore], k
 }
 
 // grow returns s resized to n elements, reallocating only when its capacity

@@ -20,7 +20,7 @@ const planMagic = 0x75507046
 // encoding OR the semantics of a plan change (solver tie-breaking, cost
 // scaling, segment handling): cached plans from older versions then miss
 // and are recomputed instead of silently replaying stale decisions.
-const planVersion = 2
+const planVersion = 3
 
 // EncodePlan serializes a keep-plan in a compact little-endian binary
 // format understood by DecodePlan: a 16-byte header (magic, version,

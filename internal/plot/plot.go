@@ -57,7 +57,7 @@ func niceTicks(lo, hi float64) []float64 {
 	}
 	first := math.Floor(lo/step) * step
 	var ticks []float64
-	for v := first; v <= hi+step/2; v += step {
+	for v := first; v <= hi+float64(step/2); v += step {
 		ticks = append(ticks, v)
 	}
 	return ticks
@@ -72,7 +72,7 @@ func header(sb *strings.Builder, title, yLabel string, lo, hi float64) (plotW, p
 	fmt.Fprintf(sb, `<rect width="%d" height="%d" fill="white"/>`+"\n", chartW, chartH)
 	fmt.Fprintf(sb, `<text x="%d" y="24" font-size="15" font-weight="bold">%s</text>`+"\n", marginL, esc(title))
 	yOf = func(v float64) float64 {
-		return float64(marginT) + float64(plotH)*(1-(v-lo)/(hi-lo))
+		return float64(marginT) + float64(float64(plotH)*(1-(v-lo)/(hi-lo)))
 	}
 	for _, tick := range niceTicks(lo, hi) {
 		y := yOf(tick)
@@ -128,9 +128,9 @@ func bounds(series []Series) (lo, hi float64) {
 	}
 	// Headroom.
 	span := hi - lo
-	hi += 0.05 * span
+	hi += float64(0.05 * span)
 	if lo < 0 {
-		lo -= 0.05 * span
+		lo -= float64(0.05 * span)
 	}
 	return lo, hi
 }
@@ -151,7 +151,7 @@ func BarSVG(title, yLabel string, groups []string, series []Series) string {
 	barW := groupW * 0.8 / float64(len(series))
 	zeroY := yOf(0)
 	for gi, g := range groups {
-		gx := float64(marginL) + groupW*float64(gi) + groupW*0.1
+		gx := float64(marginL) + float64(groupW*float64(gi)) + float64(groupW*0.1)
 		for si, s := range series {
 			if gi >= len(s.Values) {
 				continue
@@ -163,11 +163,11 @@ func BarSVG(title, yLabel string, groups []string, series []Series) string {
 				top, h = zeroY, y-zeroY
 			}
 			fmt.Fprintf(&sb, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s"><title>%s / %s: %s</title></rect>`+"\n",
-				gx+barW*float64(si), top, barW*0.92, h, palette[si%len(palette)],
+				gx+float64(barW*float64(si)), top, barW*0.92, h, palette[si%len(palette)],
 				esc(g), esc(s.Name), trimFloat(v))
 		}
 		fmt.Fprintf(&sb, `<text x="%.1f" y="%d" font-size="11" text-anchor="end" transform="rotate(-35 %.1f %d)">%s</text>`+"\n",
-			gx+groupW*0.4, marginT+plotH+14, gx+groupW*0.4, marginT+plotH+14, esc(g))
+			gx+float64(groupW*0.4), marginT+plotH+14, gx+float64(groupW*0.4), marginT+plotH+14, esc(g))
 	}
 	legend(&sb, series)
 	sb.WriteString("</svg>\n")

@@ -80,7 +80,7 @@ func (p *Mockingjay) sig(pc uint64) uint32 { return uint32(mix(pc) & (1<<mjSigBi
 func (p *Mockingjay) train(pc uint64, d float64) {
 	s := p.sig(pc)
 	if p.rdpSeen[s] {
-		p.rdp[s] = 0.75*p.rdp[s] + 0.25*d
+		p.rdp[s] = float64(0.75*p.rdp[s]) + float64(0.25*d)
 	} else {
 		p.rdp[s] = d
 		p.rdpSeen[s] = true

@@ -22,7 +22,7 @@ func TestCollectAllocsFixed(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
 	}
-	const want = 481
+	const want = 480
 	spec, err := workload.Get("kafka")
 	if err != nil {
 		t.Fatal(err)

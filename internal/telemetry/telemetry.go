@@ -131,6 +131,30 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// AddCounters adds the value of every counter in src to the counter of the
+// same name in r, creating it if needed: a run counted in a registry of its
+// own can then be rolled up into a longer-lived one. The names are src's,
+// each registered there through Counter. src's collection hooks are not
+// run.
+func (r *Registry) AddCounters(src *Registry) {
+	src.mu.Lock()
+	values := make(map[string]uint64, len(src.counters))
+	for name, c := range src.counters {
+		values[name] = c.Value()
+	}
+	src.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for name, v := range values {
+		c, ok := r.counters[name]
+		if !ok {
+			c = &Counter{}
+			r.counters[name] = c
+		}
+		c.Add(v)
+	}
+}
+
 // Gauge returns the gauge registered under name, creating it if needed.
 func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()

@@ -124,6 +124,28 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	}
 }
 
+// TestAddCounters: every counter of the source is added to the
+// same-named counter of the destination, created when missing; gauges and
+// histograms stay behind, and the source is unchanged.
+func TestAddCounters(t *testing.T) {
+	src, dst := NewRegistry(), NewRegistry()
+	src.Counter("a_total").Add(3)
+	src.Counter("b_total").Add(5)
+	src.Gauge("g").Set(1)
+	dst.Counter("a_total").Add(10)
+	dst.AddCounters(src)
+	dst.AddCounters(src)
+	if a, b := dst.Counter("a_total").Value(), dst.Counter("b_total").Value(); a != 16 || b != 10 {
+		t.Errorf("a_total %d, b_total %d; want 16, 10", a, b)
+	}
+	if src.Counter("a_total").Value() != 3 {
+		t.Errorf("source a_total changed to %d", src.Counter("a_total").Value())
+	}
+	if len(dst.gauges) != 0 {
+		t.Errorf("gauges copied: %v", dst.gauges)
+	}
+}
+
 func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("uopcache_misses_total").Add(7)

@@ -239,15 +239,15 @@ func (s Spec) Build() *Program {
 			loopHead = 1 + rng.Intn(nb/2)
 			loopEnd = loopHead + 1 + rng.Intn(nb-loopHead-2)
 			fn.loopHead, fn.loopEnd = loopHead, loopEnd
-			fn.loopMean = s.LoopMean * (0.5 + rng.Float64())
+			fn.loopMean = s.LoopMean * (0.5 + float64(rng.Float64()))
 		}
 		for bi := 0; bi < nb; bi++ {
 			ninst := uint16(2 + rng.Intn(10))
 			per := 3 + rng.Intn(4) // 3-6 bytes per instruction
 			bytes := ninst * uint16(per)
-			density := 1.0 + 0.5*rng.Float64()
+			density := 1.0 + float64(0.5*rng.Float64())
 			if rng.Float64() < s.UopHeavyFrac {
-				density = 2.0 + rng.Float64()
+				density = 2.0 + float64(rng.Float64())
 			}
 			nuops := uint16(math.Max(1, math.Round(float64(ninst)*density)))
 			b := bblock{bytes: bytes, ninst: ninst, nuops: nuops, callee: -1}
@@ -268,7 +268,7 @@ func (s Spec) Build() *Program {
 					b.kind = trace.BranchCond
 					if rng.Float64() < s.FlakyFrac {
 						// A near-random ("flaky") conditional.
-						b.takenProb = 0.35 + 0.3*rng.Float64()
+						b.takenProb = 0.35 + float64(0.3*rng.Float64())
 					} else if rng.Float64() < 0.5 {
 						b.takenProb = 0.05 // strongly not-taken
 					} else {
@@ -377,7 +377,7 @@ func (p *Program) Generate(numBlocks, input int) []trace.Block {
 			rank[i], rank[i+1] = rank[i+1], rank[i]
 		}
 	}
-	cdf := zipfWeights(len(rank), s.ZipfS*(0.99+0.02*rng.Float64()))
+	cdf := zipfWeights(len(rank), s.ZipfS*(0.99+float64(0.02*rng.Float64())))
 
 	// Phase schedule: each phase promotes a handful of cold functions to
 	// the front of the ranking. The promoted sets are chosen from the
