@@ -16,7 +16,6 @@ import (
 	"uopsim/internal/analysis"
 	"uopsim/internal/core"
 	"uopsim/internal/experiments"
-	"uopsim/internal/frontend"
 	"uopsim/internal/offline"
 	"uopsim/internal/policy"
 	"uopsim/internal/profiles"
@@ -273,40 +272,9 @@ func BenchmarkTimingModel(b *testing.B) {
 	}
 }
 
-// BenchmarkNewPath measures the policy-independent half of a timing run,
-// frontend.NewPath (window walk, branch predictor and data side), over the
-// 11 applications at 10,000 blocks each, the timing workload's size. The
-// traces and their windows are built outside the timed loop; it reports ns
-// per block and per window over all 11 paths.
-func BenchmarkNewPath(b *testing.B) {
-	type app struct {
-		blocks []trace.Block
-		pws    []trace.PW
-	}
-	var apps []app
-	var blocks, windows int
-	for _, name := range workload.Names() {
-		spec, err := workload.Get(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bl := workload.GenerateSpec(spec, 10000, 0)
-		apps = append(apps, app{bl, trace.FormPWs(bl, 0)})
-		blocks += len(bl)
-		windows += len(apps[len(apps)-1].pws)
-	}
-	cfg := core.DefaultConfig()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, a := range apps {
-			frontend.NewPath(a.blocks, a.pws, cfg.Branch, cfg.Backend)
-		}
-	}
-	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	b.ReportMetric(ns/float64(blocks), "ns/block")
-	b.ReportMetric(ns/float64(windows), "ns/window")
-}
+// The policy-independent half of a timing run, frontend.NewPath, and each
+// of its layers are measured by BenchmarkNewPath in internal/frontend,
+// beside the unexported window walk it times alone.
 
 func BenchmarkProfileCollect(b *testing.B) {
 	pws := benchTracePWs(b, "kafka", 10000)

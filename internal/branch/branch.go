@@ -1,8 +1,9 @@
 // Package branch implements the frontend branch prediction stack of the
 // paper's Table I configuration: a TAGE-lite conditional direction predictor
 // (bimodal base + geometric-history tagged tables standing in for the 64KB
-// TAGE-SC-L), an 8192-entry 4-way BTB, a 32-entry return address stack, and
-// a 4096-entry indirect BTB. The timing simulator uses it for misprediction
+// TAGE-SC-L), an 8192-entry 4-way BTB with true-LRU replacement kept as
+// each set's recency order, a 32-entry return address stack, and a
+// 4096-entry indirect BTB. The timing simulator uses it for misprediction
 // resteers and for branch-MPKI statistics (Table II); the behaviour-mode
 // replacement studies do not need it.
 package branch
@@ -257,7 +258,8 @@ func (p *Predictor) Process(b trace.Block) Outcome {
 	pc := b.BranchPC
 
 	// Target prediction via BTB (all branches consult it).
-	btbTarget, btbHit := p.btb.lookup(pc)
+	set, key := p.btb.index(pc)
+	btbTarget, btbHit := p.btb.lookup(set, key)
 	if !btbHit {
 		p.Stats.BTBMisses++
 		out.BTBMiss = true
@@ -304,7 +306,7 @@ func (p *Predictor) Process(b trace.Block) Outcome {
 		}
 	}
 	if b.Taken {
-		p.btb.update(pc, b.Target)
+		p.btb.update(set, key, b.Target)
 	}
 	return out
 }
@@ -331,18 +333,18 @@ func boolBit(b bool) uint64 {
 
 // --- BTB ---
 
+// btbEntry is one BTB way: its tag plus one, so that 0 marks an invalid
+// way, and the branch target.
 type btbEntry struct {
-	tag    uint64
+	key    uint64
 	target uint64
-	// lastUse is a monotonically increasing stamp for LRU; the clock ticks
-	// before every fill, so 0 marks an invalid entry.
-	lastUse uint64
 }
 
-func (e *btbEntry) valid() bool { return e.lastUse != 0 }
-
-// btb is a set-associative BTB with true-LRU replacement. Its entries sit in
-// one backing array, set s occupying entries[s*ways : (s+1)*ways].
+// btb is a set-associative BTB with true-LRU replacement, kept as each
+// set's recency order: its entries sit in one backing array, set s
+// occupying entries[s*ways : (s+1)*ways], most recently used first. A set
+// fills from the front and never empties a way, so invalid ways only trail
+// valid ones and the last way is always the victim.
 type btb struct {
 	entries []btbEntry
 	ways    int
@@ -350,15 +352,16 @@ type btb struct {
 	// requires a power of two, so index masks and shifts.
 	setMask uint64
 	setBits uint
-	clock   uint64
 }
 
 // newBTB builds a BTB of entries/ways sets; it panics unless the set count
-// is a power of two (a programming error: every shipped config is one).
+// is a power of two of at least 2 (a programming error: every shipped
+// config is one). One set would leave a 64-bit tag, whose key could wrap
+// to the invalid 0.
 func newBTB(entries, ways int) *btb {
 	nsets := entries / ways
-	if nsets <= 0 || nsets&(nsets-1) != 0 {
-		panic(fmt.Sprintf("branch: BTB of %d entries in %d ways has %d sets, not a power of two", entries, ways, nsets))
+	if nsets < 2 || nsets&(nsets-1) != 0 {
+		panic(fmt.Sprintf("branch: BTB of %d entries in %d ways has %d sets, not a power of two of at least 2", entries, ways, nsets))
 	}
 	return &btb{
 		entries: make([]btbEntry, nsets*ways), ways: ways,
@@ -366,48 +369,36 @@ func newBTB(entries, ways int) *btb {
 	}
 }
 
-// index returns pc's set, its hash modulo the set count, and its tag, the
-// hash divided by the set count.
-func (b *btb) index(pc uint64) (int, uint64) {
+// index returns pc's set, picked by its hash modulo the set count, and its
+// key: the tag, the hash divided by the set count, plus one.
+func (b *btb) index(pc uint64) ([]btbEntry, uint64) {
 	h := mix64(pc)
-	return int(h & b.setMask), h >> b.setBits
+	s := int(h & b.setMask)
+	return b.entries[s*b.ways : (s+1)*b.ways], h>>b.setBits + 1
 }
 
-// set returns set s's ways.
-func (b *btb) set(s int) []btbEntry {
-	return b.entries[s*b.ways : (s+1)*b.ways]
-}
-
-func (b *btb) lookup(pc uint64) (uint64, bool) {
-	b.clock++
-	set, tag := b.index(pc)
-	ways := b.set(set)
-	for i := range ways {
-		e := &ways[i]
-		if e.valid() && e.tag == tag {
-			e.lastUse = b.clock
+// lookup returns the target of key's entry in set, if any, and makes the
+// entry the set's most recently used.
+func (b *btb) lookup(set []btbEntry, key uint64) (uint64, bool) {
+	if set[0].key == key {
+		return set[0].target, true
+	}
+	for i := 1; i < len(set); i++ {
+		if e := set[i]; e.key == key {
+			copy(set[1:i+1], set[:i])
+			set[0] = e
 			return e.target, true
 		}
 	}
 	return 0, false
 }
 
-func (b *btb) update(pc, target uint64) {
-	b.clock++
-	set, tag := b.index(pc)
-	ways := b.set(set)
-	victim := 0
-	for i := range ways {
-		if ways[i].valid() && ways[i].tag == tag {
-			ways[i].target = target
-			ways[i].lastUse = b.clock
-			return
-		}
-		if !ways[i].valid() {
-			victim = i
-		} else if ways[victim].valid() && ways[i].lastUse < ways[victim].lastUse {
-			victim = i
-		}
+// update records target for key in set. It must follow lookup(set, key),
+// which left a hit at the front: an entry found there is retargeted, and
+// otherwise the last way is evicted and key fills the front.
+func (b *btb) update(set []btbEntry, key, target uint64) {
+	if set[0].key != key {
+		copy(set[1:], set)
 	}
-	ways[victim] = btbEntry{tag: tag, target: target, lastUse: b.clock}
+	set[0] = btbEntry{key: key, target: target}
 }

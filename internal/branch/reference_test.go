@@ -25,8 +25,9 @@ func foldHistory(hist uint64, histLen, outBits int) uint64 {
 
 // refPredictor is the predictor written from the definitions, one formula
 // per use: it folds the history and hashes every tagged table's index and
-// tag afresh on each predict and each update, and indexes the BTB by
-// remainder and quotient, the definition of the masked index. Predictor must agree with it block for block.
+// tag afresh on each predict and each update, and keeps the BTB's true LRU
+// with a clock (refBTB) indexed by remainder and quotient, the definition
+// of the masked index. Predictor must agree with it block for block.
 type refPredictor struct {
 	cfg     Config
 	bimodal []uint8
@@ -56,7 +57,7 @@ func newRef(cfg Config) *refPredictor {
 		p.tagged = append(p.tagged, refTable{entries: make([]taggedEntry, 1<<cfg.TaggedBits), histLen: hl})
 	}
 	nsets := cfg.BTBEntries / cfg.BTBWays
-	p.btb = refBTB{entries: make([]btbEntry, nsets*cfg.BTBWays), ways: cfg.BTBWays, nsets: uint64(nsets)}
+	p.btb = refBTB{entries: make([]refBTBEntry, nsets*cfg.BTBWays), ways: cfg.BTBWays, nsets: uint64(nsets)}
 	p.ras = make([]uint64, cfg.RASEntries)
 	p.ibtb = make([]uint64, cfg.IBTBEntries)
 	return p
@@ -179,12 +180,25 @@ func (p *refPredictor) Process(b trace.Block) Outcome {
 	return out
 }
 
+// refBTB is the BTB's true LRU written with a clock: lookup and update each
+// tick it, an entry records the tick of its last use, 0 marking an invalid
+// entry, and update fills an invalid entry if there is one and otherwise
+// replaces the entry with the oldest stamp. btb keeps each set in recency
+// order instead.
 type refBTB struct {
-	entries []btbEntry
+	entries []refBTBEntry
 	ways    int
 	nsets   uint64
 	clock   uint64
 }
+
+type refBTBEntry struct {
+	tag     uint64
+	target  uint64
+	lastUse uint64
+}
+
+func (e *refBTBEntry) valid() bool { return e.lastUse != 0 }
 
 func (b *refBTB) index(pc uint64) (int, uint64) {
 	h := mix64(pc)
@@ -221,7 +235,7 @@ func (b *refBTB) update(pc, target uint64) {
 			victim = i
 		}
 	}
-	ways[victim] = btbEntry{tag: tag, target: target, lastUse: b.clock}
+	ways[victim] = refBTBEntry{tag: tag, target: target, lastUse: b.clock}
 }
 
 // referenceConfigs are the configurations the differential tests run:
@@ -237,9 +251,10 @@ func referenceConfigs() map[string]Config {
 }
 
 // TestBTBSetCountPowerOfTwo checks that New rejects a BTB whose set count
-// is not a power of two, which its masked index cannot address.
+// is not a power of two, which its masked index cannot address, or is a
+// single set, whose 64-bit tag plus one could wrap to the invalid key.
 func TestBTBSetCountPowerOfTwo(t *testing.T) {
-	for _, c := range [][2]int{{6000, 4}, {12, 2}, {2, 4}} {
+	for _, c := range [][2]int{{6000, 4}, {12, 2}, {2, 4}, {4, 4}} {
 		cfg := DefaultConfig()
 		cfg.BTBEntries, cfg.BTBWays = c[0], c[1]
 		func() {
@@ -309,6 +324,15 @@ func FuzzPredictorVsReference(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5, 6, 6, 0x41, 1, 1, 0x41, 2, 2})
 	// A conditional alternating direction at one site, between calls.
 	f.Add([]byte{1, 9, 3, 0x41, 9, 3, 3, 10, 4, 1, 9, 3, 0x41, 9, 3, 4, 11, 0})
+	// A hot conditional site, taken once, then not taken (a BTB lookup
+	// without an update) between 31 taken cold sites: in the small
+	// configuration some cold sites share its set, and only a lookup hit
+	// moved to the front of the set keeps it resident.
+	hot := []byte{0x43, 9, 1}
+	for c := range 31 {
+		hot = append(hot, 1, 9, 1, 2, byte(20+c), 1)
+	}
+	f.Add(hot)
 	// Fresh addresses and many sites: BTB capacity and conflicts.
 	seed := make([]byte, 0, 3*64)
 	for i := range 64 {

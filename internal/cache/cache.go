@@ -1,8 +1,9 @@
 // Package cache implements the conventional set-associative caches of the
-// memory hierarchy (L1i, L1d, L2) used by the timing simulator, plus the
-// shadow caches the statistics module uses for miss classification. The
-// micro-op cache is NOT here — its PW-granular, multi-entry semantics live in
-// package uopcache.
+// memory hierarchy (the L1i, the L1d and the L2) with true-LRU
+// replacement, kept as each set's recency order: a hit moves its way to
+// the front of the set and a miss evicts the last way. The micro-op cache
+// is NOT here — its PW-granular, multi-entry semantics live in package
+// uopcache.
 package cache
 
 import (
@@ -37,8 +38,8 @@ func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.LineBytes <= 0 {
 		return fmt.Errorf("cache: non-positive size/line (%d/%d)", c.SizeBytes, c.LineBytes)
 	}
-	if c.LineBytes&(c.LineBytes-1) != 0 {
-		return fmt.Errorf("cache: line size %d not a power of two", c.LineBytes)
+	if c.LineBytes < 2 || c.LineBytes&(c.LineBytes-1) != 0 {
+		return fmt.Errorf("cache: line size %d not a power of two of at least 2", c.LineBytes)
 	}
 	lines := c.SizeBytes / c.LineBytes
 	if c.Ways < 0 || (c.Ways > 0 && lines%c.Ways != 0) {
@@ -53,29 +54,23 @@ func (c Config) Validate() error {
 	return nil
 }
 
-type line struct {
-	tag uint64
-	// lastUse is a monotonically increasing stamp for LRU; the clock ticks
-	// before every fill, so 0 marks an invalid line.
-	lastUse uint64
-}
-
-func (l *line) valid() bool { return l.lastUse != 0 }
-
-// Cache is a set-associative cache with true-LRU replacement. Its lines sit
-// in one backing array, set s occupying lines[s*ways : (s+1)*ways].
+// Cache is a set-associative cache with true-LRU replacement. LRU's whole
+// per-set state is the recency order of the set's lines, so that is all a
+// set stores: its ways sit in one backing array, set s occupying
+// ways[s*assoc : (s+1)*assoc], most recently used first. A way holds its
+// line's tag plus one, so 0 marks an invalid way; a set fills from the
+// front and never empties a way, so invalid ways only trail valid ones and
+// the last way is always the victim.
 type Cache struct {
-	cfg     Config
-	lines   []line
-	ways    int
+	ways    []uint64
+	assoc   int
 	setMask uint64
 	setBits uint
 	shift   uint
-	clock   uint64
 
 	// OnEvict, when non-nil, is invoked with the line address of every
-	// evicted (or invalidated) line. The micro-op cache registers here to
-	// implement L1i inclusion.
+	// evicted line. The micro-op cache registers here to implement L1i
+	// inclusion.
 	OnEvict func(lineAddr uint64)
 
 	// Stats.
@@ -90,109 +85,50 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nsets := cfg.Sets()
-	ways := cfg.Ways
-	if ways == 0 {
-		ways = cfg.SizeBytes / cfg.LineBytes
+	assoc := cfg.Ways
+	if assoc == 0 {
+		assoc = cfg.SizeBytes / cfg.LineBytes
 	}
 	return &Cache{
-		cfg:     cfg,
-		lines:   make([]line, nsets*ways),
-		ways:    ways,
+		ways:    make([]uint64, nsets*assoc),
+		assoc:   assoc,
 		setMask: uint64(nsets - 1),
 		setBits: uint(bits.TrailingZeros(uint(nsets))),
 		shift:   uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 	}
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
-func (c *Cache) index(addr uint64) (set int, tag uint64) {
-	lineAddr := addr >> c.shift
-	return int(lineAddr & c.setMask), lineAddr >> c.setBits
-}
-
-// set returns set s's ways.
-func (c *Cache) set(s int) []line {
-	return c.lines[s*c.ways : (s+1)*c.ways]
-}
-
-// LineAddr returns the address of the line containing addr.
-func (c *Cache) LineAddr(addr uint64) uint64 {
-	return addr &^ uint64(c.cfg.LineBytes-1)
-}
-
 // Access touches addr, filling on miss. It returns true on hit.
 func (c *Cache) Access(addr uint64) bool {
 	c.Accesses++
-	c.clock++
-	set, tag := c.index(addr)
-	ways := c.set(set)
-	for i := range ways {
-		// The tag first: it rules out almost every way on its own.
-		if ways[i].tag == tag && ways[i].valid() {
-			ways[i].lastUse = c.clock
+	lineAddr := addr >> c.shift
+	set := lineAddr & c.setMask
+	// A line of at least two bytes leaves the tag under 2^63, so the key
+	// cannot wrap to the invalid 0.
+	key := lineAddr>>c.setBits + 1
+	ways := c.ways[int(set)*c.assoc : (int(set)+1)*c.assoc]
+	if ways[0] == key {
+		return true
+	}
+	for i := 1; i < len(ways); i++ {
+		if ways[i] == key {
+			copy(ways[1:i+1], ways[:i])
+			ways[0] = key
 			return true
 		}
 	}
 	c.Misses++
-	// Fill: pick an invalid way, else the LRU way.
-	victim := 0
-	for i := range ways {
-		if !ways[i].valid() {
-			victim = i
-			goto fill
-		}
-		if ways[i].lastUse < ways[victim].lastUse {
-			victim = i
-		}
+	if victim := ways[len(ways)-1]; victim != 0 && c.OnEvict != nil {
+		c.OnEvict(c.reassemble(set, victim-1))
 	}
-	if ways[victim].valid() && c.OnEvict != nil {
-		c.OnEvict(c.reassemble(set, ways[victim].tag))
-	}
-fill:
-	ways[victim] = line{tag: tag, lastUse: c.clock}
-	return false
-}
-
-// Probe reports whether addr is resident without updating state.
-func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.index(addr)
-	for _, w := range c.set(set) {
-		if w.valid() && w.tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// Invalidate removes addr's line if resident, firing OnEvict.
-func (c *Cache) Invalidate(addr uint64) bool {
-	set, tag := c.index(addr)
-	ways := c.set(set)
-	for i := range ways {
-		if ways[i].valid() && ways[i].tag == tag {
-			ways[i].lastUse = 0
-			if c.OnEvict != nil {
-				c.OnEvict(c.reassemble(set, tag))
-			}
-			return true
-		}
-	}
+	copy(ways[1:], ways)
+	ways[0] = key
 	return false
 }
 
 // reassemble reconstructs a line address from set and tag.
-func (c *Cache) reassemble(set int, tag uint64) uint64 {
-	return ((tag << c.setBits) | uint64(set)) << c.shift
-}
-
-// MissRate returns misses/accesses (0 when untouched).
-func (c *Cache) MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
+func (c *Cache) reassemble(set, tag uint64) uint64 {
+	return ((tag << c.setBits) | set) << c.shift
 }
 
 // ResetStats clears the counters without disturbing contents (for warmup).

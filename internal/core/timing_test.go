@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"math"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -124,6 +126,36 @@ func TestRunTimingAllocsFixed(t *testing.T) {
 	})
 	if reuse != wantReuse {
 		t.Errorf("a run over a prebuilt path: %.0f allocations, want %d", reuse, wantReuse)
+	}
+}
+
+// TestNewPathBytesFixed pins the bytes frontend.NewPath allocates over a
+// fixed trace (kafka, 20,000 blocks, the Table-I config): the predictor's
+// tables, among them the BTB at 16 bytes an entry; the L1d and L2 at 8
+// bytes a way; and the path's step and stall arrays. The allocation counts
+// of TestRunTimingAllocsFixed do not see an entry grow; a per-way field
+// such as an LRU stamp adds 135,168 bytes here. The collector is off, as
+// there. The runtime's own allocations during a call only ever add bytes
+// (a rare call reads 5,504 more), so the check takes the fewest of five
+// calls.
+func TestNewPathBytesFixed(t *testing.T) {
+	const want = 386720
+	blocks, pws, err := core.TraceFor("kafka", 20000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fewest := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for range 5 {
+		runtime.ReadMemStats(&before)
+		frontend.NewPath(blocks, pws, cfg.Branch, cfg.Backend)
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.TotalAlloc-before.TotalAlloc)
+	}
+	if fewest != want {
+		t.Errorf("NewPath: %d bytes allocated, want %d", fewest, want)
 	}
 }
 
