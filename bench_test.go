@@ -148,7 +148,7 @@ func BenchmarkUopCacheLRU(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := uopcache.New(uopcache.DefaultConfig(), policy.NewLRU())
-		uopcache.NewBehavior(c, nil).Run(pt)
+		uopcache.NewBehavior(c, nil, pt).Run()
 	}
 }
 
@@ -162,7 +162,7 @@ func BenchmarkUopCacheFURBYS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := uopcache.New(cfg, policy.NewFURBYS(policy.DefaultFURBYSConfig(), w))
-		uopcache.NewBehavior(c, nil).Run(pt)
+		uopcache.NewBehavior(c, nil, pt).Run()
 	}
 }
 
@@ -197,12 +197,12 @@ func BenchmarkPolicyLookup(b *testing.B) {
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			c := uopcache.New(cfg, tc.mk())
-			beh := uopcache.NewBehavior(c, nil)
-			beh.Run(pt) // warm to steady state before timing
+			beh := uopcache.NewBehavior(c, nil, pt)
+			beh.Run() // warm to steady state before timing
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				beh.Run(pt)
+				beh.Run()
 			}
 		})
 	}

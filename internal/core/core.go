@@ -196,18 +196,18 @@ func RunBehavior(pws []trace.PW, cfg Config, pol uopcache.Policy, opts BehaviorO
 	if opts.WithICache {
 		ic = cache.New(cfg.L1I)
 	}
-	b := uopcache.NewBehavior(c, ic)
 	pt := uopcache.PreparedFor(cfg.UopCache, pws, opts.Prepared)
+	b := uopcache.NewBehavior(c, ic, pt)
 	var res BehaviorResult
 	if opts.RecordPerLookup {
 		res.PerLookup = make([]uopcache.ProbeResult, pt.Len())
 		for i := range res.PerLookup {
-			res.PerLookup[i] = b.Access(pt, i)
+			res.PerLookup[i] = b.Access(i)
 		}
 		b.Flush()
 		res.Stats = c.Stats
 	} else {
-		res.Stats = b.Run(pt)
+		res.Stats = b.Run()
 	}
 	res.Utilization = c.Utilization()
 	if f, ok := pol.(*policy.FURBYS); ok {

@@ -90,16 +90,16 @@ func TestNonInclusiveNeverWorse(t *testing.T) {
 }
 
 // TestRunTimingAllocsFixed pins the allocations of one timing run on a
-// fixed trace (kafka, 4,000 blocks, LRU at the Table-I config): 35 per
+// fixed trace (kafka, 4,000 blocks, LRU at the Table-I config): 34 per
 // RunTiming, of which 20 build the trace's path (predictor tables, the two
 // data caches, the step and stall arrays) and the rest are the micro-op
-// cache, its policy and the L1i. A run over a prebuilt path allocates 15.
+// cache, its policy and the L1i. A run over a prebuilt path allocates 14.
 // The caches and the BTB keep each structure in one backing array, so no
 // count here grows with the set count. The counts are taken with the
 // collector off: a collection during the count adds allocations of the
 // runtime's own (two here).
 func TestRunTimingAllocsFixed(t *testing.T) {
-	const wantRun, wantPath, wantReuse = 35, 20, 15
+	const wantRun, wantPath, wantReuse = 34, 20, 14
 	blocks, pws, err := core.TraceFor("kafka", 4000, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -151,7 +151,7 @@ func Sec3BMissClasses(ctx *Context) (*Table, error) {
 		lruCounter := func(pws []trace.PW, cfg uopcache.Config) uint64 {
 			pt, _ := ctx.Prepared(app, 0, cfg)
 			c := uopcache.New(cfg, policy.NewLRU())
-			return uopcache.NewBehavior(c, nil).Run(uopcache.PreparedFor(cfg, pws, pt)).Misses
+			return uopcache.NewBehavior(c, nil, uopcache.PreparedFor(cfg, pws, pt)).Run().Misses
 		}
 		flackCounter := func(pws []trace.PW, cfg uopcache.Config) uint64 {
 			pt, _ := ctx.Prepared(app, 0, cfg)

@@ -169,7 +169,7 @@ func TestReconciliationWithLiveCache(t *testing.T) {
 	c := uopcache.New(cfg, policy.NewLRU())
 	c.AttachMetrics(reg)
 	c.SetEventSink(col)
-	stats := uopcache.NewBehavior(c, nil).Run(uopcache.Prepare(cfg, pws))
+	stats := uopcache.NewBehavior(c, nil, uopcache.Prepare(cfg, pws)).Run()
 	if stats.Evictions == 0 {
 		t.Fatal("test trace produced no evictions; widen it")
 	}

@@ -175,10 +175,10 @@ func TestPlanSurvivesWarmupReset(t *testing.T) {
 		drive func(c *uopcache.Cache, before func(i int))
 	}{
 		{"behavior", func(c *uopcache.Cache, before func(i int)) {
-			b := uopcache.NewBehavior(c, nil)
+			b := uopcache.NewBehavior(c, nil, pt)
 			for i := 0; i < pt.Len(); i++ {
 				before(i)
-				b.Access(pt, i)
+				b.Access(i)
 			}
 			b.Flush()
 		}},

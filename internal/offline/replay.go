@@ -109,9 +109,9 @@ func (o Options) model() CostModel {
 	return CostOHR
 }
 
-// newBehavior builds the replay's cache under pol and wires in the
-// optional L1i and observability attachments.
-func (o Options) newBehavior(cfg uopcache.Config, pol uopcache.Policy) *uopcache.Behavior {
+// newBehavior builds the replay's cache under pol, bound to pt, and wires
+// in the optional L1i and observability attachments.
+func (o Options) newBehavior(pt *trace.PreparedTrace, cfg uopcache.Config, pol uopcache.Policy) *uopcache.Behavior {
 	c := uopcache.New(cfg, pol)
 	if o.Metrics != nil {
 		c.AttachMetrics(o.Metrics)
@@ -123,7 +123,7 @@ func (o Options) newBehavior(cfg uopcache.Config, pol uopcache.Policy) *uopcache
 	if o.ICache != nil {
 		ic = cache.New(*o.ICache)
 	}
-	return uopcache.NewBehavior(c, ic)
+	return uopcache.NewBehavior(c, ic, pt)
 }
 
 // RunFOO replays the lookup sequence under a FOO/FLACK plan with the given
@@ -158,14 +158,14 @@ func replayDecisions(pt *trace.PreparedTrace, cfg uopcache.Config, dec *Decision
 	if dec != nil {
 		keep, name = dec.Keep, opts.Features.Label()
 	}
-	b := opts.newBehavior(cfg, newPlanPolicy(pt, keep, name))
+	b := opts.newBehavior(pt, cfg, newPlanPolicy(pt, keep, name))
 	c := b.C
 	var res Result
 	if opts.RecordPerLookup {
 		res.PerLookup = make([]uopcache.ProbeResult, 0, pt.Len())
 	}
 	for i, n := 0, pt.Len(); i < n; i++ {
-		r := b.Access(pt, i)
+		r := b.Access(i)
 		if opts.RecordPerLookup {
 			res.PerLookup = append(res.PerLookup, r)
 		}

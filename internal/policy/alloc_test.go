@@ -39,9 +39,9 @@ func TestReplayAllocsZero(t *testing.T) {
 		policy.NewThermometer(nil),
 		policy.NewFURBYS(policy.DefaultFURBYSConfig(), weights),
 	} {
-		beh := uopcache.NewBehavior(uopcache.New(cfg, pol), nil)
-		beh.Run(pt)
-		if got := testing.AllocsPerRun(3, func() { beh.Run(pt) }); got != 0 {
+		beh := uopcache.NewBehavior(uopcache.New(cfg, pol), nil, pt)
+		beh.Run()
+		if got := testing.AllocsPerRun(3, func() { beh.Run() }); got != 0 {
 			t.Errorf("%s: a second replay allocated %.0f times, want 0", pol.Name(), got)
 		}
 	}

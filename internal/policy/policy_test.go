@@ -426,7 +426,7 @@ func TestAllPoliciesSurviveStress(t *testing.T) {
 				u := 1 + int((state>>13)%24)
 				seq = append(seq, pw(a, u))
 			}
-			uopcache.NewBehavior(c, nil).Run(uopcache.Prepare(cfg, seq))
+			uopcache.NewBehavior(c, nil, uopcache.Prepare(cfg, seq)).Run()
 			for s := 0; s < cfg.Sets(); s++ {
 				if u := c.UsedEntries(s); u > cfg.Ways {
 					t.Fatalf("set %d over capacity: %d", s, u)

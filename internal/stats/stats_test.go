@@ -18,7 +18,7 @@ func pw(start uint64, uops int) trace.PW {
 // lruMisses is the canonical MissCounter.
 func lruMisses(pws []trace.PW, cfg uopcache.Config) uint64 {
 	c := uopcache.New(cfg, policy.NewLRU())
-	return uopcache.NewBehavior(c, nil).Run(uopcache.Prepare(cfg, pws)).Misses
+	return uopcache.NewBehavior(c, nil, uopcache.Prepare(cfg, pws)).Run().Misses
 }
 
 func TestClassifyColdOnly(t *testing.T) {

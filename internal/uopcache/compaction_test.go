@@ -79,7 +79,7 @@ func TestCompactionReducesMisses(t *testing.T) {
 		for _, a := range mkTrace() {
 			seq = append(seq, pw(a, 3)) // small windows: heavy fragmentation
 		}
-		uopcache.NewBehavior(c, nil).Run(uopcache.Prepare(cfg, seq))
+		uopcache.NewBehavior(c, nil, uopcache.Prepare(cfg, seq)).Run()
 		return c.Stats.UopMissRate()
 	}
 	base, comp := run(false), run(true)

@@ -55,7 +55,7 @@ func TestQuickAccountingInvariants(t *testing.T) {
 			uops := 1 + int((state>>17)%24)
 			seq = append(seq, pw(start, uops))
 		}
-		uopcache.NewBehavior(c, nil).Run(uopcache.Prepare(cfg, seq))
+		uopcache.NewBehavior(c, nil, uopcache.Prepare(cfg, seq)).Run()
 		st := c.Stats
 		if st.UopsHit+st.UopsMissed != st.UopsRequested {
 			return false

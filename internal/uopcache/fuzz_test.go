@@ -1,16 +1,19 @@
-// Differential fuzz test for the dense (set, slot) storage rewrite: a
-// byte-stream of cache operations is replayed against both the real Cache
-// (slot arrays + linear-probe index + line-bucket counts) and a deliberately
-// naive map-based reference model that re-implements the documented
-// semantics with Go maps and an inline LRU. The two must agree on every
-// per-operation outcome, the exact eviction sequence (set, key, order), the
-// final Stats, and the final resident population — across geometries,
-// including compaction. Any divergence in slot allocation, probe-index
-// deletion, or line bookkeeping shows up as a log mismatch.
+// Differential fuzz test for the dense (set, slot) storage: a byte-stream of
+// cache operations is replayed against both the real Cache (slot arrays, key
+// columns, the bound trace's id column and line-bucket counts) and a
+// deliberately naive map-based reference model that re-implements the
+// documented semantics with Go maps, an inline LRU and a slice for the
+// in-flight queue. The two must agree on every per-operation outcome, the
+// exact eviction sequence (set, key, order), the final Stats, and the final
+// resident population — across geometries, including compaction, and with
+// lookups both by address and through a Behavior bound to a trace of them.
+// Any divergence in slot allocation, key or id bookkeeping, or line
+// bookkeeping shows up as a log mismatch.
 package uopcache_test
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 
@@ -52,7 +55,7 @@ type refWin struct {
 }
 
 // refCache is the map-based reference: one map per set, linear victim scans,
-// no slot handles, no probe index, no line counts — just the semantics.
+// no slot handles, no key columns, no line counts — just the semantics.
 type refCache struct {
 	cfg   uopcache.Config
 	cap   int
@@ -61,6 +64,16 @@ type refCache struct {
 	lru   uint64
 	stats uopcache.Stats
 	log   *[]string
+	// clock counts lookups; pipe holds the pending insertions, oldest
+	// first.
+	clock uint64
+	pipe  []refPending
+}
+
+// refPending is an insertion in the reference's decode pipe.
+type refPending struct {
+	pw  trace.PW
+	due uint64
 }
 
 func newRefCache(cfg uopcache.Config, log *[]string) *refCache {
@@ -105,6 +118,7 @@ func (r *refCache) lookup(pw trace.PW) uopcache.ProbeResult {
 	want := int(pw.NumUops)
 	r.stats.Lookups++
 	r.stats.UopsRequested += uint64(want)
+	r.clock++
 	set := r.cfg.SetIndex(pw.Start)
 	w := r.sets[set][pw.Start]
 	if w == nil {
@@ -123,6 +137,37 @@ func (r *refCache) lookup(pw trace.PW) uopcache.ProbeResult {
 	r.stats.UopsHit += uint64(w.uops)
 	r.stats.UopsMissed += uint64(want - w.uops)
 	return uopcache.ProbeResult{Kind: uopcache.ProbePartial, HitUops: w.uops, MissUops: want - w.uops}
+}
+
+// access is a bound Behavior's lookup: land the insertions due by this
+// lookup, look up, and on a miss or partial hit schedule the window's
+// insertion InsertDelay lookups ahead, merging it into a pending insertion
+// of the same start (the larger window wins).
+func (r *refCache) access(pw trace.PW) uopcache.ProbeResult {
+	r.complete(r.clock + 1)
+	res := r.lookup(pw)
+	if res.MissUops == 0 {
+		return res
+	}
+	for i := range r.pipe {
+		if r.pipe[i].pw.Start == pw.Start {
+			if pw.NumUops > r.pipe[i].pw.NumUops {
+				r.pipe[i].pw = pw
+			}
+			return res
+		}
+	}
+	r.pipe = append(r.pipe, refPending{pw: pw, due: r.clock + uint64(r.cfg.InsertDelay)})
+	return res
+}
+
+// complete inserts every pending window due by now, oldest first.
+func (r *refCache) complete(now uint64) {
+	for len(r.pipe) > 0 && r.pipe[0].due <= now {
+		pw := r.pipe[0].pw
+		r.pipe = r.pipe[1:]
+		r.insert(pw)
+	}
 }
 
 func (r *refCache) probe(pw trace.PW) uopcache.ProbeResult {
@@ -252,7 +297,11 @@ func fuzzPW(addr, uopsB, extra byte) trace.PW {
 
 // FuzzDenseVsReference replays a fuzzer-chosen operation stream against the
 // dense Cache and the map-based reference, requiring identical per-op
-// outcomes, eviction sequences, Stats, and final contents.
+// outcomes, eviction sequences, Stats, and final contents. Every stream runs
+// twice: once with lookups by address, and once with each lookup an Access
+// of a Behavior bound to the trace of the stream's lookup windows, its
+// insertions delayed by geo/4 mod 4 lookups, while the other operations
+// keep going by address.
 func FuzzDenseVsReference(f *testing.F) {
 	f.Add(uint8(0), []byte{})
 	// A lookup/insert mix on one geometry, then streams biased toward each
@@ -268,70 +317,98 @@ func FuzzDenseVsReference(f *testing.F) {
 	f.Add(uint8(3), []byte{3, 4, 5, 1, 3, 4, 5, 3, 6, 4, 0, 2, 0, 4, 5, 1, 0, 4, 5, 3})
 	f.Fuzz(func(t *testing.T, geo uint8, data []byte) {
 		cfg := fuzzGeometries[int(geo)%len(fuzzGeometries)]
-
-		var denseLog, refLog []string
-		c := uopcache.New(cfg, evictRecorder{Policy: policy.NewLRU(), log: &denseLog})
-		ref := newRefCache(cfg, &refLog)
-
-		for i := 0; i+4 <= len(data); i += 4 {
-			op, addr, uopsB, extra := data[i], data[i+1], data[i+2], data[i+3]
-			pw := fuzzPW(addr, uopsB, extra)
-			switch op % 8 {
-			case 0, 1, 2: // lookup (the common op)
-				got, want := c.Lookup(pw), ref.lookup(pw)
-				if got != want {
-					t.Fatalf("op %d: Lookup(%#x/%d) = %+v, reference %+v", i, pw.Start, pw.NumUops, got, want)
-				}
-			case 3, 4: // insert
-				got, want := c.Insert(pw), ref.insert(pw)
-				if got != want {
-					t.Fatalf("op %d: Insert(%#x/%d) = %v, reference %v", i, pw.Start, pw.NumUops, got, want)
-				}
-			case 5: // forced eviction
-				got, want := c.EvictKey(pw.Start), ref.evictKey(pw.Start)
-				if got != want {
-					t.Fatalf("op %d: EvictKey(%#x) = %v, reference %v", i, pw.Start, got, want)
-				}
-			case 6: // inclusive line invalidation
-				line := trace.LineAddr(pw.Start)
-				got, want := c.InvalidateLine(line), ref.invalidateLine(line)
-				if got != want {
-					t.Fatalf("op %d: InvalidateLine(%#x) = %d, reference %d", i, line, got, want)
-				}
-			case 7: // stateless probe
-				got, want := c.Probe(pw), ref.probe(pw)
-				if got != want {
-					t.Fatalf("op %d: Probe(%#x/%d) = %+v, reference %+v", i, pw.Start, pw.NumUops, got, want)
-				}
-			}
-			if len(denseLog) != len(refLog) {
-				t.Fatalf("op %d: eviction log length %d, reference %d\ndense %v\nref   %v",
-					i, len(denseLog), len(refLog), denseLog, refLog)
-			}
-		}
-
-		for i := range denseLog {
-			if denseLog[i] != refLog[i] {
-				t.Fatalf("eviction %d: dense %q, reference %q", i, denseLog[i], refLog[i])
-			}
-		}
-		if c.Stats != ref.stats {
-			t.Fatalf("stats diverged:\ndense %+v\nref   %+v", c.Stats, ref.stats)
-		}
-		if got, want := c.ResidentCount(), ref.residentCount(); got != want {
-			t.Fatalf("resident count %d, reference %d", got, want)
-		}
-		for set := 0; set < cfg.Sets(); set++ {
-			for _, r := range c.Residents(set) {
-				w := ref.sets[set][r.Key]
-				if w == nil || w.uops != r.Uops || w.need != r.EntriesUsed {
-					t.Fatalf("set %d resident %#x: dense uops=%d need=%d, reference %+v",
-						set, r.Key, r.Uops, r.EntriesUsed, w)
-				}
-			}
-			if len(c.Residents(set)) != len(ref.sets[set]) {
-				t.Fatalf("set %d population %d, reference %d", set, len(c.Residents(set)), len(ref.sets[set]))
-			}
-		}
+		cfg.InsertDelay = int(geo/4) % 4
+		t.Run("address", func(t *testing.T) { denseVsReference(t, cfg, data, false) })
+		t.Run("bound", func(t *testing.T) { denseVsReference(t, cfg, data, true) })
 	})
+}
+
+// denseVsReference is one FuzzDenseVsReference run; bound routes the lookups
+// through a Behavior bound to a trace prepared from them.
+func denseVsReference(t *testing.T, cfg uopcache.Config, data []byte, bound bool) {
+	var denseLog, refLog []string
+	c := uopcache.New(cfg, evictRecorder{Policy: policy.NewLRU(), log: &denseLog})
+	ref := newRefCache(cfg, &refLog)
+	var b *uopcache.Behavior
+	if bound {
+		var seq []trace.PW
+		for i := 0; i+4 <= len(data); i += 4 {
+			if data[i]%8 <= 2 {
+				seq = append(seq, fuzzPW(data[i+1], data[i+2], data[i+3]))
+			}
+		}
+		b = uopcache.NewBehavior(c, nil, uopcache.Prepare(cfg, seq))
+	}
+	next := 0 // the bound trace's next position
+
+	for i := 0; i+4 <= len(data); i += 4 {
+		op, addr, uopsB, extra := data[i], data[i+1], data[i+2], data[i+3]
+		pw := fuzzPW(addr, uopsB, extra)
+		switch op % 8 {
+		case 0, 1, 2: // lookup (the common op)
+			var got, want uopcache.ProbeResult
+			if bound {
+				got, want = b.Access(next), ref.access(pw)
+				next++
+			} else {
+				got, want = c.Lookup(pw), ref.lookup(pw)
+			}
+			if got != want {
+				t.Fatalf("op %d: Lookup(%#x/%d) = %+v, reference %+v", i, pw.Start, pw.NumUops, got, want)
+			}
+		case 3, 4: // insert
+			got, want := c.Insert(pw), ref.insert(pw)
+			if got != want {
+				t.Fatalf("op %d: Insert(%#x/%d) = %v, reference %v", i, pw.Start, pw.NumUops, got, want)
+			}
+		case 5: // forced eviction
+			got, want := c.EvictKey(pw.Start), ref.evictKey(pw.Start)
+			if got != want {
+				t.Fatalf("op %d: EvictKey(%#x) = %v, reference %v", i, pw.Start, got, want)
+			}
+		case 6: // inclusive line invalidation
+			line := trace.LineAddr(pw.Start)
+			got, want := c.InvalidateLine(line), ref.invalidateLine(line)
+			if got != want {
+				t.Fatalf("op %d: InvalidateLine(%#x) = %d, reference %d", i, line, got, want)
+			}
+		case 7: // stateless probe
+			got, want := c.Probe(pw), ref.probe(pw)
+			if got != want {
+				t.Fatalf("op %d: Probe(%#x/%d) = %+v, reference %+v", i, pw.Start, pw.NumUops, got, want)
+			}
+		}
+		if len(denseLog) != len(refLog) {
+			t.Fatalf("op %d: eviction log length %d, reference %d\ndense %v\nref   %v",
+				i, len(denseLog), len(refLog), denseLog, refLog)
+		}
+	}
+	if bound {
+		b.Flush()
+		ref.complete(math.MaxUint64)
+	}
+
+	for i := range denseLog {
+		if denseLog[i] != refLog[i] {
+			t.Fatalf("eviction %d: dense %q, reference %q", i, denseLog[i], refLog[i])
+		}
+	}
+	if c.Stats != ref.stats {
+		t.Fatalf("stats diverged:\ndense %+v\nref   %+v", c.Stats, ref.stats)
+	}
+	if got, want := c.ResidentCount(), ref.residentCount(); got != want {
+		t.Fatalf("resident count %d, reference %d", got, want)
+	}
+	for set := 0; set < cfg.Sets(); set++ {
+		for _, r := range c.Residents(set) {
+			w := ref.sets[set][r.Key]
+			if w == nil || w.uops != r.Uops || w.need != r.EntriesUsed {
+				t.Fatalf("set %d resident %#x: dense uops=%d need=%d, reference %+v",
+					set, r.Key, r.Uops, r.EntriesUsed, w)
+			}
+		}
+		if len(c.Residents(set)) != len(ref.sets[set]) {
+			t.Fatalf("set %d population %d, reference %d", set, len(c.Residents(set)), len(ref.sets[set]))
+		}
+	}
 }

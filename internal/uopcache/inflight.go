@@ -11,8 +11,10 @@ import "uopsim/internal/trace"
 type inflightInsert struct {
 	pw  trace.PW
 	due uint64
-	// set and foot are the window's set index and storage footprint.
+	// set and foot are the window's set index and storage footprint, and
+	// id its dense key id in the bound trace (-1: none).
 	set, foot int
+	id        int32
 	// cancelled marks an insertion an offline policy decided to skip
 	// (FLACK's late-insertion safeguard): it is bypassed on arrival.
 	cancelled bool
@@ -24,15 +26,15 @@ type inflightInsert struct {
 //
 //simlint:hotpath
 func (c *Cache) Schedule(pw trace.PW, due uint64) {
-	c.scheduleAt(pw, c.SetIndex(pw.Start), c.footprint(int(pw.NumUops)), due)
+	c.scheduleAt(pw, c.SetIndex(pw.Start), c.cfg.Footprint(int(pw.NumUops)), c.idOf(pw.Start), due)
 }
 
-// scheduleAt is Schedule with the window's set index and storage footprint
-// precomputed by the caller (the prepared-trace path hands in the column
-// values; Schedule derives them).
+// scheduleAt is Schedule with the window's set index, storage footprint and
+// dense key id supplied by the caller (the prepared-trace path hands in the
+// column values; Schedule derives them).
 //
 //simlint:hotpath
-func (c *Cache) scheduleAt(pw trace.PW, set, foot int, due uint64) {
+func (c *Cache) scheduleAt(pw trace.PW, set, foot int, id int32, due uint64) {
 	if e := c.findInFlight(pw.Start); e != nil {
 		// Coalesce: keep the larger window (new-window formation after
 		// a partial hit merges into the in-flight accumulation). A
@@ -50,7 +52,7 @@ func (c *Cache) scheduleAt(pw trace.PW, set, foot int, due uint64) {
 		copy(grown, c.inflight)
 		c.inflight = grown
 	}
-	c.inflight[c.qLen] = inflightInsert{pw: pw, due: due, set: set, foot: foot}
+	c.inflight[c.qLen] = inflightInsert{pw: pw, due: due, set: set, foot: foot, id: id}
 	c.qLen++
 }
 
@@ -67,7 +69,7 @@ func (c *Cache) Complete(now uint64) {
 			c.noteBypass(e.set, e.pw)
 			continue
 		}
-		c.insertAt(e.pw, e.set, e.foot)
+		c.insertAt(e.pw, e.set, e.foot, e.id)
 	}
 }
 

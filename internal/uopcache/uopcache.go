@@ -19,16 +19,20 @@
 // (online and offline) implements that interface.
 //
 // Storage layout: residents live in a dense per-set slot array (a slot is a
-// (set, way) position, like hardware ways), found by a small per-set
-// linear-probe index instead of a Go map. The slot number is a stable handle
-// for the resident's whole lifetime — policies receive it on every event and
-// keep their metadata in flat per-slot arrays, which is both faster than
-// map[key] lookups and faithful to how hardware stores RRPV/recency bits.
+// (set, way) position, like hardware ways) beside a key column holding each
+// slot's start address plus one (0: free), which an address lookup scans like
+// a tag compare. A behaviour-mode replay instead finds residents by its
+// prepared trace's dense key ids (NewBehavior), through an id column whose
+// slot hints the key column confirms. The slot number is a stable handle for
+// the resident's whole lifetime — policies receive it on every event and keep
+// their metadata in flat per-slot arrays, as hardware stores RRPV/recency
+// bits.
 package uopcache
 
 import (
+	"cmp"
 	"fmt"
-	"math/bits"
+	"math"
 	"slices"
 	"strings"
 
@@ -82,7 +86,20 @@ func (c Config) Validate() error {
 	if c.InsertDelay < 0 {
 		return fmt.Errorf("uopcache: negative insert delay")
 	}
+	if n := c.slotsPerSet(); n > math.MaxUint16 {
+		return fmt.Errorf("uopcache: %d slots per set exceed the %d the id column can name", n, math.MaxUint16)
+	}
 	return nil
+}
+
+// slotsPerSet returns a set's capacity in the active accounting unit, which
+// is also its slot count: entries normally, micro-ops under idealized
+// compaction.
+func (c Config) slotsPerSet() int {
+	if c.Compaction {
+		return c.Ways * c.UopsPerEntry
+	}
+	return c.Ways
 }
 
 // Resident describes a PW currently stored in the cache.
@@ -221,10 +238,9 @@ type Cache struct {
 	lineCount []int32
 	clock     uint64
 
-	// Dense slot geometry: every set owns capSlots Resident slots and an
-	// idxLen-entry linear-probe index (power of two, <=50% loaded).
+	// Dense slot geometry: every set owns capSlots Resident slots and as
+	// many key-column words.
 	capSlots int
-	idxMask  uint32
 	// setMask is the set count less one (Config.Validate requires a power
 	// of two), computed once so SetIndex does not divide.
 	setMask uint64
@@ -237,7 +253,13 @@ type Cache struct {
 	// Policy.Victim; capacity capSlots, so refilling it never allocates.
 	viewBuf []Resident
 	// invVictims is InvalidateLine's scratch buffer.
-	invVictims []uint64
+	invVictims []keySlot
+
+	// bound is the trace a Behavior bound the cache to (nil: none), and
+	// idSlot[id] one more than the slot the window with that key id was
+	// last inserted at (0: never); the key column unmasks stale entries.
+	bound  *trace.PreparedTrace
+	idSlot []uint16
 
 	// inflight[:qLen] are the insertions still in the decode pipe,
 	// oldest first (see inflight.go).
@@ -313,16 +335,20 @@ func newCacheMetrics(reg *telemetry.Registry, polName string) *cacheMetrics {
 	}
 }
 
-// cset is one set's dense storage: capSlots Resident slots (a slot is free
-// iff its occupancy bit is clear), an occupancy bitmap, and a linear-probe
-// index mapping window keys to slot numbers (entries store slot+1; 0 means
-// empty).
+// cset is one set's dense storage: capSlots Resident slots and the packed
+// key column beside them. keys[i] is slot i's window start plus one, and 0
+// marks a free slot (a window cannot start at math.MaxUint64; insertAt
+// rejects one).
 type cset struct {
 	slots []Resident
-	occ   []uint64
-	idx   []int32
+	keys  []uint64
 	used  int
-	count int
+}
+
+// keySlot is one resident InvalidateLine removes: its key and its slot.
+type keySlot struct {
+	key  uint64
+	slot int32
 }
 
 // Stats aggregates micro-op cache activity. Misses are counted in micro-ops
@@ -352,18 +378,6 @@ func (s Stats) UopMissRate() float64 {
 	return float64(s.UopsMissed) / float64(s.UopsRequested)
 }
 
-// hashKey spreads window start addresses over the probe index (the
-// finalizer of MurmurHash3/SplitMix64; full avalanche, so consecutive
-// starts do not cluster probes).
-func hashKey(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xFF51AFD7ED558CCD
-	x ^= x >> 33
-	x *= 0xC4CEB9FE1A85EC53
-	x ^= x >> 33
-	return x
-}
-
 // New builds a micro-op cache with the given replacement policy; it panics
 // on invalid configuration (configurations are static).
 func New(cfg Config, policy Policy) *Cache {
@@ -375,33 +389,17 @@ func New(cfg Config, policy Policy) *Cache {
 		policy:  policy,
 		polName: policy.Name(),
 	}
-	c.capSlots = c.setCapacity()
-	idxLen := 8
-	for idxLen < 2*c.capSlots {
-		idxLen *= 2
-	}
-	c.idxMask = uint32(idxLen - 1)
+	c.capSlots = cfg.slotsPerSet()
 	numSets := cfg.Sets()
 	c.setMask = uint64(numSets - 1)
-	occWords := (c.capSlots + 63) / 64
-	// One backing array per kind, sliced per set: contiguous, and a single
-	// allocation each.
+	// One backing array per column, sliced per set: contiguous, and a
+	// single allocation each.
 	slotB := make([]Resident, numSets*c.capSlots)
-	occB := make([]uint64, numSets*occWords)
-	idxB := make([]int32, numSets*idxLen)
-	// Mark the bitmap tail beyond capSlots occupied so allocSlot can never
-	// hand out an out-of-range slot. The tail lies within the last word.
-	var tail uint64
-	if r := c.capSlots % 64; r != 0 {
-		tail = ^uint64(0) << r
-	}
+	keyB := make([]uint64, numSets*c.capSlots)
 	c.sets = make([]cset, numSets)
 	for i := range c.sets {
-		s := &c.sets[i]
-		s.slots = slotB[i*c.capSlots : (i+1)*c.capSlots : (i+1)*c.capSlots]
-		s.occ = occB[i*occWords : (i+1)*occWords : (i+1)*occWords]
-		s.idx = idxB[i*idxLen : (i+1)*idxLen : (i+1)*idxLen]
-		s.occ[occWords-1] = tail
+		lo, hi := i*c.capSlots, (i+1)*c.capSlots
+		c.sets[i] = cset{slots: slotB[lo:hi:hi], keys: keyB[lo:hi:hi]}
 	}
 	c.lineCount = make([]int32, lineBuckets*numSets)
 	c.viewBuf = make([]Resident, 0, c.capSlots)
@@ -410,75 +408,79 @@ func New(cfg Config, policy Policy) *Cache {
 	return c
 }
 
-// findSlot returns the slot holding key in set s, or -1.
+// find returns the slot holding the window that starts at start, or -1.
 //
 //simlint:hotpath
-func (c *Cache) findSlot(s *cset, key uint64) int32 {
-	i := uint32(hashKey(key)) & c.idxMask
-	for {
-		v := s.idx[i]
-		if v == 0 {
-			return -1
-		}
-		if s.slots[v-1].Key == key {
-			return v - 1
-		}
-		i = (i + 1) & c.idxMask
+func (s *cset) find(start uint64) int32 {
+	k := start + 1
+	if k == 0 {
+		return -1 // no window starts at math.MaxUint64; 0 marks free slots
 	}
+	for i, v := range s.keys {
+		if v == k {
+			return int32(i)
+		}
+	}
+	return -1
 }
 
-// addIdx records key -> slot in the probe index.
-func (c *Cache) addIdx(s *cset, key uint64, slot int32) {
-	i := uint32(hashKey(key)) & c.idxMask
-	for s.idx[i] != 0 {
-		i = (i + 1) & c.idxMask
-	}
-	s.idx[i] = slot + 1
-}
-
-// delIdx removes key from the probe index with backward-shift deletion
-// (entries displaced past the hole are moved back onto their probe path, so
-// no tombstones accumulate and probes stay short).
-func (c *Cache) delIdx(s *cset, key uint64) {
-	mask := c.idxMask
-	i := uint32(hashKey(key)) & mask
-	for {
-		v := s.idx[i]
-		if v == 0 {
-			return // not present (caller bug; tolerated)
-		}
-		if s.slots[v-1].Key == key {
-			break
-		}
-		i = (i + 1) & mask
-	}
-	j := i
-	for {
-		j = (j + 1) & mask
-		e := s.idx[j]
-		if e == 0 {
-			s.idx[i] = 0
-			return
-		}
-		h := uint32(hashKey(s.slots[e-1].Key)) & mask
-		// e can fill the hole at i iff i lies on e's probe path, i.e. the
-		// cyclic distance home->j covers the distance i->j.
-		if (j-h)&mask >= (j-i)&mask {
-			s.idx[i] = e
-			i = j
-		}
-	}
-}
-
-// allocSlot returns the lowest free slot in the set (tail bits beyond
-// capSlots are pre-marked occupied, so the scan cannot overrun).
+// allocSlot returns the lowest free slot in the set.
+//
+//simlint:hotpath
 func (s *cset) allocSlot() int32 {
-	for w, bs := range s.occ {
-		if bs != ^uint64(0) {
-			return int32(w*64 + bits.TrailingZeros64(^bs))
+	for i, v := range s.keys {
+		if v == 0 {
+			return int32(i)
 		}
 	}
 	panic("uopcache: no free slot in a set below capacity")
+}
+
+// slotOf returns the slot holding the window that starts at start in set,
+// or -1. An id from the bound trace finds it through the id column, whose
+// hint the key column confirms; id -1 scans the set.
+//
+//simlint:hotpath
+func (c *Cache) slotOf(set int, start uint64, id int32) int32 {
+	s := &c.sets[set]
+	if id < 0 {
+		return s.find(start)
+	}
+	if h := int32(c.idSlot[id]) - 1; h >= 0 && s.keys[h] == start+1 {
+		return h
+	}
+	return -1
+}
+
+// idOf returns start's dense key id in the bound trace, or -1 when no trace
+// is bound or start is not in it. Only address-keyed insertions pay it, and
+// its map lookup only on a bound cache.
+//
+//simlint:hotpath
+func (c *Cache) idOf(start uint64) int32 {
+	if c.bound != nil {
+		if id, ok := c.bound.IDOf(start); ok {
+			return id
+		}
+	}
+	return -1
+}
+
+// bind keys a fresh cache to pt's dense ids for NewBehavior, and makes a
+// non-nil icache inclusive. Only an unused cache can be bound: the windows
+// of one already run would have no ids in the column.
+func (c *Cache) bind(pt *trace.PreparedTrace, icache *cache.Cache) {
+	if pt.Sig() != c.cfg.Sig() {
+		panic("uopcache: prepared trace built under another geometry (see PreparedFor)")
+	}
+	if c.bound != nil || c.clock != 0 || c.totalResidents != 0 || c.qLen != 0 {
+		panic("uopcache: a Behavior needs a cache of its own that has not run")
+	}
+	if icache != nil {
+		c.MakeInclusive(icache)
+	}
+	c.bound = pt
+	c.idSlot = make([]uint16, pt.NumKeys())
 }
 
 // SetEventSink attaches (or, with nil, detaches) the structured decision
@@ -498,9 +500,6 @@ func (c *Cache) AttachMetrics(reg *telemetry.Registry) {
 	c.m = newCacheMetrics(reg, c.polName)
 	c.m.slotOccupancy.Set(float64(c.totalResidents))
 }
-
-// Config returns the cache configuration.
-func (c *Cache) Config() Config { return c.cfg }
 
 // SetIndex maps a window start address to its set.
 func (c *Cache) SetIndex(start uint64) int { return foldSet(start, c.setMask) }
@@ -544,11 +543,14 @@ func (c Config) Footprint(uops int) int {
 // prepared trace. InsertDelay is excluded too: it affects replay timing,
 // not per-window attributes.
 func (c Config) Sig() uint64 {
-	s := uint64(c.Sets())<<32 | uint64(c.UopsPerEntry)<<1
+	x := uint64(c.Sets())<<32 | uint64(c.UopsPerEntry)<<1
 	if c.Compaction {
-		s |= 1
+		x |= 1
 	}
-	return hashKey(s)
+	// The MurmurHash3/SplitMix64 finalizer: full avalanche.
+	x = (x ^ x>>33) * 0xFF51AFD7ED558CCD
+	x = (x ^ x>>33) * 0xC4CEB9FE1A85EC53
+	return x ^ x>>33
 }
 
 // Prepare builds the shared columnar view of a PW lookup sequence for this
@@ -579,7 +581,7 @@ func PreparedFor(cfg Config, pws []trace.PW, pt *trace.PreparedTrace) *trace.Pre
 func (c *Cache) EvictKey(start uint64) bool {
 	set := c.SetIndex(start)
 	s := &c.sets[set]
-	slot := c.findSlot(s, start)
+	slot := s.find(start)
 	if slot < 0 {
 		return false
 	}
@@ -678,14 +680,16 @@ func (c *Cache) NotePerfectHit(pw trace.PW) {
 //
 //simlint:hotpath
 func (c *Cache) Lookup(pw trace.PW) ProbeResult {
-	return c.lookupAt(pw, c.SetIndex(pw.Start))
+	set := c.SetIndex(pw.Start)
+	return c.lookupAt(pw, set, c.sets[set].find(pw.Start))
 }
 
-// lookupAt is Lookup with the window's set index precomputed by the caller
-// (the prepared-trace path hands in the column value; Lookup derives it).
+// lookupAt is Lookup with the window's set index and its slot (-1 when not
+// resident) found by the caller: Lookup scans the key column, a bound
+// Behavior reads the trace's columns and the id column.
 //
 //simlint:hotpath
-func (c *Cache) lookupAt(pw trace.PW, set int) ProbeResult {
+func (c *Cache) lookupAt(pw trace.PW, set int, slot int32) ProbeResult {
 	c.clock++
 	c.Stats.Lookups++
 	want := int(pw.NumUops)
@@ -695,8 +699,6 @@ func (c *Cache) lookupAt(pw trace.PW, set int) ProbeResult {
 		c.m.uopsRequested.Add(uint64(want))
 		c.m.lookupUops.Observe(uint64(want))
 	}
-	s := &c.sets[set]
-	slot := c.findSlot(s, pw.Start)
 	if slot < 0 {
 		c.Stats.Misses++
 		c.Stats.UopsMissed += uint64(want)
@@ -712,7 +714,7 @@ func (c *Cache) lookupAt(pw trace.PW, set int) ProbeResult {
 		}
 		return ProbeResult{Kind: ProbeMiss, MissUops: want}
 	}
-	r := &s.slots[slot]
+	r := &c.sets[set].slots[slot]
 	r.LastHitAt = c.clock
 	c.policy.OnHit(set, slot, pw.Start)
 	if r.Uops >= want {
@@ -750,11 +752,11 @@ func (c *Cache) lookupAt(pw trace.PW, set int) ProbeResult {
 }
 
 // Probe reports what a lookup would find without touching statistics or
-// policy state (used by oracles and shadow analyses).
+// policy state. Only tests call it, to observe residency.
 func (c *Cache) Probe(pw trace.PW) ProbeResult {
 	want := int(pw.NumUops)
 	s := &c.sets[c.SetIndex(pw.Start)]
-	slot := c.findSlot(s, pw.Start)
+	slot := s.find(pw.Start)
 	if slot < 0 {
 		return ProbeResult{Kind: ProbeMiss, MissUops: want}
 	}
@@ -780,18 +782,6 @@ const (
 	TooLarge
 )
 
-// setCapacity returns a set's capacity in the active accounting unit:
-// entries normally, micro-ops under idealized compaction.
-func (c *Cache) setCapacity() int {
-	if c.cfg.Compaction {
-		return c.cfg.Ways * c.cfg.UopsPerEntry
-	}
-	return c.cfg.Ways
-}
-
-// footprint returns a window's cost against setCapacity's unit.
-func (c *Cache) footprint(uops int) int { return c.cfg.Footprint(uops) }
-
 // Insert places pw into the cache, consulting the policy for victims as
 // needed. If a smaller window with the same start address is resident it is
 // replaced (the paper and the AMD patent keep the larger window); an
@@ -799,21 +789,24 @@ func (c *Cache) footprint(uops int) int { return c.cfg.Footprint(uops) }
 //
 //simlint:hotpath
 func (c *Cache) Insert(pw trace.PW) InsertOutcome {
-	return c.insertAt(pw, c.SetIndex(pw.Start), c.footprint(int(pw.NumUops)))
+	return c.insertAt(pw, c.SetIndex(pw.Start), c.cfg.Footprint(int(pw.NumUops)), c.idOf(pw.Start))
 }
 
-// insertAt is Insert with the window's set index and storage footprint
-// precomputed by the caller (the prepared-trace path hands in the column
-// values; Insert derives them).
+// insertAt is Insert with the window's set index, storage footprint and
+// dense key id (-1: none) supplied by the caller (the prepared-trace path
+// hands in the column values; Insert derives them).
 //
 //simlint:hotpath
-func (c *Cache) insertAt(pw trace.PW, set, need int) InsertOutcome {
+func (c *Cache) insertAt(pw trace.PW, set, need int, id int32) InsertOutcome {
+	if pw.Start == math.MaxUint64 {
+		panic("uopcache: a window cannot start at math.MaxUint64 (the key column stores start+1)")
+	}
 	s := &c.sets[set]
 	if need > c.capSlots {
 		c.noteBypass(set, pw)
 		return TooLarge
 	}
-	if existing := c.findSlot(s, pw.Start); existing >= 0 {
+	if existing := c.slotOf(set, pw.Start, id); existing >= 0 {
 		if s.slots[existing].Uops >= int(pw.NumUops) {
 			return Redundant
 		}
@@ -833,7 +826,7 @@ func (c *Cache) insertAt(pw trace.PW, set, need int) InsertOutcome {
 			c.noteBypass(set, pw)
 			return Bypassed
 		}
-		victim := c.findSlot(s, d.VictimKey)
+		victim := s.find(d.VictimKey)
 		if victim < 0 {
 			//simlint:ignore hotpath cold invariant-violation path; never taken unless a policy is buggy
 			panic(fmt.Sprintf("uopcache: policy %s chose non-resident victim %#x in set %d",
@@ -852,14 +845,15 @@ func (c *Cache) insertAt(pw trace.PW, set, need int) InsertOutcome {
 	r.LastHitAt = 0
 	r.Slot = slot
 	r.Bytes = pw.Bytes
-	s.occ[slot>>6] |= 1 << (uint(slot) & 63)
+	s.keys[slot] = pw.Start + 1
+	if id >= 0 {
+		c.idSlot[id] = uint16(slot + 1)
+	}
 	s.used += need
-	s.count++
 	c.totalResidents++
-	c.addIdx(s, pw.Start, slot)
 	first, last := pw.Lines()
 	for l := first; l <= last; l += trace.LineSize {
-		c.lineAddRef(l, set)
+		c.lineCount[lineBucket(l)*len(c.sets)+set]++
 	}
 	c.Stats.Insertions++
 	c.Stats.EntriesWritten += uint64(pw.Entries(c.cfg.UopsPerEntry))
@@ -879,20 +873,6 @@ func (c *Cache) insertAt(pw trace.PW, set, need int) InsertOutcome {
 	return Inserted
 }
 
-// lineAddRef records one more window of set living in line.
-//
-//simlint:hotpath
-func (c *Cache) lineAddRef(line uint64, set int) {
-	c.lineCount[lineBucket(line)*len(c.sets)+set]++
-}
-
-// lineDecRef drops one window of set from line.
-//
-//simlint:hotpath
-func (c *Cache) lineDecRef(line uint64, set int) {
-	c.lineCount[lineBucket(line)*len(c.sets)+set]--
-}
-
 // removeResident releases the slot, updating set and line bookkeeping and
 // notifying the policy.
 //
@@ -901,17 +881,13 @@ func (c *Cache) removeResident(set int, slot int32) {
 	s := &c.sets[set]
 	r := &s.slots[slot]
 	key := r.Key
-	c.delIdx(s, key)
-	s.occ[slot>>6] &^= 1 << (uint(slot) & 63)
+	s.keys[slot] = 0
 	s.used -= r.EntriesUsed
-	s.count--
 	c.totalResidents--
 	first, last := trace.LineSpan(key, r.Bytes)
 	for l := first; l <= last; l += trace.LineSize {
-		c.lineDecRef(l, set)
+		c.lineCount[lineBucket(l)*len(c.sets)+set]--
 	}
-	// Clear EntriesUsed so stale contents cannot be mistaken for a resident.
-	r.EntriesUsed = 0
 	if c.m != nil {
 		c.m.polEvictions.Inc()
 		c.m.slotOccupancy.Set(float64(c.totalResidents))
@@ -940,7 +916,7 @@ func (c *Cache) InvalidateLine(lineAddr uint64) int {
 	n := 0
 	victims := c.invVictims
 	if cap(victims) < c.capSlots {
-		victims = make([]uint64, 0, c.capSlots)
+		victims = make([]keySlot, 0, c.capSlots)
 	}
 	for set := range row {
 		if row[set] == 0 {
@@ -948,33 +924,32 @@ func (c *Cache) InvalidateLine(lineAddr uint64) int {
 		}
 		s := &c.sets[set]
 		victims = victims[:0]
-		for i := range s.slots {
-			r := &s.slots[i]
-			if r.EntriesUsed == 0 {
+		for i, k := range s.keys {
+			if k == 0 {
 				continue
 			}
-			if first, last := trace.LineSpan(r.Key, r.Bytes); first <= lineAddr && lineAddr <= last {
-				victims = append(victims, r.Key)
+			if first, last := trace.LineSpan(k-1, s.slots[i].Bytes); first <= lineAddr && lineAddr <= last {
+				victims = append(victims, keySlot{key: k - 1, slot: int32(i)})
 			}
 		}
-		// Sorted so eviction events replay in the same order every run.
-		slices.Sort(victims)
-		for _, key := range victims {
-			slot := c.findSlot(s, key)
+		// Sorted by key so eviction events replay in the same order every
+		// run; removal leaves the other residents' slots where they are.
+		slices.SortFunc(victims, func(a, b keySlot) int { return cmp.Compare(a.key, b.key) })
+		for _, v := range victims {
 			if c.m != nil || c.sink != nil {
-				r := &s.slots[slot]
+				r := &s.slots[v.slot]
 				if c.m != nil {
 					c.m.invalidations.Inc()
 				}
 				if c.sink != nil {
 					c.sink.Emit(telemetry.Event{
-						Seq: c.clock, Kind: telemetry.EventInvalidate, Set: set, Key: key,
-						VictimKey: key, VictimUops: r.Uops, VictimAge: c.clock - lastTouch(r),
+						Seq: c.clock, Kind: telemetry.EventInvalidate, Set: set, Key: v.key,
+						VictimKey: v.key, VictimUops: r.Uops, VictimAge: c.clock - lastTouch(r),
 						Policy: c.polName,
 					})
 				}
 			}
-			c.removeResident(set, slot)
+			c.removeResident(set, v.slot)
 			c.Stats.Invalidations++
 			n++
 		}
@@ -996,8 +971,8 @@ func (c *Cache) residentsView(set int) []Resident {
 		out = make([]Resident, 0, c.capSlots) // unreachable after New; keeps the capacity proof local
 	}
 	out = out[:0]
-	for i := range s.slots {
-		if s.slots[i].EntriesUsed != 0 {
+	for i, k := range s.keys {
+		if k != 0 {
 			out = append(out, s.slots[i])
 		}
 	}
@@ -1008,23 +983,13 @@ func (c *Cache) residentsView(set int) []Resident {
 // Residents returns a snapshot of the residents of a set in slot order (for
 // analyses). Unlike the policy-facing view, the snapshot is freshly
 // allocated, so callers may retain it.
-func (c *Cache) Residents(set int) []Resident {
-	s := &c.sets[set]
-	out := make([]Resident, 0, s.count)
-	for i := range s.slots {
-		if s.slots[i].EntriesUsed == 0 {
-			continue
-		}
-		out = append(out, s.slots[i])
-	}
-	return out
-}
+func (c *Cache) Residents(set int) []Resident { return slices.Clone(c.residentsView(set)) }
 
 // ResidentFor returns a copy of the resident window for a start address, if
 // any.
 func (c *Cache) ResidentFor(start uint64) (Resident, bool) {
 	s := &c.sets[c.SetIndex(start)]
-	slot := c.findSlot(s, start)
+	slot := s.find(start)
 	if slot < 0 {
 		return Resident{}, false
 	}
@@ -1059,11 +1024,11 @@ func (c *Cache) Clock() uint64 { return c.clock }
 func (c *Cache) Utilization() float64 {
 	var uops, capUops int
 	for i := range c.sets {
-		for j := range c.sets[i].slots {
-			r := &c.sets[i].slots[j]
-			if r.EntriesUsed == 0 {
+		for j, k := range c.sets[i].keys {
+			if k == 0 {
 				continue
 			}
+			r := &c.sets[i].slots[j]
 			uops += r.Uops
 			if c.cfg.Compaction {
 				capUops += r.EntriesUsed

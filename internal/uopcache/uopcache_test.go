@@ -39,6 +39,8 @@ func TestConfigValidate(t *testing.T) {
 		{Entries: 512, Ways: 7, UopsPerEntry: 8},
 		{Entries: 96, Ways: 8, UopsPerEntry: 8}, // 12 sets, not pow2
 		{Entries: 512, Ways: 8, UopsPerEntry: 8, InsertDelay: -1},
+		// 65,536 slots a set: one more than the id column can name.
+		{Entries: 8192, Ways: 8192, UopsPerEntry: 8, Compaction: true},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -47,6 +49,40 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if got := uopcache.DefaultConfig().Sets(); got != 64 {
 		t.Errorf("default sets = %d, want 64", got)
+	}
+}
+
+// TestMaxStartRejected: the key column stores a window's start plus one, so
+// no window may start at math.MaxUint64. Inserting one panics, directly or
+// when its scheduled insertion lands, and a lookup for one misses rather
+// than matching a free slot.
+func TestMaxStartRejected(t *testing.T) {
+	last := pw(math.MaxUint64, 4)
+	c := newTiny()
+	c.Insert(pw(0x1000, 4))
+	if r := c.Lookup(last); r.Kind != uopcache.ProbeMiss {
+		t.Errorf("Lookup = %+v, want a miss", r)
+	}
+	if r := c.Probe(last); r.Kind != uopcache.ProbeMiss {
+		t.Errorf("Probe = %+v, want a miss", r)
+	}
+	if _, ok := c.ResidentFor(last.Start); ok || c.EvictKey(last.Start) {
+		t.Error("a window starting at math.MaxUint64 reads as resident")
+	}
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s of a window at math.MaxUint64 did not panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("Insert", func() { c.Insert(last) })
+	c.Schedule(last, 5)
+	mustPanic("Complete", func() { c.Complete(5) })
+	if c.ResidentCount() != 1 {
+		t.Errorf("%d residents, want only 0x1000", c.ResidentCount())
 	}
 }
 
@@ -337,23 +373,22 @@ func TestBehaviorInsertDelay(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.InsertDelay = 3
 	c := uopcache.New(cfg, policy.NewLRU())
-	b := uopcache.NewBehavior(c, nil)
 	w := pw(0x1000, 4)
 	other := pw(0x7000, 4)
-	pt := uopcache.Prepare(cfg, []trace.PW{w, w, other, w})
-	b.Access(pt, 0) // miss, schedules insertion due at lookup 4
+	b := uopcache.NewBehavior(c, nil, uopcache.Prepare(cfg, []trace.PW{w, w, other, w}))
+	b.Access(0) // miss, schedules insertion due at lookup 4
 	if c.InFlightCount() != 1 {
 		t.Fatal("insertion not in flight")
 	}
 	// Lookups 2 and 3: w is still absent (asynchrony) — these miss.
-	if r := b.Access(pt, 1); r.Kind != uopcache.ProbeMiss {
+	if r := b.Access(1); r.Kind != uopcache.ProbeMiss {
 		t.Errorf("lookup 2 = %+v, want miss (still in decode pipe)", r)
 	}
-	if r := b.Access(pt, 2); r.Kind != uopcache.ProbeMiss {
+	if r := b.Access(2); r.Kind != uopcache.ProbeMiss {
 		t.Errorf("lookup 3 = %+v", r)
 	}
 	// Lookup 4: the insertion lands before the probe — now a hit.
-	if r := b.Access(pt, 3); r.Kind != uopcache.ProbeFull {
+	if r := b.Access(3); r.Kind != uopcache.ProbeFull {
 		t.Errorf("lookup 4 = %+v, want full hit after completion", r)
 	}
 	if c.InFlightCount() != 1 {
@@ -369,10 +404,9 @@ func TestBehaviorCoalescing(t *testing.T) {
 	c := uopcache.New(cfg, policy.NewLRU())
 	reg := telemetry.NewRegistry()
 	c.AttachMetrics(reg)
-	b := uopcache.NewBehavior(c, nil)
 	// The 12-uop window is a larger overlapping re-request while the
 	// 4-uop one is in flight.
-	b.Run(uopcache.Prepare(cfg, []trace.PW{pw(0x1000, 4), pw(0x1000, 12), pw(0x1000, 6)}))
+	uopcache.NewBehavior(c, nil, uopcache.Prepare(cfg, []trace.PW{pw(0x1000, 4), pw(0x1000, 12), pw(0x1000, 6)})).Run()
 	if c.Stats.Insertions != 1 {
 		t.Errorf("insertions = %d, want 1 (coalesced)", c.Stats.Insertions)
 	}
@@ -446,8 +480,8 @@ func TestBehaviorCancelInFlight(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.InsertDelay = 4
 	c := uopcache.New(cfg, policy.NewLRU())
-	b := uopcache.NewBehavior(c, nil)
-	b.Access(uopcache.Prepare(cfg, []trace.PW{pw(0x1000, 4)}), 0)
+	b := uopcache.NewBehavior(c, nil, uopcache.Prepare(cfg, []trace.PW{pw(0x1000, 4)}))
+	b.Access(0)
 	if !c.CancelInFlight(0x1000) {
 		t.Fatal("cancel failed")
 	}
@@ -473,11 +507,10 @@ func TestMissOnCancelledStaysCancelled(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.InsertDelay = 4
 	c := uopcache.New(cfg, policy.NewLRU())
-	b := uopcache.NewBehavior(c, nil)
-	pt := uopcache.Prepare(cfg, []trace.PW{pw(0x1000, 4), pw(0x1000, 12)})
-	b.Access(pt, 0)
+	b := uopcache.NewBehavior(c, nil, uopcache.Prepare(cfg, []trace.PW{pw(0x1000, 4), pw(0x1000, 12)}))
+	b.Access(0)
 	c.CancelInFlight(0x1000)
-	if r := b.Access(pt, 1); r.Kind != uopcache.ProbeMiss {
+	if r := b.Access(1); r.Kind != uopcache.ProbeMiss {
 		t.Fatalf("repeat lookup = %+v, want miss", r)
 	}
 	if c.CancelInFlight(0x1000) || c.InFlightCount() != 1 {
@@ -501,11 +534,11 @@ func TestInFlightBoundKafka(t *testing.T) {
 		cfg := uopcache.DefaultConfig()
 		cfg.InsertDelay = delay
 		c := uopcache.New(cfg, policy.NewLRU())
-		b := uopcache.NewBehavior(c, nil)
 		pt := uopcache.Prepare(cfg, pws)
+		b := uopcache.NewBehavior(c, nil, pt)
 		peak := 0
 		for i := 0; i < pt.Len(); i++ {
-			b.Access(pt, i)
+			b.Access(i)
 			peak = max(peak, c.InFlightCount())
 		}
 		if peak > max(delay, 1) {
@@ -525,16 +558,15 @@ func TestBehaviorInclusion(t *testing.T) {
 	c := uopcache.New(cfg, policy.NewLRU())
 	// Tiny direct-mapped icache: 2 lines of 64B.
 	ic := cache.New(cache.Config{SizeBytes: 128, LineBytes: 64, Ways: 1})
-	b := uopcache.NewBehavior(c, ic)
 	w := pw(0x0000, 4) // line 0x0000, icache set 0
 	// The third window touches a conflicting icache line (same set 0).
-	pt := uopcache.Prepare(cfg, []trace.PW{w, w, pw(0x0080, 4)})
-	b.Access(pt, 0)
-	b.Access(pt, 1) // inserted by now; hit
+	b := uopcache.NewBehavior(c, ic, uopcache.Prepare(cfg, []trace.PW{w, w, pw(0x0080, 4)}))
+	b.Access(0)
+	b.Access(1) // inserted by now; hit
 	if _, ok := c.ResidentFor(w.Start); !ok {
 		t.Fatal("window not resident")
 	}
-	b.Access(pt, 2)
+	b.Access(2)
 	if _, ok := c.ResidentFor(w.Start); ok {
 		t.Error("window survived L1i eviction of its line (inclusion violated)")
 	}
@@ -547,12 +579,11 @@ func TestBehaviorRun(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.InsertDelay = 1
 	c := uopcache.New(cfg, policy.NewLRU())
-	b := uopcache.NewBehavior(c, nil)
 	var seq []trace.PW
 	for i := 0; i < 100; i++ {
 		seq = append(seq, pw(0x1000, 4), pw(0x2000, 6))
 	}
-	st := b.Run(uopcache.Prepare(cfg, seq))
+	st := uopcache.NewBehavior(c, nil, uopcache.Prepare(cfg, seq)).Run()
 	if st.Lookups != 200 {
 		t.Errorf("lookups = %d", st.Lookups)
 	}
@@ -562,6 +593,36 @@ func TestBehaviorRun(t *testing.T) {
 	if c.Clock() != 200 {
 		t.Errorf("Clock() = %d", c.Clock())
 	}
+}
+
+// TestBehaviorNeedsUnusedCache: a Behavior binds a cache that has not run,
+// since the windows of one that has would have no key ids; a second
+// Behavior over the same cache, or one over a cache driven by address, is
+// refused.
+func TestBehaviorNeedsUnusedCache(t *testing.T) {
+	cfg := tinyConfig()
+	pt := uopcache.Prepare(cfg, []trace.PW{pw(0x1000, 4)})
+	mustPanic := func(name string, c *uopcache.Cache) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: NewBehavior did not panic", name)
+			}
+		}()
+		uopcache.NewBehavior(c, nil, pt)
+	}
+	c := newTiny()
+	uopcache.NewBehavior(c, nil, pt).Run()
+	mustPanic("bound twice", c)
+	used := newTiny()
+	used.Insert(pw(0x1000, 4))
+	mustPanic("resident window", used)
+	looked := newTiny()
+	looked.Lookup(pw(0x1000, 4))
+	mustPanic("looked up", looked)
+	pending := newTiny()
+	pending.Schedule(pw(0x1000, 4), 9)
+	mustPanic("in flight", pending)
 }
 
 func TestStatsUopMissRateEmpty(t *testing.T) {
