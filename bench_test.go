@@ -170,8 +170,9 @@ func BenchmarkUopCacheFURBYS(b *testing.B) {
 // replacement policy: a kafka PW trace replayed through a cache built on
 // that policy, after one untimed warm-up replay fills the sets. Hits drive
 // OnHit, misses drive Victim/OnEvict/OnInsert, so the numbers cover exactly
-// the per-slot metadata paths (dense stamp/RRPV/signature arrays instead of
-// per-key maps) that the slot-handle Policy interface exists for.
+// the per-slot metadata paths (dense RRPV/signature arrays instead of
+// per-key maps, and the cache's own recency stamps) that the slot-handle
+// Policy interface exists for.
 func BenchmarkPolicyLookup(b *testing.B) {
 	pws := benchTracePWs(b, "kafka", 20000)
 	cfg := uopcache.DefaultConfig()

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"maps"
 	"regexp"
 	"strconv"
 	"strings"
@@ -211,7 +212,9 @@ func TestStaleSuppression(t *testing.T) {
 
 // TestRepoClean is the enforcement backstop: the whole module must be
 // simlint-clean, so a regression fails `go test` even where CI's dedicated
-// simlint job is not run.
+// simlint job is not run. It also pins the suppression inventory, per
+// analyzer, to the one ANALYSIS.md lists: a new //simlint:ignore has to
+// change this test in the same diff.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -220,9 +223,19 @@ func TestRepoClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load(uopsim/...): %v", err)
 	}
-	diags := Run(prog, All())
-	for _, d := range diags {
+	res := RunAll(prog, All())
+	for _, d := range res.Diagnostics {
 		t.Errorf("%s", d)
+	}
+	suppressed := map[string]int{}
+	for _, s := range res.Suppressed {
+		suppressed[s.Analyzer]++
+	}
+	if want := map[string]int{"ctxflow": 2, "determinism": 2, "telemetry": 1}; !maps.Equal(suppressed, want) {
+		for _, s := range res.Suppressed {
+			t.Logf("suppressed %s: %s", s.Diagnostic, s.Justification)
+		}
+		t.Errorf("suppressions per analyzer %v, want %v", suppressed, want)
 	}
 
 	// Reconcile the static hot-path contract with the dynamic AllocsPerRun

@@ -90,16 +90,16 @@ func TestNonInclusiveNeverWorse(t *testing.T) {
 }
 
 // TestRunTimingAllocsFixed pins the allocations of one timing run on a
-// fixed trace (kafka, 4,000 blocks, LRU at the Table-I config): 34 per
+// fixed trace (kafka, 4,000 blocks, LRU at the Table-I config): 31 per
 // RunTiming, of which 20 build the trace's path (predictor tables, the two
 // data caches, the step and stall arrays) and the rest are the micro-op
-// cache, its policy and the L1i. A run over a prebuilt path allocates 14.
+// cache, its policy and the L1i. A run over a prebuilt path allocates 11.
 // The caches and the BTB keep each structure in one backing array, so no
 // count here grows with the set count. The counts are taken with the
 // collector off: a collection during the count adds allocations of the
 // runtime's own (two here).
 func TestRunTimingAllocsFixed(t *testing.T) {
-	const wantRun, wantPath, wantReuse = 34, 20, 14
+	const wantRun, wantPath, wantReuse = 31, 20, 11
 	blocks, pws, err := core.TraceFor("kafka", 4000, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -192,11 +192,11 @@ func TestRunBehaviorAllocsFixed(t *testing.T) {
 		name string
 		want [2]float64 // at 4,000 and 20,000 blocks, without the L1i
 	}{
-		{"lru", [2]float64{12, 12}},
-		{"srrip", [2]float64{13, 13}},
-		{"ghrp", [2]float64{18, 18}},
-		{"mockingjay", [2]float64{25, 29}},
-		{"furbys", [2]float64{28, 67}},
+		{"lru", [2]float64{9, 9}},
+		{"srrip", [2]float64{11, 11}},
+		{"ghrp", [2]float64{16, 16}},
+		{"mockingjay", [2]float64{23, 27}},
+		{"furbys", [2]float64{26, 65}},
 	}
 	for i, blocks := range []int{4000, 20000} {
 		_, pws, err := core.TraceFor("kafka", blocks, 0)

@@ -146,8 +146,8 @@ func TestRepeatedMissGrowsWindow(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	uc.AttachMetrics(reg)
 	res := run(f, blocks)
-	if r, ok := uc.ResidentFor(0x1000); !ok || r.Uops != 12 {
-		t.Fatalf("resident = %+v, %v; want the grown 12-uop window", r, ok)
+	if got := uc.Probe(trace.PW{Start: 0x1000, NumUops: 16}); got.HitUops != 12 {
+		t.Fatalf("probe = %+v; want the grown 12-uop window resident", got)
 	}
 	if res.UopCache.Misses != 1 || res.UopCache.PartialHits != 1 {
 		t.Errorf("lookups = %+v; want one miss then one partial hit", res.UopCache)

@@ -132,28 +132,31 @@ func (p *PlanPolicy) Victim(_ int, residents []uopcache.Resident, incoming trace
 	if p.keep != nil && !p.kept(incoming.Start) {
 		return uopcache.Decision{Bypass: true, Reason: ReasonUnkeptArrival}
 	}
-	var bestUnkept, bestAny uint64
+	// The furthest next use wins, the smaller key among equals; the
+	// victims are indices into residents.
+	bestUnkept, bestAny := 0, 0
 	unkeptNext, anyNext := -1, -1
-	for _, r := range residents {
+	for i := range residents {
+		r := &residents[i]
 		// One key-id lookup serves both the next use and the plan.
 		id, ok := p.pt.IDOf(r.Key)
 		n := NoNextUse
 		if ok {
 			n = p.o.NextUseID(id)
 		}
-		if n > anyNext || (n == anyNext && r.Key < bestAny) {
-			bestAny, anyNext = r.Key, n
+		if n > anyNext || (n == anyNext && r.Key < residents[bestAny].Key) {
+			bestAny, anyNext = i, n
 		}
-		if p.keep != nil && !(ok && p.curKeep[id]) && (n > unkeptNext || (n == unkeptNext && r.Key < bestUnkept)) {
-			bestUnkept, unkeptNext = r.Key, n
+		if p.keep != nil && !(ok && p.curKeep[id]) && (n > unkeptNext || (n == unkeptNext && r.Key < residents[bestUnkept].Key)) {
+			bestUnkept, unkeptNext = i, n
 		}
 	}
 	if unkeptNext >= 0 {
-		return uopcache.Decision{VictimKey: bestUnkept, Reason: ReasonUnkeptFurthest, Score: float64(unkeptNext)}
+		return uopcache.Decision{Victim: residents[bestUnkept].Slot, Reason: ReasonUnkeptFurthest, Score: float64(unkeptNext)}
 	}
 	reason := ReasonKeptFurthest
 	if p.keep == nil {
 		reason = ReasonFurthestNextUse
 	}
-	return uopcache.Decision{VictimKey: bestAny, Reason: reason, Score: float64(anyNext)}
+	return uopcache.Decision{Victim: residents[bestAny].Slot, Reason: reason, Score: float64(anyNext)}
 }

@@ -96,15 +96,15 @@ func (p *testLRU) OnEvict(set int, _ int32, pc uint64) {
 	delete(p.stamp, [2]uint64{uint64(set), pc})
 }
 func (p *testLRU) Victim(set int, residents []uopcache.Resident, _ trace.PW) uopcache.Decision {
-	best := residents[0].Key
-	bestS := p.stamp[[2]uint64{uint64(set), best}]
-	for _, r := range residents[1:] {
+	best := 0
+	bestS := p.stamp[[2]uint64{uint64(set), residents[0].Key}]
+	for i, r := range residents[1:] {
 		s := p.stamp[[2]uint64{uint64(set), r.Key}]
-		if s < bestS || (s == bestS && r.Key < best) {
-			best, bestS = r.Key, s
+		if s < bestS || (s == bestS && r.Key < residents[best].Key) {
+			best, bestS = i+1, s
 		}
 	}
-	return uopcache.Decision{VictimKey: best}
+	return uopcache.Decision{Victim: residents[best].Slot}
 }
 
 func TestKeptNowLastDecisionWins(t *testing.T) {

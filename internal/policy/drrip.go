@@ -13,7 +13,6 @@ import (
 type DRRIP struct {
 	rrpv        []uint8
 	slotsPerSet int
-	rec         *recency
 	// psel is the policy-selection counter: SRRIP wins misses push it
 	// one way, BRRIP the other.
 	psel int
@@ -26,9 +25,7 @@ type DRRIP struct {
 }
 
 // NewDRRIP returns the DRRIP policy.
-func NewDRRIP() *DRRIP {
-	return &DRRIP{rec: newRecency()}
-}
+func NewDRRIP() *DRRIP { return &DRRIP{} }
 
 // Name implements uopcache.Policy.
 func (p *DRRIP) Name() string { return "drrip" }
@@ -37,16 +34,12 @@ func (p *DRRIP) Name() string { return "drrip" }
 func (p *DRRIP) Bind(g uopcache.Geometry) {
 	p.slotsPerSet = g.SlotsPerSet
 	p.rrpv = make([]uint8, g.Slots())
-	p.rec.bind(g)
 }
 
 // OnHit implements uopcache.Policy.
 //
 //simlint:hotpath
-func (p *DRRIP) OnHit(set int, slot int32, _ uint64) {
-	p.rrpv[set*p.slotsPerSet+int(slot)] = 0
-	p.rec.touch(set, slot)
-}
+func (p *DRRIP) OnHit(set int, slot int32, _ uint64) { p.rrpv[set*p.slotsPerSet+int(slot)] = 0 }
 
 const (
 	drripLeaderMod = 32
@@ -83,13 +76,12 @@ func (p *DRRIP) OnInsert(set int, slot int32, _ trace.PW) {
 		}
 		p.Stats.BRRIPInserts++
 	}
-	p.rec.touch(set, slot)
 }
 
 // OnEvict implements uopcache.Policy.
 //
 //simlint:hotpath
-func (p *DRRIP) OnEvict(set int, slot int32, _ uint64) { p.rec.drop(set, slot) }
+func (p *DRRIP) OnEvict(int, int32, uint64) {}
 
 // Victim implements uopcache.Policy: the SRRIP scan, with leader-set misses
 // training the policy selector (a miss in a leader set votes against its
@@ -108,10 +100,5 @@ func (p *DRRIP) Victim(set int, residents []uopcache.Resident, _ trace.PW) uopca
 		}
 	}
 	base := set * p.slotsPerSet
-	b := srripScan(p.rrpv, base, p.rec, set, residents)
-	return uopcache.Decision{
-		VictimKey: residents[b].Key,
-		Reason:    ReasonRRPVDistant,
-		Score:     float64(p.rrpv[base+int(residents[b].Slot)]),
-	}
+	return srripDecision(p.rrpv, base, residents, srripScan(p.rrpv, base, residents))
 }

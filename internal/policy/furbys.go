@@ -52,7 +52,6 @@ type FURBYS struct {
 	// the hint bits arrive with the window; it shares rrpv's allocation.
 	weight      []uint8
 	slotsPerSet int
-	rec         *recency
 	// detector[set] holds the keys of the most recent evictions; slices
 	// are nil until a set first evicts, then hold DetectorDepth+1 capacity
 	// forever.
@@ -98,7 +97,7 @@ func NewFURBYS(cfg FURBYSConfig, weights map[uint64]uint8) *FURBYS {
 	// Hints are 8-bit, the hint map's value type.
 	maxW := min(cfg.MaxWeight(), 255)
 	return &FURBYS{
-		cfg: cfg, weights: weights, rec: newRecency(),
+		cfg: cfg, weights: weights,
 		maxW: uint8(maxW), defaultW: uint8(max(min(cfg.DefaultWeight, maxW), 0)),
 	}
 }
@@ -115,7 +114,6 @@ func (p *FURBYS) Bind(g uopcache.Geometry) {
 	p.detector = make([][]uint64, g.Sets)
 	p.bypassDetector = make([][]uint64, g.Sets)
 	p.srripNext = make([]bool, g.Sets)
-	p.rec.bind(g)
 }
 
 // Config returns the policy configuration.
@@ -135,10 +133,7 @@ func (p *FURBYS) weightOf(pc uint64) uint8 {
 // OnHit implements uopcache.Policy.
 //
 //simlint:hotpath
-func (p *FURBYS) OnHit(set int, slot int32, _ uint64) {
-	p.rrpv[set*p.slotsPerSet+int(slot)] = 0
-	p.rec.touch(set, slot)
-}
+func (p *FURBYS) OnHit(set int, slot int32, _ uint64) { p.rrpv[set*p.slotsPerSet+int(slot)] = 0 }
 
 // OnInsert implements uopcache.Policy: RRPV initialized to 2 per the paper.
 //
@@ -147,13 +142,12 @@ func (p *FURBYS) OnInsert(set int, slot int32, pw trace.PW) {
 	i := set*p.slotsPerSet + int(slot)
 	p.rrpv[i] = 2
 	p.weight[i] = p.weightOf(pw.Start)
-	p.rec.touch(set, slot)
 }
 
 // OnEvict implements uopcache.Policy.
 //
 //simlint:hotpath
-func (p *FURBYS) OnEvict(set int, slot int32, _ uint64) { p.rec.drop(set, slot) }
+func (p *FURBYS) OnEvict(int, int32, uint64) {}
 
 // recordIn pushes key into a bounded per-set detector window and reports
 // whether it was already recorded. The slice is allocated once per set at
@@ -220,7 +214,7 @@ func (p *FURBYS) Victim(set int, residents []uopcache.Resident, incoming trace.P
 		switch {
 		case w < minW:
 			minI, minW = i, w
-		case w == minW && p.rec.older(set, residents[i].Slot, residents[i].Key, residents[minI].Slot, residents[minI].Key):
+		case w == minW && residents[i].Stamp < residents[minI].Stamp:
 			minI = i
 		}
 	}
@@ -239,11 +233,10 @@ func (p *FURBYS) Victim(set int, residents []uopcache.Resident, incoming trace.P
 	// set, make exactly one SRRIP decision, then resume normal operation.
 	if p.srripNext[set] {
 		p.srripNext[set] = false
-		b := srripScan(p.rrpv, base, p.rec, set, residents)
-		v := residents[b].Key
+		b := srripScan(p.rrpv, base, residents)
 		p.Stats.VictimBySRRIP++
-		p.recordEviction(set, v)
-		return uopcache.Decision{VictimKey: v, Reason: ReasonRRPVDistant, Score: float64(p.rrpv[base+int(residents[b].Slot)])}
+		p.recordEviction(set, residents[b].Key)
+		return srripDecision(p.rrpv, base, residents, b)
 	}
 	// Normal FURBYS decision; a repeated eviction of the same window arms
 	// the SRRIP fallback for the next decision in this set.
@@ -251,5 +244,5 @@ func (p *FURBYS) Victim(set int, residents []uopcache.Resident, incoming trace.P
 		p.srripNext[set] = true
 	}
 	p.Stats.VictimByWeight++
-	return uopcache.Decision{VictimKey: residents[minI].Key, Reason: ReasonMinWeight, Score: float64(minW)}
+	return uopcache.Decision{Victim: residents[minI].Slot, Reason: ReasonMinWeight, Score: float64(minW)}
 }

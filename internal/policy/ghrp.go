@@ -22,7 +22,6 @@ type GHRP struct {
 	sig         []uint32 // per-slot signature at fill/last touch
 	reused      []bool   // per-slot reuse flag
 	slotsPerSet int
-	rec         *recency
 	// Bypass enables dead-on-arrival bypassing (on in the paper).
 	Bypass bool
 	// HistoryBits controls how many recent-window hashes fold into each
@@ -46,7 +45,7 @@ func NewGHRP() *GHRP {
 	for i := range t {
 		t[i] = make([]uint8, 1<<ghrpTableBits)
 	}
-	return &GHRP{tables: t, rec: newRecency(), Bypass: true, HistoryBits: 20}
+	return &GHRP{tables: t, Bypass: true, HistoryBits: 20}
 }
 
 // Name implements uopcache.Policy.
@@ -57,7 +56,6 @@ func (p *GHRP) Bind(g uopcache.Geometry) {
 	p.slotsPerSet = g.SlotsPerSet
 	p.sig = make([]uint32, g.Slots())
 	p.reused = make([]bool, g.Slots())
-	p.rec.bind(g)
 }
 
 func (p *GHRP) index(table int, sig uint32) uint32 {
@@ -112,7 +110,6 @@ func (p *GHRP) OnHit(set int, slot int32, pc uint64) {
 	p.train(p.sig[i], false)
 	p.reused[i] = true
 	p.sig[i] = p.signature(pc)
-	p.rec.touch(set, slot)
 	p.updateHistory(pc)
 }
 
@@ -123,7 +120,6 @@ func (p *GHRP) OnInsert(set int, slot int32, pw trace.PW) {
 	i := set*p.slotsPerSet + int(slot)
 	p.sig[i] = p.signature(pw.Start)
 	p.reused[i] = false
-	p.rec.touch(set, slot)
 	p.updateHistory(pw.Start)
 }
 
@@ -133,7 +129,6 @@ func (p *GHRP) OnInsert(set int, slot int32, pw trace.PW) {
 func (p *GHRP) OnEvict(set int, slot int32, _ uint64) {
 	i := set*p.slotsPerSet + int(slot)
 	p.train(p.sig[i], !p.reused[i])
-	p.rec.drop(set, slot)
 }
 
 // Victim implements uopcache.Policy: bypass dead arrivals; otherwise evict a
@@ -147,23 +142,13 @@ func (p *GHRP) Victim(set int, residents []uopcache.Resident, incoming trace.PW)
 	base := set * p.slotsPerSet
 	dead := -1
 	for i := range residents {
-		if p.predictDead(p.sig[base+int(residents[i].Slot)]) {
-			if dead < 0 || p.rec.older(set, residents[i].Slot, residents[i].Key, residents[dead].Slot, residents[dead].Key) {
-				dead = i
-			}
+		if p.predictDead(p.sig[base+int(residents[i].Slot)]) && (dead < 0 || residents[i].Stamp < residents[dead].Stamp) {
+			dead = i
 		}
 	}
 	if dead >= 0 {
-		return uopcache.Decision{
-			VictimKey: residents[dead].Key,
-			Reason:    ReasonPredictedDead,
-			Score:     float64(p.rec.of(set, residents[dead].Slot)),
-		}
+		r := &residents[dead]
+		return uopcache.Decision{Victim: r.Slot, Reason: ReasonPredictedDead, Score: float64(r.Stamp)}
 	}
-	b := lruScan(p.rec, set, residents)
-	return uopcache.Decision{
-		VictimKey: residents[b].Key,
-		Reason:    ReasonLRUOldest,
-		Score:     float64(p.rec.of(set, residents[b].Slot)),
-	}
+	return lruScan(residents)
 }

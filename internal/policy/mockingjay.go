@@ -32,7 +32,6 @@ type Mockingjay struct {
 	// one set).
 	last  map[uint64]uint64
 	clock []uint64
-	rec   *recency
 	// InfiniteRD is the predicted distance for never-seen windows.
 	InfiniteRD float64
 	// OverdueDamp scales the |ETR| of overdue residents (predicted reuse
@@ -54,7 +53,6 @@ func NewMockingjay() *Mockingjay {
 		rdp:          make([]float64, 1<<mjSigBits),
 		rdpSeen:      make([]bool, 1<<mjSigBits),
 		last:         make(map[uint64]uint64),
-		rec:          newRecency(),
 		InfiniteRD:   64,
 		OverdueDamp:  1,
 		BypassFactor: 0,
@@ -69,7 +67,6 @@ func (p *Mockingjay) Bind(g uopcache.Geometry) {
 	p.slotsPerSet = g.SlotsPerSet
 	p.lastAccess = make([]uint64, g.Slots())
 	p.clock = make([]uint64, g.Sets)
-	p.rec.bind(g)
 }
 
 func (p *Mockingjay) sig(pc uint64) uint32 { return uint32(mix(pc) & (1<<mjSigBits - 1)) }
@@ -105,7 +102,6 @@ func (p *Mockingjay) OnHit(set int, slot int32, pc uint64) {
 	now := p.clock[set]
 	p.train(pc, float64(now-p.lastAccess[i]))
 	p.lastAccess[i] = now
-	p.rec.touch(set, slot)
 }
 
 // OnInsert implements uopcache.Policy: a window seen before trains the RDP
@@ -119,7 +115,6 @@ func (p *Mockingjay) OnInsert(set int, slot int32, pw trace.PW) {
 		p.train(pw.Start, float64(now-prev))
 	}
 	p.lastAccess[set*p.slotsPerSet+int(slot)] = now
-	p.rec.touch(set, slot)
 }
 
 // OnEvict implements uopcache.Policy: the window's last access outlives it
@@ -128,7 +123,6 @@ func (p *Mockingjay) OnInsert(set int, slot int32, pw trace.PW) {
 //simlint:hotpath
 func (p *Mockingjay) OnEvict(set int, slot int32, key uint64) {
 	p.last[key] = p.lastAccess[set*p.slotsPerSet+int(slot)]
-	p.rec.drop(set, slot)
 }
 
 // etr estimates a resident's time remaining until its next use.
@@ -157,8 +151,7 @@ func (p *Mockingjay) Victim(set int, residents []uopcache.Resident, incoming tra
 		if score < 0 {
 			score = -score * p.OverdueDamp
 		}
-		if first || score > worstScore ||
-			(score == worstScore && p.rec.older(set, r.Slot, r.Key, residents[worst].Slot, residents[worst].Key)) {
+		if first || score > worstScore || (score == worstScore && r.Stamp < residents[worst].Stamp) {
 			worst, worstScore, worstETR, first = i, score, e, false
 		}
 	}
@@ -167,5 +160,5 @@ func (p *Mockingjay) Victim(set int, residents []uopcache.Resident, incoming tra
 			return uopcache.Decision{Bypass: true, Reason: ReasonBypass, Score: in}
 		}
 	}
-	return uopcache.Decision{VictimKey: residents[worst].Key, Reason: ReasonETRFurthest, Score: worstETR}
+	return uopcache.Decision{Victim: residents[worst].Slot, Reason: ReasonETRFurthest, Score: worstETR}
 }

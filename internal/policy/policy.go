@@ -4,16 +4,19 @@
 // FURBYS. All of them implement uopcache.Policy at whole-PW granularity.
 //
 // Metadata layout: uopcache.Policy passes a stable (set, slot) handle with
-// every event, and each policy keeps its per-resident state (recency stamps,
-// RRPV bits, signatures) in flat arrays indexed by set*slotsPerSet+slot —
-// the same shape as hardware's per-way metadata bits, and map-free on the
-// hot path.
+// every event, and each policy keeps its per-resident state (RRPV bits,
+// signatures, weights) in flat arrays indexed by set*slotsPerSet+slot — the
+// same shape as hardware's per-way metadata bits, and map-free on the hot
+// path. Recency is not among them: the cache stamps every hit and insertion
+// and hands each resident's stamp to Victim, so LRU keeps no state at all
+// and every policy that ranks or breaks ties by recency reads the same
+// order.
 //
-// Determinism note: resident snapshots arrive in slot (way) order, which is
+// Determinism note: resident views arrive in slot (way) order, which is
 // itself deterministic — slot assignment depends only on the event sequence.
-// Each policy still derives its victim from a total order over its own
-// metadata (criterion, then recency stamp, then key), never from raw slice
-// position, so snapshot order is immaterial to the decision.
+// Each policy still derives its victim from a total order (its criterion,
+// then the cache's unique recency stamp), never from raw slice position, so
+// view order is immaterial to the decision.
 package policy
 
 import (
@@ -48,101 +51,57 @@ const (
 	ReasonBypass = "bypass_incoming"
 )
 
-// recency is a shared building block tracking LRU stamps per slot. Stamps
-// are globally unique (one counter across all sets), so "older" is a strict
-// total order over live residents.
-type recency struct {
-	clock       uint64
-	slotsPerSet int
-	stamp       []uint64
-}
-
-func newRecency() *recency { return &recency{} }
-
-// bind sizes the stamp array for the cache geometry.
-func (r *recency) bind(g uopcache.Geometry) {
-	r.slotsPerSet = g.SlotsPerSet
-	r.stamp = make([]uint64, g.Slots())
-}
-
-//simlint:hotpath
-func (r *recency) touch(set int, slot int32) {
-	r.clock++
-	r.stamp[set*r.slotsPerSet+int(slot)] = r.clock
-}
-
-func (r *recency) drop(set int, slot int32) { r.stamp[set*r.slotsPerSet+int(slot)] = 0 }
-
-//simlint:hotpath
-func (r *recency) of(set int, slot int32) uint64 { return r.stamp[set*r.slotsPerSet+int(slot)] }
-
-// older reports whether resident a (slot, key) is a strictly better LRU
-// victim than resident b: smaller stamp wins; key breaks exact ties
-// (possible only for the zero stamp of untracked residents).
+// lruScan evicts the least recently used resident, the one with the
+// smallest stamp, scored by that stamp (the baseline LRU and GHRP's
+// fallback).
 //
 //simlint:hotpath
-func (r *recency) older(set int, aSlot int32, aKey uint64, bSlot int32, bKey uint64) bool {
-	sa, sb := r.of(set, aSlot), r.of(set, bSlot)
-	if sa != sb {
-		return sa < sb
-	}
-	return aKey < bKey
-}
-
-// lruScan returns the index of the LRU resident (the shared tie-broken
-// baseline scan every stamp-based policy falls back to).
-//
-//simlint:hotpath
-func lruScan(rec *recency, set int, residents []uopcache.Resident) int {
+func lruScan(residents []uopcache.Resident) uopcache.Decision {
 	b := 0
 	for i := 1; i < len(residents); i++ {
-		if rec.older(set, residents[i].Slot, residents[i].Key, residents[b].Slot, residents[b].Key) {
+		if residents[i].Stamp < residents[b].Stamp {
 			b = i
 		}
 	}
-	return b
+	return uopcache.Decision{Victim: residents[b].Slot, Reason: ReasonLRUOldest, Score: float64(residents[b].Stamp)}
 }
 
 // ---------------------------------------------------------------------------
 // LRU
 
-// LRU is the least-recently-used baseline the paper normalizes against.
-type LRU struct{ rec *recency }
+// LRU is the least-recently-used baseline the paper normalizes against. The
+// cache's recency stamps are all it reads, so it keeps no state.
+type LRU struct{}
 
 // NewLRU returns the LRU policy.
-func NewLRU() *LRU { return &LRU{rec: newRecency()} }
+func NewLRU() *LRU { return &LRU{} }
 
 // Name implements uopcache.Policy.
 func (p *LRU) Name() string { return "lru" }
 
-// Bind implements uopcache.Policy.
-func (p *LRU) Bind(g uopcache.Geometry) { p.rec.bind(g) }
+// Bind implements uopcache.Policy (stateless; nothing to size).
+func (p *LRU) Bind(uopcache.Geometry) {}
 
 // OnHit implements uopcache.Policy.
 //
 //simlint:hotpath
-func (p *LRU) OnHit(set int, slot int32, _ uint64) { p.rec.touch(set, slot) }
+func (p *LRU) OnHit(int, int32, uint64) {}
 
 // OnInsert implements uopcache.Policy.
 //
 //simlint:hotpath
-func (p *LRU) OnInsert(set int, slot int32, _ trace.PW) { p.rec.touch(set, slot) }
+func (p *LRU) OnInsert(int, int32, trace.PW) {}
 
 // OnEvict implements uopcache.Policy.
 //
 //simlint:hotpath
-func (p *LRU) OnEvict(set int, slot int32, _ uint64) { p.rec.drop(set, slot) }
+func (p *LRU) OnEvict(int, int32, uint64) {}
 
 // Victim implements uopcache.Policy: evict the least recently used window.
 //
 //simlint:hotpath
-func (p *LRU) Victim(set int, residents []uopcache.Resident, _ trace.PW) uopcache.Decision {
-	b := lruScan(p.rec, set, residents)
-	return uopcache.Decision{
-		VictimKey: residents[b].Key,
-		Reason:    ReasonLRUOldest,
-		Score:     float64(p.rec.of(set, residents[b].Slot)),
-	}
+func (p *LRU) Victim(_ int, residents []uopcache.Resident, _ trace.PW) uopcache.Decision {
+	return lruScan(residents)
 }
 
 // ---------------------------------------------------------------------------
@@ -194,16 +153,16 @@ func (p *Random) next() uint64 {
 // order, the victim is the resident with the smallest salted-hashed key.
 //
 //simlint:hotpath
-func (p *Random) Victim(set int, residents []uopcache.Resident, _ trace.PW) uopcache.Decision {
+func (p *Random) Victim(_ int, residents []uopcache.Resident, _ trace.PW) uopcache.Decision {
 	salt := p.next()
-	best := residents[0].Key
-	bestH := mix(best ^ salt)
+	best := residents[0].Slot
+	bestH := mix(residents[0].Key ^ salt)
 	for _, r := range residents[1:] {
 		if h := mix(r.Key ^ salt); h < bestH {
-			best, bestH = r.Key, h
+			best, bestH = r.Slot, h
 		}
 	}
-	return uopcache.Decision{VictimKey: best, Reason: ReasonRandom, Score: float64(bestH)}
+	return uopcache.Decision{Victim: best, Reason: ReasonRandom, Score: float64(bestH)}
 }
 
 func mix(x uint64) uint64 {

@@ -10,19 +10,17 @@ import (
 const rripMax = 3
 
 // srripScan is the RRIP victim scan shared by SRRIP, SHiP++, DRRIP, and
-// FURBYS's SRRIP fallback: return the index of a resident at the distant
-// RRPV (recency-stamp tiebreak), ageing the whole set until one exists.
-// rrpv is a per-slot array over the whole cache; base = set*slotsPerSet.
+// FURBYS's SRRIP fallback: return the index of the least recently used
+// resident at the distant RRPV, ageing the whole set until one exists. rrpv
+// is a per-slot array over the whole cache; base = set*slotsPerSet.
 //
 //simlint:hotpath
-func srripScan(rrpv []uint8, base int, rec *recency, set int, residents []uopcache.Resident) int {
+func srripScan(rrpv []uint8, base int, residents []uopcache.Resident) int {
 	for {
 		b := -1
 		for i := range residents {
-			if rrpv[base+int(residents[i].Slot)] >= rripMax {
-				if b < 0 || rec.older(set, residents[i].Slot, residents[i].Key, residents[b].Slot, residents[b].Key) {
-					b = i
-				}
+			if rrpv[base+int(residents[i].Slot)] >= rripMax && (b < 0 || residents[i].Stamp < residents[b].Stamp) {
+				b = i
 			}
 		}
 		if b >= 0 {
@@ -34,6 +32,14 @@ func srripScan(rrpv []uint8, base int, rec *recency, set int, residents []uopcac
 	}
 }
 
+// srripDecision evicts residents[b], scored by its RRPV.
+//
+//simlint:hotpath
+func srripDecision(rrpv []uint8, base int, residents []uopcache.Resident, b int) uopcache.Decision {
+	v := residents[b].Slot
+	return uopcache.Decision{Victim: v, Reason: ReasonRRPVDistant, Score: float64(rrpv[base+int(v)])}
+}
+
 // SRRIP implements Static Re-Reference Interval Prediction (Jaleel et al.)
 // at whole-PW granularity: 2-bit RRPV per window, inserted at long
 // re-reference (rripMax-1), promoted to 0 on hit; the victim is a window at
@@ -41,13 +47,10 @@ func srripScan(rrpv []uint8, base int, rec *recency, set int, residents []uopcac
 type SRRIP struct {
 	rrpv        []uint8
 	slotsPerSet int
-	rec         *recency
 }
 
 // NewSRRIP returns the SRRIP policy.
-func NewSRRIP() *SRRIP {
-	return &SRRIP{rec: newRecency()}
-}
+func NewSRRIP() *SRRIP { return &SRRIP{} }
 
 // Name implements uopcache.Policy.
 func (p *SRRIP) Name() string { return "srrip" }
@@ -56,41 +59,31 @@ func (p *SRRIP) Name() string { return "srrip" }
 func (p *SRRIP) Bind(g uopcache.Geometry) {
 	p.slotsPerSet = g.SlotsPerSet
 	p.rrpv = make([]uint8, g.Slots())
-	p.rec.bind(g)
 }
 
 // OnHit implements uopcache.Policy.
 //
 //simlint:hotpath
-func (p *SRRIP) OnHit(set int, slot int32, _ uint64) {
-	p.rrpv[set*p.slotsPerSet+int(slot)] = 0
-	p.rec.touch(set, slot)
-}
+func (p *SRRIP) OnHit(set int, slot int32, _ uint64) { p.rrpv[set*p.slotsPerSet+int(slot)] = 0 }
 
 // OnInsert implements uopcache.Policy.
 //
 //simlint:hotpath
 func (p *SRRIP) OnInsert(set int, slot int32, _ trace.PW) {
 	p.rrpv[set*p.slotsPerSet+int(slot)] = rripMax - 1
-	p.rec.touch(set, slot)
 }
 
 // OnEvict implements uopcache.Policy.
 //
 //simlint:hotpath
-func (p *SRRIP) OnEvict(set int, slot int32, _ uint64) { p.rec.drop(set, slot) }
+func (p *SRRIP) OnEvict(int, int32, uint64) {}
 
 // Victim implements uopcache.Policy.
 //
 //simlint:hotpath
 func (p *SRRIP) Victim(set int, residents []uopcache.Resident, _ trace.PW) uopcache.Decision {
 	base := set * p.slotsPerSet
-	b := srripScan(p.rrpv, base, p.rec, set, residents)
-	return uopcache.Decision{
-		VictimKey: residents[b].Key,
-		Reason:    ReasonRRPVDistant,
-		Score:     float64(p.rrpv[base+int(residents[b].Slot)]),
-	}
+	return srripDecision(p.rrpv, base, residents, srripScan(p.rrpv, base, residents))
 }
 
 // ---------------------------------------------------------------------------
@@ -110,7 +103,6 @@ type SHiPPP struct {
 	sig         []uint32
 	slotsPerSet int
 	shct        []uint8 // 3-bit counters
-	rec         *recency
 }
 
 // NewSHiPPP returns the SHiP++ policy.
@@ -119,7 +111,7 @@ func NewSHiPPP() *SHiPPP {
 	for i := range t {
 		t[i] = 1 // weakly reused, per SHiP++'s optimistic start
 	}
-	return &SHiPPP{shct: t, rec: newRecency()}
+	return &SHiPPP{shct: t}
 }
 
 // Name implements uopcache.Policy.
@@ -131,7 +123,6 @@ func (p *SHiPPP) Bind(g uopcache.Geometry) {
 	p.rrpv = make([]uint8, g.Slots())
 	p.reused = make([]bool, g.Slots())
 	p.sig = make([]uint32, g.Slots())
-	p.rec.bind(g)
 }
 
 func signature(pc uint64) uint32 {
@@ -144,7 +135,6 @@ func signature(pc uint64) uint32 {
 func (p *SHiPPP) OnHit(set int, slot int32, _ uint64) {
 	i := set*p.slotsPerSet + int(slot)
 	p.rrpv[i] = 0
-	p.rec.touch(set, slot)
 	if !p.reused[i] {
 		p.reused[i] = true
 		s := p.sig[i]
@@ -167,7 +157,6 @@ func (p *SHiPPP) OnInsert(set int, slot int32, pw trace.PW) {
 	} else {
 		p.rrpv[i] = rripMax - 1
 	}
-	p.rec.touch(set, slot)
 }
 
 // OnEvict implements uopcache.Policy.
@@ -181,7 +170,6 @@ func (p *SHiPPP) OnEvict(set int, slot int32, _ uint64) {
 			p.shct[s]--
 		}
 	}
-	p.rec.drop(set, slot)
 }
 
 // Victim implements uopcache.Policy (SRRIP victim scan).
@@ -189,10 +177,5 @@ func (p *SHiPPP) OnEvict(set int, slot int32, _ uint64) {
 //simlint:hotpath
 func (p *SHiPPP) Victim(set int, residents []uopcache.Resident, _ trace.PW) uopcache.Decision {
 	base := set * p.slotsPerSet
-	b := srripScan(p.rrpv, base, p.rec, set, residents)
-	return uopcache.Decision{
-		VictimKey: residents[b].Key,
-		Reason:    ReasonRRPVDistant,
-		Score:     float64(p.rrpv[base+int(residents[b].Slot)]),
-	}
+	return srripDecision(p.rrpv, base, residents, srripScan(p.rrpv, base, residents))
 }

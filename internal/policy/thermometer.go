@@ -28,7 +28,6 @@ type Thermometer struct {
 	class map[uint64]ThermoClass
 	// DefaultClass applies to windows absent from the profile.
 	DefaultClass ThermoClass
-	rec          *recency
 	// slotClass is each resident's class, looked up once at insertion.
 	slotClass   []ThermoClass
 	slotsPerSet int
@@ -36,7 +35,7 @@ type Thermometer struct {
 
 // NewThermometer builds the policy from a profile classification.
 func NewThermometer(class map[uint64]ThermoClass) *Thermometer {
-	return &Thermometer{class: class, DefaultClass: ThermoWarm, rec: newRecency()}
+	return &Thermometer{class: class, DefaultClass: ThermoWarm}
 }
 
 // Name implements uopcache.Policy.
@@ -53,26 +52,24 @@ func (p *Thermometer) classOf(pc uint64) ThermoClass {
 func (p *Thermometer) Bind(g uopcache.Geometry) {
 	p.slotsPerSet = g.SlotsPerSet
 	p.slotClass = make([]ThermoClass, g.Slots())
-	p.rec.bind(g)
 }
 
 // OnHit implements uopcache.Policy.
 //
 //simlint:hotpath
-func (p *Thermometer) OnHit(set int, slot int32, _ uint64) { p.rec.touch(set, slot) }
+func (p *Thermometer) OnHit(int, int32, uint64) {}
 
 // OnInsert implements uopcache.Policy.
 //
 //simlint:hotpath
 func (p *Thermometer) OnInsert(set int, slot int32, pw trace.PW) {
 	p.slotClass[set*p.slotsPerSet+int(slot)] = p.classOf(pw.Start)
-	p.rec.touch(set, slot)
 }
 
 // OnEvict implements uopcache.Policy.
 //
 //simlint:hotpath
-func (p *Thermometer) OnEvict(set int, slot int32, _ uint64) { p.rec.drop(set, slot) }
+func (p *Thermometer) OnEvict(int, int32, uint64) {}
 
 // Victim implements uopcache.Policy: evict the LRU window of the coldest
 // class present.
@@ -87,9 +84,9 @@ func (p *Thermometer) Victim(set int, residents []uopcache.Resident, _ trace.PW)
 		switch {
 		case c < bestClass:
 			best, bestClass = i, c
-		case c == bestClass && p.rec.older(set, residents[i].Slot, residents[i].Key, residents[best].Slot, residents[best].Key):
+		case c == bestClass && residents[i].Stamp < residents[best].Stamp:
 			best = i
 		}
 	}
-	return uopcache.Decision{VictimKey: residents[best].Key, Reason: ReasonColdestClass, Score: float64(bestClass)}
+	return uopcache.Decision{Victim: residents[best].Slot, Reason: ReasonColdestClass, Score: float64(bestClass)}
 }

@@ -27,7 +27,7 @@ func (nopPolicy) OnHit(int, int32, uint64)      {}
 func (nopPolicy) OnInsert(int, int32, trace.PW) {}
 func (nopPolicy) OnEvict(int, int32, uint64)    {}
 func (nopPolicy) Victim(_ int, residents []uopcache.Resident, _ trace.PW) uopcache.Decision {
-	return uopcache.Decision{VictimKey: residents[0].Key}
+	return uopcache.Decision{Victim: residents[0].Slot}
 }
 
 func newHotCache() (*uopcache.Cache, trace.PW, trace.PW) {

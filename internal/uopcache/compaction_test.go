@@ -27,8 +27,7 @@ func TestCompactionPacksSmallWindows(t *testing.T) {
 				resident++
 			}
 		}
-		set := c.SetIndex(0x1000)
-		return len(c.Residents(set))
+		return c.Population(c.SetIndex(0x1000))
 	}
 	if nBase, nComp := fill(base), fill(comp); nComp <= nBase {
 		t.Errorf("compaction holds %d windows vs %d without — expected more", nComp, nBase)
@@ -46,11 +45,7 @@ func TestCompactionCapacityNeverExceeded(t *testing.T) {
 		c.Insert(w)
 		for s := 0; s < cfg.Sets(); s++ {
 			// Under compaction, capacity is uops per set.
-			tot := 0
-			for _, r := range c.Residents(s) {
-				tot += r.Uops
-			}
-			if tot > cfg.Ways*cfg.UopsPerEntry {
+			if tot := c.SetUops(s); tot > cfg.Ways*cfg.UopsPerEntry {
 				t.Fatalf("set %d holds %d uops > %d", s, tot, cfg.Ways*cfg.UopsPerEntry)
 			}
 		}

@@ -11,7 +11,8 @@ import (
 
 func TestUtilizationAndOccupancy(t *testing.T) {
 	c := uopcache.New(uopcache.Config{Entries: 8, Ways: 4, UopsPerEntry: 8}, policy.NewLRU())
-	if c.Utilization() != 0 || c.Occupancy() != 0 {
+	used := func() int { return c.UsedEntries(0) + c.UsedEntries(1) }
+	if c.Utilization() != 0 || used() != 0 {
 		t.Error("empty cache should have zero utilization/occupancy")
 	}
 	c.Insert(pw(0x1000, 8)) // 1 entry, fully packed
@@ -23,8 +24,8 @@ func TestUtilizationAndOccupancy(t *testing.T) {
 	if got := c.Utilization(); got != 17.0/24.0 {
 		t.Errorf("utilization = %v, want %v", got, 17.0/24.0)
 	}
-	if got := c.Occupancy(); got != 3.0/8.0 {
-		t.Errorf("occupancy = %v, want 3/8", got)
+	if got := used(); got != 3 {
+		t.Errorf("occupied entries = %d, want 3 of 8", got)
 	}
 }
 
@@ -63,8 +64,10 @@ func TestQuickAccountingInvariants(t *testing.T) {
 		if st.Lookups != st.FullHits+st.PartialHits+st.Misses {
 			return false
 		}
-		if c.TotalUsedEntries() > cfg.Entries {
-			return false
+		for s := range cfg.Sets() {
+			if c.UsedEntries(s) > cfg.Ways {
+				return false
+			}
 		}
 		u := c.Utilization()
 		return u >= 0 && u <= 1
@@ -83,15 +86,7 @@ func TestQuickGrowNeverShrinks(t *testing.T) {
 		c := uopcache.New(uopcache.Config{Entries: 8, Ways: 8, UopsPerEntry: 8}, policy.NewLRU())
 		c.Insert(pw(0x1000, ua))
 		c.Insert(pw(0x1000, ub))
-		r, ok := c.ResidentFor(0x1000)
-		if !ok {
-			return false
-		}
-		want := ua
-		if ub > want {
-			want = ub
-		}
-		return r.Uops == want
+		return storedUops(c, 0x1000) == max(ua, ub)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -399,16 +399,22 @@ func denseVsReference(t *testing.T, cfg uopcache.Config, data []byte, bound bool
 	if got, want := c.ResidentCount(), ref.residentCount(); got != want {
 		t.Fatalf("resident count %d, reference %d", got, want)
 	}
+	// The resident count matches, so every reference window being resident
+	// with its micro-ops, and every set's occupancy matching, pins the
+	// contents. The reference's inline LRU stamps on the same events the
+	// cache does, so the cache's recency stamps must equal its stamps.
 	for set := 0; set < cfg.Sets(); set++ {
-		for _, r := range c.Residents(set) {
-			w := ref.sets[set][r.Key]
-			if w == nil || w.uops != r.Uops || w.need != r.EntriesUsed {
-				t.Fatalf("set %d resident %#x: dense uops=%d need=%d, reference %+v",
-					set, r.Key, r.Uops, r.EntriesUsed, w)
+		for key, w := range ref.sets[set] {
+			r, ok := c.ResidentFor(key)
+			if got := c.Probe(trace.PW{Start: key, NumUops: math.MaxUint16}).HitUops; !ok || got != w.uops {
+				t.Fatalf("set %d window %#x: dense resident=%v uops=%d, reference %+v", set, key, ok, got, w)
+			}
+			if r.Stamp != w.stamp {
+				t.Fatalf("set %d window %#x: stamp %d, reference %d", set, key, r.Stamp, w.stamp)
 			}
 		}
-		if len(c.Residents(set)) != len(ref.sets[set]) {
-			t.Fatalf("set %d population %d, reference %d", set, len(c.Residents(set)), len(ref.sets[set]))
+		if got := c.UsedEntries(set); got != ref.used[set] {
+			t.Fatalf("set %d uses %d, reference %d", set, got, ref.used[set])
 		}
 	}
 }

@@ -25,8 +25,13 @@
 // prepared trace's dense key ids (NewBehavior), through an id column whose
 // slot hints the key column confirms. The slot number is a stable handle for
 // the resident's whole lifetime — policies receive it on every event and keep
-// their metadata in flat per-slot arrays, as hardware stores RRPV/recency
-// bits.
+// their metadata in flat per-slot arrays, as hardware stores RRPV bits.
+//
+// Recency is the cache's: one cache-wide touch counter stamps a slot at each
+// hit and each insertion, exactly where the policy's OnHit and OnInsert are
+// called, so stamps are unique and order every set's residents from least to
+// most recently used. Policy.Victim reads them in its Resident view and
+// names its victim by slot.
 package uopcache
 
 import (
@@ -102,35 +107,26 @@ func (c Config) slotsPerSet() int {
 	return c.Ways
 }
 
-// Resident describes a PW currently stored in the cache.
+// Resident is a policy's view of one window stored in a set.
 type Resident struct {
 	// Key is the window's start address.
 	Key uint64
-	// Uops is the stored micro-op count (the cost).
-	Uops int
-	// EntriesUsed is the number of entry slots occupied (the size).
-	EntriesUsed int
-	// InsertedAt is the lookup sequence number of the insertion.
-	InsertedAt uint64
-	// LastHitAt is the lookup sequence number of the last hit.
-	LastHitAt uint64
 	// Slot is the resident's stable slot handle within its set: assigned
 	// at insertion, fixed until eviction, passed to every Policy event so
 	// policies can index flat per-slot metadata arrays.
 	Slot int32
-	// Bytes is the window's code footprint. With Key it names the icache
-	// lines the window lives in (trace.LineSpan: one line normally, two
-	// for a CLASP-style cross-line window), used for inclusive
-	// invalidation.
-	Bytes uint16
+	// Stamp is the cache's touch counter at the window's insertion or
+	// latest hit. Stamps are unique cache-wide: the smallest in a set is
+	// its least recently used window.
+	Stamp uint64
 }
 
 // Decision is a replacement policy's answer when space is needed.
 type Decision struct {
 	// Bypass requests that the incoming window not be inserted.
 	Bypass bool
-	// VictimKey names the resident PW to evict when not bypassing.
-	VictimKey uint64
+	// Victim is the slot of the resident to evict when not bypassing.
+	Victim int32
 	// Reason states the grounds for the choice using a small, constant
 	// per-policy vocabulary (e.g. ReasonLRUOldest). Constant strings keep
 	// the hot path allocation-free; empty means "not stated".
@@ -173,7 +169,8 @@ func (g Geometry) Slots() int { return g.Sets * g.SlotsPerSet }
 // cache passes with every event: Bind is called once before any other event
 // with the cache geometry, and a resident's slot is stable from its OnInsert
 // to its OnEvict (slots are reused after eviction, always through a fresh
-// OnInsert).
+// OnInsert). Recency needs no metadata: the cache stamps a slot at each
+// OnHit and OnInsert and hands the stamps to Victim.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
@@ -187,10 +184,11 @@ type Policy interface {
 	// OnEvict fires when window key leaves set (eviction, invalidation,
 	// or replacement by a larger same-start window); slot is released.
 	OnEvict(set int, slot int32, key uint64)
-	// Victim chooses the next eviction victim among residents, or
-	// requests a bypass of the incoming window. It is called repeatedly
-	// until enough entries are free. residents is non-empty, in slot
-	// (way) order, and each element carries its Slot handle.
+	// Victim chooses the next eviction victim among residents and names
+	// it by slot, or requests a bypass of the incoming window. It is
+	// called repeatedly until enough entries are free. residents is
+	// non-empty and in slot (way) order; the cache reuses its storage, so
+	// a policy must not keep it past the call.
 	Victim(set int, residents []Resident, incoming trace.PW) Decision
 }
 
@@ -237,8 +235,11 @@ type Cache struct {
 	// the evicted line. Allocated once in New; updates never allocate.
 	lineCount []int32
 	clock     uint64
+	// touches is the recency counter: it ticks at every hit and insertion,
+	// and the touched slot's record takes its value as its stamp.
+	touches uint64
 
-	// Dense slot geometry: every set owns capSlots Resident slots and as
+	// Dense slot geometry: every set owns capSlots slot records and as
 	// many key-column words.
 	capSlots int
 	// setMask is the set count less one (Config.Validate requires a power
@@ -249,7 +250,7 @@ type Cache struct {
 	// the uopcache_slot_occupancy gauge).
 	totalResidents int
 
-	// viewBuf is the reusable victim-snapshot buffer handed to
+	// viewBuf is the reusable Resident view buffer handed to
 	// Policy.Victim; capacity capSlots, so refilling it never allocates.
 	viewBuf []Resident
 	// invVictims is InvalidateLine's scratch buffer.
@@ -335,14 +336,32 @@ func newCacheMetrics(reg *telemetry.Registry, polName string) *cacheMetrics {
 	}
 }
 
-// cset is one set's dense storage: capSlots Resident slots and the packed
-// key column beside them. keys[i] is slot i's window start plus one, and 0
-// marks a free slot (a window cannot start at math.MaxUint64; insertAt
-// rejects one).
+// cset is one set's dense storage: capSlots slot records and the packed key
+// column beside them. keys[i] is slot i's window start plus one, and 0 marks
+// a free slot (a window cannot start at math.MaxUint64; insertAt rejects
+// one).
 type cset struct {
-	slots []Resident
+	slots []slotRec
 	keys  []uint64
 	used  int
+}
+
+// slotRec is what the cache stores about the window in one slot, besides
+// its key.
+type slotRec struct {
+	// uops is the stored micro-op count (the cost), and entries the slots'
+	// worth of capacity it occupies (the size, Config.Footprint).
+	uops, entries int32
+	// bytes is the window's code footprint. With the key it names the
+	// icache lines the window lives in (trace.LineSpan: one line normally,
+	// two for a CLASP-style cross-line window), used for inclusive
+	// invalidation.
+	bytes uint16
+	// touched is the lookup clock at the window's insertion or latest hit:
+	// the point its reuse age is measured from.
+	touched uint64
+	// stamp is the recency counter's value at the same touch.
+	stamp uint64
 }
 
 // keySlot is one resident InvalidateLine removes: its key and its slot.
@@ -394,7 +413,7 @@ func New(cfg Config, policy Policy) *Cache {
 	c.setMask = uint64(numSets - 1)
 	// One backing array per column, sliced per set: contiguous, and a
 	// single allocation each.
-	slotB := make([]Resident, numSets*c.capSlots)
+	slotB := make([]slotRec, numSets*c.capSlots)
 	keyB := make([]uint64, numSets*c.capSlots)
 	c.sets = make([]cset, numSets)
 	for i := range c.sets {
@@ -580,23 +599,14 @@ func PreparedFor(cfg Config, pws []trace.PW, pt *trace.PreparedTrace) *trace.Pre
 // returns true when a window was removed.
 func (c *Cache) EvictKey(start uint64) bool {
 	set := c.SetIndex(start)
-	s := &c.sets[set]
-	slot := s.find(start)
+	slot := c.sets[set].find(start)
 	if slot < 0 {
 		return false
 	}
 	c.Stats.Evictions++
-	c.observeEviction(set, &s.slots[slot], 0, Decision{VictimKey: start, Reason: ReasonForced})
+	c.observeEviction(set, slot, 0, Decision{Victim: slot, Reason: ReasonForced})
 	c.removeResident(set, slot)
 	return true
-}
-
-// lastTouch is the lookup sequence number a resident was last useful at.
-func lastTouch(r *Resident) uint64 {
-	if r.LastHitAt > 0 {
-		return r.LastHitAt
-	}
-	return r.InsertedAt
 }
 
 // observeEviction mirrors a Stats.Evictions increment into the metrics and
@@ -604,16 +614,19 @@ func lastTouch(r *Resident) uint64 {
 // incoming is the start address of the window whose insertion forced the
 // eviction (zero when eager/offline); d carries the policy's stated reason
 // and losing score for attribution.
-func (c *Cache) observeEviction(set int, r *Resident, incoming uint64, d Decision) {
+func (c *Cache) observeEviction(set int, slot int32, incoming uint64, d Decision) {
+	s := &c.sets[set]
+	r := &s.slots[slot]
 	if c.m != nil {
 		c.m.evictions.Inc()
-		c.m.victimCostUops.Observe(uint64(r.Uops))
-		c.m.victimReuseAge.Observe(c.clock - lastTouch(r))
+		c.m.victimCostUops.Observe(uint64(r.uops))
+		c.m.victimReuseAge.Observe(c.clock - r.touched)
 	}
 	if c.sink != nil {
+		key := s.keys[slot] - 1
 		c.sink.Emit(telemetry.Event{
-			Seq: c.clock, Kind: telemetry.EventEvict, Set: set, Key: r.Key,
-			VictimKey: r.Key, VictimUops: r.Uops, VictimAge: c.clock - lastTouch(r),
+			Seq: c.clock, Kind: telemetry.EventEvict, Set: set, Key: key,
+			VictimKey: key, VictimUops: int(r.uops), VictimAge: c.clock - r.touched,
 			IncomingKey: incoming, Reason: d.Reason, Score: d.Score,
 			Policy: c.polName,
 		})
@@ -674,9 +687,10 @@ func (c *Cache) NotePerfectHit(pw trace.PW) {
 	}
 }
 
-// Lookup probes the cache for pw, updating hit statistics and policy
-// recency. It does NOT trigger an insertion: the caller schedules one on its
-// own clock (Schedule), because that is where the asynchrony lives.
+// Lookup probes the cache for pw, updating hit statistics and, on a hit, the
+// window's recency stamp. It does NOT trigger an insertion: the caller
+// schedules one on its own clock (Schedule), because that is where the
+// asynchrony lives.
 //
 //simlint:hotpath
 func (c *Cache) Lookup(pw trace.PW) ProbeResult {
@@ -715,9 +729,11 @@ func (c *Cache) lookupAt(pw trace.PW, set int, slot int32) ProbeResult {
 		return ProbeResult{Kind: ProbeMiss, MissUops: want}
 	}
 	r := &c.sets[set].slots[slot]
-	r.LastHitAt = c.clock
+	c.touches++
+	r.touched, r.stamp = c.clock, c.touches
 	c.policy.OnHit(set, slot, pw.Start)
-	if r.Uops >= want {
+	stored := int(r.uops)
+	if stored >= want {
 		c.Stats.FullHits++
 		c.Stats.UopsHit += uint64(want)
 		if c.m != nil {
@@ -734,21 +750,21 @@ func (c *Cache) lookupAt(pw trace.PW, set int, slot int32) ProbeResult {
 		return ProbeResult{Kind: ProbeFull, HitUops: want}
 	}
 	c.Stats.PartialHits++
-	c.Stats.UopsHit += uint64(r.Uops)
-	c.Stats.UopsMissed += uint64(want - r.Uops)
+	c.Stats.UopsHit += uint64(stored)
+	c.Stats.UopsMissed += uint64(want - stored)
 	if c.m != nil {
 		c.m.polHits.Inc()
 		c.m.partialHits.Inc()
-		c.m.uopsHit.Add(uint64(r.Uops))
-		c.m.uopsMissed.Add(uint64(want - r.Uops))
+		c.m.uopsHit.Add(uint64(stored))
+		c.m.uopsMissed.Add(uint64(want - stored))
 	}
 	if c.sink != nil {
 		c.sink.Emit(telemetry.Event{
 			Seq: c.clock, Kind: telemetry.EventPartial, Set: set, Key: pw.Start,
-			Uops: want, HitUops: r.Uops, MissUops: want - r.Uops, Policy: c.polName,
+			Uops: want, HitUops: stored, MissUops: want - stored, Policy: c.polName,
 		})
 	}
-	return ProbeResult{Kind: ProbePartial, HitUops: r.Uops, MissUops: want - r.Uops}
+	return ProbeResult{Kind: ProbePartial, HitUops: stored, MissUops: want - stored}
 }
 
 // Probe reports what a lookup would find without touching statistics or
@@ -760,11 +776,11 @@ func (c *Cache) Probe(pw trace.PW) ProbeResult {
 	if slot < 0 {
 		return ProbeResult{Kind: ProbeMiss, MissUops: want}
 	}
-	r := &s.slots[slot]
-	if r.Uops >= want {
+	stored := int(s.slots[slot].uops)
+	if stored >= want {
 		return ProbeResult{Kind: ProbeFull, HitUops: want}
 	}
-	return ProbeResult{Kind: ProbePartial, HitUops: r.Uops, MissUops: want - r.Uops}
+	return ProbeResult{Kind: ProbePartial, HitUops: stored, MissUops: want - stored}
 }
 
 // InsertOutcome reports what Insert did.
@@ -807,7 +823,7 @@ func (c *Cache) insertAt(pw trace.PW, set, need int, id int32) InsertOutcome {
 		return TooLarge
 	}
 	if existing := c.slotOf(set, pw.Start, id); existing >= 0 {
-		if s.slots[existing].Uops >= int(pw.NumUops) {
+		if int(s.slots[existing].uops) >= int(pw.NumUops) {
 			return Redundant
 		}
 		// Grow: the merged larger window replaces the smaller one.
@@ -826,25 +842,19 @@ func (c *Cache) insertAt(pw trace.PW, set, need int, id int32) InsertOutcome {
 			c.noteBypass(set, pw)
 			return Bypassed
 		}
-		victim := s.find(d.VictimKey)
-		if victim < 0 {
-			//simlint:ignore hotpath cold invariant-violation path; never taken unless a policy is buggy
-			panic(fmt.Sprintf("uopcache: policy %s chose non-resident victim %#x in set %d",
-				c.policy.Name(), d.VictimKey, set))
+		if d.Victim < 0 || int(d.Victim) >= c.capSlots || s.keys[d.Victim] == 0 {
+			panic("uopcache: a policy named a victim slot that holds no resident")
 		}
 		c.Stats.Evictions++
-		c.observeEviction(set, &s.slots[victim], pw.Start, d)
-		c.removeResident(set, victim)
+		c.observeEviction(set, d.Victim, pw.Start, d)
+		c.removeResident(set, d.Victim)
 	}
 	slot := s.allocSlot()
-	r := &s.slots[slot]
-	r.Key = pw.Start
-	r.Uops = int(pw.NumUops)
-	r.EntriesUsed = need
-	r.InsertedAt = c.clock
-	r.LastHitAt = 0
-	r.Slot = slot
-	r.Bytes = pw.Bytes
+	c.touches++
+	s.slots[slot] = slotRec{
+		uops: int32(pw.NumUops), entries: int32(need), bytes: pw.Bytes,
+		touched: c.clock, stamp: c.touches,
+	}
 	s.keys[slot] = pw.Start + 1
 	if id >= 0 {
 		c.idSlot[id] = uint16(slot + 1)
@@ -880,11 +890,11 @@ func (c *Cache) insertAt(pw trace.PW, set, need int, id int32) InsertOutcome {
 func (c *Cache) removeResident(set int, slot int32) {
 	s := &c.sets[set]
 	r := &s.slots[slot]
-	key := r.Key
+	key := s.keys[slot] - 1
 	s.keys[slot] = 0
-	s.used -= r.EntriesUsed
+	s.used -= int(r.entries)
 	c.totalResidents--
-	first, last := trace.LineSpan(key, r.Bytes)
+	first, last := trace.LineSpan(key, r.bytes)
 	for l := first; l <= last; l += trace.LineSize {
 		c.lineCount[lineBucket(l)*len(c.sets)+set]--
 	}
@@ -928,7 +938,7 @@ func (c *Cache) InvalidateLine(lineAddr uint64) int {
 			if k == 0 {
 				continue
 			}
-			if first, last := trace.LineSpan(k-1, s.slots[i].Bytes); first <= lineAddr && lineAddr <= last {
+			if first, last := trace.LineSpan(k-1, s.slots[i].bytes); first <= lineAddr && lineAddr <= last {
 				victims = append(victims, keySlot{key: k - 1, slot: int32(i)})
 			}
 		}
@@ -944,7 +954,7 @@ func (c *Cache) InvalidateLine(lineAddr uint64) int {
 				if c.sink != nil {
 					c.sink.Emit(telemetry.Event{
 						Seq: c.clock, Kind: telemetry.EventInvalidate, Set: set, Key: v.key,
-						VictimKey: v.key, VictimUops: r.Uops, VictimAge: c.clock - lastTouch(r),
+						VictimKey: v.key, VictimUops: int(r.uops), VictimAge: c.clock - r.touched,
 						Policy: c.polName,
 					})
 				}
@@ -958,10 +968,11 @@ func (c *Cache) InvalidateLine(lineAddr uint64) int {
 	return n
 }
 
-// residentsView snapshots the residents of a set for the policy, in slot
-// (way) order — a deterministic order by construction, since slot assignment
-// depends only on the event sequence. The buffer is reused across calls and
-// sized to the set capacity at New, so refilling it never allocates.
+// residentsView fills the policy's view of a set's residents from the key
+// column and the stamps, in slot (way) order — a deterministic order by
+// construction, since slot assignment depends only on the event sequence.
+// The buffer is reused across calls and sized to the set capacity at New, so
+// refilling it never allocates.
 //
 //simlint:hotpath
 func (c *Cache) residentsView(set int) []Resident {
@@ -973,40 +984,27 @@ func (c *Cache) residentsView(set int) []Resident {
 	out = out[:0]
 	for i, k := range s.keys {
 		if k != 0 {
-			out = append(out, s.slots[i])
+			out = append(out, Resident{Key: k - 1, Slot: int32(i), Stamp: s.slots[i].stamp})
 		}
 	}
 	c.viewBuf = out
 	return out
 }
 
-// Residents returns a snapshot of the residents of a set in slot order (for
-// analyses). Unlike the policy-facing view, the snapshot is freshly
-// allocated, so callers may retain it.
-func (c *Cache) Residents(set int) []Resident { return slices.Clone(c.residentsView(set)) }
-
-// ResidentFor returns a copy of the resident window for a start address, if
-// any.
+// ResidentFor returns the policy's view of the resident window for a start
+// address, if any.
 func (c *Cache) ResidentFor(start uint64) (Resident, bool) {
 	s := &c.sets[c.SetIndex(start)]
 	slot := s.find(start)
 	if slot < 0 {
 		return Resident{}, false
 	}
-	return s.slots[slot], true
+	return Resident{Key: start, Slot: slot, Stamp: s.slots[slot].stamp}, true
 }
 
-// UsedEntries returns the number of occupied entries in a set.
+// UsedEntries returns a set's occupied capacity in the active accounting
+// unit: entries normally, micro-ops under compaction.
 func (c *Cache) UsedEntries(set int) int { return c.sets[set].used }
-
-// TotalUsedEntries returns the number of occupied entries cache-wide.
-func (c *Cache) TotalUsedEntries() int {
-	n := 0
-	for i := range c.sets {
-		n += c.sets[i].used
-	}
-	return n
-}
 
 // ResidentCount returns the number of occupied slots cache-wide (the value
 // the uopcache_slot_occupancy gauge exposes).
@@ -1029,11 +1027,11 @@ func (c *Cache) Utilization() float64 {
 				continue
 			}
 			r := &c.sets[i].slots[j]
-			uops += r.Uops
+			uops += int(r.uops)
 			if c.cfg.Compaction {
-				capUops += r.EntriesUsed
+				capUops += int(r.entries)
 			} else {
-				capUops += r.EntriesUsed * c.cfg.UopsPerEntry
+				capUops += int(r.entries) * c.cfg.UopsPerEntry
 			}
 		}
 	}
@@ -1041,16 +1039,6 @@ func (c *Cache) Utilization() float64 {
 		return 0
 	}
 	return float64(uops) / float64(capUops)
-}
-
-// Occupancy returns the fraction of total capacity currently allocated
-// (entries normally, micro-ops under compaction).
-func (c *Cache) Occupancy() float64 {
-	total := c.cfg.Entries
-	if c.cfg.Compaction {
-		total = c.cfg.Entries * c.cfg.UopsPerEntry
-	}
-	return float64(c.TotalUsedEntries()) / float64(total)
 }
 
 // ResetStats clears the statistics without disturbing contents or the
